@@ -215,14 +215,36 @@ def _parse_cell(text, row, col):
         ) from None
 
 
-def _resolve_missing(rows, missing, path):
-    """Apply the missing-value policy to parsed rows (None marks a hole)."""
+def _parse_label(text, missing, row, col, path):
+    """A class cell; None marks a missing label that the drop policy removes."""
+    if text.lower() not in _MISSING_TOKENS:
+        return text
+    if missing == "drop":
+        return None
+    raise ParseError(
+        f"missing label at row {row}, column {col} of {path} (a label cannot "
+        "be imputed; pass missing='drop' to remove the row)",
+        row=row,
+        column=col,
+    )
+
+
+def _resolve_missing(rows, labels, missing, path):
+    """Apply the missing-value policy to parsed rows (None marks a hole).
+
+    ``labels`` is None for an unlabeled file; a None label, which only the
+    drop policy lets through, drops its row.  Returns the kept values and
+    labels.
+    """
     data = np.array(
         [[np.nan if c is None else c for c in r] for r in rows], dtype=float
     )
     holes = np.isnan(data)
-    if not holes.any():
-        return data, np.ones(len(rows), dtype=bool)
+    keep = ~holes.any(axis=1)
+    if labels is not None:
+        keep &= np.array([y is not None for y in labels], dtype=bool)
+    if keep.all():
+        return data, labels
     if missing == "reject":
         r, c = np.argwhere(holes)[0]
         raise ParseError(
@@ -237,12 +259,13 @@ def _resolve_missing(rows, missing, path):
             if np.isnan(col).all():
                 raise ParseError(f"column {j + 1} of {path} has no observed values")
             col[np.isnan(col)] = np.nanmean(col)
-        return data, np.ones(len(rows), dtype=bool)
+        return data, labels
     if missing == "drop":
-        keep = ~holes.any(axis=1)
         if not keep.any():
             raise EmptyFileError(f"every row of {path} has missing values")
-        return data[keep], keep
+        if labels is not None:
+            labels = [y for y, k in zip(labels, keep) if k]
+        return data[keep], labels
     raise ValueError(f"unknown missing-value policy {missing!r}")
 
 
@@ -256,7 +279,7 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
     has_header : first row holds attribute names when true
     label_column : optional class column, as a 0-based index or header name
     missing : one of ``reject`` (default), ``impute`` (column mean), ``drop``
-        (remove incomplete rows)
+        (remove incomplete rows); a missing label fails under ``impute``
     name : table name; defaults to the file stem
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -283,7 +306,7 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
             if not 0 <= label_idx < width:
                 raise ParseError(f"label column index {label_idx} out of range")
 
-    rows, labels = [], []
+    rows, labels = [], None if label_idx is None else []
     for i, row in enumerate(raw, start=1 + int(has_header)):
         if len(row) != width:
             raise ParseError(
@@ -292,14 +315,12 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
         cells = []
         for j, cell in enumerate(row):
             if j == label_idx:
-                labels.append(cell.strip())
+                labels.append(_parse_label(cell.strip(), missing, i, j + 1, path))
             else:
                 cells.append(_parse_cell(cell, i, j + 1))
         rows.append(cells)
 
-    data, keep = _resolve_missing(rows, missing, path)
-    if label_idx is not None:
-        labels = [y for y, k in zip(labels, keep) if k]
+    data, labels = _resolve_missing(rows, labels, missing, path)
 
     d = data.shape[1]
     if header is not None:
@@ -309,7 +330,7 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
     return DataTable(
         values=data,
         attr_names=attr_names,
-        labels=tuple(labels) if label_idx is not None else None,
+        labels=None if labels is None else tuple(labels),
         name=name or os.path.splitext(os.path.basename(path))[0],
     )
 
@@ -365,7 +386,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     # when their values are all numbers (integer-coded features).
     label_idx = len(attrs) - 1 if attrs[-1][1] == "nominal" else None
 
-    rows, labels = [], []
+    rows, labels = [], None if label_idx is None else []
     for lineno, cells in data_rows:
         if len(cells) != len(attrs):
             raise ParseError(
@@ -376,19 +397,19 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
         parsed = []
         for j, cell in enumerate(cells):
             if j == label_idx:
-                labels.append(cell.strip().strip("'\""))
+                labels.append(
+                    _parse_label(cell.strip("'\""), missing, lineno, j + 1, path)
+                )
             else:
                 parsed.append(_parse_cell(cell, lineno, j + 1))
         rows.append(parsed)
 
-    data, keep = _resolve_missing(rows, missing, path)
-    if label_idx is not None:
-        labels = [y for y, k in zip(labels, keep) if k]
+    data, labels = _resolve_missing(rows, labels, missing, path)
     attr_names = tuple(a for j, (a, _) in enumerate(attrs) if j != label_idx)
     return DataTable(
         values=data,
         attr_names=attr_names,
-        labels=tuple(labels) if label_idx is not None else None,
+        labels=None if labels is None else tuple(labels),
         name=name or os.path.splitext(os.path.basename(path))[0],
     )
 
@@ -424,12 +445,18 @@ def zscore_normalize(table: DataTable) -> DataTable:
     """
     if table.n_objects < 2:
         raise ValueError("z-score normalization needs at least 2 objects")
-    values = table.values
-    mean = values.mean(axis=0)
-    std = values.std(axis=0, ddof=1)
+    # z-scores do not depend on scale.  Scaling each column by a power of
+    # two is exact and keeps squared deviations clear of underflow;
+    # centering twice removes the rounding error of the first mean, which
+    # is not small next to the spread of a nearly constant column.
+    _, exponent = np.frexp(np.abs(table.values).max(axis=0))
+    scaled = np.ldexp(table.values, -exponent)
+    centered = scaled - scaled.mean(axis=0)
+    centered -= centered.mean(axis=0)
+    std = centered.std(axis=0, ddof=1)
     constant = std == 0
     safe_std = np.where(constant, 1.0, std)
-    normed = (values - mean) / safe_std
+    normed = centered / safe_std
     normed[:, constant] = 0.0
     return replace(table, values=normed)
 
@@ -519,6 +546,8 @@ class Registry:
             )
         rel_path, label = self.entries[dataset_name]
         path = os.path.join(self.root, rel_path)
+        if not os.path.exists(path):
+            raise DatasetError(f"dataset {dataset_name!r}: no file at {path}")
         if label == "auto":
             label_column = None
         elif label.isdigit():

@@ -3,9 +3,13 @@ benchmark runner that assembles dataset x method x classifier accuracy
 tables.
 
 The three classifiers (Gaussian naive Bayes, k-NN, a discrete decision
-table) stand in for the Weka lineup; all fold-level preprocessing (z-score
-scaling, discretization cut points) is fit on training folds only unless
-the leaky global-prep variant is requested explicitly.
+table) stand in for the Weka lineup.  Each is a fit function in
+``CLASSIFIERS`` with one signature, ``fit(train, prep=None, *, strategy,
+bins, knn_k)``, that ignores the options it has no use for and returns a
+frozen model whose ``predict(rows)`` labels a whole test matrix.  ``prep``
+holds the rows the fold-level preprocessing (k-NN's z-score scaling, the
+decision table's cut points) is fit on: the training rows when None, and
+every row only under the leaky global-prep variant.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 from .dataset import (
     DataTable,
     DatasetError,
-    DiscreteTable,
     FeatureSubset,
     Registry,
     apply_cut_points,
@@ -32,10 +35,9 @@ __all__ = [
     "FoldPlan",
     "make_fold_plan",
     "gaussian_nb_fit",
-    "gaussian_nb_predict",
-    "knn_predict",
+    "knn_fit",
     "decision_table_fit",
-    "decision_table_predict",
+    "CLASSIFIERS",
     "cross_validate",
     "CvResult",
     "EvalReport",
@@ -47,7 +49,6 @@ __all__ = [
     "PCA_K",
 ]
 
-CLASSIFIER_IDS = ("nb", "knn", "dtable")
 CLASSIFIER_NAMES = {"nb": "Naive Bayes", "knn": "k-NN", "dtable": "Decision Table"}
 
 # Feature counts pinned per benchmark dataset for the ranking selectors
@@ -65,6 +66,17 @@ class FoldPlan:
     seed: int
     k: int
     assignments: tuple[int, ...]
+
+    def __post_init__(self):
+        # Every fold must hold test rows and leave training rows, so no
+        # fold is scored on nothing and no model is fit on nothing.
+        if self.k < 2:
+            raise ValueError(f"fold count must be >= 2, got {self.k}")
+        if any(not 0 <= a < self.k for a in self.assignments):
+            raise ValueError(f"fold assignments must lie in [0, {self.k})")
+        sizes = np.bincount(np.asarray(self.assignments, dtype=int), minlength=self.k)
+        if not sizes.all():
+            raise ValueError(f"fold {int(np.argmin(sizes))} has no objects")
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.assignments) == fold)
@@ -98,7 +110,7 @@ def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian naive Bayes
+# Classifiers
 
 @dataclass(frozen=True)
 class NbModel:
@@ -107,8 +119,20 @@ class NbModel:
     means: np.ndarray       # class x attr
     variances: np.ndarray   # class x attr, floored
 
+    def predict(self, rows) -> list[str]:
+        """argmax of log prior + summed log normal densities; ties resolve
+        to the lexicographically first class (classes are stored sorted)."""
+        rows = np.asarray(rows, dtype=float)[:, None, :]   # row x 1 x attr
+        ll = self.log_priors - 0.5 * np.sum(
+            np.log(2.0 * np.pi * self.variances)
+            + (rows - self.means) ** 2 / self.variances,
+            axis=2,
+        )
+        return [self.classes[i] for i in np.argmax(ll, axis=1)]
 
-def gaussian_nb_fit(train: DataTable) -> NbModel:
+
+def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
+                    knn_k=3) -> NbModel:
     """Class priors plus per-class, per-attribute normal densities."""
     if train.labels is None:
         raise ValueError("gaussian naive Bayes needs labeled training data")
@@ -129,62 +153,57 @@ def gaussian_nb_fit(train: DataTable) -> NbModel:
     )
 
 
-def gaussian_nb_predict(model: NbModel, row: np.ndarray) -> str:
-    """argmax of log prior + summed log normal densities; ties resolve to
-    the lexicographically first class (classes are stored sorted)."""
-    row = np.asarray(row, dtype=float)
-    ll = model.log_priors - 0.5 * np.sum(
-        np.log(2.0 * np.pi * model.variances)
-        + (row - model.means) ** 2 / model.variances,
-        axis=1,
-    )
-    return model.classes[int(np.argmax(ll))]
+@dataclass(frozen=True)
+class KnnModel:
+    mean: np.ndarray
+    std: np.ndarray
+    scaled: np.ndarray              # training rows, z-scored
+    classes: tuple[str, ...]
+    codes: np.ndarray               # training row -> index into classes
+    k: int
+
+    def predict(self, rows) -> list[str]:
+        """Majority vote among the k nearest training rows (z-scored space).
+
+        Distance ties go to the lower training index (stable sort), vote
+        ties to the class of the nearest tied row.  One distance vector per
+        test row keeps memory at O(train) rather than O(test x train x attr).
+        """
+        out = []
+        for row in (np.asarray(rows, dtype=float) - self.mean) / self.std:
+            dist = np.sqrt(((self.scaled - row) ** 2).sum(axis=1))
+            nearest = self.codes[np.argsort(dist, kind="stable")[: self.k]]
+            votes = np.bincount(nearest, minlength=len(self.classes))
+            out.append(self.classes[nearest[np.argmax(votes[nearest] == votes.max())]])
+        return out
 
 
-# ---------------------------------------------------------------------------
-# k-nearest neighbours
-
-def _zscore_params(values: np.ndarray):
-    mean = values.mean(axis=0)
-    std = values.std(axis=0, ddof=1) if len(values) > 1 else np.ones(values.shape[1])
-    std = np.where(std == 0, 1.0, std)
-    return mean, std
-
-
-def _knn_vote(train_scaled, train_labels, row_scaled, k):
-    dist = np.sqrt(((train_scaled - row_scaled) ** 2).sum(axis=1))
-    order = np.argsort(dist, kind="stable")[:k]   # distance ties: lower index
-    votes: dict[str, int] = {}
-    for idx in order:
-        votes[train_labels[idx]] = votes.get(train_labels[idx], 0) + 1
-    top = max(votes.values())
-    tied = {c for c, v in votes.items() if v == top}
-    if len(tied) == 1:
-        return next(iter(tied))
-    for idx in order:                              # vote tie: nearest wins
-        if train_labels[idx] in tied:
-            return train_labels[idx]
-    raise AssertionError("unreachable")
-
-
-def knn_predict(train: DataTable, row: np.ndarray, k: int = 3) -> str:
-    """Majority vote among the k nearest training rows (z-scored space)."""
+def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
+            knn_k=3) -> KnnModel:
+    """Store the training rows z-scored with the mean and std of prep."""
     if train.labels is None:
         raise ValueError("k-NN needs labeled training data")
-    if not 1 <= k <= train.n_objects:
-        raise ValueError(f"k={k} out of range for {train.n_objects} training rows")
-    mean, std = _zscore_params(train.values)
-    scaled = (train.values - mean) / std
-    return _knn_vote(scaled, train.labels, (np.asarray(row, float) - mean) / std, k)
+    if not 1 <= knn_k <= train.n_objects:
+        raise ValueError(f"k={knn_k} out of range for {train.n_objects} training rows")
+    prep = train.values if prep is None else prep
+    mean = prep.mean(axis=0)
+    std = prep.std(axis=0, ddof=1) if len(prep) > 1 else np.ones(prep.shape[1])
+    std = np.where(std == 0, 1.0, std)
+    classes, codes = np.unique(np.asarray(train.labels), return_inverse=True)
+    return KnnModel(mean=mean, std=std, scaled=(train.values - mean) / std,
+                    classes=tuple(str(c) for c in classes), codes=codes, k=knn_k)
 
-
-# ---------------------------------------------------------------------------
-# Discrete decision table
 
 @dataclass(frozen=True)
 class DecisionTableModel:
+    cuts: tuple[np.ndarray, ...]    # per attribute, fit on prep
     lookup: dict
     fallback: str
+
+    def predict(self, rows) -> list[str]:
+        """Seen code tuple -> its majority class; unseen -> global majority."""
+        codes = apply_cut_points(np.asarray(rows, dtype=float), self.cuts)
+        return [self.lookup.get(key, self.fallback) for key in map(tuple, codes.tolist())]
 
 
 def _majority(labels) -> str:
@@ -195,24 +214,26 @@ def _majority(labels) -> str:
     return min(c for c, v in counts.items() if v == top)
 
 
-def decision_table_fit(train) -> DecisionTableModel:
-    """Exact-match lookup from coded feature tuple to its majority class."""
+def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
+                       knn_k=3) -> DecisionTableModel:
+    """Bin with cut points fit on prep, then map each training code tuple
+    to its majority class (ties: lexicographically smallest)."""
     if train.labels is None:
         raise ValueError("decision table needs labeled training data")
+    cuts = tuple(fit_cut_points(train.values if prep is None else prep, strategy, bins))
     buckets: dict[tuple, list[str]] = {}
-    for i in range(train.n_objects):
-        buckets.setdefault(tuple(int(c) for c in train.codes[i]), []).append(
-            train.labels[i]
-        )
+    keys = map(tuple, apply_cut_points(train.values, cuts).tolist())
+    for key, y in zip(keys, train.labels):
+        buckets.setdefault(key, []).append(y)
     return DecisionTableModel(
+        cuts=cuts,
         lookup={key: _majority(ys) for key, ys in buckets.items()},
         fallback=_majority(train.labels),
     )
 
 
-def decision_table_predict(model: DecisionTableModel, coded_row) -> str:
-    """Seen tuple -> its majority class; unseen -> global majority."""
-    return model.lookup.get(tuple(int(c) for c in coded_row), model.fallback)
+CLASSIFIERS = {"nb": gaussian_nb_fit, "knn": knn_fit, "dtable": decision_table_fit}
+CLASSIFIER_IDS = tuple(CLASSIFIERS)
 
 
 # ---------------------------------------------------------------------------
@@ -225,59 +246,27 @@ class CvResult:
     fold_sizes: tuple[int, ...]
 
 
-def _fit_predict_fold(train_values, train_labels, test_values, classifier,
-                      strategy, bins, knn_k, prep_values):
-    """One fold: fit on the training rows, predict the test rows.
-
-    prep_values supplies the rows used to fit scalers / cut points; it
-    equals train_values except under the leaky global-prep variant.
-    """
-    train = DataTable(values=train_values, attr_names=_names(train_values),
-                      labels=train_labels)
-    if classifier == "nb":
-        model = gaussian_nb_fit(train)
-        return [gaussian_nb_predict(model, row) for row in test_values]
-    if classifier == "knn":
-        mean, std = _zscore_params(prep_values)
-        scaled = (train_values - mean) / std
-        return [
-            _knn_vote(scaled, train.labels, (row - mean) / std, knn_k)
-            for row in test_values
-        ]
-    if classifier == "dtable":
-        cuts = fit_cut_points(prep_values, strategy, bins)
-        codes = apply_cut_points(train_values, cuts)
-        coded = DiscreteTable(
-            codes=codes,
-            bins_per_attr=tuple(max(1, bins) if len(c) else 1 for c in cuts),
-            attr_names=train.attr_names,
-            labels=train_labels,
-        )
-        model = decision_table_fit(coded)
-        test_codes = apply_cut_points(test_values, cuts)
-        return [decision_table_predict(model, row) for row in test_codes]
-    raise ValueError(
-        f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIER_IDS)}"
-    )
-
-
-def _names(values):
-    return tuple(f"a{j + 1}" for j in range(values.shape[1]))
-
-
 def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
                    plan: FoldPlan, *, strategy: str = "eqfreq", bins: int = 3,
-                   knn_k: int = 3, global_prep: bool = False,
-                   _replace_test_rows=None) -> CvResult:
+                   knn_k: int = 3, global_prep: bool = False) -> CvResult:
     """Stratified k-fold accuracy of one classifier on a feature subset.
 
+    Each fold fits a model on its training rows and predicts its test rows.
     Preprocessing is fit on the training folds only; ``global_prep=True``
     reproduces the leaky fit-on-everything variant for comparison.
-    ``_replace_test_rows`` is a test seam: (fold, rows) substitutes the
-    prediction inputs of one fold without touching any training data.
     """
     if table.labels is None:
         raise ValueError("cross-validation needs labeled data")
+    if classifier not in CLASSIFIERS:
+        raise ValueError(
+            f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIER_IDS)}"
+        )
+    if len(plan.assignments) != table.n_objects:
+        raise ValueError(
+            f"fold plan assigns {len(plan.assignments)} objects, "
+            f"table has {table.n_objects}"
+        )
+    fit = CLASSIFIERS[classifier]
     projected = project(table, subset)
     values = projected.values
     labels = np.asarray(projected.labels)
@@ -286,21 +275,12 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
     for fold in range(plan.k):
         train_idx = plan.train_indices(fold)
         test_idx = plan.fold_indices(fold)
-        if len(train_idx) == 0:
-            raise ValueError(f"fold {fold} leaves no training rows")
-        if len(test_idx) == 0:
-            fold_accs.append(0.0)
-            fold_sizes.append(0)
-            continue
-        test_values = values[test_idx]
-        if _replace_test_rows is not None and _replace_test_rows[0] == fold:
-            test_values = np.asarray(_replace_test_rows[1], dtype=float)
-        prep = values if global_prep else values[train_idx]
-        predictions = _fit_predict_fold(
-            values[train_idx], tuple(labels[train_idx]), test_values,
-            classifier, strategy, bins, knn_k, prep,
-        )
-        correct = sum(p == t for p, t in zip(predictions, labels[test_idx]))
+        train = DataTable(values=values[train_idx], attr_names=projected.attr_names,
+                          labels=tuple(labels[train_idx]))
+        model = fit(train, values if global_prep else None,
+                    strategy=strategy, bins=bins, knn_k=knn_k)
+        predictions = np.asarray(model.predict(values[test_idx]))
+        correct = int(np.count_nonzero(predictions == labels[test_idx]))
         correct_total += correct
         fold_accs.append(100.0 * correct / len(test_idx))
         fold_sizes.append(len(test_idx))
@@ -403,7 +383,7 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
                         "fingerprint": config_fingerprint(resolved),
                         "seed": seed,
                     })
-        except Exception as exc:   # noqa: BLE001 - failures become report rows
+        except (DatasetError, ValueError) as exc:   # data faults become report rows
             report.errors.append({"dataset": dataset_name, "error": str(exc)})
     report.rows.sort(key=lambda r: (r["dataset"], r["method"], r["classifier"]))
     report.errors.sort(key=lambda r: r["dataset"])

@@ -66,12 +66,6 @@ class Partition:
             groups.setdefault(int(g), []).append(obj)
         return cls(tuple(tuple(b) for b in groups.values()), len(ids))
 
-    def block_of(self, obj: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if obj in block:
-                return block
-        raise KeyError(obj)
-
     def to_debug_string(self) -> str:
         """Golden-test form, e.g. ``{0,1}|{2,3}``."""
         return "|".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)

@@ -50,25 +50,18 @@ class RankedFeatures:
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Every under-specified knob of the pipelines, in one auditable place.
-
-    tie_break is fixed to lowest-index; the field exists so config
-    fingerprints record it.
-    """
+    """Every under-specified knob of the pipelines, in one auditable place."""
 
     pc_policy: tuple = ("var", 0.90)
     strategy: str = "eqfreq"
     bins: int = 3
     edr_k: int | None = None
-    tie_break: str = "lowest-index"
 
     def __post_init__(self):
         if self.strategy not in ("eqwidth", "eqfreq"):
             raise ValueError(f"unknown discretization strategy {self.strategy!r}")
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only lowest-index tie-breaking is supported")
         kind = self.pc_policy[0]
         if kind not in ("var", "kaiser", "fixed"):
             raise ValueError(f"unknown pc policy {kind!r}")

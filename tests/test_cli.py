@@ -145,6 +145,21 @@ def test_bench_missing_dataset_exits_4(capsys, tmp_path, monkeypatch):
     assert payload["rows"]
 
 
+def test_bench_programming_error_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+
+    def broken_select(*args):
+        raise TypeError("selector bug")
+
+    monkeypatch.setattr("unselect.eval.select", broken_select)
+    code, out, err = run(
+        capsys, "bench", "--datasets", "ecoli", "--methods", "edr",
+        "--classifiers", "nb", "--folds", "5",
+    )
+    assert code == 1
+    assert "internal error: selector bug" in err
+
+
 def test_report_rerenders_json(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
     report_path = tmp_path / "r.json"

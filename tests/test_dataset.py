@@ -77,6 +77,19 @@ def test_load_csv_missing_policies(tmp_path):
     assert list(dropped.values[:, 0]) == [1.0, 3.0]
 
 
+def test_load_csv_missing_labels_follow_policy(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,cls\n1,x\n2,\n3,?\n4,y\n")
+    with pytest.raises(ParseError, match="row 3, column 2") as err:
+        load_csv(p, label_column="cls")
+    assert (err.value.row, err.value.column) == (3, 2)
+    with pytest.raises(ParseError, match="cannot be imputed"):
+        load_csv(p, label_column="cls", missing="impute")
+    dropped = load_csv(p, label_column="cls", missing="drop")
+    assert dropped.labels == ("x", "y")
+    assert list(dropped.values[:, 0]) == [1.0, 4.0]
+
+
 def test_pima_diabetes_shape(diabetes):
     # UCI Pima diabetes: 768 instances, 2 classes, 8 attributes
     assert diabetes.n_objects == 768
@@ -145,6 +158,22 @@ def test_arff_missing_reject_and_drop(tmp_path):
     assert load_arff(p, missing="impute").values[1, 0] == pytest.approx(3.0)
 
 
+def test_arff_missing_labels_follow_policy(tmp_path):
+    p = tmp_path / "t.arff"
+    p.write_text(
+        "@relation t\n@attribute x real\n@attribute class {a,b}\n@data\n"
+        "1,a\n2,?\n3,b\n"
+    )
+    with pytest.raises(ParseError, match="column 2") as err:
+        load_arff(p)
+    assert (err.value.row, err.value.column) == (6, 2)
+    with pytest.raises(ParseError, match="cannot be imputed"):
+        load_arff(p, missing="impute")
+    dropped = load_arff(p, missing="drop")
+    assert dropped.labels == ("a", "b")
+    assert list(dropped.values[:, 0]) == [1.0, 3.0]
+
+
 # ---------------------------------------------------------------------------
 # zscore_normalize
 
@@ -177,11 +206,13 @@ def test_zscore_postconditions(diabetes):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(
-        st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=4),
-        min_size=2,
-        max_size=12,
-    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+    st.integers(2, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
+            min_size=2,
+            max_size=12,
+        )
+    )
 )
 def test_zscore_idempotent(rows):
     t = table(rows)

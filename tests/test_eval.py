@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from unselect.dataset import DataTable, DiscreteTable, FeatureSubset, write_csv
+from unselect.dataset import DataTable, FeatureSubset, Registry, write_csv
 from unselect.eval import (
+    CLASSIFIERS,
     EvalReport,
+    FoldPlan,
     cross_validate,
     decision_table_fit,
-    decision_table_predict,
     gaussian_nb_fit,
-    gaussian_nb_predict,
-    knn_predict,
+    knn_fit,
     make_fold_plan,
     render_csv_tables,
     render_text_tables,
@@ -62,15 +62,12 @@ def test_fold_plan_rejects_bad_k():
 
 def test_nb_separated_classes_split_at_midpoint():
     train = table([[-10.0], [-9.0], [9.0], [10.0]], ["lo", "lo", "hi", "hi"])
-    model = gaussian_nb_fit(train)
-    assert gaussian_nb_predict(model, [-1.0]) == "lo"
-    assert gaussian_nb_predict(model, [1.0]) == "hi"
+    assert gaussian_nb_fit(train).predict([[-1.0], [1.0]]) == ["lo", "hi"]
 
 
 def test_nb_single_class_always_wins():
     train = table([[0.0], [1.0]], ["only", "only"])
-    model = gaussian_nb_fit(train)
-    assert gaussian_nb_predict(model, [123.0]) == "only"
+    assert gaussian_nb_fit(train).predict([[123.0]]) == ["only"]
 
 
 def test_nb_linearly_separated_2d_training_accuracy():
@@ -79,8 +76,7 @@ def test_nb_linearly_separated_2d_training_accuracy():
     rows = [[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]]
     labels = ["a", "a", "b", "b"]
     train = table(rows, labels)
-    model = gaussian_nb_fit(train)
-    assert [gaussian_nb_predict(model, r) for r in rows] == labels
+    assert gaussian_nb_fit(train).predict(rows) == labels
 
 
 def test_nb_requires_labels():
@@ -93,13 +89,21 @@ def test_nb_variance_floor_keeps_likelihoods_finite():
     train = table([[1.0, 5.0], [1.0, 5.0], [2.0, 5.0]], ["x", "x", "y"])
     model = gaussian_nb_fit(train)
     assert np.all(np.isfinite(model.variances))
-    assert gaussian_nb_predict(model, [1.0, 5.0]) in {"x", "y"}
+    assert model.predict([[1.0, 5.0]])[0] in {"x", "y"}
 
 
 def test_nb_tie_breaks_to_lexicographically_first():
     train = table([[0.0], [0.0]], ["b", "a"])
-    model = gaussian_nb_fit(train)
-    assert gaussian_nb_predict(model, [0.0]) == "a"
+    assert gaussian_nb_fit(train).predict([[0.0]]) == ["a"]
+
+
+def test_nb_batch_matches_row_by_row():
+    rng = np.random.default_rng(30)
+    values = rng.normal(size=(40, 5))
+    labels = tuple(rng.choice(["p", "q", "r"], size=40))
+    model = gaussian_nb_fit(table(values, labels))
+    rows = rng.normal(size=(25, 5)) * 3
+    assert model.predict(rows) == [model.predict(r[None, :])[0] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -107,74 +111,103 @@ def test_nb_tie_breaks_to_lexicographically_first():
 
 def test_knn_exact_match_with_k1():
     train = table([[1.0], [2.0], [3.0]], ["a", "b", "c"])
-    assert knn_predict(train, [2.0], k=1) == "b"
+    assert knn_fit(train, knn_k=1).predict([[2.0]]) == ["b"]
 
 
 def test_knn_k_equal_n_votes_majority():
     train = table([[0.0], [1.0], [2.0], [3.0]], ["a", "a", "a", "b"])
-    assert knn_predict(train, [3.0], k=4) == "a"
+    assert knn_fit(train, knn_k=4).predict([[3.0]]) == ["a"]
 
 
 def test_knn_three_point_line():
     train = table([[0.0], [10.0]], ["left", "right"])
-    assert knn_predict(train, [4.0], k=1) == "left"
+    assert knn_fit(train, knn_k=1).predict([[4.0]]) == ["left"]
 
 
 def test_knn_distance_tie_prefers_lower_training_index():
     train = table([[1.0], [-1.0]], ["first", "second"])
-    assert knn_predict(train, [0.0], k=1) == "first"
+    assert knn_fit(train, knn_k=1).predict([[0.0]]) == ["first"]
 
 
 def test_knn_vote_tie_goes_to_nearest():
     # k=4 ties the vote 2-2; the class owning the single nearest row wins
     train = table([[0.0], [1.0], [10.0], [11.0]], ["near", "near", "far", "far"])
-    assert knn_predict(train, [5.6], k=4) == "far"    # 10 at 4.4 beats 1 at 4.6
-    assert knn_predict(train, [4.0], k=4) == "near"   # 1 at 3.0 beats 10 at 6.0
+    model = knn_fit(train, knn_k=4)
+    # 10 at 4.4 beats 1 at 4.6; then 1 at 3.0 beats 10 at 6.0
+    assert model.predict([[5.6], [4.0]]) == ["far", "near"]
 
 
 def test_knn_rejects_bad_k():
     train = table([[0.0]], ["a"])
     with pytest.raises(ValueError):
-        knn_predict(train, [0.0], k=2)
+        knn_fit(train, knn_k=2)
+    with pytest.raises(ValueError):
+        knn_fit(train, knn_k=0)
+
+
+def test_knn_requires_labels():
+    t = DataTable(values=np.ones((2, 1)), attr_names=("a",))
+    with pytest.raises(ValueError):
+        knn_fit(t, knn_k=1)
+
+
+def test_knn_scales_with_prep_rows():
+    # prep spreads the first attribute 200x wider, so once scaled by prep
+    # it hardly counts and the second attribute decides
+    train = table([[0.0, 0.0], [1.0, 1.0]], ["a", "b"])
+    prep = np.array([[-100.0, 0.0], [100.0, 1.0]])
+    assert knn_fit(train, knn_k=1).predict([[0.0, 0.6]]) == ["a"]
+    assert knn_fit(train, prep, knn_k=1).predict([[0.0, 0.6]]) == ["b"]
 
 
 # ---------------------------------------------------------------------------
 # decision table
+#
+# Two equal-width bins split each column below and above its midpoint,
+# so the numeric columns below code to 0 and 1 exactly as written.
 
-def dtable(columns, labels):
-    codes = np.asarray(columns, dtype=np.int64).T
-    bins = tuple(int(codes[:, j].max()) + 1 for j in range(codes.shape[1]))
-    return DiscreteTable(
-        codes=codes, bins_per_attr=bins,
-        attr_names=tuple(f"a{j+1}" for j in range(codes.shape[1])),
-        labels=tuple(labels),
-    )
+def coded(columns, labels):
+    return table(np.asarray(columns, dtype=float).T, labels)
 
 
 def test_decision_table_majority_per_tuple():
-    t = dtable([[0, 0, 0, 1]], ["A", "A", "B", "B"])
-    model = decision_table_fit(t)
-    assert decision_table_predict(model, [0]) == "A"
-    assert decision_table_predict(model, [1]) == "B"
+    t = coded([[0, 0, 0, 1]], ["A", "A", "B", "B"])
+    model = decision_table_fit(t, strategy="eqwidth", bins=2)
+    assert model.predict([[0], [1]]) == ["A", "B"]
 
 
 def test_decision_table_unseen_falls_back_to_global_majority():
-    t = dtable([[0, 0, 1]], ["A", "A", "B"])
-    model = decision_table_fit(t)
-    assert decision_table_predict(model, [7]) == "A"
+    t = coded([[0, 0, 1], [0, 0, 1]], ["A", "A", "B"])
+    model = decision_table_fit(t, strategy="eqwidth", bins=2)
+    assert model.predict([[0, 1], [1, 0]]) == ["A", "A"]
 
 
 def test_decision_table_single_row():
-    t = dtable([[0]], ["only"])
-    model = decision_table_fit(t)
-    assert decision_table_predict(model, [0]) == "only"
-    assert decision_table_predict(model, [9]) == "only"
+    # a constant column has no cut points: every value codes to bin 0
+    t = coded([[0]], ["only"])
+    model = decision_table_fit(t, strategy="eqwidth", bins=2)
+    assert model.predict([[0], [9]]) == ["only", "only"]
 
 
 def test_decision_table_tie_breaks_lexicographically():
-    t = dtable([[0, 0]], ["B", "A"])
-    model = decision_table_fit(t)
-    assert decision_table_predict(model, [0]) == "A"
+    t = coded([[0, 0]], ["B", "A"])
+    model = decision_table_fit(t, strategy="eqwidth", bins=2)
+    assert model.predict([[0]]) == ["A"]
+
+
+def test_decision_table_requires_labels():
+    t = DataTable(values=np.ones((2, 1)), attr_names=("a",))
+    with pytest.raises(ValueError):
+        decision_table_fit(t)
+
+
+def test_decision_table_owns_cut_points_fit_on_prep():
+    t = coded([[0, 1]], ["A", "B"])
+    own = decision_table_fit(t, strategy="eqwidth", bins=2)       # cut at 0.5
+    wide = decision_table_fit(t, np.array([[0.0], [3.0]]), strategy="eqwidth",
+                              bins=2)                            # cut at 1.5
+    assert own.predict([[1.0]]) == ["B"]
+    assert wide.predict([[1.0]]) == ["A"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +266,58 @@ def test_cv_unknown_classifier():
         cross_validate(t, FeatureSubset((0,)), "svm", plan)
 
 
-def test_cv_noise_in_one_test_fold_only_touches_that_fold():
-    rng = np.random.default_rng(33)
-    values = rng.normal(size=(30, 3))
+def noisy_table(seed=33, n=30):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 3))
     labels = tuple(np.where(values[:, 0] > 0, "p", "n"))
-    t = DataTable(values=values, attr_names=("a", "b", "c"), labels=labels)
+    return DataTable(values=values, attr_names=("a", "b", "c"), labels=labels)
+
+
+def test_cv_fold_accuracy_is_a_model_fit_on_training_rows_only():
+    # test rows never reach training: each reported fold accuracy is that
+    # of a model that never saw the fold
+    t = noisy_table()
     plan = make_fold_plan(t.labels, 5, seed=4)
-    clean = cross_validate(t, FeatureSubset((0, 1, 2)), "knn", plan)
-    fold = 2
-    noise = rng.normal(size=(len(plan.fold_indices(fold)), 3)) * 100
-    noisy = cross_validate(
-        t, FeatureSubset((0, 1, 2)), "knn", plan, _replace_test_rows=(fold, noise)
-    )
-    for f in range(5):
-        if f != fold:
-            assert noisy.fold_accuracies[f] == clean.fold_accuracies[f]
+    labels = np.asarray(t.labels)
+    for classifier, fit in CLASSIFIERS.items():
+        result = cross_validate(t, FeatureSubset((0, 1, 2)), classifier, plan)
+        for fold in range(plan.k):
+            train_idx, test_idx = plan.train_indices(fold), plan.fold_indices(fold)
+            train = DataTable(values=t.values[train_idx], attr_names=t.attr_names,
+                              labels=tuple(labels[train_idx]))
+            predicted = np.asarray(fit(train).predict(t.values[test_idx]))
+            accuracy = 100.0 * np.sum(predicted == labels[test_idx]) / len(test_idx)
+            assert result.fold_accuracies[fold] == accuracy, (classifier, fold)
+
+
+def test_predicting_noise_rows_leaves_the_model_unchanged():
+    t = noisy_table()
+    probe = np.random.default_rng(34).normal(size=(12, 3))
+    noise = np.random.default_rng(35).normal(size=(30, 3)) * 100
+    for classifier, fit in CLASSIFIERS.items():
+        model = fit(t)
+        before = model.predict(probe)
+        model.predict(noise)
+        assert model.predict(probe) == before, classifier
+
+
+def test_fold_plan_rejects_out_of_range_assignment():
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        FoldPlan(seed=0, k=2, assignments=(0, 1, 2))
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        FoldPlan(seed=0, k=2, assignments=(0, 1, -1))
+
+
+def test_fold_plan_rejects_empty_fold():
+    with pytest.raises(ValueError, match="fold 1 has no objects"):
+        FoldPlan(seed=0, k=3, assignments=(0, 0, 2, 2))
+
+
+def test_cv_rejects_plan_of_another_size():
+    t = noisy_table(n=20)
+    plan = make_fold_plan(t.labels[:10], 2, seed=1)
+    with pytest.raises(ValueError, match="10 objects"):
+        cross_validate(t, FeatureSubset((0,)), "nb", plan)
 
 
 def test_cv_global_prep_differs_from_fold_fit(diabetes):
@@ -308,12 +378,26 @@ def test_benchmark_same_seed_is_byte_identical(tmp_path):
 
 def test_benchmark_records_failures_and_continues(tmp_path):
     registry = small_registry(tmp_path, {"toy": toy_dataset()})
+    registry = Registry(entries=dict(registry.entries, lost=("lost.csv", "class")),
+                        root=registry.root)              # lost.csv is never written
     report = run_benchmark(
-        registry, datasets=["ghost", "toy"], methods=("edr",),
+        registry, datasets=["ghost", "lost", "toy"], methods=("edr",),
         classifiers=("nb",), folds=4, cfg=SelectorConfig(edr_k=2),
     )
-    assert [e["dataset"] for e in report.errors] == ["ghost"]
+    assert [e["dataset"] for e in report.errors] == ["ghost", "lost"]
     assert len(report.rows) == 1
+
+
+def test_benchmark_lets_programming_errors_propagate(tmp_path, monkeypatch):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+
+    def broken_select(*args):
+        raise TypeError("selector bug")
+
+    monkeypatch.setattr("unselect.eval.select", broken_select)
+    with pytest.raises(TypeError, match="selector bug"):
+        run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=4,
+                      cfg=SelectorConfig(edr_k=2))
 
 
 def test_benchmark_rows_sorted_and_report_round_trips(tmp_path):

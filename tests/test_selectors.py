@@ -249,5 +249,3 @@ def test_selector_config_validation():
         SelectorConfig(bins=1)
     with pytest.raises(ValueError):
         SelectorConfig(pc_policy=("magic", 1))
-    with pytest.raises(ValueError):
-        SelectorConfig(tie_break="highest-index")
