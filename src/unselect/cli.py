@@ -24,6 +24,7 @@ from .eval import (
     EvalReport,
     config_fingerprint,
     cross_validate,
+    error_source,
     make_fold_plan,
     render_csv_tables,
     render_text_tables,
@@ -228,7 +229,7 @@ def cmd_bench(args):
             fh.write(report.to_json() + "\n")
         print(f"machine-readable report: {json_path}", file=sys.stderr)
     for err in report.errors:
-        print(f"ERROR {err['dataset']}: {err['error']}", file=sys.stderr)
+        print(f"ERROR {error_source(err)}: {err['error']}", file=sys.stderr)
     return EXIT_BENCH_PARTIAL if report.errors else EXIT_OK
 
 

@@ -229,12 +229,14 @@ def _parse_label(text, missing, row, col, path):
     )
 
 
-def _resolve_missing(rows, labels, missing, path):
+def _resolve_missing(rows, labels, missing, path, row_numbers, columns):
     """Apply the missing-value policy to parsed rows (None marks a hole).
 
     ``labels`` is None for an unlabeled file; a None label, which only the
-    drop policy lets through, drops its row.  Returns the kept values and
-    labels.
+    drop policy lets through, drops its row.  ``row_numbers`` and
+    ``columns`` give each data row's file row and each feature's 1-based
+    file column, so a rejected hole is reported where it sits in the file.
+    Returns the kept values and labels.
     """
     data = np.array(
         [[np.nan if c is None else c for c in r] for r in rows], dtype=float
@@ -247,11 +249,12 @@ def _resolve_missing(rows, labels, missing, path):
         return data, labels
     if missing == "reject":
         r, c = np.argwhere(holes)[0]
+        row, column = row_numbers[r], columns[c]
         raise ParseError(
-            f"missing value at row {r + 1}, column {c + 1} of {path} "
+            f"missing value at row {row}, column {column} of {path} "
             "(pass missing='impute' or missing='drop' to handle it)",
-            row=int(r) + 1,
-            column=int(c) + 1,
+            row=row,
+            column=column,
         )
     if missing == "impute":
         for j in range(data.shape[1]):
@@ -306,8 +309,9 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
             if not 0 <= label_idx < width:
                 raise ParseError(f"label column index {label_idx} out of range")
 
+    first = 1 + int(has_header)
     rows, labels = [], None if label_idx is None else []
-    for i, row in enumerate(raw, start=1 + int(has_header)):
+    for i, row in enumerate(raw, start=first):
         if len(row) != width:
             raise ParseError(
                 f"ragged row {i}: expected {width} cells, got {len(row)}", row=i
@@ -320,7 +324,11 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
                 cells.append(_parse_cell(cell, i, j + 1))
         rows.append(cells)
 
-    data, labels = _resolve_missing(rows, labels, missing, path)
+    data, labels = _resolve_missing(
+        rows, labels, missing, path,
+        row_numbers=range(first, first + len(rows)),
+        columns=[j + 1 for j in range(width) if j != label_idx],
+    )
 
     d = data.shape[1]
     if header is not None:
@@ -336,6 +344,17 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
 
 
 _ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
+
+
+def _split_arff_row(line):
+    """Split a data line on the commas outside quotes.
+
+    ARFF quotes a value holding a comma or a space with ' or "; the first
+    quote character on the line is the one the line is read with.
+    """
+    quotes = [i for i in (line.find("'"), line.find('"')) if i >= 0]
+    quotechar = line[min(quotes)] if quotes else '"'
+    return next(csv.reader([line], quotechar=quotechar, skipinitialspace=True))
 
 
 def load_arff(path, missing="reject", name=None) -> DataTable:
@@ -377,7 +396,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
             elif low.startswith("@"):
                 continue
             elif in_data:
-                data_rows.append((lineno, [c.strip() for c in line.split(",")]))
+                data_rows.append((lineno, [c.strip() for c in _split_arff_row(line)]))
     if not attrs or not data_rows:
         raise EmptyFileError(f"no data in {path}")
 
@@ -404,7 +423,11 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
                 parsed.append(_parse_cell(cell, lineno, j + 1))
         rows.append(parsed)
 
-    data, labels = _resolve_missing(rows, labels, missing, path)
+    data, labels = _resolve_missing(
+        rows, labels, missing, path,
+        row_numbers=[lineno for lineno, _ in data_rows],
+        columns=[j + 1 for j in range(len(attrs)) if j != label_idx],
+    )
     attr_names = tuple(a for j, (a, _) in enumerate(attrs) if j != label_idx)
     return DataTable(
         values=data,

@@ -42,6 +42,7 @@ __all__ = [
     "CvResult",
     "EvalReport",
     "run_benchmark",
+    "error_source",
     "render_text_tables",
     "render_csv_tables",
     "CLASSIFIER_IDS",
@@ -66,6 +67,7 @@ class FoldPlan:
     seed: int
     k: int
     assignments: tuple[int, ...]
+    _folds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Every fold must hold test rows and leave training rows, so no
@@ -74,15 +76,18 @@ class FoldPlan:
             raise ValueError(f"fold count must be >= 2, got {self.k}")
         if any(not 0 <= a < self.k for a in self.assignments):
             raise ValueError(f"fold assignments must lie in [0, {self.k})")
-        sizes = np.bincount(np.asarray(self.assignments, dtype=int), minlength=self.k)
+        folds = np.asarray(self.assignments, dtype=int)
+        sizes = np.bincount(folds, minlength=self.k)
         if not sizes.all():
             raise ValueError(f"fold {int(np.argmin(sizes))} has no objects")
+        folds.flags.writeable = False
+        object.__setattr__(self, "_folds", folds)
 
     def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.assignments) == fold)
+        return np.flatnonzero(self._folds == fold)
 
     def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.assignments) != fold)
+        return np.flatnonzero(self._folds != fold)
 
 
 def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
@@ -296,7 +301,8 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
 
 @dataclass
 class EvalReport:
-    """All accuracy rows of one benchmark run plus any per-dataset errors."""
+    """All accuracy rows of one benchmark run plus any errors, each of one
+    dataset or of one (dataset, method)."""
 
     rows: list[dict] = field(default_factory=list)
     errors: list[dict] = field(default_factory=list)
@@ -339,7 +345,10 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
 
     Subsets are selected once per dataset on the full unlabeled data (the
     selectors never see labels), then scored with one shared fold plan.
-    Failures are recorded per dataset and the rest of the run continues.
+    A dataset that cannot be loaded is recorded as an error of that
+    dataset; a method that fails on it, in selection or in any classifier,
+    as an error of that (dataset, method) with none of its rows kept.  The
+    rest of the run continues either way.
     """
     names = list(datasets) if datasets is not None else registry.names()
     base_config = {
@@ -361,33 +370,46 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
             if table.labels is None:
                 raise DatasetError(f"dataset {dataset_name!r} has no labels")
             plan = make_fold_plan(table.labels, folds, seed)
-            for method in methods:
-                k = _pinned_k(method, dataset_name, table.n_attrs, cfg)
-                subset = select(table, method, cfg, k)
-                for classifier in classifiers:
-                    result = cross_validate(
-                        table, subset, classifier, plan,
-                        strategy=cfg.strategy, bins=cfg.bins, knn_k=knn_k,
-                        global_prep=global_prep,
-                    )
-                    resolved = dict(base_config, dataset=dataset_name,
-                                    method=method, classifier=classifier,
-                                    subset=subset.to_one_based())
-                    report.rows.append({
-                        "dataset": dataset_name,
-                        "method": method,
-                        "classifier": classifier,
-                        "accuracy": result.accuracy,
-                        "fold_accuracies": list(result.fold_accuracies),
-                        "subset": subset.to_one_based(),
-                        "fingerprint": config_fingerprint(resolved),
-                        "seed": seed,
-                    })
         except (DatasetError, ValueError) as exc:   # data faults become report rows
             report.errors.append({"dataset": dataset_name, "error": str(exc)})
+            continue
+        for method in methods:
+            try:
+                k = _pinned_k(method, dataset_name, table.n_attrs, cfg)
+                subset = select(table, method, cfg, k)
+                results = [
+                    cross_validate(table, subset, classifier, plan,
+                                   strategy=cfg.strategy, bins=cfg.bins, knn_k=knn_k,
+                                   global_prep=global_prep)
+                    for classifier in classifiers
+                ]
+            except (DatasetError, ValueError) as exc:
+                report.errors.append({"dataset": dataset_name, "method": method,
+                                      "error": str(exc)})
+                continue
+            for classifier, result in zip(classifiers, results):
+                resolved = dict(base_config, dataset=dataset_name,
+                                method=method, classifier=classifier,
+                                subset=subset.to_one_based())
+                report.rows.append({
+                    "dataset": dataset_name,
+                    "method": method,
+                    "classifier": classifier,
+                    "accuracy": result.accuracy,
+                    "fold_accuracies": list(result.fold_accuracies),
+                    "subset": subset.to_one_based(),
+                    "fingerprint": config_fingerprint(resolved),
+                    "seed": seed,
+                })
     report.rows.sort(key=lambda r: (r["dataset"], r["method"], r["classifier"]))
-    report.errors.sort(key=lambda r: r["dataset"])
+    report.errors.sort(key=lambda r: (r["dataset"], r.get("method", "")))
     return report
+
+
+def error_source(err: dict) -> str:
+    """Where a report error arose: ``dataset`` or ``dataset/method``."""
+    method = err.get("method")
+    return err["dataset"] if method is None else f"{err['dataset']}/{method}"
 
 
 def _table_cells(report: EvalReport, dataset: str, methods, classifiers):
@@ -426,7 +448,7 @@ def render_text_tables(report: EvalReport, methods=METHOD_IDS,
             out.append(fmt.format(name, *row))
         out.append("")
     for err in report.errors:
-        out.append(f"ERROR {err['dataset']}: {err['error']}")
+        out.append(f"ERROR {error_source(err)}: {err['error']}")
     return "\n".join(out).rstrip() + "\n"
 
 

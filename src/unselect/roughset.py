@@ -5,6 +5,16 @@ approximations, positive regions and dependency degrees, plus reduct
 verification and an exhaustive minimal-reduct oracle.  Dependency values
 are exact rationals (counts over the universe size), so reduct checks
 compare integers, never floats.
+
+Every dependency is counted by one scorer, ``positive_total``, on
+group-id arrays: one stable sort of the condition keys, then a minimum
+and a maximum per group find the groups pure for every decision column
+at once.  Rows carry weights, so the USQR search (``selectors.usqr``)
+scores the table's ``distinct_rows`` in place of their identical copies.
+That search compares integer totals against n*d, the total of the full
+attribute set, whose mean dependency is always 1; it refines the chosen
+subset's groups one candidate at a time, and drops the rows already
+alone in their group, which stay positive under every refinement.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ __all__ = [
     "gamma",
     "mean_dependency",
     "mean_dependency_exact",
+    "positive_total",
+    "distinct_rows",
     "is_superreduct",
     "brute_force_min_reducts",
 ]
@@ -161,16 +173,33 @@ def positive_region(cond: Partition, dec: Partition) -> set:
     return out
 
 
-def _pos_count_ids(cond_ids: np.ndarray, dec_ids: np.ndarray) -> int:
-    """|POS| from group-id arrays: objects in condition groups that are
-    pure with respect to the decision grouping."""
-    n_groups = int(cond_ids.max()) + 1
-    lo = np.full(n_groups, np.iinfo(np.int64).max, dtype=np.int64)
-    hi = np.full(n_groups, np.iinfo(np.int64).min, dtype=np.int64)
-    np.minimum.at(lo, cond_ids, dec_ids)
-    np.maximum.at(hi, cond_ids, dec_ids)
-    counts = np.bincount(cond_ids, minlength=n_groups)
-    return int(counts[lo == hi].sum())
+def positive_total(keys: np.ndarray, weights: np.ndarray, decisions: np.ndarray) -> int:
+    """Positive-region weight of the grouping ``keys``, summed over every
+    column of ``decisions`` taken as the decision.
+
+    Rows sharing a key form one condition group, and a group lies in the
+    positive region of column y iff all its rows agree on y.  One stable
+    sort of the keys serves every column at once: the minimum and maximum
+    of each group's run of sorted rows are equal exactly on the pure
+    groups.  ``weights`` counts the objects each row stands for.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    rows = decisions[order]
+    pure = np.minimum.reduceat(rows, starts) == np.maximum.reduceat(rows, starts)
+    return int(pure.sum(axis=1) @ np.add.reduceat(weights[order], starts))
+
+
+def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's distinct rows and how many objects each stands for.
+
+    Identical rows fall in the same group under every attribute subset,
+    so a weighted distinct row scores exactly like its copies.
+    """
+    ids = _group_ids(table, range(table.n_attrs))
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    return table.codes[first], counts
 
 
 def gamma(table: DiscreteTable, p, q) -> DependencyValue:
@@ -179,16 +208,9 @@ def gamma(table: DiscreteTable, p, q) -> DependencyValue:
     q = _check_attrs(table, q)
     if not q:
         raise ValueError("decision attribute set q must be non-empty")
-    pos = _pos_count_ids(_group_ids(table, p), _group_ids(table, q))
+    ones = np.ones(table.n_objects, dtype=np.int64)
+    pos = positive_total(_group_ids(table, p), ones, _group_ids(table, q)[:, None])
     return DependencyValue(pos, table.n_objects)
-
-
-def _mean_dependency_from_ids(table: DiscreteTable, cond_ids: np.ndarray) -> Fraction:
-    """Average single-attribute dependency over every attribute of the table."""
-    total = 0
-    for y in range(table.n_attrs):
-        total += _pos_count_ids(cond_ids, table.codes[:, y].astype(np.int64))
-    return Fraction(total, table.n_objects * table.n_attrs)
 
 
 def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
@@ -200,7 +222,9 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     attrs = _check_attrs(table, attrs)
     if not attrs:
         raise ValueError("attribute subset must be non-empty")
-    return _mean_dependency_from_ids(table, _group_ids(table, attrs))
+    ones = np.ones(table.n_objects, dtype=np.int64)
+    total = positive_total(_group_ids(table, attrs), ones, table.codes)
+    return Fraction(total, table.n_objects * table.n_attrs)
 
 
 def mean_dependency(table: DiscreteTable, attrs) -> float:
@@ -211,11 +235,11 @@ def mean_dependency(table: DiscreteTable, attrs) -> float:
 def is_superreduct(table: DiscreteTable, subset) -> bool:
     """True iff the subset preserves the full attribute set's mean dependency.
 
-    Both sides are rationals with denominator n*d, so the comparison is
-    exact.
+    That dependency is always exactly 1: the full set groups only identical
+    rows, which agree on every attribute, so every object is positive for
+    every pseudo-decision.
     """
-    full = list(range(table.n_attrs))
-    return mean_dependency_exact(table, subset) == mean_dependency_exact(table, full)
+    return mean_dependency_exact(table, subset) == 1
 
 
 def brute_force_min_reducts(table: DiscreteTable) -> list[FeatureSubset]:

@@ -9,7 +9,6 @@ broken toward the lowest attribute index so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -140,22 +139,43 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     pseudo-decisions (ties to the lowest index; when no candidate strictly
     improves, the best one is still added so the search always reaches the
     stopping condition).  Stops when the subset's mean dependency equals
-    the full set's, compared as exact rationals.
+    the full set's, which is always 1.
+
+    Every mean dependency shares the denominator n*d, so the search
+    compares integer positive-region totals and stops at total n*d.  It
+    works on the distinct rows weighted by their counts, and on the group
+    ids of the chosen subset: a candidate x only refines those groups, by
+    the key ``ids * bins[x] + codes[:, x]``.  A row alone in its group is
+    positive for every pseudo-decision under any refinement, so after each
+    round such rows move into a settled total (the positive-approximation
+    accelerator) and leave the arrays every later candidate sorts.
     """
+    codes, weights = roughset.distinct_rows(table)
+    bins = table.bins_per_attr
     d = table.n_attrs
-    target = roughset.mean_dependency_exact(table, range(d))
+    target = table.n_objects * d
+    ids = np.zeros(len(weights), dtype=np.int64)
+    settled = 0
     chosen: list[int] = []
     remaining = list(range(d))
     while True:
-        best, best_value = None, Fraction(-1)
+        best, best_total = None, -1
         for x in remaining:
-            value = roughset.mean_dependency_exact(table, chosen + [x])
-            if value > best_value:
-                best, best_value = x, value
+            keys = ids * bins[x] + codes[:, x]
+            total = settled + roughset.positive_total(keys, weights, codes)
+            if total > best_total:
+                best, best_total = x, total
+                if total == target:     # no later candidate can exceed it
+                    break
         chosen.append(best)
         remaining.remove(best)
-        if best_value == target:
+        if best_total == target:
             return FeatureSubset(tuple(chosen))
+        _, ids, sizes = np.unique(ids * bins[best] + codes[:, best],
+                                  return_inverse=True, return_counts=True)
+        alone = sizes[ids] == 1
+        settled += d * int(weights[alone].sum())
+        ids, codes, weights = ids[~alone], codes[~alone], weights[~alone]
 
 
 def select(table: DataTable, method: str, cfg: SelectorConfig, k: int | None = None) -> FeatureSubset:

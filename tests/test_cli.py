@@ -5,6 +5,7 @@ import numpy as np
 
 from unselect.cli import build_parser, main
 from unselect.dataset import DataTable, write_csv
+from unselect.selectors import select
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -158,6 +159,24 @@ def test_bench_programming_error_exits_1(capsys, monkeypatch):
     )
     assert code == 1
     assert "internal error: selector bug" in err
+
+
+def test_bench_method_error_exits_4_and_names_the_method(capsys, monkeypatch):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+
+    def select_failing_usqr(table, method, cfg, k=None):
+        if method == "usqr":
+            raise ValueError("no reduct")
+        return select(table, method, cfg, k)
+
+    monkeypatch.setattr("unselect.eval.select", select_failing_usqr)
+    code, out, err = run(
+        capsys, "bench", "--datasets", "ecoli", "--methods", "edr,usqr",
+        "--classifiers", "nb", "--folds", "5",
+    )
+    assert code == 4
+    assert "ERROR ecoli/usqr: no reduct" in err
+    assert "Naive Bayes" in out
 
 
 def test_report_rerenders_json(capsys, tmp_path, monkeypatch):

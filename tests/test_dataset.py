@@ -90,6 +90,19 @@ def test_load_csv_missing_labels_follow_policy(tmp_path):
     assert list(dropped.values[:, 0]) == [1.0, 4.0]
 
 
+def test_load_csv_missing_value_names_file_row_and_column(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y,cls\n1,2,a\n3,?,b\n")
+    with pytest.raises(ParseError, match="row 3, column 2") as err:
+        load_csv(p, label_column="cls")
+    assert (err.value.row, err.value.column) == (3, 2)
+    # a label column before the hole still counts as a file column
+    p.write_text("cls,x,y\na,1,2\nb,3,?\n")
+    with pytest.raises(ParseError, match="row 3, column 3") as err:
+        load_csv(p, label_column="cls")
+    assert (err.value.row, err.value.column) == (3, 3)
+
+
 def test_pima_diabetes_shape(diabetes):
     # UCI Pima diabetes: 768 instances, 2 classes, 8 attributes
     assert diabetes.n_objects == 768
@@ -156,6 +169,28 @@ def test_arff_missing_reject_and_drop(tmp_path):
         load_arff(p)
     assert load_arff(p, missing="drop").n_objects == 2
     assert load_arff(p, missing="impute").values[1, 0] == pytest.approx(3.0)
+
+
+def test_arff_missing_value_names_line_and_column(tmp_path):
+    p = tmp_path / "t.arff"
+    p.write_text(
+        "@relation t\n@attribute x real\n@attribute y real\n"
+        "@attribute cls {a,b}\n@data\n1,2,a\n3,?,b\n"
+    )
+    with pytest.raises(ParseError, match="row 7, column 2") as err:
+        load_arff(p)
+    assert (err.value.row, err.value.column) == (7, 2)
+
+
+def test_arff_quoted_value_may_hold_a_comma(tmp_path):
+    p = tmp_path / "t.arff"
+    p.write_text(
+        "@relation t\n@attribute x real\n@attribute cls {'a,b',c}\n@data\n"
+        "1,'a,b'\n2, c\n3,\"a,b\"\n"
+    )
+    t = load_arff(p)
+    assert t.labels == ("a,b", "c", "a,b")
+    assert list(t.values[:, 0]) == [1.0, 2.0, 3.0]
 
 
 def test_arff_missing_labels_follow_policy(tmp_path):

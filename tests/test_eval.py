@@ -15,7 +15,7 @@ from unselect.eval import (
     render_text_tables,
     run_benchmark,
 )
-from unselect.selectors import SelectorConfig
+from unselect.selectors import SelectorConfig, select
 
 
 def table(rows, labels, names=None):
@@ -42,6 +42,17 @@ def test_fold_plan_is_deterministic():
     labels = ["A", "B"] * 10
     assert make_fold_plan(labels, 5, 9) == make_fold_plan(labels, 5, 9)
     assert make_fold_plan(labels, 5, 9) != make_fold_plan(labels, 5, 10)
+
+
+def test_fold_plan_indices_split_the_rows():
+    labels = ["A", "B", "B"] * 7
+    plan = make_fold_plan(labels, 4, seed=2)
+    for f in range(4):
+        test_idx = plan.fold_indices(f)
+        assert list(test_idx) == [i for i, a in enumerate(plan.assignments) if a == f]
+        both = np.sort(np.concatenate([test_idx, plan.train_indices(f)]))
+        assert list(both) == list(range(21))
+    assert hash(plan) == hash(make_fold_plan(labels, 4, seed=2))
 
 
 def test_fold_plan_leave_one_out_allowed():
@@ -386,6 +397,31 @@ def test_benchmark_records_failures_and_continues(tmp_path):
     )
     assert [e["dataset"] for e in report.errors] == ["ghost", "lost"]
     assert len(report.rows) == 1
+
+
+def test_benchmark_records_errors_per_dataset_and_method(tmp_path, monkeypatch):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+
+    def select_failing_usqr(table, method, cfg, k=None):
+        if method == "usqr":
+            raise ValueError("usqr broke")
+        return select(table, method, cfg, k)
+
+    monkeypatch.setattr("unselect.eval.select", select_failing_usqr)
+    report = run_benchmark(registry, methods=("edr", "usqr", "pca"),
+                           classifiers=("nb",), folds=4, cfg=SelectorConfig(edr_k=2))
+    assert report.errors == [{"dataset": "toy", "method": "usqr", "error": "usqr broke"}]
+    assert [r["method"] for r in report.rows] == ["edr", "pca"]
+    assert "ERROR toy/usqr: usqr broke" in render_text_tables(report)
+
+
+def test_benchmark_keeps_no_rows_of_a_method_that_fails_partway(tmp_path):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+    # nb succeeds, then knn refuses k=30 on 18 training rows
+    report = run_benchmark(registry, methods=("edr",), classifiers=("nb", "knn"),
+                           folds=4, cfg=SelectorConfig(edr_k=2), knn_k=30)
+    assert [(e["dataset"], e["method"]) for e in report.errors] == [("toy", "edr")]
+    assert report.rows == []
 
 
 def test_benchmark_lets_programming_errors_propagate(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from unselect.roughset import (
     DependencyValue,
     Partition,
     brute_force_min_reducts,
+    distinct_rows,
     gamma,
     indiscernibility_partition,
     is_superreduct,
@@ -18,6 +19,7 @@ from unselect.roughset import (
     mean_dependency,
     mean_dependency_exact,
     positive_region,
+    positive_total,
     upper_approximation,
 )
 
@@ -147,6 +149,58 @@ def test_gamma_rejects_empty_decision():
     t = dtable([[0, 1]])
     with pytest.raises(ValueError):
         gamma(t, FeatureSubset((0,)), FeatureSubset(()))
+
+
+def ones(n):
+    return np.ones(n, dtype=np.int64)
+
+
+def test_positive_total_reflexive_is_every_object():
+    col = np.array([0, 1, 0, 2])
+    assert positive_total(col, ones(4), col[:, None]) == 4
+
+
+def test_positive_total_one_group_two_classes_is_zero():
+    assert positive_total(np.zeros(4, dtype=np.int64), ones(4),
+                          np.array([[0], [1], [0], [1]])) == 0
+
+
+def test_positive_total_hand_verified_half():
+    # groups {0,1} and {2,3}; only the first agrees on the decision
+    keys = np.array([1, 1, 2, 2])
+    assert positive_total(keys, ones(4), np.array([[1], [1], [1], [2]])) == 2
+
+
+def test_positive_total_sums_columns_and_weights():
+    # groups {0,1}, {2} with weights 1, 1, 2: column 0 is pure in both
+    # (weight 4), column 1 only in the singleton (weight 2)
+    keys = np.array([7, 7, 3])
+    decisions = np.array([[0, 0], [0, 1], [1, 1]])
+    assert positive_total(keys, np.array([1, 1, 2]), decisions) == 4 + 2
+
+
+def test_positive_total_ignores_key_order_and_gaps():
+    keys = np.array([9, 2, 9, 2, 40])
+    decisions = np.array([[1], [0], [1], [1], [5]])
+    assert positive_total(keys, ones(5), decisions) == 3
+
+
+def test_distinct_rows_weighted_score_like_their_copies():
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        t = random_table(rng)
+        codes = t.codes[rng.integers(0, t.n_objects, size=2 * t.n_objects)]
+        t = DiscreteTable(codes=codes, bins_per_attr=t.bins_per_attr,
+                          attr_names=t.attr_names)
+        rows, weights = distinct_rows(t)
+        assert weights.sum() == t.n_objects
+        assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+        attrs = [a for a in range(t.n_attrs) if rng.random() < 0.5]
+        cond = [tuple(r[a] for a in attrs) for r in rows.tolist()]
+        keys = np.unique(np.asarray(cond).reshape(len(rows), -1), axis=0,
+                         return_inverse=True)[1].ravel()
+        want = sum(naive_gamma(t.codes.tolist(), attrs, [y]) for y in range(t.n_attrs))
+        assert positive_total(keys, weights, rows) == want * t.n_objects
 
 
 def test_dependency_value_exact_matches_float():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from unselect.dataset import DataTable, DiscreteTable, FeatureSubset, discretize, project, zscore_normalize
 from unselect.pca import fit_pca, retain_count
-from unselect.roughset import brute_force_min_reducts, is_superreduct
+from unselect.roughset import brute_force_min_reducts, is_superreduct, mean_dependency_exact
 from unselect.selectors import (
     SelectorConfig,
     _preselect_covered,
@@ -145,6 +147,62 @@ def test_usqr_insertion_order_is_greedy_order():
     result = usqr(t)
     assert result.indices[0] == 2
     assert is_superreduct(t, result.indices)
+
+
+def reference_usqr(t):
+    """The greedy search scored from scratch: every candidate subset
+    chosen + [x] is regrouped and its mean dependency compared as an exact
+    rational, against the full set's.  The incremental search in usqr must
+    return exactly this subset."""
+    d = t.n_attrs
+    target = mean_dependency_exact(t, range(d))
+    chosen, remaining = [], list(range(d))
+    while True:
+        best, best_value = None, Fraction(-1)
+        for x in remaining:
+            value = mean_dependency_exact(t, chosen + [x])
+            if value > best_value:
+                best, best_value = x, value
+        chosen.append(best)
+        remaining.remove(best)
+        if best_value == target:
+            return tuple(chosen)
+
+
+@st.composite
+def discrete_tables(draw):
+    """n in [1, 40], d in [1, 8]; each column takes 1-3 codes that need not
+    be contiguous (a 1-code column is constant), under a bin count that may
+    exceed the largest code; rows repeat from a smaller pool of rows."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 8))
+    values = [draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+              for _ in range(d)]
+    pool = [[draw(st.sampled_from(v)) for v in values]
+            for _ in range(draw(st.integers(1, n)))]
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    bins = tuple(max(v) + 1 + draw(st.integers(0, 2)) for v in values)
+    return DiscreteTable(codes=np.asarray(rows), bins_per_attr=bins,
+                         attr_names=tuple(f"a{j}" for j in range(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(discrete_tables())
+def test_usqr_equals_reference_search(t):
+    assert usqr(t).indices == reference_usqr(t)
+
+
+def test_usqr_non_contiguous_codes_with_duplicates():
+    # with one attribute the full-set group ids are the raw codes 2, 1, 1,
+    # which are not compact: row weights must come from the distinct ids
+    t = DiscreteTable(codes=np.array([[2], [1], [1]]), bins_per_attr=(3,),
+                      attr_names=("a",))
+    assert usqr(t).indices == reference_usqr(t) == (0,)
+    # round one settles the row (4, 0), alone in its group, and round two
+    # refines only the rows left
+    t = DiscreteTable(codes=np.array([[4, 0], [2, 2], [2, 2], [2, 0], [4, 0]]),
+                      bins_per_attr=(5, 3), attr_names=("a", "b"))
+    assert usqr(t).indices == reference_usqr(t) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
