@@ -8,6 +8,7 @@ are immutable value objects; every function returns a new table.
 
 from __future__ import annotations
 
+import copy
 import csv
 import os
 import re
@@ -142,6 +143,18 @@ class DataTable:
     @property
     def n_attrs(self) -> int:
         return self.values.shape[1]
+
+    def take(self, rows) -> "DataTable":
+        """The table with only the rows at the given (non-empty) indices.
+
+        The rows come from this table, already checked, so none of the
+        checks of construction runs again.
+        """
+        sub = copy.copy(self)
+        object.__setattr__(sub, "values", _freeze(self.values[rows]))
+        if self.labels is not None:
+            object.__setattr__(sub, "labels", tuple(self.labels[i] for i in rows))
+        return sub
 
     def class_values(self) -> tuple[str, ...]:
         """Distinct labels in sorted order; empty when unlabeled."""
@@ -346,15 +359,24 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
 _ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
 
 
-def _split_arff_row(line):
-    """Split a data line on the commas outside quotes.
+# One ARFF data cell: a value quoted with ' or " (it may hold commas and
+# spaces), or the bare text up to the next comma; then the comma or the end.
+_ARFF_CELL = re.compile(r"""\s*(?:(['"])(.*?)\1|([^,]*?))\s*(,|$)""")
 
-    ARFF quotes a value holding a comma or a space with ' or "; the first
-    quote character on the line is the one the line is read with.
+
+def _split_arff_row(line):
+    """Split a data line on the commas outside quotes, unquoting each cell.
+
+    ARFF quotes a value holding a comma or a space with ' or ", and one
+    line may use both.
     """
-    quotes = [i for i in (line.find("'"), line.find('"')) if i >= 0]
-    quotechar = line[min(quotes)] if quotes else '"'
-    return next(csv.reader([line], quotechar=quotechar, skipinitialspace=True))
+    cells, pos = [], 0
+    while True:
+        m = _ARFF_CELL.match(line, pos)
+        cells.append(m[2] if m[1] else m[3])
+        if not m[4]:
+            return cells
+        pos = m.end()
 
 
 def load_arff(path, missing="reject", name=None) -> DataTable:

@@ -158,6 +158,11 @@ def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
     )
 
 
+# Cap on block rows x training rows x attributes in one k-NN distance
+# broadcast, so prediction memory stays bounded whatever the test size.
+KNN_BLOCK_CELLS = 2 ** 16
+
+
 @dataclass(frozen=True)
 class KnnModel:
     mean: np.ndarray
@@ -170,17 +175,45 @@ class KnnModel:
     def predict(self, rows) -> list[str]:
         """Majority vote among the k nearest training rows (z-scored space).
 
-        Distance ties go to the lower training index (stable sort), vote
-        ties to the class of the nearest tied row.  One distance vector per
-        test row keeps memory at O(train) rather than O(test x train x attr).
+        Distance ties go to the lower training index (the order of a stable
+        argsort), vote ties to the class of the nearest tied row.  Test rows
+        are labelled in blocks of at most ``KNN_BLOCK_CELLS`` block rows x
+        training rows x attributes (one row when a single row exceeds it),
+        so memory is bounded per block rather than growing with the test
+        size.  A row holding NaN has no distance and is rejected.
         """
-        out = []
-        for row in (np.asarray(rows, dtype=float) - self.mean) / self.std:
-            dist = np.sqrt(((self.scaled - row) ** 2).sum(axis=1))
-            nearest = self.codes[np.argsort(dist, kind="stable")[: self.k]]
-            votes = np.bincount(nearest, minlength=len(self.classes))
-            out.append(self.classes[nearest[np.argmax(votes[nearest] == votes.max())]])
-        return out
+        rows = np.asarray(rows, dtype=float)
+        nan_rows = np.flatnonzero(np.isnan(rows).any(axis=1))
+        if len(nan_rows):
+            raise ValueError(f"k-NN cannot label row {nan_rows[0] + 1}: it holds NaN")
+        scaled_rows = (rows - self.mean) / self.std
+        step = max(1, KNN_BLOCK_CELLS // self.scaled.size)
+        return [self.classes[c]
+                for start in range(0, len(scaled_rows), step)
+                for c in self._predict_block(scaled_rows[start:start + step]).tolist()]
+
+    def _predict_block(self, block: np.ndarray) -> np.ndarray:
+        """Class codes of one block of z-scored test rows."""
+        b, k, n_classes = len(block), self.k, len(self.classes)
+        # The root stays: two different squared distances can round to one
+        # root, and those rows must tie exactly as they do row by row.
+        dist = np.sqrt(((self.scaled - block[:, None, :]) ** 2).sum(axis=2))
+        # The k nearest in stable-argsort order without sorting every
+        # training row: all rows closer than the k-th distance, then the
+        # lowest-index rows tied at it, then a stable sort of those k.
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        closer = dist < kth
+        tied = dist == kth
+        room = k - np.count_nonzero(closer, axis=1)
+        chosen = closer | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+        picked = np.nonzero(chosen)[1].reshape(b, k)        # index order
+        order = np.argsort(np.take_along_axis(dist, picked, axis=1), axis=1,
+                           kind="stable")
+        nearest = self.codes[np.take_along_axis(picked, order, axis=1)]
+        votes = np.bincount((nearest + n_classes * np.arange(b)[:, None]).ravel(),
+                            minlength=b * n_classes).reshape(b, n_classes)
+        top = np.take_along_axis(votes, nearest, axis=1) == votes.max(axis=1, keepdims=True)
+        return nearest[np.arange(b), np.argmax(top, axis=1)]
 
 
 def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
@@ -194,6 +227,10 @@ def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
     mean = prep.mean(axis=0)
     std = prep.std(axis=0, ddof=1) if len(prep) > 1 else np.ones(prep.shape[1])
     std = np.where(std == 0, 1.0, std)
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflow.any():
+        raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) + 1}: "
+                         "its mean or spread overflows")
     classes, codes = np.unique(np.asarray(train.labels), return_inverse=True)
     return KnnModel(mean=mean, std=std, scaled=(train.values - mean) / std,
                     classes=tuple(str(c) for c in classes), codes=codes, k=knn_k)
@@ -211,14 +248,6 @@ class DecisionTableModel:
         return [self.lookup.get(key, self.fallback) for key in map(tuple, codes.tolist())]
 
 
-def _majority(labels) -> str:
-    counts: dict[str, int] = {}
-    for y in labels:
-        counts[y] = counts.get(y, 0) + 1
-    top = max(counts.values())
-    return min(c for c, v in counts.items() if v == top)
-
-
 def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
                        knn_k=3) -> DecisionTableModel:
     """Bin with cut points fit on prep, then map each training code tuple
@@ -226,14 +255,19 @@ def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3
     if train.labels is None:
         raise ValueError("decision table needs labeled training data")
     cuts = tuple(fit_cut_points(train.values if prep is None else prep, strategy, bins))
-    buckets: dict[tuple, list[str]] = {}
+    groups: dict[tuple, int] = {}
     keys = map(tuple, apply_cut_points(train.values, cuts).tolist())
-    for key, y in zip(keys, train.labels):
-        buckets.setdefault(key, []).append(y)
+    group = np.fromiter((groups.setdefault(key, len(groups)) for key in keys),
+                        dtype=np.intp, count=train.n_objects)
+    classes, y = np.unique(np.asarray(train.labels), return_inverse=True)
+    classes = classes.tolist()
+    votes = np.bincount(group * len(classes) + y,
+                        minlength=len(groups) * len(classes)).reshape(len(groups), -1)
+    # classes are sorted, so argmax's first maximum is the smallest class
     return DecisionTableModel(
         cuts=cuts,
-        lookup={key: _majority(ys) for key, ys in buckets.items()},
-        fallback=_majority(train.labels),
+        lookup=dict(zip(groups, (classes[c] for c in np.argmax(votes, axis=1).tolist()))),
+        fallback=classes[int(np.argmax(votes.sum(axis=0)))],
     )
 
 
@@ -278,11 +312,9 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
     correct_total = 0
     fold_accs, fold_sizes = [], []
     for fold in range(plan.k):
-        train_idx = plan.train_indices(fold)
         test_idx = plan.fold_indices(fold)
-        train = DataTable(values=values[train_idx], attr_names=projected.attr_names,
-                          labels=tuple(labels[train_idx]))
-        model = fit(train, values if global_prep else None,
+        model = fit(projected.take(plan.train_indices(fold)),
+                    values if global_prep else None,
                     strategy=strategy, bins=bins, knn_k=knn_k)
         predictions = np.asarray(model.predict(values[test_idx]))
         correct = int(np.count_nonzero(predictions == labels[test_idx]))

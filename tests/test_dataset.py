@@ -14,6 +14,7 @@ from unselect.dataset import (
     project,
     write_csv,
     zscore_normalize,
+    _split_arff_row,
 )
 
 
@@ -193,6 +194,19 @@ def test_arff_quoted_value_may_hold_a_comma(tmp_path):
     assert list(t.values[:, 0]) == [1.0, 2.0, 3.0]
 
 
+def test_arff_line_may_quote_with_both_quote_characters(tmp_path):
+    p = tmp_path / "t.arff"
+    p.write_text(
+        "@relation t\n@attribute x real\n@attribute cls {'a,b',c}\n@data\n"
+        "\"1\",'a,b'\n'2',\"a,b\"\n"
+    )
+    t = load_arff(p)
+    assert t.labels == ("a,b", "a,b")
+    assert list(t.values[:, 0]) == [1.0, 2.0]
+    assert _split_arff_row("1,\"c,d\",'a,b'") == ["1", "c,d", "a,b"]
+    assert _split_arff_row("1, 'a b' ,,\"x\"") == ["1", "a b", "", "x"]
+
+
 def test_arff_missing_labels_follow_policy(tmp_path):
     p = tmp_path / "t.arff"
     p.write_text(
@@ -354,6 +368,20 @@ def test_project_composition():
     second = project(first, FeatureSubset((1, 2)))
     composed = project(t, FeatureSubset((1, 0)))
     assert np.array_equal(second.values, composed.values)
+
+
+def test_take_keeps_the_given_rows_without_checking_again(monkeypatch):
+    t = DataTable(values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                  attr_names=("p", "q"), labels=("x", "y", "z"), name="t")
+    unlabeled = table([[1, 2], [3, 4]])
+    monkeypatch.setattr(DataTable, "__post_init__", lambda self: pytest.fail("checked"))
+    sub = t.take(np.array([2, 0]))
+    assert sub.values.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+    assert not sub.values.flags.writeable
+    assert (sub.labels, sub.attr_names, sub.name) == (("z", "x"), ("p", "q"), "t")
+    assert t.labels == ("x", "y", "z") and t.n_objects == 3
+    sub = unlabeled.take(np.array([1]))
+    assert sub.labels is None and sub.values.tolist() == [[3.0, 4.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from unselect.dataset import DataTable, FeatureSubset, Registry, write_csv
+import unselect.eval
+from unselect.dataset import (
+    DataTable,
+    FeatureSubset,
+    Registry,
+    apply_cut_points,
+    write_csv,
+)
 from unselect.eval import (
     CLASSIFIERS,
     EvalReport,
@@ -156,6 +168,20 @@ def test_knn_rejects_bad_k():
         knn_fit(train, knn_k=0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_knn_rejects_columns_whose_scaling_overflows():
+    # the mean of 1e308 and 1.5e308 overflows, so every distance would be NaN
+    train = table([[1e308, 0.0], [1.5e308, 1.0], [0.0, 2.0]], ["x", "y", "x"])
+    with pytest.raises(ValueError, match="attribute 1"):
+        knn_fit(train, knn_k=1)
+
+
+def test_knn_rejects_nan_rows():
+    model = knn_fit(table([[0.0], [1.0]], ["x", "y"]), knn_k=1)
+    with pytest.raises(ValueError, match="row 2"):
+        model.predict([[0.0], [np.nan]])
+
+
 def test_knn_requires_labels():
     t = DataTable(values=np.ones((2, 1)), attr_names=("a",))
     with pytest.raises(ValueError):
@@ -169,6 +195,69 @@ def test_knn_scales_with_prep_rows():
     prep = np.array([[-100.0, 0.0], [100.0, 1.0]])
     assert knn_fit(train, knn_k=1).predict([[0.0, 0.6]]) == ["a"]
     assert knn_fit(train, prep, knn_k=1).predict([[0.0, 0.6]]) == ["b"]
+
+
+def reference_knn_predict(model, rows):
+    """The per-row loop the batched predict replaced: one distance vector
+    and one full stable argsort per test row, then a vote that goes to the
+    nearest row of a tied class."""
+    out = []
+    for row in (np.asarray(rows, dtype=float) - model.mean) / model.std:
+        dist = np.sqrt(((model.scaled - row) ** 2).sum(axis=1))
+        nearest = model.codes[np.argsort(dist, kind="stable")[: model.k]]
+        votes = np.bincount(nearest, minlength=len(model.classes))
+        out.append(model.classes[nearest[np.argmax(votes[nearest] == votes.max())]])
+    return out
+
+
+@st.composite
+def knn_cases(draw):
+    """Training table, test rows, k in [1, n] and a block cap.
+
+    Half the tables hold integers 0-2, so many training rows lie at equal
+    distances and ties cross the k-th boundary; labels come from one, two
+    or three classes.  The cap ranges from under one test row's cells
+    (one row per block) to all of them (one block).
+    """
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        cell = st.integers(0, 2).map(float)
+    else:
+        cell = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (n, d), elements=cell))
+    rows = draw(arrays(float, (m, d), elements=cell))
+    classes = draw(st.sampled_from(["a", "ab", "abc"]))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    block_cells = draw(st.integers(1, m * n * d))
+    return table(values, labels), rows, k, block_cells
+
+
+# a column of tiny spread scales far test rows to infinite distances, on
+# both sides alike
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+@settings(max_examples=300, deadline=None)
+@given(knn_cases())
+def test_knn_predict_equals_reference_loop(case):
+    train, rows, k, block_cells = case
+    model = knn_fit(train, knn_k=k)
+    with mock.patch.object(unselect.eval, "KNN_BLOCK_CELLS", block_cells):
+        assert model.predict(rows) == reference_knn_predict(model, rows)
+
+
+def test_knn_predict_spans_several_blocks_like_the_reference_loop():
+    # 200 x 10 training cells per test row put 32 rows in a block of the
+    # module's cap, so 100 test rows take 4 blocks; integer values tie
+    rng = np.random.default_rng(36)
+    train = table(rng.integers(0, 3, size=(200, 10)),
+                  rng.choice(["p", "q", "r"], size=200))
+    rows = rng.integers(0, 3, size=(100, 10))
+    assert 100 * 200 * 10 > 3 * unselect.eval.KNN_BLOCK_CELLS
+    for k in (1, 4, 7, 200):
+        model = knn_fit(train, knn_k=k)
+        assert model.predict(rows) == reference_knn_predict(model, rows), k
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +293,44 @@ def test_decision_table_tie_breaks_lexicographically():
     t = coded([[0, 0]], ["B", "A"])
     model = decision_table_fit(t, strategy="eqwidth", bins=2)
     assert model.predict([[0]]) == ["A"]
+
+
+def reference_decision_table(train, cuts):
+    """Lookup and fallback of the per-bucket majority loop the batched fit
+    replaced; ties go to the lexicographically smallest class."""
+    def majority(labels):
+        counts = {}
+        for y in labels:
+            counts[y] = counts.get(y, 0) + 1
+        top = max(counts.values())
+        return min(c for c, v in counts.items() if v == top)
+
+    buckets = {}
+    for key, y in zip(map(tuple, apply_cut_points(train.values, cuts).tolist()),
+                      train.labels):
+        buckets.setdefault(key, []).append(y)
+    return {key: majority(ys) for key, ys in buckets.items()}, majority(train.labels)
+
+
+def test_decision_table_equal_votes_go_to_the_smallest_class():
+    # bucket 0 ties c and b 2-2, the whole table ties a, b and c 2-2-2
+    t = coded([[0, 0, 0, 0, 1, 1]], ["c", "b", "b", "c", "a", "a"])
+    model = decision_table_fit(t, strategy="eqwidth", bins=2)
+    assert model.lookup == {(0,): "b", (1,): "a"}
+    assert model.fallback == "a"
+    assert (model.lookup, model.fallback) == reference_decision_table(t, model.cuts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    arrays(float, (n, 2), elements=st.integers(0, 3).map(float)),
+    st.lists(st.sampled_from(["B", "a", "b", "c10", "c9"]), min_size=n, max_size=n),
+)))
+def test_decision_table_fit_equals_reference_buckets(case):
+    values, labels = case
+    t = table(values, labels)
+    model = decision_table_fit(t, strategy="eqwidth", bins=3)
+    assert (model.lookup, model.fallback) == reference_decision_table(t, model.cuts)
 
 
 def test_decision_table_requires_labels():
@@ -329,6 +456,25 @@ def test_cv_rejects_plan_of_another_size():
     plan = make_fold_plan(t.labels[:10], 2, seed=1)
     with pytest.raises(ValueError, match="10 objects"):
         cross_validate(t, FeatureSubset((0,)), "nb", plan)
+
+
+def test_cv_checks_the_table_once(monkeypatch):
+    # the projection is checked when it is built; each fold's training rows
+    # are sliced from it without a second finiteness scan
+    t = noisy_table()
+    plan = make_fold_plan(t.labels, 5, seed=4)
+    checked = []
+    check = DataTable.__post_init__
+
+    def counting_check(self):
+        checked.append(self.n_objects)
+        check(self)
+
+    monkeypatch.setattr(DataTable, "__post_init__", counting_check)
+    for classifier in CLASSIFIERS:
+        checked.clear()
+        cross_validate(t, FeatureSubset((0, 2)), classifier, plan)
+        assert checked == [30], classifier
 
 
 def test_cv_global_prep_differs_from_fold_fit(diabetes):
