@@ -103,13 +103,17 @@ class DataTable:
 
     ``values`` is an (n objects x d attributes) float matrix; ``labels``,
     when present, holds one class identifier per object and never counts
-    as an attribute.
+    as an attribute.  ``classes`` holds the sorted distinct labels and ``y``
+    each object's read-only index into them (``()`` and None if unlabeled);
+    ``take`` and ``project`` keep the source's ``classes``.
     """
 
     values: np.ndarray
     attr_names: tuple[str, ...]
     labels: tuple[str, ...] | None = None
     name: str = ""
+    classes: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    y: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -128,13 +132,19 @@ class DataTable:
             raise ValueError(f"{len(names)} attribute names for {d} columns")
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
+        classes, y = (), None
         if self.labels is not None:
-            labels = tuple(str(y) for y in self.labels)
+            labels = tuple(str(label) for label in self.labels)
             if len(labels) != n:
                 raise ValueError(f"{len(labels)} labels for {n} objects")
+            classes = tuple(sorted(set(labels)))
+            code = {c: i for i, c in enumerate(classes)}
+            y = _freeze(np.fromiter(map(code.__getitem__, labels), np.intp, n))
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "attr_names", names)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "y", y)
 
     @property
     def n_objects(self) -> int:
@@ -152,15 +162,10 @@ class DataTable:
         """
         sub = copy.copy(self)
         object.__setattr__(sub, "values", _freeze(self.values[rows]))
-        if self.labels is not None:
-            object.__setattr__(sub, "labels", tuple(self.labels[i] for i in rows))
+        if self.y is not None:
+            object.__setattr__(sub, "y", _freeze(self.y[rows]))
+            object.__setattr__(sub, "labels", tuple(np.array(self.classes, dtype=object)[sub.y]))
         return sub
-
-    def class_values(self) -> tuple[str, ...]:
-        """Distinct labels in sorted order; empty when unlabeled."""
-        if self.labels is None:
-            return ()
-        return tuple(sorted(set(self.labels)))
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,6 @@ class DiscreteTable:
     codes: np.ndarray
     bins_per_attr: tuple[int, ...]
     attr_names: tuple[str, ...]
-    labels: tuple[str, ...] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -190,11 +194,6 @@ class DiscreteTable:
         names = tuple(str(a) for a in self.attr_names)
         if len(names) != d or len(set(names)) != len(names):
             raise ValueError("attribute names must be unique and match columns")
-        if self.labels is not None:
-            labels = tuple(str(y) for y in self.labels)
-            if len(labels) != n:
-                raise ValueError(f"{len(labels)} labels for {n} objects")
-            object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "bins_per_attr", bins)
         object.__setattr__(self, "attr_names", names)
@@ -273,7 +272,8 @@ def _resolve_missing(rows, labels, missing, path, row_numbers, columns):
         for j in range(data.shape[1]):
             col = data[:, j]
             if np.isnan(col).all():
-                raise ParseError(f"column {j + 1} of {path} has no observed values")
+                raise ParseError(f"column {columns[j]} of {path} has no observed "
+                                 "values", column=columns[j])
             col[np.isnan(col)] = np.nanmean(col)
         return data, labels
     if missing == "drop":
@@ -516,17 +516,15 @@ def fit_cut_points(values: np.ndarray, strategy: str, bins: int) -> list[np.ndar
         raise ValueError(f"bins must be >= 2, got {bins}")
     if strategy not in ("eqwidth", "eqfreq"):
         raise ValueError(f"unknown discretization strategy {strategy!r}")
-    cuts = []
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        lo, hi = col.min(), col.max()
-        if lo == hi:
-            cuts.append(np.empty(0))
-        elif strategy == "eqwidth":
-            cuts.append(np.linspace(lo, hi, bins + 1)[1:-1])
-        else:
-            cuts.append(np.quantile(col, [i / bins for i in range(1, bins)]))
-    return cuts
+    lo, hi = values.min(axis=0), values.max(axis=0)
+    if strategy == "eqfreq":
+        # one call for every column gives the bits of one call per column
+        quantiles = np.quantile(values, [i / bins for i in range(1, bins)], axis=0).T
+        return [np.empty(0) if lo[j] == hi[j] else quantiles[j] for j in range(len(lo))]
+    # per column: np.linspace over all columns at once rounds some cuts
+    # differently in the last bit
+    return [np.empty(0) if lo[j] == hi[j] else np.linspace(lo[j], hi[j], bins + 1)[1:-1]
+            for j in range(len(lo))]
 
 
 def apply_cut_points(values: np.ndarray, cuts: list[np.ndarray]) -> np.ndarray:
@@ -551,7 +549,6 @@ def discretize(table: DataTable, strategy: str = "eqfreq", bins: int = 3) -> Dis
         codes=codes,
         bins_per_attr=bins_per_attr,
         attr_names=table.attr_names,
-        labels=table.labels,
         name=table.name,
     )
 
@@ -565,12 +562,11 @@ def project(table: DataTable, subset: FeatureSubset) -> DataTable:
                 f"{table.n_attrs} attributes"
             )
     idx = list(subset)
-    return DataTable(
-        values=table.values[:, idx],
-        attr_names=tuple(table.attr_names[i] for i in idx),
-        labels=table.labels,
-        name=table.name,
-    )
+    # columns of a checked table, so, as in take, no construction check runs
+    sub = copy.copy(table)
+    object.__setattr__(sub, "values", _freeze(table.values[:, idx]))
+    object.__setattr__(sub, "attr_names", tuple(table.attr_names[i] for i in idx))
+    return sub
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ bins, knn_k)``, that ignores the options it has no use for and returns a
 frozen model whose ``predict(rows)`` labels a whole test matrix.  ``prep``
 holds the rows the fold-level preprocessing (k-NN's z-score scaling, the
 decision table's cut points) is fit on: the training rows when None, and
-every row only under the leaky global-prep variant.
+every row only under the leaky global-prep variant.  Models fit on class
+codes (``train.y``) and ``predict_codes`` answers in them, so folds compare
+integers, not strings; a class without training rows is never predicted.
 """
 
 from __future__ import annotations
@@ -97,19 +99,18 @@ def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
     dealing position carries over between classes so overall fold sizes
     also differ by at most one.  Fully determined by (seed, k, labels).
     """
-    labels = [str(y) for y in labels]
-    n = len(labels)
+    classes, codes = np.unique(np.array([str(y) for y in labels], dtype=object),
+                               return_inverse=True)
+    n = len(codes)
     if not 2 <= k <= n:
         raise ValueError(f"fold count must be in [2, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    label_arr = np.asarray(labels, dtype=object)
     assignments = np.empty(n, dtype=int)
     position = 0
-    for cls in sorted(set(labels)):
-        members = np.flatnonzero(label_arr == cls)
+    for code in range(len(classes)):
+        members = np.flatnonzero(codes == code)
         members = members[rng.permutation(len(members))]
-        for i, obj in enumerate(members):
-            assignments[obj] = (position + i) % k
+        assignments[members] = (position + np.arange(len(members))) % k
         position = (position + len(members)) % k
     return FoldPlan(seed=seed, k=k, assignments=tuple(int(a) for a in assignments))
 
@@ -118,13 +119,22 @@ def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
 # Classifiers
 
 @dataclass(frozen=True)
-class NbModel:
-    classes: tuple[str, ...]
-    log_priors: np.ndarray
-    means: np.ndarray       # class x attr
-    variances: np.ndarray   # class x attr, floored
+class _Model:
+    classes: tuple[str, ...]        # the training table's sorted classes
 
     def predict(self, rows) -> list[str]:
+        """Class labels of the rows, from their ``predict_codes``."""
+        return [self.classes[c] for c in self.predict_codes(rows).tolist()]
+
+
+@dataclass(frozen=True)
+class NbModel(_Model):
+    fitted: np.ndarray      # codes of the classes with training rows, sorted
+    log_priors: np.ndarray
+    means: np.ndarray       # fitted class x attr
+    variances: np.ndarray   # fitted class x attr, floored
+
+    def predict_codes(self, rows) -> np.ndarray:
         """argmax of log prior + summed log normal densities; ties resolve
         to the lexicographically first class (classes are stored sorted)."""
         rows = np.asarray(rows, dtype=float)[:, None, :]   # row x 1 x attr
@@ -133,28 +143,23 @@ class NbModel:
             + (rows - self.means) ** 2 / self.variances,
             axis=2,
         )
-        return [self.classes[i] for i in np.argmax(ll, axis=1)]
+        return self.fitted[np.argmax(ll, axis=1)]
 
 
 def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
                     knn_k=3) -> NbModel:
-    """Class priors plus per-class, per-attribute normal densities."""
+    """Class priors plus per-class, per-attribute normal densities, for
+    the classes that have training rows."""
     if train.labels is None:
         raise ValueError("gaussian naive Bayes needs labeled training data")
-    classes = train.class_values()
-    y = np.asarray(train.labels, dtype=object)
-    n = train.n_objects
-    log_priors, means, variances = [], [], []
-    for cls in classes:
-        rows = train.values[y == cls]
-        log_priors.append(np.log(len(rows) / n))
-        means.append(rows.mean(axis=0))
-        variances.append(np.maximum(rows.var(axis=0), VARIANCE_FLOOR))
+    fitted = np.flatnonzero(np.bincount(train.y))
+    groups = [train.values[train.y == code] for code in fitted]
     return NbModel(
-        classes=classes,
-        log_priors=np.asarray(log_priors),
-        means=np.asarray(means),
-        variances=np.asarray(variances),
+        classes=train.classes,
+        fitted=fitted,
+        log_priors=np.array([np.log(len(rows) / train.n_objects) for rows in groups]),
+        means=np.array([rows.mean(axis=0) for rows in groups]),
+        variances=np.array([np.maximum(rows.var(axis=0), VARIANCE_FLOOR) for rows in groups]),
     )
 
 
@@ -164,15 +169,14 @@ KNN_BLOCK_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
-class KnnModel:
+class KnnModel(_Model):
     mean: np.ndarray
     std: np.ndarray
     scaled: np.ndarray              # training rows, z-scored
-    classes: tuple[str, ...]
     codes: np.ndarray               # training row -> index into classes
     k: int
 
-    def predict(self, rows) -> list[str]:
+    def predict_codes(self, rows) -> np.ndarray:
         """Majority vote among the k nearest training rows (z-scored space).
 
         Distance ties go to the lower training index (the order of a stable
@@ -188,9 +192,10 @@ class KnnModel:
             raise ValueError(f"k-NN cannot label row {nan_rows[0] + 1}: it holds NaN")
         scaled_rows = (rows - self.mean) / self.std
         step = max(1, KNN_BLOCK_CELLS // self.scaled.size)
-        return [self.classes[c]
-                for start in range(0, len(scaled_rows), step)
-                for c in self._predict_block(scaled_rows[start:start + step]).tolist()]
+        predicted = np.empty(len(scaled_rows), dtype=np.intp)
+        for start in range(0, len(scaled_rows), step):
+            predicted[start:start + step] = self._predict_block(scaled_rows[start:start + step])
+        return predicted
 
     def _predict_block(self, block: np.ndarray) -> np.ndarray:
         """Class codes of one block of z-scored test rows."""
@@ -231,21 +236,22 @@ def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
     if overflow.any():
         raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) + 1}: "
                          "its mean or spread overflows")
-    classes, codes = np.unique(np.asarray(train.labels), return_inverse=True)
+    # votes come from training rows only, so a class without rows never wins
     return KnnModel(mean=mean, std=std, scaled=(train.values - mean) / std,
-                    classes=tuple(str(c) for c in classes), codes=codes, k=knn_k)
+                    classes=train.classes, codes=train.y, k=knn_k)
 
 
 @dataclass(frozen=True)
-class DecisionTableModel:
+class DecisionTableModel(_Model):
     cuts: tuple[np.ndarray, ...]    # per attribute, fit on prep
-    lookup: dict
-    fallback: str
+    lookup: dict                    # seen code tuple -> class code
+    fallback: int                   # class code of the training majority
 
-    def predict(self, rows) -> list[str]:
+    def predict_codes(self, rows) -> np.ndarray:
         """Seen code tuple -> its majority class; unseen -> global majority."""
         codes = apply_cut_points(np.asarray(rows, dtype=float), self.cuts)
-        return [self.lookup.get(key, self.fallback) for key in map(tuple, codes.tolist())]
+        return np.array([self.lookup.get(key, self.fallback)
+                         for key in map(tuple, codes.tolist())], dtype=np.intp)
 
 
 def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
@@ -259,15 +265,16 @@ def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3
     keys = map(tuple, apply_cut_points(train.values, cuts).tolist())
     group = np.fromiter((groups.setdefault(key, len(groups)) for key in keys),
                         dtype=np.intp, count=train.n_objects)
-    classes, y = np.unique(np.asarray(train.labels), return_inverse=True)
-    classes = classes.tolist()
-    votes = np.bincount(group * len(classes) + y,
-                        minlength=len(groups) * len(classes)).reshape(len(groups), -1)
-    # classes are sorted, so argmax's first maximum is the smallest class
+    n_classes = len(train.classes)
+    votes = np.bincount(group * n_classes + train.y,
+                        minlength=len(groups) * n_classes).reshape(len(groups), -1)
+    # classes are sorted, so argmax's first maximum is the smallest class;
+    # every group has a row, so a class without rows never wins
     return DecisionTableModel(
         cuts=cuts,
-        lookup=dict(zip(groups, (classes[c] for c in np.argmax(votes, axis=1).tolist()))),
-        fallback=classes[int(np.argmax(votes.sum(axis=0)))],
+        classes=train.classes,
+        lookup=dict(zip(groups, np.argmax(votes, axis=1).tolist())),
+        fallback=int(np.argmax(votes.sum(axis=0))),
     )
 
 
@@ -307,23 +314,19 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
         )
     fit = CLASSIFIERS[classifier]
     projected = project(table, subset)
-    values = projected.values
-    labels = np.asarray(projected.labels)
-    correct_total = 0
-    fold_accs, fold_sizes = [], []
+    values, y = projected.values, projected.y
+    corrects, fold_sizes = [], []
     for fold in range(plan.k):
         test_idx = plan.fold_indices(fold)
         model = fit(projected.take(plan.train_indices(fold)),
                     values if global_prep else None,
                     strategy=strategy, bins=bins, knn_k=knn_k)
-        predictions = np.asarray(model.predict(values[test_idx]))
-        correct = int(np.count_nonzero(predictions == labels[test_idx]))
-        correct_total += correct
-        fold_accs.append(100.0 * correct / len(test_idx))
+        corrects.append(int(np.count_nonzero(model.predict_codes(values[test_idx])
+                                             == y[test_idx])))
         fold_sizes.append(len(test_idx))
     return CvResult(
-        accuracy=100.0 * correct_total / table.n_objects,
-        fold_accuracies=tuple(fold_accs),
+        accuracy=100.0 * sum(corrects) / table.n_objects,
+        fold_accuracies=tuple(100.0 * c / size for c, size in zip(corrects, fold_sizes)),
         fold_sizes=tuple(fold_sizes),
     )
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unselect.dataset import (
@@ -9,6 +9,7 @@ from unselect.dataset import (
     FeatureSubset,
     ParseError,
     discretize,
+    fit_cut_points,
     load_arff,
     load_csv,
     project,
@@ -108,7 +109,7 @@ def test_pima_diabetes_shape(diabetes):
     # UCI Pima diabetes: 768 instances, 2 classes, 8 attributes
     assert diabetes.n_objects == 768
     assert diabetes.n_attrs == 8
-    assert len(diabetes.class_values()) == 2
+    assert len(diabetes.classes) == 2
 
 
 def test_benchmark_table_metadata(registry):
@@ -121,7 +122,7 @@ def test_benchmark_table_metadata(registry):
     }
     for name, (n, d, classes) in expected.items():
         t = registry.load(name)
-        assert (t.n_objects, t.n_attrs, len(t.class_values())) == (n, d, classes)
+        assert (t.n_objects, t.n_attrs, len(t.classes)) == (n, d, classes)
 
 
 def test_csv_round_trip(tmp_path, diabetes):
@@ -131,6 +132,28 @@ def test_csv_round_trip(tmp_path, diabetes):
     assert back.n_objects == diabetes.n_objects
     assert np.max(np.abs(back.values - diabetes.values)) < 1e-12
     assert back.labels == diabetes.labels
+
+
+# Labels the loaders keep as written: no surrounding blanks (cells are
+# stripped), no control characters, and none of the missing-value tokens.
+label_text = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+    min_size=1, max_size=6,
+).filter(lambda s: s == s.strip() and s.lower() not in {"", "?", "na", "nan", "n/a"})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=d, max_size=d), label_text),
+    min_size=1, max_size=12)))
+def test_write_csv_load_csv_round_trip_is_exact(tmp_path_factory, rows):
+    t = table([r for r, _ in rows], labels=tuple(y for _, y in rows))
+    p = tmp_path_factory.mktemp("rt") / "t.csv"
+    write_csv(t, p, label_name="class")
+    back = load_csv(p, label_column="class")
+    assert back.values.tobytes() == t.values.tobytes()
+    assert (back.labels, back.classes) == (t.labels, t.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +244,48 @@ def test_arff_missing_labels_follow_policy(tmp_path):
     dropped = load_arff(p, missing="drop")
     assert dropped.labels == ("a", "b")
     assert list(dropped.values[:, 0]) == [1.0, 3.0]
+
+
+ARFF_TOKENS = ["1", "-2.5", "3e2", "0", "?", "", "NA", "nan", "n/a", "x"]
+
+
+@st.composite
+def arff_files(draw):
+    """ARFF text with 1-3 numeric attributes and a class; every data cell is
+    a number, a missing token or junk, bare or quoted with ' or ", and a
+    quote may be left open."""
+    d = draw(st.integers(1, 3))
+    lines = ["@relation fuzz"] + [f"@attribute x{j} real" for j in range(d)]
+    lines += ["@attribute class {a,b}", "@data"]
+    for _ in range(draw(st.integers(1, 6))):
+        cells = []
+        for token in draw(st.lists(st.sampled_from(ARFF_TOKENS + ["a", "b"]),
+                                   min_size=d, max_size=d + 2)):
+            quote = draw(st.sampled_from(["", "'", '"', "'-open", '"-open']))
+            if quote.endswith("-open"):
+                cells.append(quote[0] + token)
+            else:
+                cells.append(quote + token + quote)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=arff_files(), missing=st.sampled_from(["reject", "impute", "drop"]))
+def test_arff_fuzz_fails_only_with_located_parse_errors(tmp_path_factory, text,
+                                                         missing):
+    p = tmp_path_factory.mktemp("fuzz") / "t.arff"
+    p.write_text(text)
+    try:
+        t = load_arff(p, missing=missing)
+    except ParseError as err:
+        assert err.row is not None or err.column is not None, str(err)
+    except EmptyFileError as err:
+        # a line of one empty cell is blank, so the file may hold no data
+        assert missing == "drop" or str(err).startswith("no data"), str(err)
+    else:
+        assert t.n_objects >= 1 and len(t.labels) == t.n_objects
+        assert np.all(np.isfinite(t.values))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +380,50 @@ def test_diabetes_glucose_equal_frequency_terciles(diabetes):
     assert max(abs(c - 256) for c in counts) <= 8
 
 
+def reference_cut_points(values, strategy, bins):
+    """The per-column loop that fit_cut_points replaced."""
+    cuts = []
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        lo, hi = col.min(), col.max()
+        if lo == hi:
+            cuts.append(np.empty(0))
+        elif strategy == "eqwidth":
+            cuts.append(np.linspace(lo, hi, bins + 1)[1:-1])
+        else:
+            cuts.append(np.quantile(col, [i / bins for i in range(1, bins)]))
+    return cuts
+
+
+@st.composite
+def cut_point_columns(draw, n):
+    kind = draw(st.sampled_from(["constant", "integer", "scaled"]))
+    if kind == "constant":
+        return [draw(st.floats(allow_nan=False, allow_infinity=False))] * n
+    if kind == "integer":
+        return draw(st.lists(st.integers(-5, 5).map(float), min_size=n, max_size=n))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    return [scale * v for v in draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.tuples(st.one_of(st.just(1), st.integers(1, 40)), st.integers(1, 7))
+    .flatmap(lambda nd: st.lists(cut_point_columns(nd[0]), min_size=nd[1],
+                                 max_size=nd[1]))
+    .map(lambda cols: np.array(cols, dtype=float).T),
+    strategy=st.sampled_from(["eqwidth", "eqfreq"]),
+    bins=st.integers(2, 5),
+)
+# evenly spaced cuts computed for all columns at once differ here in the
+# last bit (1.2 against 1.2000000000000002)
+@example(values=np.array([[0.0], [2.0]]), strategy="eqwidth", bins=5)
+def test_fit_cut_points_equal_the_per_column_loop_bit_for_bit(values, strategy, bins):
+    got = fit_cut_points(values, strategy, bins)
+    want = reference_cut_points(values, strategy, bins)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     # Integer-valued columns keep the transform exactly representable;
@@ -384,6 +493,29 @@ def test_take_keeps_the_given_rows_without_checking_again(monkeypatch):
     assert sub.labels is None and sub.values.tolist() == [[3.0, 4.0]]
 
 
+def test_project_keeps_columns_without_checking_again(monkeypatch):
+    t = DataTable(values=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                  attr_names=("p", "q", "r"), labels=("y", "x"), name="t")
+    monkeypatch.setattr(DataTable, "__post_init__", lambda self: pytest.fail("checked"))
+    p = project(t, FeatureSubset((2, 0)))
+    assert p.values.tolist() == [[3.0, 1.0], [6.0, 4.0]]
+    assert not p.values.flags.writeable and p.values.flags.c_contiguous
+    assert (p.attr_names, p.labels, p.name) == (("r", "p"), ("y", "x"), "t")
+    assert p.classes == ("x", "y") and p.y.tolist() == [1, 0]
+    assert t.attr_names == ("p", "q", "r") and t.n_attrs == 3
+
+
+def test_take_keeps_labels_and_classes_consistent():
+    t = table(np.arange(12.0).reshape(6, 2), labels=("b", "a", "c", "a", "b", "é"))
+    sub = t.take(np.array([4, 1, 3]))
+    assert sub.labels == ("b", "a", "a")
+    # the source's classes stay, so a code means the same class in every slice
+    assert sub.classes == t.classes == ("a", "b", "c", "é")
+    assert sub.y.tolist() == [1, 0, 0]
+    assert [sub.classes[c] for c in sub.y] == list(sub.labels)
+    assert not sub.y.flags.writeable and t.y.tolist() == [1, 0, 2, 0, 1, 3]
+
+
 # ---------------------------------------------------------------------------
 # value objects
 
@@ -396,6 +528,17 @@ def test_feature_subset_one_based_round_trip():
 def test_feature_subset_rejects_duplicates():
     with pytest.raises(ValueError):
         FeatureSubset((1, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(["b", "B", "a", "10", "9", "é", "e", "Z", "日本"]),
+                          st.text(alphabet="aAzZ09éÉß日 _-", min_size=1, max_size=3)),
+                min_size=1, max_size=20))
+def test_classes_are_the_sorted_distinct_labels(labels):
+    t = table(np.zeros((len(labels), 1)), labels=tuple(labels))
+    assert t.classes == tuple(sorted(set(labels)))
+    assert [t.classes[c] for c in t.y] == list(labels)
+    assert not t.y.flags.writeable
 
 
 def test_table_rejects_non_finite():

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -312,13 +313,18 @@ def reference_decision_table(train, cuts):
     return {key: majority(ys) for key, ys in buckets.items()}, majority(train.labels)
 
 
+def labelled_rules(model):
+    """The model's lookup and fallback with class labels for class codes."""
+    return ({key: model.classes[c] for key, c in model.lookup.items()},
+            model.classes[model.fallback])
+
+
 def test_decision_table_equal_votes_go_to_the_smallest_class():
     # bucket 0 ties c and b 2-2, the whole table ties a, b and c 2-2-2
     t = coded([[0, 0, 0, 0, 1, 1]], ["c", "b", "b", "c", "a", "a"])
     model = decision_table_fit(t, strategy="eqwidth", bins=2)
-    assert model.lookup == {(0,): "b", (1,): "a"}
-    assert model.fallback == "a"
-    assert (model.lookup, model.fallback) == reference_decision_table(t, model.cuts)
+    assert labelled_rules(model) == ({(0,): "b", (1,): "a"}, "a")
+    assert labelled_rules(model) == reference_decision_table(t, model.cuts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,7 +336,7 @@ def test_decision_table_fit_equals_reference_buckets(case):
     values, labels = case
     t = table(values, labels)
     model = decision_table_fit(t, strategy="eqwidth", bins=3)
-    assert (model.lookup, model.fallback) == reference_decision_table(t, model.cuts)
+    assert labelled_rules(model) == reference_decision_table(t, model.cuts)
 
 
 def test_decision_table_requires_labels():
@@ -428,6 +434,34 @@ def test_cv_fold_accuracy_is_a_model_fit_on_training_rows_only():
             assert result.fold_accuracies[fold] == accuracy, (classifier, fold)
 
 
+def three_class_table(seed=37, n=45):
+    rng = np.random.default_rng(seed)
+    labels = np.array(["a", "b", "c"])[np.arange(n) % 3]
+    values = rng.normal(size=(n, 2)) + 3.0 * (np.arange(n) % 3)[:, None]
+    return DataTable(values=values, attr_names=("p", "q"), labels=tuple(labels))
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_class_missing_from_training_rows_is_never_predicted(classifier):
+    # "b" sits between "a" and "c"; a fold whose training rows lack it must
+    # not predict it, even for test rows at its centre
+    t = three_class_table()
+    train = t.take(np.flatnonzero(np.asarray(t.labels) != "b"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predicted = CLASSIFIERS[classifier](train).predict(t.values)
+        # a class of one object is absent from the training rows of its fold
+        single = DataTable(values=t.values[:31], attr_names=t.attr_names,
+                           labels=t.labels[:30] + ("lone",))
+        plan = make_fold_plan(single.labels, 5, seed=3)
+        result = cross_validate(single, FeatureSubset((0, 1)), classifier, plan)
+    assert set(predicted) == {"a", "c"}
+    lone_fold = plan.assignments[30]
+    model = CLASSIFIERS[classifier](single.take(plan.train_indices(lone_fold)))
+    assert "lone" not in model.predict(single.values)
+    assert result.fold_accuracies[lone_fold] < 100.0
+
+
 def test_predicting_noise_rows_leaves_the_model_unchanged():
     t = noisy_table()
     probe = np.random.default_rng(34).normal(size=(12, 3))
@@ -459,8 +493,8 @@ def test_cv_rejects_plan_of_another_size():
 
 
 def test_cv_checks_the_table_once(monkeypatch):
-    # the projection is checked when it is built; each fold's training rows
-    # are sliced from it without a second finiteness scan
+    # the table was checked when it was built; the projection and each
+    # fold's training rows are sliced from it without a second scan
     t = noisy_table()
     plan = make_fold_plan(t.labels, 5, seed=4)
     checked = []
@@ -474,7 +508,7 @@ def test_cv_checks_the_table_once(monkeypatch):
     for classifier in CLASSIFIERS:
         checked.clear()
         cross_validate(t, FeatureSubset((0, 2)), classifier, plan)
-        assert checked == [30], classifier
+        assert checked == [], classifier
 
 
 def test_cv_global_prep_differs_from_fold_fit(diabetes):
