@@ -32,7 +32,6 @@ from .roughset import (
     indiscernibility_partition,
     is_superreduct,
     lower_approximation,
-    mean_dependency,
     positive_region,
     upper_approximation,
 )
@@ -41,6 +40,7 @@ from .selectors import (
     SelectorConfig,
     edr_scores,
     edr_select,
+    pca_scores,
     pca_select,
     rough_pca_select,
     usqr,
@@ -71,13 +71,13 @@ __all__ = [
     "upper_approximation",
     "positive_region",
     "gamma",
-    "mean_dependency",
     "is_superreduct",
     "brute_force_min_reducts",
     "fit_pca",
     "retain_count",
     "transform",
     "loading_scores",
+    "pca_scores",
     "pca_select",
     "rough_pca_select",
     "edr_scores",

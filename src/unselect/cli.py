@@ -1,5 +1,8 @@
 """Command-line front door: select, evaluate, bench and report.
 
+For pca and edr, ``select`` prints the ranking its subset is taken from
+(``selectors.pca_scores`` or ``selectors.edr_scores``, computed once).
+
 Exit codes: 0 ok, 1 internal error, 2 bad configuration, 3 data error,
 4 benchmark finished with failed datasets.  Results go to stdout,
 diagnostics to stderr.
@@ -17,7 +20,6 @@ from .dataset import (
     default_registry,
     load_registry,
     load_table,
-    zscore_normalize,
 )
 from .eval import (
     CLASSIFIER_IDS,
@@ -30,8 +32,7 @@ from .eval import (
     render_text_tables,
     run_benchmark,
 )
-from .selectors import METHOD_IDS, SelectorConfig, edr_scores, select
-from .pca import fit_pca, loading_scores, retain_count
+from .selectors import METHOD_IDS, SelectorConfig, edr_scores, pca_scores, select
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -49,19 +50,15 @@ class CliError(Exception):
 def _parse_pc_policy(text):
     if text == "kaiser":
         return ("kaiser", None)
-    if text.startswith("var:"):
-        try:
-            return ("var", float(text[4:]))
-        except ValueError:
-            raise CliError(f"bad pc policy {text!r}", EXIT_CONFIG) from None
-    if text.startswith("fixed:"):
-        try:
-            return ("fixed", int(text[6:]))
-        except ValueError:
-            raise CliError(f"bad pc policy {text!r}", EXIT_CONFIG) from None
-    raise CliError(
-        f"unknown pc policy {text!r}; use var:F, kaiser or fixed:K", EXIT_CONFIG
-    )
+    kind, _, arg = text.partition(":")
+    if kind not in ("var", "fixed"):
+        raise CliError(
+            f"unknown pc policy {text!r}; use var:F, kaiser or fixed:K", EXIT_CONFIG
+        )
+    try:
+        return (kind, float(arg) if kind == "var" else int(arg))
+    except ValueError:
+        raise CliError(f"bad pc policy {text!r}", EXIT_CONFIG) from None
 
 
 def _parse_label_col(text):
@@ -116,13 +113,27 @@ def _emit(text, out_path=None):
         sys.stdout.write(text)
 
 
+def _render(report, fmt):
+    """A benchmark report as ``table``, ``csv`` or ``json`` text."""
+    if fmt == "json":
+        return report.to_json() + "\n"
+    if fmt == "csv":
+        return render_csv_tables(report)
+    return render_text_tables(report)
+
+
 def cmd_select(args):
     table = _load_dataset(args)
     cfg = _selector_config(args)
-    if args.method in ("pca", "edr") and args.k is None:
-        raise CliError(f"--k is required for method {args.method}", EXIT_CONFIG)
+    ranking = None
     try:
-        subset = select(table, args.method, cfg, args.k)
+        if args.method in ("pca", "edr"):
+            if args.k is None:
+                raise CliError(f"--k is required for method {args.method}", EXIT_CONFIG)
+            ranking = pca_scores(table, cfg) if args.method == "pca" else edr_scores(table)
+            subset = ranking.top(args.k)
+        else:
+            subset = select(table, args.method, cfg, args.k)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
     resolved = {
@@ -135,33 +146,17 @@ def cmd_select(args):
         "pc_policy": list(cfg.pc_policy),
         "missing": args.missing,
     }
-    lines = [f"subset: {subset.to_one_based()}"]
-    if args.method == "edr":
-        ranking = edr_scores(table)
-        lines.append(
-            "ranking: "
-            + " ".join(f"{j + 1}:{s:.4f}" for j, s in ranking.entries)
-        )
-    elif args.method == "pca":
-        model = fit_pca(zscore_normalize(table))
-        kept = retain_count(model, cfg.pc_policy)
-        lines.append(
-            "ranking: "
-            + " ".join(f"{j + 1}:{s:.4f}" for j, s in loading_scores(model, kept))
-        )
-        if args.dump_model:
-            with open(args.dump_model, "w", encoding="utf-8") as fh:
-                fh.write(model.to_json())
-            print(f"model written to {args.dump_model}", file=sys.stderr)
-    lines.append(f"fingerprint: {config_fingerprint(resolved)}")
-    payload = "\n".join(lines) + "\n"
+    fingerprint = config_fingerprint(resolved)
     if args.format == "json":
         payload = json.dumps(
-            {"subset": subset.to_one_based(),
-             "fingerprint": config_fingerprint(resolved)},
-            sort_keys=True,
-        ) + "\n"
-    _emit(payload, args.out)
+            {"subset": subset.to_one_based(), "fingerprint": fingerprint}, sort_keys=True
+        )
+    else:
+        lines = [f"subset: {subset.to_one_based()}"]
+        if ranking is not None:
+            lines.append("ranking: " + " ".join(f"{j + 1}:{s:.4f}" for j, s in ranking.entries))
+        payload = "\n".join(lines + [f"fingerprint: {fingerprint}"])
+    _emit(payload + "\n", args.out)
     return EXIT_OK
 
 
@@ -216,17 +211,11 @@ def cmd_bench(args):
         missing=args.missing,
         global_prep=args.global_prep,
     )
-    if args.format == "json":
-        rendered = report.to_json() + "\n"
-    elif args.format == "csv":
-        rendered = render_csv_tables(report)
-    else:
-        rendered = render_text_tables(report)
-    _emit(rendered, args.out)
+    _emit(_render(report, args.format), args.out)
     if args.out:
         json_path = os.path.splitext(args.out)[0] + ".json"
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(_render(report, "json"))
         print(f"machine-readable report: {json_path}", file=sys.stderr)
     for err in report.errors:
         print(f"ERROR {error_source(err)}: {err['error']}", file=sys.stderr)
@@ -239,13 +228,7 @@ def cmd_report(args):
             report = EvalReport.from_json(fh.read())
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise CliError(f"cannot read report {args.input!r}: {exc}", EXIT_DATA)
-    if args.format == "csv":
-        rendered = render_csv_tables(report)
-    elif args.format == "json":
-        rendered = report.to_json() + "\n"
-    else:
-        rendered = render_text_tables(report)
-    _emit(rendered, args.out)
+    _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
 
@@ -283,9 +266,6 @@ def build_parser():
     p.add_argument("--method", required=True, choices=METHOD_IDS)
     p.add_argument("--label-col", default=None,
                    help="label column (1-based index or name; default: auto)")
-    p.add_argument("--dump-model", default=None,
-                   help="write the fitted PC model as JSON, pca method only "
-                        "(default: no dump)")
     _add_common_selector_flags(p)
     p.set_defaults(func=cmd_select)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -214,17 +215,21 @@ _MISSING_TOKENS = {"", "?", "na", "nan", "n/a"}
 
 
 def _parse_cell(text, row, col):
+    """A feature cell as a finite float; None marks a missing value."""
     token = text.strip()
     if token.lower() in _MISSING_TOKENS:
         return None
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise ParseError(
-            f"non-numeric cell {token!r} at row {row}, column {col}",
-            row=row,
-            column=col,
-        ) from None
+        value = math.nan
+    if math.isfinite(value):        # rejects inf and overflowing literals too
+        return value
+    raise ParseError(
+        f"cell {token!r} at row {row}, column {col} is not a finite number",
+        row=row,
+        column=col,
+    )
 
 
 def _parse_label(text, missing, row, col, path):
@@ -241,48 +246,74 @@ def _parse_label(text, missing, row, col, path):
     )
 
 
-def _resolve_missing(rows, labels, missing, path, row_numbers, columns):
-    """Apply the missing-value policy to parsed rows (None marks a hole).
+def _build_table(path, rows, row_numbers, names, label_idx, missing, name,
+                 label_chars=None):
+    """The DataTable of a file's rows of cells, at file rows ``row_numbers``.
 
-    ``labels`` is None for an unlabeled file; a None label, which only the
-    drop policy lets through, drops its row.  ``row_numbers`` and
-    ``columns`` give each data row's file row and each feature's 1-based
-    file column, so a rejected hole is reported where it sits in the file.
-    Returns the kept values and labels.
+    ``names`` has one entry per file column and sets the row width; None
+    means no names (the first row sets the width, features become ``a1,
+    a2, ...``).  ``label_idx`` is the 0-based label column or None; a label
+    cell is stripped of ``label_chars`` (whitespace if None).  Holes follow
+    the missing-value policy, and a missing label, which only ``drop`` lets
+    through, drops its row.  Every error names its file row and column.
     """
-    data = np.array(
-        [[np.nan if c is None else c for c in r] for r in rows], dtype=float
-    )
+    width = len(rows[0] if names is None else names)
+    values, labels = [], None if label_idx is None else []
+    for row, cells in zip(row_numbers, rows):
+        if len(cells) != width:
+            raise ParseError(
+                f"ragged row {row}: expected {width} cells, got {len(cells)}", row=row
+            )
+        parsed = []
+        for j, cell in enumerate(cells):
+            if j == label_idx:
+                labels.append(_parse_label(cell.strip(label_chars), missing, row, j + 1, path))
+            else:
+                parsed.append(_parse_cell(cell, row, j + 1))
+        values.append(parsed)
+
+    columns = [j + 1 for j in range(width) if j != label_idx]
+    data = np.array([[np.nan if c is None else c for c in r] for r in values], dtype=float)
     holes = np.isnan(data)
     keep = ~holes.any(axis=1)
     if labels is not None:
         keep &= np.array([y is not None for y in labels], dtype=bool)
-    if keep.all():
-        return data, labels
-    if missing == "reject":
-        r, c = np.argwhere(holes)[0]
-        row, column = row_numbers[r], columns[c]
-        raise ParseError(
-            f"missing value at row {row}, column {column} of {path} "
-            "(pass missing='impute' or missing='drop' to handle it)",
-            row=row,
-            column=column,
-        )
-    if missing == "impute":
-        for j in range(data.shape[1]):
-            col = data[:, j]
-            if np.isnan(col).all():
-                raise ParseError(f"column {columns[j]} of {path} has no observed "
-                                 "values", column=columns[j])
-            col[np.isnan(col)] = np.nanmean(col)
-        return data, labels
-    if missing == "drop":
-        if not keep.any():
-            raise EmptyFileError(f"every row of {path} has missing values")
-        if labels is not None:
-            labels = [y for y, k in zip(labels, keep) if k]
-        return data[keep], labels
-    raise ValueError(f"unknown missing-value policy {missing!r}")
+    if not keep.all():
+        if missing == "reject":
+            r, c = np.argwhere(holes)[0]
+            row, column = row_numbers[r], columns[c]
+            raise ParseError(
+                f"missing value at row {row}, column {column} of {path} "
+                "(pass missing='impute' or missing='drop' to handle it)",
+                row=row,
+                column=column,
+            )
+        elif missing == "impute":
+            for j in range(data.shape[1]):
+                col = data[:, j]
+                if np.isnan(col).all():
+                    raise ParseError(f"column {columns[j]} of {path} has no observed "
+                                     "values", column=columns[j])
+                col[np.isnan(col)] = np.nanmean(col)
+        elif missing == "drop":
+            if not keep.any():
+                raise EmptyFileError(f"every row of {path} has missing values")
+            data = data[keep]
+            if labels is not None:
+                labels = [y for y, k in zip(labels, keep) if k]
+        else:
+            raise ValueError(f"unknown missing-value policy {missing!r}")
+
+    if names is None:
+        attr_names = tuple(f"a{j + 1}" for j in range(len(columns)))
+    else:
+        attr_names = tuple(names[c - 1] for c in columns)
+    return DataTable(
+        values=data,
+        attr_names=attr_names,
+        labels=None if labels is None else tuple(labels),
+        name=name or os.path.splitext(os.path.basename(path))[0],
+    )
 
 
 def load_csv(path, has_header=True, label_column=None, missing="reject",
@@ -310,7 +341,6 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
         if not raw:
             raise EmptyFileError(f"only a header row in {path}")
 
-    width = len(raw[0])
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -319,41 +349,11 @@ def load_csv(path, has_header=True, label_column=None, missing="reject",
             label_idx = header.index(label_column)
         else:
             label_idx = int(label_column)
-            if not 0 <= label_idx < width:
+            if not 0 <= label_idx < len(header or raw[0]):
                 raise ParseError(f"label column index {label_idx} out of range")
-
     first = 1 + int(has_header)
-    rows, labels = [], None if label_idx is None else []
-    for i, row in enumerate(raw, start=first):
-        if len(row) != width:
-            raise ParseError(
-                f"ragged row {i}: expected {width} cells, got {len(row)}", row=i
-            )
-        cells = []
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                labels.append(_parse_label(cell.strip(), missing, i, j + 1, path))
-            else:
-                cells.append(_parse_cell(cell, i, j + 1))
-        rows.append(cells)
-
-    data, labels = _resolve_missing(
-        rows, labels, missing, path,
-        row_numbers=range(first, first + len(rows)),
-        columns=[j + 1 for j in range(width) if j != label_idx],
-    )
-
-    d = data.shape[1]
-    if header is not None:
-        attr_names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    else:
-        attr_names = tuple(f"a{j + 1}" for j in range(d))
-    return DataTable(
-        values=data,
-        attr_names=attr_names,
-        labels=None if labels is None else tuple(labels),
-        name=name or os.path.splitext(os.path.basename(path))[0],
-    )
+    row_numbers = range(first, first + len(raw))
+    return _build_table(path, raw, row_numbers, header, label_idx, missing, name)
 
 
 _ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
@@ -390,7 +390,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     scope.
     """
     attrs = []          # (name, kind) with kind 'num' | 'nominal'
-    data_rows = []
+    data_rows, line_numbers = [], []
     in_data = False
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -418,7 +418,8 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
             elif low.startswith("@"):
                 continue
             elif in_data:
-                data_rows.append((lineno, [c.strip() for c in _split_arff_row(line)]))
+                data_rows.append([c.strip() for c in _split_arff_row(line)])
+                line_numbers.append(lineno)
     if not attrs or not data_rows:
         raise EmptyFileError(f"no data in {path}")
 
@@ -426,37 +427,8 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     # attribute is the label; earlier nominal attributes are accepted only
     # when their values are all numbers (integer-coded features).
     label_idx = len(attrs) - 1 if attrs[-1][1] == "nominal" else None
-
-    rows, labels = [], None if label_idx is None else []
-    for lineno, cells in data_rows:
-        if len(cells) != len(attrs):
-            raise ParseError(
-                f"ragged row at line {lineno}: expected {len(attrs)} cells, "
-                f"got {len(cells)}",
-                row=lineno,
-            )
-        parsed = []
-        for j, cell in enumerate(cells):
-            if j == label_idx:
-                labels.append(
-                    _parse_label(cell.strip("'\""), missing, lineno, j + 1, path)
-                )
-            else:
-                parsed.append(_parse_cell(cell, lineno, j + 1))
-        rows.append(parsed)
-
-    data, labels = _resolve_missing(
-        rows, labels, missing, path,
-        row_numbers=[lineno for lineno, _ in data_rows],
-        columns=[j + 1 for j in range(len(attrs)) if j != label_idx],
-    )
-    attr_names = tuple(a for j, (a, _) in enumerate(attrs) if j != label_idx)
-    return DataTable(
-        values=data,
-        attr_names=attr_names,
-        labels=None if labels is None else tuple(labels),
-        name=name or os.path.splitext(os.path.basename(path))[0],
-    )
+    return _build_table(path, data_rows, line_numbers, [a for a, _ in attrs], label_idx,
+                        missing, name, label_chars="'\"")
 
 
 def load_table(path, label_column=None, missing="reject", name=None,

@@ -3,11 +3,12 @@
 Fits a PCModel over mean-centered data, decides how many components to
 keep under several retention policies, projects tables onto the kept
 components, and scores the original attributes from the loadings.
+``selectors.pca_scores`` ranks the attributes by those scores, next to
+``selectors.edr_scores`` for EDR.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,29 +39,6 @@ class PCModel:
 
     def eigenvalues(self) -> np.ndarray:
         return self.singular_values**2 / (self.n_samples - 1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean.tolist(),
-                "loadings_row_major": self.loadings.tolist(),
-                "singular_values": self.singular_values.tolist(),
-                "explained_ratio": self.explained_ratio.tolist(),
-                "n_samples": self.n_samples,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PCModel":
-        d = json.loads(text)
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            loadings=np.asarray(d["loadings_row_major"], dtype=float),
-            singular_values=np.asarray(d["singular_values"], dtype=float),
-            explained_ratio=np.asarray(d["explained_ratio"], dtype=float),
-            n_samples=int(d["n_samples"]),
-        )
 
 
 def _canonicalize_signs(loadings: np.ndarray) -> np.ndarray:

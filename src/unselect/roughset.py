@@ -35,7 +35,6 @@ __all__ = [
     "upper_approximation",
     "positive_region",
     "gamma",
-    "mean_dependency",
     "mean_dependency_exact",
     "positive_total",
     "distinct_rows",
@@ -225,11 +224,6 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     ones = np.ones(table.n_objects, dtype=np.int64)
     total = positive_total(_group_ids(table, attrs), ones, table.codes)
     return Fraction(total, table.n_objects * table.n_attrs)
-
-
-def mean_dependency(table: DiscreteTable, attrs) -> float:
-    """Float view of mean_dependency_exact."""
-    return float(mean_dependency_exact(table, attrs))
 
 
 def is_superreduct(table: DiscreteTable, subset) -> bool:

@@ -18,6 +18,7 @@ from .dataset import DataTable, DiscreteTable, FeatureSubset, discretize, projec
 __all__ = [
     "RankedFeatures",
     "SelectorConfig",
+    "pca_scores",
     "pca_select",
     "rough_pca_select",
     "edr_scores",
@@ -66,14 +67,17 @@ class SelectorConfig:
             raise ValueError(f"unknown pc policy {kind!r}")
 
 
-def pca_select(table: DataTable, cfg: SelectorConfig, k: int) -> FeatureSubset:
-    """Top-k original attributes by loading score over the retained PCs."""
-    if not 1 <= k <= table.n_attrs:
-        raise ValueError(f"k={k} out of range for {table.n_attrs} attributes")
+def pca_scores(table: DataTable, cfg: SelectorConfig) -> RankedFeatures:
+    """Each attribute's loading score over the PCs kept under ``cfg.pc_policy``
+    (``pca.loading_scores``), ranked descending, ties by lower index."""
     model = pca.fit_pca(zscore_normalize(table), method="svd")
     kept = pca.retain_count(model, cfg.pc_policy)
-    ranking = pca.loading_scores(model, kept)
-    return FeatureSubset(tuple(j for j, _ in ranking[:k]))
+    return RankedFeatures(tuple(pca.loading_scores(model, kept)))
+
+
+def pca_select(table: DataTable, cfg: SelectorConfig, k: int) -> FeatureSubset:
+    """Top-k original attributes by loading score over the retained PCs."""
+    return pca_scores(table, cfg).top(k)
 
 
 def _preselect_covered(model, kept: int) -> list[int]:

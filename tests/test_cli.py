@@ -1,13 +1,19 @@
 import json
 import os
+import re
+import shlex
+import sys
 
 import numpy as np
+import pytest
 
+from unselect import pca, selectors
 from unselect.cli import build_parser, main
 from unselect.dataset import DataTable, write_csv
 from unselect.selectors import select
 
-DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA_DIR = os.path.join(REPO_ROOT, "data")
 
 
 def run(capsys, *argv):
@@ -83,15 +89,78 @@ def test_select_registry_name_resolution(capsys, tmp_path, monkeypatch):
     assert "subset: 1,5,6,2" in out
 
 
-def test_select_dump_model_writes_json(capsys, tmp_path):
-    model_path = tmp_path / "model.json"
-    code, out, _ = run(
-        capsys, "select", "--data", diabetes_path(), "--method", "pca",
-        "--k", "3", "--dump-model", str(model_path),
-    )
-    assert code == 0
-    payload = json.loads(model_path.read_text())
-    assert "loadings_row_major" in payload and "singular_values" in payload
+def count_calls(monkeypatch, fn):
+    """Replace every binding of fn in the package's modules, however it was
+    imported, by a wrapper that records each call; returns the record."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("unselect"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method, scorer", [("pca", pca.fit_pca),
+                                            ("edr", selectors.edr_scores)])
+def test_select_ranks_once(capsys, monkeypatch, method, scorer):
+    calls = count_calls(monkeypatch, scorer)
+    code, out, _ = run(capsys, "select", "--data", diabetes_path(), "--method",
+                       method, "--k", "3")
+    assert code == 0 and "ranking:" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("token", ["inf", "-1e400"])
+def test_select_non_finite_cell_exits_3_with_its_file_position(capsys, tmp_path, token):
+    p = tmp_path / "t.csv"
+    p.write_text(f"x,y,cls\n1,2,a\n3,{token},b\n")
+    code, _, err = run(capsys, "select", "--data", str(p), "--label-col", "cls",
+                       "--method", "usqr")
+    assert code == 3
+    assert "row 3, column 2" in err
+
+
+def readme_section(heading):
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    return text[text.index(heading):]
+
+
+def readme_cli_examples():
+    block = re.search(r"```bash\n(.*?)```", readme_section("## CLI"), re.S)[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c)[1:] for c in commands
+            if c.startswith(("unselect select", "unselect evaluate"))]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(),
+                         ids=lambda argv: f"{argv[0]}-{argv[argv.index('--method') + 1]}")
+def test_readme_cli_example_runs(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO_ROOT)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+def test_readme_library_example_runs(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    code = re.search(r"```python\n(.*?)```", readme_section("## Library use"), re.S)[1]
+    exec(compile(code, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("policy, expected", [
+    ("var:0.8", 0), ("kaiser", 0), ("fixed:2", 0),
+    ("var:x", 2), ("fixed:1.5", 2), ("var", 2), ("kaiser:1", 2), ("magic", 2),
+])
+def test_select_pc_policy_values(capsys, policy, expected):
+    code, _, err = run(capsys, "select", "--data", diabetes_path(), "--method",
+                       "roughpca", "--pc-policy", policy)
+    assert code == expected, err
 
 
 def test_evaluate_reports_accuracy(capsys, tmp_path):

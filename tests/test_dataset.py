@@ -105,6 +105,23 @@ def test_load_csv_missing_value_names_file_row_and_column(tmp_path):
     assert (err.value.row, err.value.column) == (3, 3)
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e400", "-1e400"])
+def test_load_csv_non_finite_cell_names_file_row_and_column(tmp_path, token):
+    p = tmp_path / "t.csv"
+    p.write_text(f"x,y,cls\n1,2,a\n3,{token},b\n")
+    with pytest.raises(ParseError, match="row 3, column 2") as err:
+        load_csv(p, label_column="cls")
+    assert (err.value.row, err.value.column) == (3, 2)
+
+
+def test_load_csv_row_wider_than_header_is_ragged(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,2,3\n4,5,6\n")
+    with pytest.raises(ParseError, match="row 2") as err:
+        load_csv(p)
+    assert err.value.row == 2
+
+
 def test_pima_diabetes_shape(diabetes):
     # UCI Pima diabetes: 768 instances, 2 classes, 8 attributes
     assert diabetes.n_objects == 768
@@ -244,6 +261,18 @@ def test_arff_missing_labels_follow_policy(tmp_path):
     dropped = load_arff(p, missing="drop")
     assert dropped.labels == ("a", "b")
     assert list(dropped.values[:, 0]) == [1.0, 3.0]
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e400", "'-1e400'"])
+def test_arff_non_finite_cell_names_line_and_column(tmp_path, token):
+    p = tmp_path / "t.arff"
+    p.write_text(
+        "@relation t\n@attribute x real\n@attribute y real\n"
+        f"@attribute cls {{a,b}}\n@data\n1,2,a\n{token},3,b\n"
+    )
+    with pytest.raises(ParseError, match="row 7, column 1") as err:
+        load_arff(p)
+    assert (err.value.row, err.value.column) == (7, 1)
 
 
 ARFF_TOKENS = ["1", "-2.5", "3e2", "0", "?", "", "NA", "nan", "n/a", "x"]

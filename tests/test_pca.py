@@ -232,11 +232,3 @@ def test_loading_scores_rejects_bad_k():
         loading_scores(model, 0)
     with pytest.raises(ValueError):
         loading_scores(model, 99)
-
-
-def test_model_json_round_trip():
-    model = fit_pca(DIAGONAL)
-    back = PCModel.from_json(model.to_json())
-    assert np.array_equal(back.loadings, model.loadings)
-    assert np.array_equal(back.mean, model.mean)
-    assert back.n_samples == model.n_samples

@@ -16,7 +16,6 @@ from unselect.roughset import (
     indiscernibility_partition,
     is_superreduct,
     lower_approximation,
-    mean_dependency,
     mean_dependency_exact,
     positive_region,
     positive_total,
@@ -218,7 +217,7 @@ def test_mean_dependency_full_set_is_one():
 
 def test_mean_dependency_single_attribute_table():
     t = dtable([[0, 1, 0]])
-    assert mean_dependency(t, [0]) == 1.0
+    assert mean_dependency_exact(t, [0]) == 1
 
 
 def test_mean_dependency_hand_computed():
@@ -229,7 +228,7 @@ def test_mean_dependency_hand_computed():
 def test_mean_dependency_rejects_empty():
     t = dtable([[0, 1]])
     with pytest.raises(ValueError):
-        mean_dependency(t, [])
+        mean_dependency_exact(t, [])
 
 
 def test_is_superreduct_full_set():
