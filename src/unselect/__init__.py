@@ -23,7 +23,7 @@ from .eval import (
     make_fold_plan,
     run_benchmark,
 )
-from .pca import PCModel, fit_pca, loading_scores, retain_count, transform
+from .pca import PCModel, fit_pca, loading_scores, retain_count
 from .roughset import (
     DependencyValue,
     Partition,
@@ -75,7 +75,6 @@ __all__ = [
     "brute_force_min_reducts",
     "fit_pca",
     "retain_count",
-    "transform",
     "loading_scores",
     "pca_scores",
     "pca_select",

@@ -16,8 +16,10 @@ import os
 import sys
 
 from .dataset import (
+    MISSING_POLICIES,
     DatasetError,
     default_registry,
+    label_column_from_text,
     load_registry,
     load_table,
 )
@@ -61,12 +63,15 @@ def _parse_pc_policy(text):
         raise CliError(f"bad pc policy {text!r}", EXIT_CONFIG) from None
 
 
-def _parse_label_col(text):
-    if text is None or text == "auto":
-        return None
-    if text.lstrip("-").isdigit():
-        return int(text) - 1        # user-facing columns are 1-based
-    return text
+def _id_list(valid):
+    """An argparse type: a comma list of ids, each one of ``valid``."""
+    def parse(text):
+        ids = tuple(part.strip() for part in text.split(","))
+        for i in ids:
+            if i not in valid:
+                raise argparse.ArgumentTypeError(f"unknown id {i!r}; valid: {', '.join(valid)}")
+        return ids
+    return parse
 
 
 def _registry(args):
@@ -81,7 +86,7 @@ def _load_dataset(args):
     if os.path.exists(args.data):
         return load_table(
             args.data,
-            label_column=_parse_label_col(args.label_col),
+            label_column=label_column_from_text(args.label_col),
             missing=args.missing,
         )
     if args.data in registry.entries:
@@ -99,7 +104,6 @@ def _selector_config(args):
             pc_policy=_parse_pc_policy(args.pc_policy),
             strategy=args.strategy,
             bins=args.bins,
-            edr_k=getattr(args, "k", None),
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
@@ -171,14 +175,7 @@ def cmd_evaluate(args):
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
     lines = []
-    for classifier in args.classifiers.split(","):
-        classifier = classifier.strip()
-        if classifier not in CLASSIFIER_IDS:
-            raise CliError(
-                f"unknown classifier {classifier!r}; valid: "
-                f"{', '.join(CLASSIFIER_IDS)}",
-                EXIT_CONFIG,
-            )
+    for classifier in args.classifiers:
         result = cross_validate(
             table, subset, classifier, plan,
             strategy=cfg.strategy, bins=cfg.bins,
@@ -203,8 +200,8 @@ def cmd_bench(args):
     report = run_benchmark(
         registry,
         datasets=datasets,
-        methods=tuple(m.strip() for m in args.methods.split(",")),
-        classifiers=tuple(c.strip() for c in args.classifiers.split(",")),
+        methods=args.methods,
+        classifiers=args.classifiers,
         seed=args.seed,
         folds=args.folds,
         cfg=cfg,
@@ -232,24 +229,25 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def _add_common_selector_flags(p, with_k=True):
+def _add_common_selector_flags(p, one_dataset=True):
+    if one_dataset:
+        p.add_argument("--data", required=True, help="dataset path or registry name")
+        p.add_argument("--method", required=True, choices=METHOD_IDS)
+        p.add_argument("--label-col", default=None,
+                       help="label column (1-based index or name; default: auto)")
+        p.add_argument("--k", type=int, default=None,
+                       help="number of features for pca/edr (default: none)")
     p.add_argument("--bins", type=int, default=3,
                    help="discretization bin count (default: 3)")
     p.add_argument("--strategy", choices=["eqwidth", "eqfreq"], default="eqfreq",
                    help="discretization strategy (default: eqfreq)")
     p.add_argument("--pc-policy", default="var:0.90",
                    help="PC retention: var:F, kaiser or fixed:K (default: var:0.90)")
-    if with_k:
-        p.add_argument("--k", type=int, default=None,
-                       help="number of features for pca/edr (default: none)")
-    p.add_argument("--missing", choices=["reject", "impute", "drop"],
-                   default="reject",
+    p.add_argument("--missing", choices=MISSING_POLICIES, default="reject",
                    help="missing-value policy at load (default: reject)")
     p.add_argument("--registry", default=None,
                    help="dataset registry file (default: bundled registry, "
                         "or $UNSELECT_DATA_DIR/registry.txt)")
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table",
-                   help="output format (default: table)")
     p.add_argument("--out", default=None,
                    help="write output to this path instead of stdout")
 
@@ -262,35 +260,30 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("select", help="select a feature subset")
-    p.add_argument("--data", required=True, help="dataset path or registry name")
-    p.add_argument("--method", required=True, choices=METHOD_IDS)
-    p.add_argument("--label-col", default=None,
-                   help="label column (1-based index or name; default: auto)")
     _add_common_selector_flags(p)
+    p.add_argument("--format", choices=["table", "json"], default="table",
+                   help="output format (default: table)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("evaluate", help="cross-validate one method on one dataset")
-    p.add_argument("--data", required=True, help="dataset path or registry name")
-    p.add_argument("--method", required=True, choices=METHOD_IDS)
-    p.add_argument("--label-col", default=None,
-                   help="label column (1-based index or name; default: auto)")
-    p.add_argument("--classifiers", default="nb",
+    _add_common_selector_flags(p)
+    p.add_argument("--classifiers", type=_id_list(CLASSIFIER_IDS), default="nb",
                    help="comma list of nb,knn,dtable (default: nb)")
     p.add_argument("--folds", type=int, default=10,
                    help="cross-validation folds (default: 10)")
     p.add_argument("--seed", type=int, default=1, help="fold seed (default: 1)")
     p.add_argument("--global-prep", action="store_true",
                    help="fit preprocessing on the full dataset (leaky variant)")
-    _add_common_selector_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="run the benchmark cross product")
     p.add_argument("--datasets", default=None,
                    help="comma list of registry names (default: all)")
-    p.add_argument("--methods", default=",".join(METHOD_IDS),
+    p.add_argument("--methods", type=_id_list(METHOD_IDS), default=",".join(METHOD_IDS),
                    help=f"comma list of methods (default: all: "
                         f"{','.join(METHOD_IDS)})")
-    p.add_argument("--classifiers", default=",".join(CLASSIFIER_IDS),
+    p.add_argument("--classifiers", type=_id_list(CLASSIFIER_IDS),
+                   default=",".join(CLASSIFIER_IDS),
                    help=f"comma list of classifiers (default: "
                         f"{','.join(CLASSIFIER_IDS)})")
     p.add_argument("--folds", type=int, default=10,
@@ -298,7 +291,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1, help="fold seed (default: 1)")
     p.add_argument("--global-prep", action="store_true",
                    help="fit preprocessing on the full dataset (leaky variant)")
-    _add_common_selector_flags(p, with_k=False)
+    _add_common_selector_flags(p, one_dataset=False)
+    p.add_argument("--format", choices=["table", "csv", "json"], default="table",
+                   help="output format (default: table)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="re-render a JSON benchmark report")

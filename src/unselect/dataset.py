@@ -213,6 +213,13 @@ class DiscreteTable:
 
 _MISSING_TOKENS = {"", "?", "na", "nan", "n/a"}
 
+MISSING_POLICIES = ("reject", "impute", "drop")
+
+
+def _check_missing(missing):
+    if missing not in MISSING_POLICIES:
+        raise ValueError(f"unknown missing-value policy {missing!r}")
+
 
 def _parse_cell(text, row, col):
     """A feature cell as a finite float; None marks a missing value."""
@@ -250,14 +257,13 @@ def _build_table(path, rows, row_numbers, names, label_idx, missing, name,
                  label_chars=None):
     """The DataTable of a file's rows of cells, at file rows ``row_numbers``.
 
-    ``names`` has one entry per file column and sets the row width; None
-    means no names (the first row sets the width, features become ``a1,
-    a2, ...``).  ``label_idx`` is the 0-based label column or None; a label
-    cell is stripped of ``label_chars`` (whitespace if None).  Holes follow
-    the missing-value policy, and a missing label, which only ``drop`` lets
+    ``names`` has one entry per file column and sets the row width.
+    ``label_idx`` is the 0-based label column or None; a label cell is
+    stripped of ``label_chars`` (whitespace if None).  Holes follow the
+    missing-value policy, and a missing label, which only ``drop`` lets
     through, drops its row.  Every error names its file row and column.
     """
-    width = len(rows[0] if names is None else names)
+    width = len(names)
     values, labels = [], None if label_idx is None else []
     for row, cells in zip(row_numbers, rows):
         if len(cells) != width:
@@ -295,65 +301,58 @@ def _build_table(path, rows, row_numbers, names, label_idx, missing, name,
                     raise ParseError(f"column {columns[j]} of {path} has no observed "
                                      "values", column=columns[j])
                 col[np.isnan(col)] = np.nanmean(col)
-        elif missing == "drop":
+        else:       # drop
             if not keep.any():
                 raise EmptyFileError(f"every row of {path} has missing values")
             data = data[keep]
             if labels is not None:
                 labels = [y for y, k in zip(labels, keep) if k]
-        else:
-            raise ValueError(f"unknown missing-value policy {missing!r}")
 
-    if names is None:
-        attr_names = tuple(f"a{j + 1}" for j in range(len(columns)))
-    else:
-        attr_names = tuple(names[c - 1] for c in columns)
     return DataTable(
         values=data,
-        attr_names=attr_names,
+        attr_names=tuple(names[c - 1] for c in columns),
         labels=None if labels is None else tuple(labels),
         name=name or os.path.splitext(os.path.basename(path))[0],
     )
 
 
-def load_csv(path, has_header=True, label_column=None, missing="reject",
-             name=None) -> DataTable:
-    """Load a comma-separated numeric file into a DataTable.
+def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
+    """Load a comma-separated numeric file with a header row into a DataTable.
 
     Parameters
     ----------
     path : file path
-    has_header : first row holds attribute names when true
     label_column : optional class column, as a 0-based index or header name
     missing : one of ``reject`` (default), ``impute`` (column mean), ``drop``
         (remove incomplete rows); a missing label fails under ``impute``
     name : table name; defaults to the file stem
     """
+    _check_missing(missing)
     with open(path, newline="", encoding="utf-8") as fh:
-        raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+        records = list(csv.reader(fh))
+    raw = [row for row in records if any(c.strip() for c in row)]
     if not raw:
         raise EmptyFileError(f"no data in {path}")
+    # a blank line is an empty record, so record i is file row i (no cell spans lines)
+    row_numbers = (range(1, len(raw) + 1) if len(raw) == len(records) else
+                   [i for i, row in enumerate(records, 1) if any(c.strip() for c in row)])
 
-    header = None
-    if has_header:
-        header = [c.strip() for c in raw[0]]
-        raw = raw[1:]
-        if not raw:
-            raise EmptyFileError(f"only a header row in {path}")
+    header = [c.strip() for c in raw[0]]
+    raw = raw[1:]
+    if not raw:
+        raise EmptyFileError(f"only a header row in {path}")
 
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
-            if header is None or label_column not in header:
+            if label_column not in header:
                 raise ParseError(f"label column {label_column!r} not in header")
             label_idx = header.index(label_column)
         else:
             label_idx = int(label_column)
-            if not 0 <= label_idx < len(header or raw[0]):
+            if not 0 <= label_idx < len(header):
                 raise ParseError(f"label column index {label_idx} out of range")
-    first = 1 + int(has_header)
-    row_numbers = range(first, first + len(raw))
-    return _build_table(path, raw, row_numbers, header, label_idx, missing, name)
+    return _build_table(path, raw, row_numbers[1:], header, label_idx, missing, name)
 
 
 _ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
@@ -389,6 +388,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     numbers.  Anything fancier (strings, dates, sparse data) is out of
     scope.
     """
+    _check_missing(missing)
     attrs = []          # (name, kind) with kind 'num' | 'nominal'
     data_rows, line_numbers = [], []
     in_data = False
@@ -431,22 +431,30 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
                         missing, name, label_chars="'\"")
 
 
-def load_table(path, label_column=None, missing="reject", name=None,
-               has_header=True) -> DataTable:
+def load_table(path, label_column=None, missing="reject", name=None) -> DataTable:
     """Dispatch on extension: .arff via load_arff, anything else as CSV."""
     if str(path).lower().endswith(".arff"):
         return load_arff(path, missing=missing, name=name)
-    return load_csv(path, has_header=has_header, label_column=label_column,
-                    missing=missing, name=name)
+    return load_csv(path, label_column=label_column, missing=missing, name=name)
 
 
-def write_csv(table: DataTable, path, label_name="class"):
-    """Write a DataTable back to CSV (header row, repr-precision floats)."""
+def label_column_from_text(text):
+    """``load_csv``'s label_column from a registry field or ``--label-col``:
+    None for ``auto`` or None, 0-based for a 1-based number, else a name."""
+    if text is None or text == "auto":
+        return None
+    if text.isdigit():
+        return int(text) - 1
+    return text
+
+
+def write_csv(table: DataTable, path):
+    """Write a DataTable to CSV: header row, repr-precision floats, labels as ``class``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = list(table.attr_names)
         if table.labels is not None:
-            header.append(label_name)
+            header.append("class")
         writer.writerow(header)
         for i in range(table.n_objects):
             row = [repr(float(v)) for v in table.values[i]]
@@ -561,14 +569,8 @@ class Registry:
         path = os.path.join(self.root, rel_path)
         if not os.path.exists(path):
             raise DatasetError(f"dataset {dataset_name!r}: no file at {path}")
-        if label == "auto":
-            label_column = None
-        elif label.isdigit():
-            label_column = int(label) - 1          # registry file is 1-based
-        else:
-            label_column = label
-        return load_table(path, label_column=label_column, missing=missing,
-                          name=dataset_name)
+        return load_table(path, label_column=label_column_from_text(label),
+                          missing=missing, name=dataset_name)
 
 
 def load_registry(path) -> Registry:

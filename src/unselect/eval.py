@@ -5,8 +5,8 @@ tables.
 The three classifiers (Gaussian naive Bayes, k-NN, a discrete decision
 table) stand in for the Weka lineup.  Each is a fit function in
 ``CLASSIFIERS`` with one signature, ``fit(train, prep=None, *, strategy,
-bins, knn_k)``, that ignores the options it has no use for and returns a
-frozen model whose ``predict(rows)`` labels a whole test matrix.  ``prep``
+bins)``, that ignores the options it has no use for and returns a frozen
+model whose ``predict(rows)`` labels a whole test matrix.  ``prep``
 holds the rows the fold-level preprocessing (k-NN's z-score scaling, the
 decision table's cut points) is fit on: the training rows when None, and
 every row only under the leaky global-prep variant.  Models fit on class
@@ -60,6 +60,8 @@ EDR_K = {"lung": 6, "breast": 5, "diabetes": 4, "heart": 4, "ecoli": 4}
 PCA_K = {"lung": 17, "breast": 6, "diabetes": 3, "heart": 5, "ecoli": 3}
 
 VARIANCE_FLOOR = 1e-9
+
+KNN_K = 3           # neighbours voting in k-NN; only knn_fit itself takes another k
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,7 @@ class NbModel(_Model):
         return self.fitted[np.argmax(ll, axis=1)]
 
 
-def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
-                    knn_k=3) -> NbModel:
+def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3) -> NbModel:
     """Class priors plus per-class, per-attribute normal densities, for
     the classes that have training rows."""
     if train.labels is None:
@@ -222,7 +223,7 @@ class KnnModel(_Model):
 
 
 def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
-            knn_k=3) -> KnnModel:
+            knn_k=KNN_K) -> KnnModel:
     """Store the training rows z-scored with the mean and std of prep."""
     if train.labels is None:
         raise ValueError("k-NN needs labeled training data")
@@ -254,8 +255,8 @@ class DecisionTableModel(_Model):
                          for key in map(tuple, codes.tolist())], dtype=np.intp)
 
 
-def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
-                       knn_k=3) -> DecisionTableModel:
+def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq",
+                       bins=3) -> DecisionTableModel:
     """Bin with cut points fit on prep, then map each training code tuple
     to its majority class (ties: lexicographically smallest)."""
     if train.labels is None:
@@ -294,7 +295,7 @@ class CvResult:
 
 def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
                    plan: FoldPlan, *, strategy: str = "eqfreq", bins: int = 3,
-                   knn_k: int = 3, global_prep: bool = False) -> CvResult:
+                   global_prep: bool = False) -> CvResult:
     """Stratified k-fold accuracy of one classifier on a feature subset.
 
     Each fold fits a model on its training rows and predicts its test rows.
@@ -320,7 +321,7 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
         test_idx = plan.fold_indices(fold)
         model = fit(projected.take(plan.train_indices(fold)),
                     values if global_prep else None,
-                    strategy=strategy, bins=bins, knn_k=knn_k)
+                    strategy=strategy, bins=bins)
         corrects.append(int(np.count_nonzero(model.predict_codes(values[test_idx])
                                              == y[test_idx])))
         fold_sizes.append(len(test_idx))
@@ -362,20 +363,15 @@ def config_fingerprint(resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _pinned_k(method: str, dataset_name: str, d: int, cfg: SelectorConfig):
-    if method == "edr":
-        if cfg.edr_k is not None:
-            return min(cfg.edr_k, d)
-        return min(EDR_K.get(dataset_name, 4), d)
-    if method == "pca":
-        return min(PCA_K.get(dataset_name, 4), d)
-    return None
+def _pinned_k(method: str, dataset_name: str, d: int):
+    pinned = {"edr": EDR_K, "pca": PCA_K}.get(method)
+    return None if pinned is None else min(pinned.get(dataset_name, 4), d)
 
 
 def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
                   classifiers=CLASSIFIER_IDS, seed: int = 1, folds: int = 10,
                   cfg: SelectorConfig = SelectorConfig(), missing: str = "reject",
-                  global_prep: bool = False, knn_k: int = 3) -> EvalReport:
+                  global_prep: bool = False) -> EvalReport:
     """Evaluate the full dataset x method x classifier cross product.
 
     Subsets are selected once per dataset on the full unlabeled data (the
@@ -392,7 +388,7 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
         "strategy": cfg.strategy,
         "bins": cfg.bins,
         "pc_policy": list(cfg.pc_policy),
-        "knn_k": knn_k,
+        "knn_k": KNN_K,
         "global_prep": global_prep,
         "missing": missing,
     }
@@ -410,12 +406,11 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
             continue
         for method in methods:
             try:
-                k = _pinned_k(method, dataset_name, table.n_attrs, cfg)
+                k = _pinned_k(method, dataset_name, table.n_attrs)
                 subset = select(table, method, cfg, k)
                 results = [
                     cross_validate(table, subset, classifier, plan,
-                                   strategy=cfg.strategy, bins=cfg.bins, knn_k=knn_k,
-                                   global_prep=global_prep)
+                                   strategy=cfg.strategy, bins=cfg.bins, global_prep=global_prep)
                     for classifier in classifiers
                 ]
             except (DatasetError, ValueError) as exc:

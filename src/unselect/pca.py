@@ -1,10 +1,9 @@
 """Principal component analysis with SVD and covariance-eigen backends.
 
 Fits a PCModel over mean-centered data, decides how many components to
-keep under several retention policies, projects tables onto the kept
-components, and scores the original attributes from the loadings.
-``selectors.pca_scores`` ranks the attributes by those scores, next to
-``selectors.edr_scores`` for EDR.
+keep under several retention policies, and scores the original
+attributes from the loadings.  ``selectors.pca_scores`` ranks the
+attributes by those scores, next to ``selectors.edr_scores`` for EDR.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .dataset import DataTable
 
-__all__ = ["PCModel", "fit_pca", "retain_count", "transform", "loading_scores"]
+__all__ = ["PCModel", "fit_pca", "retain_count", "loading_scores"]
 
 
 @dataclass(frozen=True)
@@ -121,24 +120,6 @@ def retain_count(model: PCModel, policy) -> int:
             raise ValueError(f"fixed retention count must be positive, got {k}")
         return min(k, model.n_components)
     raise ValueError(f"unknown retention policy {kind!r}")
-
-
-def transform(model: PCModel, table: DataTable, k: int) -> DataTable:
-    """Project a table onto the first k principal directions (scores)."""
-    if not 1 <= k <= model.n_components:
-        raise ValueError(f"k={k} out of range for {model.n_components} components")
-    if table.n_attrs != model.loadings.shape[0]:
-        raise ValueError(
-            f"table has {table.n_attrs} attributes, model expects "
-            f"{model.loadings.shape[0]}"
-        )
-    scores = (table.values - model.mean) @ model.loadings[:, :k]
-    return DataTable(
-        values=scores,
-        attr_names=tuple(f"PC{i + 1}" for i in range(k)),
-        labels=table.labels,
-        name=table.name,
-    )
 
 
 def loading_scores(model: PCModel, k: int) -> list[tuple[int, float]]:

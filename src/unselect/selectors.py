@@ -55,7 +55,6 @@ class SelectorConfig:
     pc_policy: tuple = ("var", 0.90)
     strategy: str = "eqfreq"
     bins: int = 3
-    edr_k: int | None = None
 
     def __post_init__(self):
         if self.strategy not in ("eqwidth", "eqfreq"):
@@ -183,18 +182,17 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
 
 
 def select(table: DataTable, method: str, cfg: SelectorConfig, k: int | None = None) -> FeatureSubset:
-    """Run one of the four selectors by id; k applies to pca and edr."""
+    """Run one of the four selectors by id; pca and edr need k, the others refuse it."""
+    if method not in METHOD_IDS:
+        raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHOD_IDS)}")
+    if method in ("pca", "edr") and k is None:
+        raise ValueError(f"{method} selection needs k")
+    if method in ("roughpca", "usqr") and k is not None:
+        raise ValueError(f"{method} decides its own subset size; k applies only to pca and edr")
     if method == "pca":
-        if k is None:
-            raise ValueError("pca selection needs k")
         return pca_select(table, cfg, k)
+    if method == "edr":
+        return edr_select(table, k)
     if method == "roughpca":
         return rough_pca_select(table, cfg)
-    if method == "edr":
-        k = k if k is not None else cfg.edr_k
-        if k is None:
-            raise ValueError("edr selection needs k")
-        return edr_select(table, k)
-    if method == "usqr":
-        return usqr(discretize(table, cfg.strategy, cfg.bins))
-    raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHOD_IDS)}")
+    return usqr(discretize(table, cfg.strategy, cfg.bins))

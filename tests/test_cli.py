@@ -28,7 +28,7 @@ def toy_csv(tmp_path, name="toy.csv", n=20, seed=50):
     labels = tuple(np.where(values[:, 0] > 0, "p", "n"))
     t = DataTable(values=values, attr_names=("x", "y", "z"), labels=labels)
     path = tmp_path / name
-    write_csv(t, path, label_name="class")
+    write_csv(t, path)
     return str(path)
 
 
@@ -71,6 +71,15 @@ def test_select_edr_without_k_exits_2(capsys):
     )
     assert code == 2
     assert "--k" in err
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+@pytest.mark.parametrize("method", ["usqr", "roughpca"])
+def test_k_with_a_greedy_method_exits_2(capsys, command, method):
+    code, out, err = run(capsys, command, "--data", diabetes_path(), "--method",
+                         method, "--k", "2")
+    assert code == 2
+    assert out == "" and "k applies only to pca and edr" in err
 
 
 def test_select_missing_file_exits_3(capsys):
@@ -248,6 +257,24 @@ def test_bench_method_error_exits_4_and_names_the_method(capsys, monkeypatch):
     assert "Naive Bayes" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("bench", "--methods", "foo"),
+    ("bench", "--methods", "edr,foo"),
+    ("bench", "--classifiers", "nb,foo"),
+    ("evaluate", "--data", "ecoli", "--method", "edr", "--k", "2", "--classifiers", "foo"),
+])
+def test_unknown_id_in_a_list_exits_2_before_any_load(capsys, monkeypatch, argv):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded")
+
+    monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "foo" in err
+
+
 def test_report_rerenders_json(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
     report_path = tmp_path / "r.json"
@@ -278,7 +305,7 @@ def test_help_lists_flags_with_defaults():
             if a[0] == command
         ][0][1]
         text = sub.format_help()
-        assert "--format" in text
+        assert ("--format" in text) == (command != "evaluate")
         if command == "bench":
             for flag in ("--datasets", "--methods", "--classifiers", "--folds",
                          "--seed", "--bins", "--strategy", "--pc-policy",

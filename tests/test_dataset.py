@@ -12,6 +12,7 @@ from unselect.dataset import (
     fit_cut_points,
     load_arff,
     load_csv,
+    load_table,
     project,
     write_csv,
     zscore_normalize,
@@ -31,7 +32,7 @@ def table(rows, labels=None, names=None):
 def test_load_csv_with_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b\n1,2\n3,4\n")
-    t = load_csv(p, has_header=True)
+    t = load_csv(p)
     assert t.n_objects == 2 and t.n_attrs == 2
     assert t.attr_names == ("a", "b")
     assert t.values[1, 1] == 4.0
@@ -41,14 +42,37 @@ def test_load_csv_ragged_row_names_row(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b\n1,2\n3,4,5\n")
     with pytest.raises(ParseError, match="row 3"):
-        load_csv(p, has_header=True)
+        load_csv(p)
 
 
 def test_load_csv_non_numeric_cell_coordinates(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("1,2\n3,oops\n")
-    with pytest.raises(ParseError, match="row 2, column 2"):
-        load_csv(p, has_header=False)
+    p.write_text("x,y\n1,2\n3,oops\n")
+    with pytest.raises(ParseError, match="row 3, column 2"):
+        load_csv(p)
+
+
+def test_load_csv_blank_lines_keep_file_row_numbers(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y\n1,2\n\n3,oops\n")
+    with pytest.raises(ParseError, match="row 4, column 2") as err:
+        load_csv(p)
+    assert (err.value.row, err.value.column) == (4, 2)
+    p.write_text("\n\nx,y\n1,2\n3,4,5\n")
+    with pytest.raises(ParseError, match="row 5") as err:
+        load_csv(p)
+    assert err.value.row == 5
+
+
+@pytest.mark.parametrize("suffix, text", [
+    ("csv", "x,y\n1,2\n3,4\n"),
+    ("arff", "@relation t\n@attribute x real\n@attribute y real\n@data\n1,2\n3,4\n"),
+])
+def test_unknown_missing_policy_is_rejected_on_a_file_without_holes(tmp_path, suffix, text):
+    p = tmp_path / f"t.{suffix}"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="unknown missing-value policy 'bogus'"):
+        load_table(p, missing="bogus")
 
 
 def test_load_csv_empty_file_distinct_error(tmp_path):
@@ -69,12 +93,12 @@ def test_load_csv_label_by_name_and_index(tmp_path):
 
 def test_load_csv_missing_policies(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("1,2\n?,6\n3,4\n")
-    with pytest.raises(ParseError, match="row 2, column 1"):
-        load_csv(p, has_header=False)
-    imputed = load_csv(p, has_header=False, missing="impute")
+    p.write_text("x,y\n1,2\n?,6\n3,4\n")
+    with pytest.raises(ParseError, match="row 3, column 1"):
+        load_csv(p)
+    imputed = load_csv(p, missing="impute")
     assert imputed.values[1, 0] == pytest.approx(2.0)  # mean of 1 and 3
-    dropped = load_csv(p, has_header=False, missing="drop")
+    dropped = load_csv(p, missing="drop")
     assert dropped.n_objects == 2
     assert list(dropped.values[:, 0]) == [1.0, 3.0]
 
@@ -144,8 +168,8 @@ def test_benchmark_table_metadata(registry):
 
 def test_csv_round_trip(tmp_path, diabetes):
     p = tmp_path / "out.csv"
-    write_csv(diabetes, p, label_name="class")
-    back = load_csv(p, has_header=True, label_column="class")
+    write_csv(diabetes, p)
+    back = load_csv(p, label_column="class")
     assert back.n_objects == diabetes.n_objects
     assert np.max(np.abs(back.values - diabetes.values)) < 1e-12
     assert back.labels == diabetes.labels
@@ -167,7 +191,7 @@ label_text = st.text(
 def test_write_csv_load_csv_round_trip_is_exact(tmp_path_factory, rows):
     t = table([r for r, _ in rows], labels=tuple(y for _, y in rows))
     p = tmp_path_factory.mktemp("rt") / "t.csv"
-    write_csv(t, p, label_name="class")
+    write_csv(t, p)
     back = load_csv(p, label_column="class")
     assert back.values.tobytes() == t.values.tobytes()
     assert (back.labels, back.classes) == (t.labels, t.classes)

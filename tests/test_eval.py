@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from unselect.eval import (
     render_text_tables,
     run_benchmark,
 )
-from unselect.selectors import SelectorConfig, select
+from unselect.selectors import select
 
 
 def table(rows, labels, names=None):
@@ -370,14 +371,15 @@ def test_cv_constant_features_behave_like_majority_classifier():
     assert 35.0 <= result.accuracy <= 65.0
 
 
-def test_cv_leave_one_out_knn_on_duplicated_rows():
+def test_cv_leave_one_out_knn_on_duplicated_rows(monkeypatch):
     rng = np.random.default_rng(32)
     base = rng.normal(size=(6, 3))
     values = np.vstack([base, base])
     labels = tuple("c%d" % i for i in range(6)) * 2
     t = DataTable(values=values, attr_names=("a", "b", "c"), labels=labels)
     plan = make_fold_plan(t.labels, 12, seed=1)
-    result = cross_validate(t, FeatureSubset((0, 1, 2)), "knn", plan, knn_k=1)
+    monkeypatch.setitem(CLASSIFIERS, "knn", partial(knn_fit, knn_k=1))
+    result = cross_validate(t, FeatureSubset((0, 1, 2)), "knn", plan)
     assert result.accuracy == 100.0
 
 
@@ -526,7 +528,7 @@ def small_registry(tmp_path, datasets):
     lines = []
     for name, t in datasets.items():
         path = tmp_path / f"{name}.csv"
-        write_csv(t, path, label_name="class")
+        write_csv(t, path)
         lines.append(f"{name}, {name}.csv, class")
     reg_path = tmp_path / "registry.txt"
     reg_path.write_text("\n".join(lines) + "\n")
@@ -548,7 +550,6 @@ def test_benchmark_single_cell(tmp_path):
     registry = small_registry(tmp_path, {"toy": toy_dataset()})
     report = run_benchmark(
         registry, methods=("edr",), classifiers=("nb",), seed=1, folds=4,
-        cfg=SelectorConfig(edr_k=2),
     )
     assert len(report.rows) == 1
     row = report.rows[0]
@@ -561,7 +562,7 @@ def test_benchmark_single_cell(tmp_path):
 def test_benchmark_same_seed_is_byte_identical(tmp_path):
     registry = small_registry(tmp_path, {"toy": toy_dataset()})
     kwargs = dict(methods=("edr", "usqr"), classifiers=("nb", "dtable"),
-                  seed=5, folds=4, cfg=SelectorConfig(edr_k=2))
+                  seed=5, folds=4)
     a = run_benchmark(registry, **kwargs).to_json()
     b = run_benchmark(registry, **kwargs).to_json()
     assert a == b
@@ -573,7 +574,7 @@ def test_benchmark_records_failures_and_continues(tmp_path):
                         root=registry.root)              # lost.csv is never written
     report = run_benchmark(
         registry, datasets=["ghost", "lost", "toy"], methods=("edr",),
-        classifiers=("nb",), folds=4, cfg=SelectorConfig(edr_k=2),
+        classifiers=("nb",), folds=4,
     )
     assert [e["dataset"] for e in report.errors] == ["ghost", "lost"]
     assert len(report.rows) == 1
@@ -589,17 +590,22 @@ def test_benchmark_records_errors_per_dataset_and_method(tmp_path, monkeypatch):
 
     monkeypatch.setattr("unselect.eval.select", select_failing_usqr)
     report = run_benchmark(registry, methods=("edr", "usqr", "pca"),
-                           classifiers=("nb",), folds=4, cfg=SelectorConfig(edr_k=2))
+                           classifiers=("nb",), folds=4)
     assert report.errors == [{"dataset": "toy", "method": "usqr", "error": "usqr broke"}]
     assert [r["method"] for r in report.rows] == ["edr", "pca"]
     assert "ERROR toy/usqr: usqr broke" in render_text_tables(report)
 
 
-def test_benchmark_keeps_no_rows_of_a_method_that_fails_partway(tmp_path):
+def test_benchmark_keeps_no_rows_of_a_method_that_fails_partway(tmp_path, monkeypatch):
     registry = small_registry(tmp_path, {"toy": toy_dataset()})
-    # nb succeeds, then knn refuses k=30 on 18 training rows
+
+    def failing_knn(*args, **kwargs):
+        raise ValueError("knn broke")
+
+    # nb succeeds, then knn fails
+    monkeypatch.setitem(CLASSIFIERS, "knn", failing_knn)
     report = run_benchmark(registry, methods=("edr",), classifiers=("nb", "knn"),
-                           folds=4, cfg=SelectorConfig(edr_k=2), knn_k=30)
+                           folds=4)
     assert [(e["dataset"], e["method"]) for e in report.errors] == [("toy", "edr")]
     assert report.rows == []
 
@@ -612,8 +618,7 @@ def test_benchmark_lets_programming_errors_propagate(tmp_path, monkeypatch):
 
     monkeypatch.setattr("unselect.eval.select", broken_select)
     with pytest.raises(TypeError, match="selector bug"):
-        run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=4,
-                      cfg=SelectorConfig(edr_k=2))
+        run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=4)
 
 
 def test_benchmark_rows_sorted_and_report_round_trips(tmp_path):
@@ -622,7 +627,7 @@ def test_benchmark_rows_sorted_and_report_round_trips(tmp_path):
     )
     report = run_benchmark(
         registry, methods=("usqr", "edr"), classifiers=("knn", "nb"),
-        folds=4, cfg=SelectorConfig(edr_k=2),
+        folds=4,
     )
     keys = [(r["dataset"], r["method"], r["classifier"]) for r in report.rows]
     assert keys == sorted(keys)
@@ -634,7 +639,7 @@ def test_render_table_and_csv_shapes(tmp_path):
     registry = small_registry(tmp_path, {"toy": toy_dataset()})
     report = run_benchmark(
         registry, methods=("edr", "usqr"), classifiers=("nb", "knn", "dtable"),
-        folds=4, cfg=SelectorConfig(edr_k=2),
+        folds=4,
     )
     text = render_text_tables(report, methods=("edr", "usqr"))
     assert "Classification accuracy for toy" in text

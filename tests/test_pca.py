@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unselect.dataset import DataTable, zscore_normalize
-from unselect.pca import PCModel, fit_pca, loading_scores, retain_count, transform
+from unselect.pca import PCModel, fit_pca, loading_scores, retain_count
 
 
 def table(rows):
@@ -146,39 +146,15 @@ def test_retain_diabetes_cross_checked_by_eigenvalue_cumsum(diabetes):
 
 
 # ---------------------------------------------------------------------------
-# transform
+# component scores
 
 def test_transform_score_variances_match_eigenvalues():
     rng = np.random.default_rng(9)
     t = table(rng.normal(size=(40, 4)))
     model = fit_pca(t)
-    scores = transform(model, t, model.n_components)
-    variances = scores.values.var(axis=0, ddof=1)
+    scores = (t.values - model.mean) @ model.loadings
+    variances = scores.var(axis=0, ddof=1)
     assert variances == pytest.approx(model.eigenvalues(), abs=1e-8)
-
-
-def test_transform_two_point_scores():
-    model = fit_pca(DIAGONAL)
-    scores = transform(model, DIAGONAL, 1)
-    assert sorted(scores.values[:, 0]) == pytest.approx(
-        [-np.sqrt(2), np.sqrt(2)], abs=1e-12
-    )
-
-
-def test_transform_prefix_property():
-    rng = np.random.default_rng(10)
-    t = table(rng.normal(size=(9, 5)))
-    model = fit_pca(t)
-    k3 = transform(model, t, 3)
-    k2 = transform(model, t, 2)
-    assert np.array_equal(k3.values[:, :2], k2.values)
-    assert k3.attr_names[:2] == k2.attr_names
-
-
-def test_transform_dimension_mismatch():
-    model = fit_pca(DIAGONAL)
-    with pytest.raises(ValueError):
-        transform(model, table([[1, 2, 3]] * 2), 1)
 
 
 # ---------------------------------------------------------------------------
