@@ -81,15 +81,23 @@ def _registry(args):
 
 
 def _load_dataset(args):
-    """--data is a file path or a registry name."""
+    """--data is a file path or a registry name; --label-col applies to a
+    CSV file only."""
     registry = _registry(args)
     if os.path.exists(args.data):
+        if args.label_col is not None and args.data.lower().endswith(".arff"):
+            raise CliError("--label-col applies only to a CSV file; an ARFF file's "
+                           "label is its trailing nominal attribute", EXIT_CONFIG)
         return load_table(
             args.data,
             label_column=label_column_from_text(args.label_col),
             missing=args.missing,
         )
     if args.data in registry.entries:
+        if args.label_col is not None:
+            raise CliError(f"--label-col applies only to a CSV file; registry dataset "
+                           f"{args.data!r} takes its label column from the registry",
+                           EXIT_CONFIG)
         return registry.load(args.data, missing=args.missing)
     raise CliError(
         f"dataset {args.data!r} is neither a file nor a registry name "
@@ -186,8 +194,10 @@ def cmd_evaluate(args):
             f"subset={subset.to_one_based()} accuracy={result.accuracy:.4f}"
         )
     resolved = {"command": "evaluate", "data": table.name,
-                "method": args.method, "seed": args.seed, "folds": args.folds,
-                "strategy": cfg.strategy, "bins": cfg.bins}
+                "method": args.method, "k": args.k, "seed": args.seed, "folds": args.folds,
+                "strategy": cfg.strategy, "bins": cfg.bins,
+                "pc_policy": list(cfg.pc_policy), "classifiers": list(args.classifiers),
+                "missing": args.missing, "global_prep": args.global_prep}
     lines.append(f"fingerprint: {config_fingerprint(resolved)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -13,8 +13,12 @@ at once.  Rows carry weights, so the USQR search (``selectors.usqr``)
 scores the table's ``distinct_rows`` in place of their identical copies.
 That search compares integer totals against n*d, the total of the full
 attribute set, whose mean dependency is always 1; it refines the chosen
-subset's groups one candidate at a time, and drops the rows already
-alone in their group, which stay positive under every refinement.
+subset's groups one candidate at a time.  After each round it drops the
+rows already alone in their group, and (found by ``pure_columns``) the
+pseudo-decision columns already constant inside every group: both stay
+positive under every refinement, so their weight is settled once.  A
+settled column is no longer a candidate either, since adding it would
+not change the groups.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "gamma",
     "mean_dependency_exact",
     "positive_total",
+    "pure_columns",
     "distinct_rows",
     "is_superreduct",
     "brute_force_min_reducts",
@@ -172,22 +177,37 @@ def positive_region(cond: Partition, dec: Partition) -> set:
     return out
 
 
-def positive_total(keys: np.ndarray, weights: np.ndarray, decisions: np.ndarray) -> int:
-    """Positive-region weight of the grouping ``keys``, summed over every
-    column of ``decisions`` taken as the decision.
+def _pure_groups(keys: np.ndarray, decisions: np.ndarray):
+    """One stable sort of ``keys``: the row order, the start of each
+    group's run of sorted rows, and a groups x columns mask that is true
+    where every row of the group agrees on the column.
 
-    Rows sharing a key form one condition group, and a group lies in the
-    positive region of column y iff all its rows agree on y.  One stable
-    sort of the keys serves every column at once: the minimum and maximum
-    of each group's run of sorted rows are equal exactly on the pure
-    groups.  ``weights`` counts the objects each row stands for.
+    Rows sharing a key form one condition group.  The minimum and maximum
+    of a group's run of sorted rows are equal exactly on its pure columns.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
     rows = decisions[order]
-    pure = np.minimum.reduceat(rows, starts) == np.maximum.reduceat(rows, starts)
+    return order, starts, np.minimum.reduceat(rows, starts) == np.maximum.reduceat(rows, starts)
+
+
+def positive_total(keys: np.ndarray, weights: np.ndarray, decisions: np.ndarray) -> int:
+    """Positive-region weight of the grouping ``keys``, summed over every
+    column of ``decisions`` taken as the decision.
+
+    A group lies in the positive region of column y iff all its rows agree
+    on y, so one sort of the keys serves every column at once.
+    ``weights`` counts the objects each row stands for.
+    """
+    order, starts, pure = _pure_groups(keys, decisions)
     return int(pure.sum(axis=1) @ np.add.reduceat(weights[order], starts))
+
+
+def pure_columns(keys: np.ndarray, decisions: np.ndarray) -> np.ndarray:
+    """Per column of ``decisions``: whether it is constant inside every
+    group of the grouping ``keys``, so that every row is positive for it."""
+    return _pure_groups(keys, decisions)[2].all(axis=0)
 
 
 def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:

@@ -148,37 +148,50 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     compares integer positive-region totals and stops at total n*d.  It
     works on the distinct rows weighted by their counts, and on the group
     ids of the chosen subset: a candidate x only refines those groups, by
-    the key ``ids * bins[x] + codes[:, x]``.  A row alone in its group is
-    positive for every pseudo-decision under any refinement, so after each
-    round such rows move into a settled total (the positive-approximation
-    accelerator) and leave the arrays every later candidate sorts.
+    the key ``ids * bins[x] + codes[:, x]``.  Positive weight that no
+    refinement can change moves into a settled total after each round:
+
+    - a row alone in its group is positive for every pseudo-decision (the
+      positive-approximation accelerator), and leaves the rows every later
+      candidate sorts;
+    - a column constant inside every group is positive on every row, and
+      leaves the pseudo-decision columns every later candidate scores.
+
+    A settled column also stops being a candidate.  Adding it would leave
+    the groups, and so the total, as they are, while adding any column
+    that is still live splits a group it varies in and raises the total,
+    so a settled column could never win a round.  The chosen attribute
+    settles in the round that adds it, so the live columns are exactly the
+    candidates left.
     """
     codes, weights = roughset.distinct_rows(table)
     bins = table.bins_per_attr
-    d = table.n_attrs
-    target = table.n_objects * d
+    target = table.n_objects * table.n_attrs
     ids = np.zeros(len(weights), dtype=np.int64)
     settled = 0
     chosen: list[int] = []
-    remaining = list(range(d))
+    live = list(range(table.n_attrs))     # original index of each column of codes
     while True:
-        best, best_total = None, -1
-        for x in remaining:
-            keys = ids * bins[x] + codes[:, x]
+        best, best_total = None, -1     # best is a position in live
+        for i, x in enumerate(live):
+            keys = ids * bins[x] + codes[:, i]
             total = settled + roughset.positive_total(keys, weights, codes)
             if total > best_total:
-                best, best_total = x, total
+                best, best_total = i, total
                 if total == target:     # no later candidate can exceed it
                     break
-        chosen.append(best)
-        remaining.remove(best)
+        chosen.append(live[best])
         if best_total == target:
             return FeatureSubset(tuple(chosen))
-        _, ids, sizes = np.unique(ids * bins[best] + codes[:, best],
+        _, ids, sizes = np.unique(ids * bins[live[best]] + codes[:, best],
                                   return_inverse=True, return_counts=True)
         alone = sizes[ids] == 1
-        settled += d * int(weights[alone].sum())
+        settled += len(live) * int(weights[alone].sum())
         ids, codes, weights = ids[~alone], codes[~alone], weights[~alone]
+        pure = roughset.pure_columns(ids, codes)
+        settled += int(pure.sum()) * int(weights.sum())
+        codes = codes[:, ~pure]
+        live = [x for x, p in zip(live, pure) if not p]
 
 
 def select(table: DataTable, method: str, cfg: SelectorConfig, k: int | None = None) -> FeatureSubset:

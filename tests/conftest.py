@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -35,3 +36,24 @@ def lung(registry):
 @pytest.fixture(scope="session")
 def breast(registry):
     return registry.load("breast")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` replaces every binding of fn in the package's
+    modules, however it was imported, by a wrapper that records each
+    call's arguments; it returns the record."""
+    def wrap(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("unselect"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+    return wrap

@@ -2,7 +2,6 @@ import json
 import os
 import re
 import shlex
-import sys
 
 import numpy as np
 import pytest
@@ -98,27 +97,10 @@ def test_select_registry_name_resolution(capsys, tmp_path, monkeypatch):
     assert "subset: 1,5,6,2" in out
 
 
-def count_calls(monkeypatch, fn):
-    """Replace every binding of fn in the package's modules, however it was
-    imported, by a wrapper that records each call; returns the record."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("unselect"):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("method, scorer", [("pca", pca.fit_pca),
                                             ("edr", selectors.edr_scores)])
-def test_select_ranks_once(capsys, monkeypatch, method, scorer):
-    calls = count_calls(monkeypatch, scorer)
+def test_select_ranks_once(capsys, count_calls, method, scorer):
+    calls = count_calls(scorer)
     code, out, _ = run(capsys, "select", "--data", diabetes_path(), "--method",
                        method, "--k", "3")
     assert code == 0 and "ranking:" in out
@@ -182,6 +164,33 @@ def test_evaluate_reports_accuracy(capsys, tmp_path):
     assert code == 0
     assert "accuracy=" in out
     assert out.count("accuracy=") == 2
+
+
+def test_evaluate_fingerprint_covers_every_setting(capsys, tmp_path):
+    data = toy_csv(tmp_path)
+    base = ["evaluate", "--data", data, "--label-col", "class", "--method", "edr",
+            "--k", "2", "--folds", "4"]
+
+    def fingerprint(*extra):
+        code, out, _ = run(capsys, *base, *extra)
+        assert code == 0
+        return out.strip().splitlines()[-1]
+
+    changed = [("--k", "3"), ("--pc-policy", "kaiser"), ("--classifiers", "knn"),
+               ("--missing", "drop"), ("--global-prep",)]
+    prints = [fingerprint()] + [fingerprint(*flags) for flags in changed]
+    assert len(set(prints)) == len(prints)
+    assert fingerprint() == prints[0]
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+@pytest.mark.parametrize("data, reason", [("heart", "from the registry"),
+                                          (diabetes_path(), "trailing nominal attribute")])
+def test_label_col_on_a_registry_name_or_arff_file_exits_2(capsys, command, data, reason):
+    code, out, err = run(capsys, command, "--data", data, "--label-col", "3",
+                         "--method", "edr", "--k", "2")
+    assert code == 2
+    assert out == "" and "--label-col applies only to a CSV file" in err and reason in err
 
 
 def test_bench_table_shape_and_exit_zero(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unselect import roughset
 from unselect.dataset import DataTable, DiscreteTable, FeatureSubset, discretize, project, zscore_normalize
 from unselect.pca import fit_pca, retain_count
 from unselect.roughset import brute_force_min_reducts, is_superreduct, mean_dependency_exact
@@ -171,9 +172,12 @@ def reference_usqr(t):
 
 @st.composite
 def discrete_tables(draw):
-    """n in [1, 40], d in [1, 8]; each column takes 1-3 codes that need not
-    be contiguous (a 1-code column is constant), under a bin count that may
-    exceed the largest code; rows repeat from a smaller pool of rows."""
+    """n in [1, 40], d in [1, 8] drawn columns; each takes 1-3 codes that
+    need not be contiguous (a 1-code column is constant), under a bin count
+    that may exceed the largest code; rows repeat from a smaller pool of
+    rows.  Up to three more columns copy a drawn column or relabel its
+    codes cyclically, so the search meets columns that settle before they
+    are chosen."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 8))
     values = [draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
@@ -181,9 +185,15 @@ def discrete_tables(draw):
     pool = [[draw(st.sampled_from(v)) for v in values]
             for _ in range(draw(st.integers(1, n)))]
     rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
-    bins = tuple(max(v) + 1 + draw(st.integers(0, 2)) for v in values)
-    return DiscreteTable(codes=np.asarray(rows), bins_per_attr=bins,
-                         attr_names=tuple(f"a{j}" for j in range(d)))
+    bins = [max(v) + 1 + draw(st.integers(0, 2)) for v in values]
+    twins = st.tuples(st.integers(0, d - 1), st.integers(0, 2))
+    for j, shift in draw(st.lists(twins, max_size=3)):
+        v = values[j]
+        relabel = {c: v[(i + shift) % len(v)] for i, c in enumerate(v)}
+        rows = [r + [relabel[r[j]]] for r in rows]
+        bins.append(bins[j])
+    return DiscreteTable(codes=np.asarray(rows), bins_per_attr=tuple(bins),
+                         attr_names=tuple(f"a{j}" for j in range(len(bins))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,6 +213,29 @@ def test_usqr_non_contiguous_codes_with_duplicates():
     t = DiscreteTable(codes=np.array([[4, 0], [2, 2], [2, 2], [2, 0], [4, 0]]),
                       bins_per_attr=(5, 3), attr_names=("a", "b"))
     assert usqr(t).indices == reference_usqr(t) == (0, 1)
+
+
+@pytest.mark.parametrize("a", [[0, 0, 1, 1, 2, 2], [1, 1, 2, 2, 0, 0], [0, 0, 2, 2, 1, 1]])
+def test_usqr_keeps_a_column_impure_in_one_group_live(a):
+    # after round one picks a, y is constant in two of a's three groups but
+    # not in the third (last, first or middle in key order): y must stay a
+    # live pseudo-decision and a candidate, and round two must add it
+    t = dtable([a, [0, 0, 1, 1, 0, 1]])
+    assert usqr(t).indices == reference_usqr(t) == (0, 1)
+
+
+def test_usqr_never_scores_a_settled_copy(count_calls):
+    # a2 relabels a0 cyclically; once a0 is chosen, a2 is constant in every
+    # group, so round two scores b alone: 3 + 1 scorer calls, not 3 + 2
+    a = [0, 0, 1, 1, 2, 2]
+    t = dtable([a, [0, 1, 0, 1, 0, 1], [(x + 1) % 3 for x in a]])
+    calls = count_calls(roughset.positive_total)
+    assert usqr(t).indices == (0, 1)
+    assert len(calls) == 3 + 1
+    # the round-two call scores the one live pseudo-decision, b
+    _, _, decisions = calls[-1]
+    assert decisions.shape[1] == 1
+    assert reference_usqr(t) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
