@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .dataset import (
     MISSING_POLICIES,
@@ -50,17 +51,12 @@ class CliError(Exception):
 
 
 def _parse_pc_policy(text):
-    if text == "kaiser":
-        return ("kaiser", None)
-    kind, _, arg = text.partition(":")
-    if kind not in ("var", "fixed"):
-        raise CliError(
-            f"unknown pc policy {text!r}; use var:F, kaiser or fixed:K", EXIT_CONFIG
-        )
+    """``kind[:arg]`` as a policy tuple; ``pca.check_policy`` judges it."""
+    kind, sep, arg = text.partition(":")
     try:
-        return (kind, float(arg) if kind == "var" else int(arg))
+        return (kind, (int(arg) if kind == "fixed" else float(arg)) if sep else None)
     except ValueError:
-        raise CliError(f"bad pc policy {text!r}", EXIT_CONFIG) from None
+        raise ValueError(f"invalid pc policy {text!r}: use var:F, kaiser or fixed:K") from None
 
 
 def _id_list(valid):
@@ -135,8 +131,8 @@ def _render(report, fmt):
 
 
 def cmd_select(args):
-    table = _load_dataset(args)
     cfg = _selector_config(args)
+    table = _load_dataset(args)
     ranking = None
     try:
         if args.method in ("pca", "edr"):
@@ -148,17 +144,9 @@ def cmd_select(args):
             subset = select(table, args.method, cfg, args.k)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
-    resolved = {
-        "command": "select",
-        "data": table.name,
-        "method": args.method,
-        "k": args.k,
-        "strategy": cfg.strategy,
-        "bins": cfg.bins,
-        "pc_policy": list(cfg.pc_policy),
-        "missing": args.missing,
-    }
-    fingerprint = config_fingerprint(resolved)
+    fingerprint = config_fingerprint(dict(
+        asdict(cfg), command="select", data=table.name, method=args.method,
+        k=args.k, missing=args.missing))
     if args.format == "json":
         payload = json.dumps(
             {"subset": subset.to_one_based(), "fingerprint": fingerprint}, sort_keys=True
@@ -173,40 +161,34 @@ def cmd_select(args):
 
 
 def cmd_evaluate(args):
+    cfg = _selector_config(args)
     table = _load_dataset(args)
     if table.labels is None:
         raise CliError("evaluation needs a labeled dataset", EXIT_DATA)
-    cfg = _selector_config(args)
+    lines = []
     try:
         subset = select(table, args.method, cfg, args.k)
         plan = make_fold_plan(table.labels, args.folds, args.seed)
+        for classifier in args.classifiers:
+            result = cross_validate(table, subset, classifier, plan, strategy=cfg.strategy,
+                                    bins=cfg.bins, global_prep=args.global_prep)
+            lines.append(f"{table.name} {args.method} {classifier} "
+                         f"subset={subset.to_one_based()} accuracy={result.accuracy:.4f}")
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
-    lines = []
-    for classifier in args.classifiers:
-        result = cross_validate(
-            table, subset, classifier, plan,
-            strategy=cfg.strategy, bins=cfg.bins,
-            global_prep=args.global_prep,
-        )
-        lines.append(
-            f"{table.name} {args.method} {classifier} "
-            f"subset={subset.to_one_based()} accuracy={result.accuracy:.4f}"
-        )
-    resolved = {"command": "evaluate", "data": table.name,
-                "method": args.method, "k": args.k, "seed": args.seed, "folds": args.folds,
-                "strategy": cfg.strategy, "bins": cfg.bins,
-                "pc_policy": list(cfg.pc_policy), "classifiers": list(args.classifiers),
-                "missing": args.missing, "global_prep": args.global_prep}
+    resolved = dict(asdict(cfg), command="evaluate", data=table.name, method=args.method,
+                    k=args.k, seed=args.seed, folds=args.folds,
+                    classifiers=args.classifiers, missing=args.missing,
+                    global_prep=args.global_prep)
     lines.append(f"fingerprint: {config_fingerprint(resolved)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_bench(args):
+    cfg = _selector_config(args)
     registry = _registry(args)
     datasets = args.datasets.split(",") if args.datasets else None
-    cfg = _selector_config(args)
     report = run_benchmark(
         registry,
         datasets=datasets,
@@ -233,7 +215,7 @@ def cmd_report(args):
     try:
         with open(args.input, encoding="utf-8") as fh:
             report = EvalReport.from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"cannot read report {args.input!r}: {exc}", EXIT_DATA)
     _emit(_render(report, args.format), args.out)
     return EXIT_OK
@@ -326,10 +308,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DatasetError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DatasetError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:   # noqa: BLE001

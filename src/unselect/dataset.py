@@ -222,10 +222,11 @@ def _check_missing(missing):
 
 
 def _parse_cell(text, row, col):
-    """A feature cell as a finite float; None marks a missing value."""
+    """A feature cell as a finite float; NaN marks a missing value (a
+    non-finite literal is rejected, so NaN means nothing else)."""
     token = text.strip()
     if token.lower() in _MISSING_TOKENS:
-        return None
+        return math.nan
     try:
         value = float(token)
     except ValueError:
@@ -253,9 +254,8 @@ def _parse_label(text, missing, row, col, path):
     )
 
 
-def _build_table(path, rows, row_numbers, names, label_idx, missing, name,
-                 label_chars=None):
-    """The DataTable of a file's rows of cells, at file rows ``row_numbers``.
+def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
+    """The DataTable of a file's ``(file row, cells)`` pairs.
 
     ``names`` has one entry per file column and sets the row width.
     ``label_idx`` is the 0-based label column or None; a label cell is
@@ -265,7 +265,7 @@ def _build_table(path, rows, row_numbers, names, label_idx, missing, name,
     """
     width = len(names)
     values, labels = [], None if label_idx is None else []
-    for row, cells in zip(row_numbers, rows):
+    for row, cells in rows:
         if len(cells) != width:
             raise ParseError(
                 f"ragged row {row}: expected {width} cells, got {len(cells)}", row=row
@@ -279,7 +279,7 @@ def _build_table(path, rows, row_numbers, names, label_idx, missing, name,
         values.append(parsed)
 
     columns = [j + 1 for j in range(width) if j != label_idx]
-    data = np.array([[np.nan if c is None else c for c in r] for r in values], dtype=float)
+    data = np.array(values, dtype=float)
     holes = np.isnan(data)
     keep = ~holes.any(axis=1)
     if labels is not None:
@@ -287,7 +287,7 @@ def _build_table(path, rows, row_numbers, names, label_idx, missing, name,
     if not keep.all():
         if missing == "reject":
             r, c = np.argwhere(holes)[0]
-            row, column = row_numbers[r], columns[c]
+            row, column = rows[r][0], columns[c]
             raise ParseError(
                 f"missing value at row {row}, column {column} of {path} "
                 "(pass missing='impute' or missing='drop' to handle it)",
@@ -329,15 +329,13 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     """
     _check_missing(missing)
     with open(path, newline="", encoding="utf-8") as fh:
-        records = list(csv.reader(fh))
-    raw = [row for row in records if any(c.strip() for c in row)]
+        # a blank line is an empty record, so record i is file row i (no cell spans lines)
+        raw = [(i, row) for i, row in enumerate(csv.reader(fh), 1)
+               if any(c.strip() for c in row)]
     if not raw:
         raise EmptyFileError(f"no data in {path}")
-    # a blank line is an empty record, so record i is file row i (no cell spans lines)
-    row_numbers = (range(1, len(raw) + 1) if len(raw) == len(records) else
-                   [i for i, row in enumerate(records, 1) if any(c.strip() for c in row)])
 
-    header = [c.strip() for c in raw[0]]
+    header = [c.strip() for c in raw[0][1]]
     raw = raw[1:]
     if not raw:
         raise EmptyFileError(f"only a header row in {path}")
@@ -352,7 +350,7 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
             label_idx = int(label_column)
             if not 0 <= label_idx < len(header):
                 raise ParseError(f"label column index {label_idx} out of range")
-    return _build_table(path, raw, row_numbers[1:], header, label_idx, missing, name)
+    return _build_table(path, raw, header, label_idx, missing, name)
 
 
 _ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
@@ -390,7 +388,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     """
     _check_missing(missing)
     attrs = []          # (name, kind) with kind 'num' | 'nominal'
-    data_rows, line_numbers = [], []
+    data_rows = []      # (file line, cells)
     in_data = False
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -418,8 +416,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
             elif low.startswith("@"):
                 continue
             elif in_data:
-                data_rows.append([c.strip() for c in _split_arff_row(line)])
-                line_numbers.append(lineno)
+                data_rows.append((lineno, [c.strip() for c in _split_arff_row(line)]))
     if not attrs or not data_rows:
         raise EmptyFileError(f"no data in {path}")
 
@@ -427,8 +424,8 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     # attribute is the label; earlier nominal attributes are accepted only
     # when their values are all numbers (integer-coded features).
     label_idx = len(attrs) - 1 if attrs[-1][1] == "nominal" else None
-    return _build_table(path, data_rows, line_numbers, [a for a, _ in attrs], label_idx,
-                        missing, name, label_chars="'\"")
+    return _build_table(path, data_rows, [a for a, _ in attrs], label_idx, missing, name,
+                        label_chars="'\"")
 
 
 def load_table(path, label_column=None, missing="reject", name=None) -> DataTable:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -350,7 +350,12 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
+        """The report of ``to_json`` text; its config must name the methods and
+        classifiers the run covered, which the renderers show."""
         d = json.loads(text)
+        for key in ("methods", "classifiers"):
+            if key not in d["config"]:
+                raise ValueError(f"report config has no {key!r}")
         return cls(rows=d["rows"], errors=d["errors"], config=d["config"])
 
     def datasets(self):
@@ -382,16 +387,8 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
     rest of the run continues either way.
     """
     names = list(datasets) if datasets is not None else registry.names()
-    base_config = {
-        "seed": seed,
-        "folds": folds,
-        "strategy": cfg.strategy,
-        "bins": cfg.bins,
-        "pc_policy": list(cfg.pc_policy),
-        "knn_k": KNN_K,
-        "global_prep": global_prep,
-        "missing": missing,
-    }
+    base_config = dict(asdict(cfg), seed=seed, folds=folds, knn_k=KNN_K,
+                       global_prep=global_prep, missing=missing)
     report = EvalReport(config=dict(base_config, datasets=sorted(names),
                                     methods=sorted(methods),
                                     classifiers=sorted(classifiers)))
@@ -442,24 +439,23 @@ def error_source(err: dict) -> str:
     return err["dataset"] if method is None else f"{err['dataset']}/{method}"
 
 
+def _shown(report: EvalReport):
+    """The methods and classifiers of the run, in ``METHOD_IDS`` and
+    ``CLASSIFIER_IDS`` order."""
+    return ([m for m in METHOD_IDS if m in report.config["methods"]],
+            [c for c in CLASSIFIER_IDS if c in report.config["classifiers"]])
+
+
 def _table_cells(report: EvalReport, dataset: str, methods, classifiers):
-    cells = {}
-    for row in report.rows:
-        if row["dataset"] == dataset:
-            cells[(row["classifier"], row["method"])] = row["accuracy"]
-    lines = []
-    for classifier in classifiers:
-        entries = []
-        for method in methods:
-            acc = cells.get((classifier, method))
-            entries.append("" if acc is None else f"{acc:.4f}")
-        lines.append((CLASSIFIER_NAMES.get(classifier, classifier), entries))
-    return lines
+    cells = {(row["classifier"], row["method"]): f"{row['accuracy']:.4f}"
+             for row in report.rows if row["dataset"] == dataset}
+    return [(CLASSIFIER_NAMES[c], [cells.get((c, m), "") for m in methods])
+            for c in classifiers]
 
 
-def render_text_tables(report: EvalReport, methods=METHOD_IDS,
-                       classifiers=CLASSIFIER_IDS) -> str:
-    """One aligned accuracy table per dataset, classifiers x methods."""
+def render_text_tables(report: EvalReport) -> str:
+    """One aligned accuracy table per dataset, the run's classifiers x methods."""
+    methods, classifiers = _shown(report)
     out = []
     for dataset in report.datasets():
         out.append(f"Classification accuracy for {dataset}")
@@ -482,9 +478,9 @@ def render_text_tables(report: EvalReport, methods=METHOD_IDS,
     return "\n".join(out).rstrip() + "\n"
 
 
-def render_csv_tables(report: EvalReport, methods=METHOD_IDS,
-                      classifiers=CLASSIFIER_IDS) -> str:
-    """Chart-ready CSV: dataset,classifier,<method columns>."""
+def render_csv_tables(report: EvalReport) -> str:
+    """Chart-ready CSV: dataset,classifier,<the run's method columns>."""
+    methods, classifiers = _shown(report)
     lines = ["dataset,classifier," + ",".join(methods)]
     for dataset in report.datasets():
         for name, row in _table_cells(report, dataset, methods, classifiers):

@@ -8,13 +8,14 @@ attributes by those scores, next to ``selectors.edr_scores`` for EDR.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import DataTable
 
-__all__ = ["PCModel", "fit_pca", "retain_count", "loading_scores"]
+__all__ = ["PCModel", "fit_pca", "check_policy", "retain_count", "loading_scores"]
 
 
 @dataclass(frozen=True)
@@ -94,32 +95,37 @@ def fit_pca(table: DataTable, method: str = "svd") -> PCModel:
     )
 
 
+def check_policy(policy) -> None:
+    """The one rule for a PC retention policy: ``("var", f)`` with f in
+    (0, 1], ``("kaiser", None)`` or ``("fixed", k)`` with a whole k >= 1.
+    Raises ValueError for anything else."""
+    kind, arg = policy
+    valid = {"var": isinstance(arg, numbers.Real) and 0.0 < arg <= 1.0,
+             "kaiser": arg is None,
+             "fixed": isinstance(arg, numbers.Integral) and arg >= 1}
+    if not valid.get(kind, False):
+        raise ValueError(f"invalid pc policy {policy!r}: use var:F with 0 < F <= 1, "
+                         "kaiser, or fixed:K with a whole K >= 1")
+
+
 def retain_count(model: PCModel, policy) -> int:
     """Number of components to keep under a retention policy.
 
     Policies are ``("var", f)`` for the smallest k whose cumulative
     explained ratio reaches f, ``("kaiser", None)`` for eigenvalues above
     the mean eigenvalue, and ``("fixed", k)`` clamped to the model size.
-    Always at least 1.
+    Always at least 1; ``check_policy`` rejects any other policy.
     """
+    check_policy(policy)
     kind, arg = policy
     if kind == "var":
-        f = float(arg)
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"variance fraction must be in (0, 1], got {f}")
         cum = np.cumsum(model.explained_ratio)
-        k = int(np.searchsorted(cum, f - 1e-12)) + 1
+        k = int(np.searchsorted(cum, arg - 1e-12)) + 1
         return min(max(k, 1), model.n_components)
     if kind == "kaiser":
         eig = model.eigenvalues()
-        k = int(np.count_nonzero(eig > eig.mean()))
-        return max(k, 1)
-    if kind == "fixed":
-        k = int(arg)
-        if k < 1:
-            raise ValueError(f"fixed retention count must be positive, got {k}")
-        return min(k, model.n_components)
-    raise ValueError(f"unknown retention policy {kind!r}")
+        return max(int(np.count_nonzero(eig > eig.mean())), 1)
+    return min(int(arg), model.n_components)
 
 
 def loading_scores(model: PCModel, k: int) -> list[tuple[int, float]]:

@@ -61,9 +61,7 @@ class SelectorConfig:
             raise ValueError(f"unknown discretization strategy {self.strategy!r}")
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
-        kind = self.pc_policy[0]
-        if kind not in ("var", "kaiser", "fixed"):
-            raise ValueError(f"unknown pc policy {kind!r}")
+        pca.check_policy(self.pc_policy)
 
 
 def pca_scores(table: DataTable, cfg: SelectorConfig) -> RankedFeatures:
@@ -80,18 +78,12 @@ def pca_select(table: DataTable, cfg: SelectorConfig, k: int) -> FeatureSubset:
 
 
 def _preselect_covered(model, kept: int) -> list[int]:
-    """Original attributes covered by the retained PCs.
+    """Original attributes covered by the retained PCs, ascending.
 
     Each retained component contributes the attribute carrying its
-    largest absolute loading; duplicates collapse, order follows the
-    components.
+    largest absolute loading; duplicates collapse.
     """
-    out: list[int] = []
-    for c in range(kept):
-        j = int(np.argmax(np.abs(model.loadings[:, c])))
-        if j not in out:
-            out.append(j)
-    return out
+    return np.unique(np.argmax(np.abs(model.loadings[:, :kept]), axis=0)).tolist()
 
 
 def rough_pca_select(table: DataTable, cfg: SelectorConfig) -> FeatureSubset:
@@ -106,9 +98,7 @@ def rough_pca_select(table: DataTable, cfg: SelectorConfig) -> FeatureSubset:
     normed = zscore_normalize(table)
     model = pca.fit_pca(normed, method="svd")
     kept = pca.retain_count(model, cfg.pc_policy)
-    preselected = sorted(_preselect_covered(model, kept))
-    if len(preselected) == 1:
-        return FeatureSubset(tuple(preselected))
+    preselected = _preselect_covered(model, kept)
     reduced = project(normed, FeatureSubset(tuple(preselected)))
     discrete = discretize(reduced, cfg.strategy, cfg.bins)
     local = usqr(discrete)

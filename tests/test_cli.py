@@ -154,6 +154,48 @@ def test_select_pc_policy_values(capsys, policy, expected):
     assert code == expected, err
 
 
+def no_load(*args, **kwargs):
+    raise AssertionError("a dataset was loaded")
+
+
+@pytest.mark.parametrize("policy", ["var:1.5", "var:0", "fixed:0"])
+@pytest.mark.parametrize("argv", [
+    ("select", "--data", "ecoli", "--method", "edr", "--k", "2"),
+    ("select", "--data", "ecoli", "--method", "usqr"),
+    ("evaluate", "--data", "ecoli", "--method", "edr", "--k", "2"),
+    ("bench", "--datasets", "ecoli"),
+], ids=["select-edr", "select-usqr", "evaluate", "bench"])
+def test_bad_pc_policy_exits_2_before_any_load(capsys, monkeypatch, argv, policy):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
+    code, out, err = run(capsys, *argv, "--pc-policy", policy)
+    assert code == 2
+    assert out == "" and "pc policy" in err
+
+
+@pytest.mark.parametrize("argv, fingerprint", [
+    (("select", "--data", "heart", "--method", "pca", "--k", "3"), "2568610919d6"),
+    (("select", "--data", "lung", "--method", "usqr"), "8ee325f2c1e7"),
+    (("evaluate", "--data", "heart", "--method", "edr", "--k", "4",
+      "--classifiers", "nb,knn", "--pc-policy", "kaiser"), "932202d38551"),
+], ids=["select-pca", "select-usqr", "evaluate"])
+def test_fingerprints_are_pinned(capsys, argv, fingerprint):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == f"fingerprint: {fingerprint}"
+
+
+def test_evaluate_fold_the_classifier_cannot_fit_exits_2(capsys, tmp_path):
+    # two folds of four rows leave two training rows, fewer than k-NN's k = 3
+    p = tmp_path / "four.csv"
+    p.write_text("x,y,cls\n1,2,a\n2,1,a\n5,6,b\n6,5,b\n")
+    code, out, err = run(capsys, "evaluate", "--data", str(p), "--label-col", "cls",
+                         "--method", "edr", "--k", "1", "--folds", "2",
+                         "--classifiers", "knn")
+    assert code == 2
+    assert out == "" and "2 training rows" in err
+
+
 def test_evaluate_reports_accuracy(capsys, tmp_path):
     data = toy_csv(tmp_path)
     code, out, _ = run(
@@ -274,10 +316,6 @@ def test_bench_method_error_exits_4_and_names_the_method(capsys, monkeypatch):
 ])
 def test_unknown_id_in_a_list_exits_2_before_any_load(capsys, monkeypatch, argv):
     monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
-
-    def no_load(*args, **kwargs):
-        raise AssertionError("a dataset was loaded")
-
     monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -297,6 +335,40 @@ def test_report_rerenders_json(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out.startswith("dataset,classifier,")
     assert "ecoli" in out
+
+
+def test_bench_and_report_show_only_the_run_methods_and_classifiers(capsys, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    report_path = tmp_path / "r.json"
+    base = ["--datasets", "ecoli", "--methods", "edr,usqr", "--classifiers", "nb",
+            "--folds", "5"]
+    code, _, _ = run(capsys, "bench", *base, "--format", "json", "--out", str(report_path))
+    assert code == 0
+    for command in (["bench", *base], ["report", "--input", str(report_path)]):
+        code, table, _ = run(capsys, *command, "--format", "table")
+        assert code == 0
+        assert table.splitlines()[1].split() == ["Classifier", "EDR", "USQR"]
+        assert [line.split("  ")[0] for line in table.splitlines()[2:]] == ["Naive Bayes"]
+        code, csv_text, _ = run(capsys, *command, "--format", "csv")
+        assert code == 0
+        lines = csv_text.splitlines()
+        assert lines[0] == "dataset,classifier,edr,usqr"
+        assert len(lines) == 2 and lines[1].startswith("ecoli,Naive Bayes,")
+        assert "" not in lines[1].split(",")
+
+
+def test_report_without_its_methods_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    report_path = tmp_path / "r.json"
+    run(capsys, "bench", "--datasets", "ecoli", "--methods", "edr", "--classifiers", "nb",
+        "--folds", "5", "--format", "json", "--out", str(report_path))
+    payload = json.loads(report_path.read_text())
+    del payload["config"]["methods"]
+    report_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "report", "--input", str(report_path))
+    assert code == 3
+    assert out == "" and "methods" in err
 
 
 def test_report_bad_input_exits_3(capsys, tmp_path):

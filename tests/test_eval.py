@@ -1,3 +1,4 @@
+import json
 import warnings
 from functools import partial
 from unittest import mock
@@ -641,10 +642,30 @@ def test_render_table_and_csv_shapes(tmp_path):
         registry, methods=("edr", "usqr"), classifiers=("nb", "knn", "dtable"),
         folds=4,
     )
-    text = render_text_tables(report, methods=("edr", "usqr"))
+    text = render_text_tables(report)
     assert "Classification accuracy for toy" in text
     assert "Naive Bayes" in text and "Decision Table" in text
-    csv_text = render_csv_tables(report, methods=("edr", "usqr"))
+    csv_text = render_csv_tables(report)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "dataset,classifier,edr,usqr"
     assert len(lines) == 1 + 3
+
+
+def test_renderers_show_the_run_in_id_order(tmp_path):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+    report = run_benchmark(registry, methods=("usqr", "edr"), classifiers=("dtable", "nb"),
+                           folds=4)
+    lines = render_text_tables(report).splitlines()
+    assert lines[1].split() == ["Classifier", "EDR", "USQR"]
+    assert [line.split("  ")[0] for line in lines[2:]] == ["Naive Bayes", "Decision Table"]
+    assert render_csv_tables(report).splitlines()[0] == "dataset,classifier,edr,usqr"
+
+
+@pytest.mark.parametrize("key", ["methods", "classifiers"])
+def test_report_from_json_needs_the_shown_ids(tmp_path, key):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+    payload = json.loads(run_benchmark(registry, methods=("edr",), classifiers=("nb",),
+                                       folds=4).to_json())
+    del payload["config"][key]
+    with pytest.raises(ValueError, match=key):
+        EvalReport.from_json(json.dumps(payload))

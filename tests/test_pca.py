@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unselect.dataset import DataTable, zscore_normalize
-from unselect.pca import PCModel, fit_pca, loading_scores, retain_count
+from unselect.pca import PCModel, check_policy, fit_pca, loading_scores, retain_count
 
 
 def table(rows):
@@ -130,6 +130,28 @@ def test_retain_rejects_bad_fraction():
     for bad in (0.0, 1.5, -0.1):
         with pytest.raises(ValueError):
             retain_count(m, ("var", bad))
+
+
+@pytest.mark.parametrize("policy", [("var", 0.9), ("var", 1), ("var", 1e-9),
+                                    ("kaiser", None), ("fixed", 1), ("fixed", np.int64(5))])
+def test_check_policy_accepts(policy):
+    check_policy(policy)
+
+
+@pytest.mark.parametrize("policy", [
+    ("var", 0.0), ("var", 1.5), ("var", -0.1), ("var", float("nan")), ("var", None),
+    ("var", "0.9"), ("kaiser", 1.0), ("fixed", 0), ("fixed", -2), ("fixed", 1.5),
+    ("fixed", None), ("magic", None), ("VAR", 0.9),
+])
+def test_check_policy_rejects(policy):
+    with pytest.raises(ValueError, match="invalid pc policy"):
+        check_policy(policy)
+
+
+@pytest.mark.parametrize("policy", [("fixed", 0), ("kaiser", 2.0), ("magic", None)])
+def test_retain_rejects_what_check_policy_rejects(policy):
+    with pytest.raises(ValueError, match="invalid pc policy"):
+        retain_count(model_with_ratio([0.7, 0.2, 0.1]), policy)
 
 
 def test_retain_diabetes_cross_checked_by_eigenvalue_cumsum(diabetes):

@@ -302,13 +302,22 @@ def test_rough_pca_result_is_superreduct_of_preselected_table(diabetes):
 
 
 def test_rough_pca_single_preselected_attribute_returned_directly():
-    # one dominant direction: a single retained PC covers one attribute
+    # one dominant direction: a single retained PC covers one attribute,
+    # and USQR on that one column returns it
     rng = np.random.default_rng(25)
     x = rng.normal(size=40)
     values = np.column_stack([x, x * 2.0 + 1e-9 * rng.normal(size=40)])
     t = table(values)
     s = rough_pca_select(t, SelectorConfig(pc_policy=("fixed", 1)))
     assert len(s) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 1e6]), min_size=1, max_size=30),
+       st.sampled_from(["eqwidth", "eqfreq"]), st.integers(2, 5))
+def test_usqr_on_one_column_returns_it(column, strategy, bins):
+    # rough_pca_select has no shortcut for a single preselected attribute
+    assert usqr(discretize(table([[v] for v in column]), strategy, bins)).indices == (0,)
 
 
 def test_rough_pca_needs_two_attributes():
@@ -340,3 +349,10 @@ def test_selector_config_validation():
         SelectorConfig(bins=1)
     with pytest.raises(ValueError):
         SelectorConfig(pc_policy=("magic", 1))
+
+
+@pytest.mark.parametrize("policy", [("var", 1.5), ("var", 0.0), ("fixed", 0),
+                                    ("kaiser", 1)])
+def test_selector_config_rejects_an_invalid_policy_argument(policy):
+    with pytest.raises(ValueError, match="invalid pc policy"):
+        SelectorConfig(pc_policy=policy)
