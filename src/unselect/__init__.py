@@ -25,7 +25,6 @@ from .eval import (
 )
 from .pca import PCModel, fit_pca, loading_scores, retain_count
 from .roughset import (
-    DependencyValue,
     Partition,
     brute_force_min_reducts,
     gamma,
@@ -53,7 +52,6 @@ __all__ = [
     "DiscreteTable",
     "FeatureSubset",
     "Partition",
-    "DependencyValue",
     "PCModel",
     "RankedFeatures",
     "SelectorConfig",

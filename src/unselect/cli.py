@@ -304,6 +304,10 @@ def main(argv=None):
     except SystemExit as exc:      # argparse exits 2 on bad flags
         return exc.code
     try:
+        parent = os.path.dirname(os.path.abspath(args.out)) if args.out else None
+        if parent and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise CliError(f"--out {args.out!r}: directory {parent!r} is missing or not "
+                           "writable", EXIT_CONFIG)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -207,9 +207,6 @@ class DiscreteTable:
     def n_attrs(self) -> int:
         return self.codes.shape[1]
 
-    def full_subset(self) -> FeatureSubset:
-        return FeatureSubset(tuple(range(self.n_attrs)))
-
 
 _MISSING_TOKENS = {"", "?", "na", "nan", "n/a"}
 

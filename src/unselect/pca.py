@@ -1,9 +1,9 @@
-"""Principal component analysis with SVD and covariance-eigen backends.
+"""Principal component analysis by SVD of the mean-centered data.
 
-Fits a PCModel over mean-centered data, decides how many components to
-keep under several retention policies, and scores the original
-attributes from the loadings.  ``selectors.pca_scores`` ranks the
-attributes by those scores, next to ``selectors.edr_scores`` for EDR.
+Fits a PCModel, decides how many components to keep under several
+retention policies, and scores the original attributes from the
+loadings.  ``selectors.pca_scores`` ranks the attributes by those
+scores, next to ``selectors.edr_scores`` for EDR.
 """
 
 from __future__ import annotations
@@ -55,40 +55,23 @@ def _canonicalize_signs(loadings: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pca(table: DataTable, method: str = "svd") -> PCModel:
-    """Fit principal components of the mean-centered data matrix.
+def fit_pca(table: DataTable) -> PCModel:
+    """Fit principal components by SVD of the mean-centered data matrix.
 
-    ``svd`` factorizes the centered matrix directly; ``covariance-eigen``
-    eigendecomposes the (n-1)-normalized covariance.  Both agree on
-    singular values and on loadings up to column sign.
+    The thin SVD gives min(n, d) components: the right singular vectors
+    are the loadings, and s^2 / (n-1) the covariance eigenvalues.
     """
-    n, d = table.values.shape
+    n = table.values.shape[0]
     if n < 2:
         raise ValueError("PCA needs at least 2 objects")
     mean = table.values.mean(axis=0)
-    centered = table.values - mean
-    m = min(n, d)
-
-    if method == "svd":
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        loadings = vt.T[:, :m]
-        singular = s[:m]
-    elif method == "covariance-eigen":
-        cov = centered.T @ centered / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1][:m]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        loadings = eigvecs[:, order]
-        singular = np.sqrt(eigvals * (n - 1))
-    else:
-        raise ValueError(f"unknown PCA method {method!r}")
-
+    _, singular, vt = np.linalg.svd(table.values - mean, full_matrices=False)
     eig = singular**2 / (n - 1)
     total = eig.sum()
     ratio = eig / total if total > 0 else np.zeros_like(eig)
     return PCModel(
         mean=mean,
-        loadings=_canonicalize_signs(loadings),
+        loadings=_canonicalize_signs(vt.T),
         singular_values=singular,
         explained_ratio=ratio,
         n_samples=n,

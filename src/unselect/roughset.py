@@ -33,7 +33,6 @@ from .dataset import DiscreteTable, FeatureSubset
 
 __all__ = [
     "Partition",
-    "DependencyValue",
     "indiscernibility_partition",
     "lower_approximation",
     "upper_approximation",
@@ -81,30 +80,6 @@ class Partition:
         for obj, g in enumerate(ids):
             groups.setdefault(int(g), []).append(obj)
         return cls(tuple(tuple(b) for b in groups.values()), len(ids))
-
-    def to_debug_string(self) -> str:
-        """Golden-test form, e.g. ``{0,1}|{2,3}``."""
-        return "|".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class DependencyValue:
-    """gamma = |POS| / |U| held as exact counts next to the float view."""
-
-    pos_count: int
-    universe_size: int
-
-    def __post_init__(self):
-        if not 0 <= self.pos_count <= self.universe_size:
-            raise ValueError("positive region cannot exceed the universe")
-
-    @property
-    def value(self) -> float:
-        return self.pos_count / self.universe_size
-
-    @property
-    def exact(self) -> Fraction:
-        return Fraction(self.pos_count, self.universe_size)
 
 
 def _group_ids(table: DiscreteTable, attrs) -> np.ndarray:
@@ -221,15 +196,15 @@ def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
     return table.codes[first], counts
 
 
-def gamma(table: DiscreteTable, p, q) -> DependencyValue:
-    """Degree of dependency of q on p: |POS_p(q)| / |U|."""
+def gamma(table: DiscreteTable, p, q) -> Fraction:
+    """Degree of dependency of q on p: |POS_p(q)| / |U|, as an exact rational."""
     p = _check_attrs(table, p)
     q = _check_attrs(table, q)
     if not q:
         raise ValueError("decision attribute set q must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
     pos = positive_total(_group_ids(table, p), ones, _group_ids(table, q)[:, None])
-    return DependencyValue(pos, table.n_objects)
+    return Fraction(pos, table.n_objects)
 
 
 def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
@@ -267,12 +242,11 @@ def brute_force_min_reducts(table: DiscreteTable) -> list[FeatureSubset]:
         raise ValueError(
             f"exhaustive reduct search refused for d={d} > {BRUTE_FORCE_MAX_ATTRS}"
         )
-    target = mean_dependency_exact(table, range(d))
     for size in range(1, d + 1):
         found = [
             FeatureSubset(combo)
             for combo in combinations(range(d), size)
-            if mean_dependency_exact(table, combo) == target
+            if is_superreduct(table, combo)
         ]
         if found:
             return sorted(found, key=lambda s: s.indices)

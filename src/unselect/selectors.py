@@ -67,7 +67,7 @@ class SelectorConfig:
 def pca_scores(table: DataTable, cfg: SelectorConfig) -> RankedFeatures:
     """Each attribute's loading score over the PCs kept under ``cfg.pc_policy``
     (``pca.loading_scores``), ranked descending, ties by lower index."""
-    model = pca.fit_pca(zscore_normalize(table), method="svd")
+    model = pca.fit_pca(zscore_normalize(table))
     kept = pca.retain_count(model, cfg.pc_policy)
     return RankedFeatures(tuple(pca.loading_scores(model, kept)))
 
@@ -96,7 +96,7 @@ def rough_pca_select(table: DataTable, cfg: SelectorConfig) -> FeatureSubset:
     if table.n_attrs < 2:
         raise ValueError("rough-pca needs at least 2 attributes")
     normed = zscore_normalize(table)
-    model = pca.fit_pca(normed, method="svd")
+    model = pca.fit_pca(normed)
     kept = pca.retain_count(model, cfg.pc_policy)
     preselected = _preselect_covered(model, kept)
     reduced = project(normed, FeatureSubset(tuple(preselected)))

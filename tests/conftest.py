@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from unselect.dataset import load_registry
@@ -36,6 +37,25 @@ def lung(registry):
 @pytest.fixture(scope="session")
 def breast(registry):
     return registry.load("breast")
+
+
+@pytest.fixture(scope="session")
+def reference_eigen_pca():
+    """``reference_eigen_pca(table)`` is the oracle for ``fit_pca``'s SVD:
+    singular values and loadings from the eigendecomposition of the
+    (n-1)-normalized covariance, min(n, d) components in descending order,
+    each loading column flipped so its largest-magnitude entry is
+    non-negative.  Returns ``(singular_values, loadings)``."""
+    def fit(table):
+        n, d = table.values.shape
+        centered = table.values - table.values.mean(axis=0)
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (n - 1))
+        order = np.argsort(eigvals)[::-1][:min(n, d)]
+        singular = np.sqrt(np.clip(eigvals[order], 0.0, None) * (n - 1))
+        loadings = eigvecs[:, order]
+        pivots = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(len(order))]
+        return singular, loadings * np.where(pivots < 0, -1.0, 1.0)
+    return fit
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -183,6 +184,50 @@ def test_fingerprints_are_pinned(capsys, argv, fingerprint):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out.strip().splitlines()[-1] == f"fingerprint: {fingerprint}"
+
+
+@pytest.mark.parametrize("fmt, extra, digest", [
+    ("json", (), "547e58fb3640927ab9b875dc19c391d503e97e6a0b0935f32fcd281882c035a4"),
+    ("table", (), "9102fb75d7dc8637980373c248da115fd7cf138eaa520ea5eb124629a2b5ca1a"),
+    ("csv", (), "62732abaf029a1b1083e860120d58d8f29659ce34f48578250eb98d64dffb4c5"),
+    ("json", ("--global-prep",),
+     "5cc6256ea56f5bc2692a4dcfa9f374939a163c6eb5962d248946c941aaefa677"),
+    ("table", ("--global-prep",),
+     "eaf1436cec392246ebb9e2356c5bff2443c21f201aa584f85e028dc60f957734"),
+    ("csv", ("--global-prep",),
+     "42411e696d6c70e2491965291a64e8fedd4564685a53a7b4ea7f19eaeb6fad2a"),
+], ids=["json", "table", "csv", "json-global-prep", "table-global-prep", "csv-global-prep"])
+def test_bench_output_bytes_are_pinned(capsys, monkeypatch, fmt, extra, digest):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    code, out, err = run(capsys, "bench", "--seed", "1", "--format", fmt, *extra)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--seed", "1"),
+    ("select", "--data", "ecoli", "--method", "usqr"),
+    ("evaluate", "--data", "ecoli", "--method", "edr", "--k", "2"),
+    ("report", "--input", "r.json"),
+], ids=["bench", "select", "evaluate", "report"])
+@pytest.mark.parametrize("parent", ["missing", "file.txt"])
+def test_out_in_a_missing_directory_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
+                                                           argv, parent):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    for target in ("unselect.cli.run_benchmark", "unselect.cli.load_table",
+                   "unselect.dataset.Registry.load", "unselect.eval.EvalReport.from_json"):
+        monkeypatch.setattr(target, no_work)
+    (tmp_path / "file.txt").write_text("")
+    out_path = tmp_path / parent / "r.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == "" and str(out_path) in err
+    assert sorted(os.listdir(tmp_path)) == ["file.txt"]
+    assert (tmp_path / "file.txt").read_text() == ""
 
 
 def test_evaluate_fold_the_classifier_cannot_fit_exits_2(capsys, tmp_path):

@@ -47,7 +47,7 @@ def test_orthonormal_loadings():
 def test_svd_factorization_identity():
     rng = np.random.default_rng(5)
     t = table(rng.normal(size=(12, 4)))
-    model = fit_pca(t, method="svd")
+    model = fit_pca(t)
     centered = t.values - model.mean
     # X = U S V^T with U = X V S^{-1}; verify via projection round trip
     u = centered @ model.loadings / model.singular_values
@@ -55,14 +55,14 @@ def test_svd_factorization_identity():
     assert np.max(np.abs(rebuilt - centered)) < 1e-8
 
 
-def test_methods_agree():
+def test_methods_agree(reference_eigen_pca):
     rng = np.random.default_rng(6)
     t = table(rng.normal(size=(20, 8)))
-    a = fit_pca(t, method="svd")
-    b = fit_pca(t, method="covariance-eigen")
-    assert a.singular_values == pytest.approx(b.singular_values, rel=1e-6)
+    a = fit_pca(t)
+    singular, loadings = reference_eigen_pca(t)
+    assert a.singular_values == pytest.approx(singular, rel=1e-6)
     for c in range(a.n_components):
-        assert a.loadings[:, c] == pytest.approx(b.loadings[:, c], abs=1e-6)
+        assert a.loadings[:, c] == pytest.approx(loadings[:, c], abs=1e-6)
 
 
 def test_eigenvalue_sum_is_total_variance():
@@ -82,11 +82,9 @@ def test_sign_canonicalization():
         assert col[np.argmax(np.abs(col))] >= 0
 
 
-def test_fit_rejects_single_row_and_unknown_method():
+def test_fit_rejects_single_row():
     with pytest.raises(ValueError):
         fit_pca(table([[1, 2]]))
-    with pytest.raises(ValueError):
-        fit_pca(DIAGONAL, method="qr")
 
 
 # ---------------------------------------------------------------------------
