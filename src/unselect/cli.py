@@ -18,10 +18,10 @@ from dataclasses import asdict
 
 from .dataset import (
     MISSING_POLICIES,
+    STRATEGIES,
     DatasetError,
     default_registry,
     label_column_from_text,
-    load_registry,
     load_table,
 )
 from .eval import (
@@ -70,16 +70,9 @@ def _id_list(valid):
     return parse
 
 
-def _registry(args):
-    if getattr(args, "registry", None):
-        return load_registry(args.registry)
-    return default_registry()
-
-
 def _load_dataset(args):
     """--data is a file path or a registry name; --label-col applies to a
-    CSV file only."""
-    registry = _registry(args)
+    CSV file only.  The registry is read only for a name."""
     if os.path.exists(args.data):
         if args.label_col is not None and args.data.lower().endswith(".arff"):
             raise CliError("--label-col applies only to a CSV file; an ARFF file's "
@@ -89,6 +82,10 @@ def _load_dataset(args):
             label_column=label_column_from_text(args.label_col),
             missing=args.missing,
         )
+    try:
+        registry = default_registry()
+    except DatasetError as exc:
+        raise CliError(f"dataset {args.data!r} is not a file, and {exc}", EXIT_DATA) from None
     if args.data in registry.entries:
         if args.label_col is not None:
             raise CliError(f"--label-col applies only to a CSV file; registry dataset "
@@ -187,10 +184,9 @@ def cmd_evaluate(args):
 
 def cmd_bench(args):
     cfg = _selector_config(args)
-    registry = _registry(args)
     datasets = args.datasets.split(",") if args.datasets else None
     report = run_benchmark(
-        registry,
+        default_registry(),
         datasets=datasets,
         methods=args.methods,
         classifiers=args.classifiers,
@@ -201,11 +197,6 @@ def cmd_bench(args):
         global_prep=args.global_prep,
     )
     _emit(_render(report, args.format), args.out)
-    if args.out:
-        json_path = os.path.splitext(args.out)[0] + ".json"
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(_render(report, "json"))
-        print(f"machine-readable report: {json_path}", file=sys.stderr)
     for err in report.errors:
         print(f"ERROR {error_source(err)}: {err['error']}", file=sys.stderr)
     return EXIT_BENCH_PARTIAL if report.errors else EXIT_OK
@@ -231,15 +222,12 @@ def _add_common_selector_flags(p, one_dataset=True):
                        help="number of features for pca/edr (default: none)")
     p.add_argument("--bins", type=int, default=3,
                    help="discretization bin count (default: 3)")
-    p.add_argument("--strategy", choices=["eqwidth", "eqfreq"], default="eqfreq",
+    p.add_argument("--strategy", choices=STRATEGIES, default="eqfreq",
                    help="discretization strategy (default: eqfreq)")
     p.add_argument("--pc-policy", default="var:0.90",
                    help="PC retention: var:F, kaiser or fixed:K (default: var:0.90)")
     p.add_argument("--missing", choices=MISSING_POLICIES, default="reject",
                    help="missing-value policy at load (default: reject)")
-    p.add_argument("--registry", default=None,
-                   help="dataset registry file (default: bundled registry, "
-                        "or $UNSELECT_DATA_DIR/registry.txt)")
     p.add_argument("--out", default=None,
                    help="write output to this path instead of stdout")
 
@@ -308,6 +296,8 @@ def main(argv=None):
         if parent and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             raise CliError(f"--out {args.out!r}: directory {parent!r} is missing or not "
                            "writable", EXIT_CONFIG)
+        if args.out and os.path.isdir(args.out):
+            raise CliError(f"--out {args.out!r} is a directory", EXIT_CONFIG)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -480,16 +480,24 @@ def zscore_normalize(table: DataTable) -> DataTable:
     return replace(table, values=normed)
 
 
+STRATEGIES = ("eqwidth", "eqfreq")
+
+
+def check_binning(strategy, bins):
+    """The one rule for a binning setting: a known strategy and >= 2 bins."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown discretization strategy {strategy!r}")
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
+
+
 def fit_cut_points(values: np.ndarray, strategy: str, bins: int) -> list[np.ndarray]:
     """Per-column interior cut points for the given binning strategy.
 
     ``eqwidth`` spaces cuts evenly over [min, max]; ``eqfreq`` places them
     at empirical quantiles.  A constant column yields no cut points.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if strategy not in ("eqwidth", "eqfreq"):
-        raise ValueError(f"unknown discretization strategy {strategy!r}")
+    check_binning(strategy, bins)
     lo, hi = values.min(axis=0), values.max(axis=0)
     if strategy == "eqfreq":
         # one call for every column gives the bits of one call per column
@@ -518,10 +526,9 @@ def discretize(table: DataTable, strategy: str = "eqfreq", bins: int = 3) -> Dis
     """Bin every column of a DataTable into integer codes."""
     cuts = fit_cut_points(table.values, strategy, bins)
     codes = apply_cut_points(table.values, cuts)
-    bins_per_attr = tuple(1 if len(c) == 0 else bins for c in cuts)
     return DiscreteTable(
         codes=codes,
-        bins_per_attr=bins_per_attr,
+        bins_per_attr=tuple(len(c) + 1 for c in cuts),
         attr_names=table.attr_names,
         name=table.name,
     )
@@ -547,8 +554,8 @@ def project(table: DataTable, subset: FeatureSubset) -> DataTable:
 class Registry:
     """Named datasets resolvable to (path, label column) pairs."""
 
-    entries: dict[str, tuple[str, str]] = field(default_factory=dict)
-    root: str = "."
+    entries: dict[str, tuple[str, str]]
+    root: str
 
     def names(self):
         return list(self.entries)
@@ -584,22 +591,22 @@ def load_registry(path) -> Registry:
                     row=lineno,
                 )
             entries[parts[0]] = (parts[1], parts[2])
+    if not entries:
+        raise EmptyFileError(f"registry {path} lists no datasets")
     return Registry(entries=entries, root=os.path.dirname(os.path.abspath(path)))
 
 
 def default_registry() -> Registry:
-    """Bundled benchmark registry, overridable via UNSELECT_DATA_DIR."""
+    """``$UNSELECT_DATA_DIR/registry.txt`` if set, else the bundled
+    ``data/registry.txt``; no file is an error naming every path tried."""
     root = os.environ.get("UNSELECT_DATA_DIR")
-    if root:
-        candidate = os.path.join(root, "registry.txt")
-        if os.path.exists(candidate):
-            return load_registry(candidate)
-        return Registry(entries={}, root=root)
     here = os.path.dirname(os.path.abspath(__file__))
-    for candidate in (
-        os.path.join(here, "..", "..", "data", "registry.txt"),
+    tried = [os.path.join(root, "registry.txt")] if root else [
+        os.path.normpath(os.path.join(here, "..", "..", "data", "registry.txt")),
         os.path.join(os.getcwd(), "data", "registry.txt"),
-    ):
+    ]
+    for candidate in tried:
         if os.path.exists(candidate):
             return load_registry(candidate)
-    return Registry()
+    raise DatasetError(f"no dataset registry: tried {', '.join(tried)} "
+                       "(set UNSELECT_DATA_DIR to a directory holding registry.txt)")

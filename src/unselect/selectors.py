@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pca, roughset
-from .dataset import DataTable, DiscreteTable, FeatureSubset, discretize, project, zscore_normalize
+from .dataset import (DataTable, DiscreteTable, FeatureSubset, check_binning, discretize,
+                      project, zscore_normalize)
 
 __all__ = [
     "RankedFeatures",
@@ -57,10 +58,7 @@ class SelectorConfig:
     bins: int = 3
 
     def __post_init__(self):
-        if self.strategy not in ("eqwidth", "eqfreq"):
-            raise ValueError(f"unknown discretization strategy {self.strategy!r}")
-        if self.bins < 2:
-            raise ValueError(f"bins must be >= 2, got {self.bins}")
+        check_binning(self.strategy, self.bins)
         pca.check_policy(self.pc_policy)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from unselect import pca, selectors
 from unselect.cli import build_parser, main
-from unselect.dataset import DataTable, write_csv
+from unselect.dataset import STRATEGIES, DataTable, fit_cut_points, write_csv
 from unselect.selectors import select
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -88,6 +88,43 @@ def test_select_missing_file_exits_3(capsys):
     )
     assert code == 3
     assert "no-such-file.csv" in err
+
+
+def test_select_json_holds_the_subset_and_fingerprint(capsys):
+    argv = ["select", "--data", diabetes_path(), "--method", "edr", "--k", "4"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    _, table_out, _ = run(capsys, *argv)
+    assert json.loads(out) == {"subset": "3,4,6,2",
+                               "fingerprint": table_out.split("fingerprint: ")[1].strip()}
+
+
+def test_label_col_as_a_one_based_number_names_that_column(capsys, tmp_path):
+    data = toy_csv(tmp_path)        # columns x, y, z, class
+    base = ["evaluate", "--data", data, "--method", "edr", "--k", "2", "--folds", "4"]
+    by_number = run(capsys, *base, "--label-col", "4")
+    assert by_number[0] == 0
+    assert by_number == run(capsys, *base, "--label-col", "class")
+
+
+def test_evaluate_on_an_unlabeled_csv_exits_3(capsys, tmp_path):
+    p = tmp_path / "plain.csv"
+    p.write_text("x,y\n1,2\n3,1\n2,5\n4,4\n")
+    code, out, err = run(capsys, "evaluate", "--data", str(p), "--method", "edr", "--k", "1")
+    assert code == 3
+    assert out == "" and "needs a labeled dataset" in err
+
+
+@pytest.mark.parametrize("strategy, bins", [("mystery", 3), ("eqfreq", 1)])
+def test_one_binning_rule_for_config_cut_points_and_cli(strategy, bins):
+    with pytest.raises(ValueError) as config_error:
+        selectors.SelectorConfig(strategy=strategy, bins=bins)
+    with pytest.raises(ValueError) as cuts_error:
+        fit_cut_points(np.array([[0.0], [1.0]]), strategy, bins)
+    assert str(config_error.value) == str(cuts_error.value)
+    select_parser = build_parser()._subparsers._group_actions[0].choices["select"]
+    [choices] = [a.choices for a in select_parser._actions if a.dest == "strategy"]
+    assert tuple(choices) == STRATEGIES
 
 
 def test_select_registry_name_resolution(capsys, tmp_path, monkeypatch):
@@ -214,20 +251,76 @@ def no_work(*args, **kwargs):
     ("evaluate", "--data", "ecoli", "--method", "edr", "--k", "2"),
     ("report", "--input", "r.json"),
 ], ids=["bench", "select", "evaluate", "report"])
-@pytest.mark.parametrize("parent", ["missing", "file.txt"])
+@pytest.mark.parametrize("out_name", ["missing/r.txt", "file.txt/r.txt", "dir"],
+                         ids=["missing", "file.txt", "dir"])
 def test_out_in_a_missing_directory_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
-                                                           argv, parent):
+                                                           argv, out_name):
     monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
     for target in ("unselect.cli.run_benchmark", "unselect.cli.load_table",
                    "unselect.dataset.Registry.load", "unselect.eval.EvalReport.from_json"):
         monkeypatch.setattr(target, no_work)
     (tmp_path / "file.txt").write_text("")
-    out_path = tmp_path / parent / "r.txt"
+    (tmp_path / "dir").mkdir()
+    out_path = tmp_path / out_name
     code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 2
     assert out == "" and str(out_path) in err
-    assert sorted(os.listdir(tmp_path)) == ["file.txt"]
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file.txt"]
+    assert os.listdir(tmp_path / "dir") == []
     assert (tmp_path / "file.txt").read_text() == ""
+
+
+@pytest.mark.parametrize("fmt, out_name", [("table", "r.json"), ("csv", "r.txt")])
+def test_bench_out_holds_what_format_renders_and_nothing_else(capsys, tmp_path, monkeypatch,
+                                                              fmt, out_name):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    argv = ["bench", "--datasets", "ecoli", "--methods", "edr", "--classifiers", "nb",
+            "--folds", "5", "--format", fmt]
+    _, rendered, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / out_name))
+    assert code == 0 and out == "" and err == ""
+    assert (tmp_path / out_name).read_text() == rendered
+    assert os.listdir(tmp_path) == [out_name]
+
+
+@pytest.mark.parametrize("registry_text", [None, "", "# no datasets\n\n"],
+                         ids=["missing", "empty", "comments-only"])
+def test_bench_without_a_registry_exits_3(capsys, tmp_path, monkeypatch, registry_text):
+    if registry_text is not None:
+        (tmp_path / "registry.txt").write_text(registry_text)
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))
+    code, out, err = run(capsys, "bench")
+    assert code == 3
+    assert out == "" and str(tmp_path / "registry.txt") in err
+
+
+def test_select_a_file_reads_no_registry(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))     # holds no registry.txt
+    monkeypatch.setattr("unselect.cli.default_registry", no_work)
+    code, out, err = run(capsys, "select", "--data", diabetes_path(), "--method", "edr",
+                         "--k", "4")
+    assert code == 0, err
+    assert "subset: 3,4,6,2" in out
+
+
+def test_a_name_without_a_registry_exits_3_naming_both(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))     # holds no registry.txt
+    code, out, err = run(capsys, "select", "--data", "no-such-file.csv", "--method", "usqr")
+    assert code == 3
+    assert out == "" and "no-such-file.csv" in err and str(tmp_path / "registry.txt") in err
+
+
+def test_bench_dataset_without_labels_is_an_error_row(capsys, tmp_path, monkeypatch):
+    (tmp_path / "plain.csv").write_text("x,y\n1,2\n3,1\n2,5\n4,4\n")
+    (tmp_path / "registry.txt").write_text("plain, plain.csv, auto\n")
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))
+    code, out, err = run(capsys, "bench", "--methods", "edr", "--classifiers", "nb",
+                         "--format", "json")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["rows"] == []
+    assert payload["errors"] == [{"dataset": "plain", "error": "dataset 'plain' has no labels"}]
+    assert "ERROR plain: dataset 'plain' has no labels" in err
 
 
 def test_evaluate_fold_the_classifier_cannot_fit_exits_2(capsys, tmp_path):

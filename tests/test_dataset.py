@@ -1,17 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import unselect.dataset
 from unselect.dataset import (
+    DatasetError,
     DataTable,
     EmptyFileError,
     FeatureSubset,
     ParseError,
+    default_registry,
     discretize,
     fit_cut_points,
     load_arff,
     load_csv,
+    load_registry,
     load_table,
     project,
     write_csv,
@@ -164,6 +170,40 @@ def test_benchmark_table_metadata(registry):
     for name, (n, d, classes) in expected.items():
         t = registry.load(name)
         assert (t.n_objects, t.n_attrs, len(t.classes)) == (n, d, classes)
+
+
+def test_registry_line_with_two_fields_defaults_to_auto(tmp_path):
+    (tmp_path / "plain.csv").write_text("x,y\n1,2\n3,4\n")
+    (tmp_path / "registry.txt").write_text("# name, path[, label]\nplain, plain.csv\n")
+    registry = load_registry(tmp_path / "registry.txt")
+    assert registry.entries == {"plain": ("plain.csv", "auto")}
+    t = registry.load("plain")
+    assert t.labels is None and t.attr_names == ("x", "y") and t.name == "plain"
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comments-only"])
+def test_registry_listing_no_datasets_is_rejected(tmp_path, text):
+    path = tmp_path / "registry.txt"
+    path.write_text(text)
+    with pytest.raises(EmptyFileError, match="lists no datasets"):
+        load_registry(path)
+
+
+def test_default_registry_names_every_path_it_tried(tmp_path, monkeypatch):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))
+    with pytest.raises(DatasetError, match=re.escape(str(tmp_path / "registry.txt"))):
+        default_registry()
+    # unset: the data directory beside the package source, then under the working directory
+    monkeypatch.delenv("UNSELECT_DATA_DIR")
+    monkeypatch.setattr(unselect.dataset, "__file__",
+                        str(tmp_path / "src" / "unselect" / "dataset.py"))
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    with pytest.raises(DatasetError) as info:
+        default_registry()
+    for tried in (tmp_path / "data" / "registry.txt",
+                  tmp_path / "work" / "data" / "registry.txt"):
+        assert str(tried) in str(info.value)
 
 
 def test_csv_round_trip(tmp_path, diabetes):
