@@ -27,6 +27,7 @@ from .dataset import (
 from .eval import (
     CLASSIFIER_IDS,
     EvalReport,
+    check_cv_settings,
     config_fingerprint,
     cross_validate,
     error_source,
@@ -59,13 +60,16 @@ def _parse_pc_policy(text):
         raise ValueError(f"invalid pc policy {text!r}: use var:F, kaiser or fixed:K") from None
 
 
-def _id_list(valid):
-    """An argparse type: a comma list of ids, each one of ``valid``."""
+def _id_list(valid=None):
+    """An argparse type: a comma list of distinct ids, each one of ``valid``
+    when that is given."""
     def parse(text):
         ids = tuple(part.strip() for part in text.split(","))
-        for i in ids:
-            if i not in valid:
+        for pos, i in enumerate(ids):
+            if valid is not None and i not in valid:
                 raise argparse.ArgumentTypeError(f"unknown id {i!r}; valid: {', '.join(valid)}")
+            if i in ids[:pos]:
+                raise argparse.ArgumentTypeError(f"duplicate id {i!r}")
         return ids
     return parse
 
@@ -106,6 +110,13 @@ def _selector_config(args):
             strategy=args.strategy,
             bins=args.bins,
         )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_CONFIG) from None
+
+
+def _check_cv_settings(args):
+    try:
+        check_cv_settings(args.folds, args.seed)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
 
@@ -159,6 +170,7 @@ def cmd_select(args):
 
 def cmd_evaluate(args):
     cfg = _selector_config(args)
+    _check_cv_settings(args)
     table = _load_dataset(args)
     if table.labels is None:
         raise CliError("evaluation needs a labeled dataset", EXIT_DATA)
@@ -184,10 +196,10 @@ def cmd_evaluate(args):
 
 def cmd_bench(args):
     cfg = _selector_config(args)
-    datasets = args.datasets.split(",") if args.datasets else None
+    _check_cv_settings(args)
     report = run_benchmark(
         default_registry(),
-        datasets=datasets,
+        datasets=args.datasets,
         methods=args.methods,
         classifiers=args.classifiers,
         seed=args.seed,
@@ -257,7 +269,7 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="run the benchmark cross product")
-    p.add_argument("--datasets", default=None,
+    p.add_argument("--datasets", type=_id_list(), default=None,
                    help="comma list of registry names (default: all)")
     p.add_argument("--methods", type=_id_list(METHOD_IDS), default=",".join(METHOD_IDS),
                    help=f"comma list of methods (default: all: "

@@ -36,6 +36,7 @@ from .selectors import METHOD_IDS, SelectorConfig, select
 __all__ = [
     "FoldPlan",
     "make_fold_plan",
+    "check_cv_settings",
     "gaussian_nb_fit",
     "knn_fit",
     "decision_table_fit",
@@ -94,6 +95,16 @@ class FoldPlan:
         return np.flatnonzero(self._folds != fold)
 
 
+def check_cv_settings(folds: int, seed: int) -> None:
+    """The run-wide rule for cross-validation settings: at least 2 folds
+    and a non-negative fold seed.  Whether there are enough objects for the
+    folds only a loaded table can tell (``make_fold_plan``)."""
+    if folds < 2:
+        raise ValueError(f"fold count must be >= 2, got {folds}")
+    if seed < 0:
+        raise ValueError(f"fold seed must be >= 0, got {seed}")
+
+
 def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
     """Assign objects to k folds, stratified by class.
 
@@ -104,7 +115,8 @@ def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
     classes, codes = np.unique(np.array([str(y) for y in labels], dtype=object),
                                return_inverse=True)
     n = len(codes)
-    if not 2 <= k <= n:
+    check_cv_settings(k, seed)
+    if k > n:
         raise ValueError(f"fold count must be in [2, {n}], got {k}")
     rng = np.random.default_rng(seed)
     assignments = np.empty(n, dtype=int)
@@ -384,8 +396,10 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
     A dataset that cannot be loaded is recorded as an error of that
     dataset; a method that fails on it, in selection or in any classifier,
     as an error of that (dataset, method) with none of its rows kept.  The
-    rest of the run continues either way.
+    rest of the run continues either way.  Bad folds or a bad seed raise
+    ``ValueError`` before any dataset loads.
     """
+    check_cv_settings(folds, seed)
     names = list(datasets) if datasets is not None else registry.names()
     base_config = dict(asdict(cfg), seed=seed, folds=folds, knn_k=KNN_K,
                        global_prep=global_prep, missing=missing)

@@ -7,18 +7,11 @@ are exact rationals (counts over the universe size), so reduct checks
 compare integers, never floats.
 
 Every dependency is counted by one scorer, ``positive_total``, on
-group-id arrays: one stable sort of the condition keys, then a minimum
-and a maximum per group find the groups pure for every decision column
-at once.  Rows carry weights, so the USQR search (``selectors.usqr``)
-scores the table's ``distinct_rows`` in place of their identical copies.
-That search compares integer totals against n*d, the total of the full
-attribute set, whose mean dependency is always 1; it refines the chosen
-subset's groups one candidate at a time.  After each round it drops the
-rows already alone in their group, and (found by ``pure_columns``) the
-pseudo-decision columns already constant inside every group: both stay
-positive under every refinement, so their weight is settled once.  A
-settled column is no longer a candidate either, since adding it would
-not change the groups.
+group-id arrays: ``pure_groups`` sorts the condition keys once, and a
+minimum and a maximum per group mark the groups pure for every decision
+column at once.  Rows carry weights, so a search may score the table's
+``distinct_rows`` in place of their identical copies; ``selectors.usqr``
+does, and settles weight from the ``pure_groups`` matrix between rounds.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ __all__ = [
     "gamma",
     "mean_dependency_exact",
     "positive_total",
-    "pure_columns",
+    "pure_groups",
     "distinct_rows",
     "is_superreduct",
     "brute_force_min_reducts",
@@ -87,16 +80,13 @@ def _group_ids(table: DiscreteTable, attrs) -> np.ndarray:
 
     Objects share an id iff they agree on every attribute in attrs; the
     empty set puts everything into one group (the condition in the
-    indiscernibility definition is vacuous).
+    indiscernibility definition is vacuous).  Each attribute refines the
+    groups so far, and the ids stay dense and ordered like the code tuples.
     """
-    attrs = list(attrs)
-    n = table.n_objects
-    if not attrs:
-        return np.zeros(n, dtype=np.int64)
-    ids = table.codes[:, attrs[0]].astype(np.int64)
-    for a in attrs[1:]:
-        combo = ids * table.bins_per_attr[a] + table.codes[:, a]
-        _, ids = np.unique(combo, return_inverse=True)
+    ids = np.zeros(table.n_objects, dtype=np.int64)
+    for a in attrs:
+        _, ids = np.unique(ids * table.bins_per_attr[a] + table.codes[:, a],
+                           return_inverse=True)
     return ids
 
 
@@ -152,7 +142,7 @@ def positive_region(cond: Partition, dec: Partition) -> set:
     return out
 
 
-def _pure_groups(keys: np.ndarray, decisions: np.ndarray):
+def pure_groups(keys: np.ndarray, decisions: np.ndarray):
     """One stable sort of ``keys``: the row order, the start of each
     group's run of sorted rows, and a groups x columns mask that is true
     where every row of the group agrees on the column.
@@ -175,14 +165,8 @@ def positive_total(keys: np.ndarray, weights: np.ndarray, decisions: np.ndarray)
     on y, so one sort of the keys serves every column at once.
     ``weights`` counts the objects each row stands for.
     """
-    order, starts, pure = _pure_groups(keys, decisions)
+    order, starts, pure = pure_groups(keys, decisions)
     return int(pure.sum(axis=1) @ np.add.reduceat(weights[order], starts))
-
-
-def pure_columns(keys: np.ndarray, decisions: np.ndarray) -> np.ndarray:
-    """Per column of ``decisions``: whether it is constant inside every
-    group of the grouping ``keys``, so that every row is positive for it."""
-    return _pure_groups(keys, decisions)[2].all(axis=0)
 
 
 def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:

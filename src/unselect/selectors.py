@@ -136,14 +136,16 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     compares integer positive-region totals and stops at total n*d.  It
     works on the distinct rows weighted by their counts, and on the group
     ids of the chosen subset: a candidate x only refines those groups, by
-    the key ``ids * bins[x] + codes[:, x]``.  Positive weight that no
-    refinement can change moves into a settled total after each round:
+    the key ``ids * bins[x] + codes[:, x]``.  After each round one
+    ``roughset.pure_groups`` matrix (group x live column: do the group's
+    rows agree on it?) settles the weight no refinement can change, and
+    takes it out of every later round:
 
-    - a row alone in its group is positive for every pseudo-decision (the
-      positive-approximation accelerator), and leaves the rows every later
-      candidate sorts;
-    - a column constant inside every group is positive on every row, and
-      leaves the pseudo-decision columns every later candidate scores.
+    - a group pure on every live column settles its rows, with
+      ``len(live)`` times their weight.  It holds exactly one row (the
+      positive-approximation accelerator): rows are distinct, and rows of
+      one group already agree on every chosen and settled column;
+    - a column pure in every group settles on the rows left.
 
     A settled column also stops being a candidate.  Adding it would leave
     the groups, and so the total, as they are, while adding any column
@@ -171,15 +173,16 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
         chosen.append(live[best])
         if best_total == target:
             return FeatureSubset(tuple(chosen))
-        _, ids, sizes = np.unique(ids * bins[live[best]] + codes[:, best],
-                                  return_inverse=True, return_counts=True)
-        alone = sizes[ids] == 1
-        settled += len(live) * int(weights[alone].sum())
-        ids, codes, weights = ids[~alone], codes[~alone], weights[~alone]
-        pure = roughset.pure_columns(ids, codes)
-        settled += int(pure.sum()) * int(weights.sum())
-        codes = codes[:, ~pure]
-        live = [x for x, p in zip(live, pure) if not p]
+        # dense ids, so row g of the matrix is group g
+        _, ids = np.unique(ids * bins[live[best]] + codes[:, best], return_inverse=True)
+        pure = roughset.pure_groups(ids, codes)[2]
+        whole = pure.all(axis=1)[ids]
+        settled += len(live) * int(weights[whole].sum())
+        ids, codes, weights = ids[~whole], codes[~whole], weights[~whole]
+        columns = pure.all(axis=0)
+        settled += int(columns.sum()) * int(weights.sum())
+        codes = codes[:, ~columns]
+        live = [x for x, p in zip(live, columns) if not p]
 
 
 def select(table: DataTable, method: str, cfg: SelectorConfig, k: int | None = None) -> FeatureSubset:

@@ -7,7 +7,6 @@ accuracy figures at their stated tolerances.
 
 import itertools
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +38,8 @@ from unselect.selectors import (
     rough_pca_select,
     usqr,
 )
+
+from rough_oracle import naive_min_reducts
 
 DEFAULT_CFG = SelectorConfig()
 
@@ -82,47 +83,6 @@ def random_discrete_table(rng, n_max=10, d_max=8, bins_max=3):
     )
 
 
-# --------------------------------------------------------------------------
-# Independent enumeration oracle for criterion 1 (dict grouping + block
-# containment; shares no code with the package's group-id implementation).
-
-def _naive_blocks(codes, attrs):
-    groups = {}
-    for i, row in enumerate(codes):
-        groups.setdefault(tuple(row[a] for a in attrs), set()).add(i)
-    return list(groups.values())
-
-
-def _naive_mean_dependency(codes, attrs):
-    d = len(codes[0])
-    n = len(codes)
-    total = Fraction(0)
-    cond = _naive_blocks(codes, attrs)
-    for y in range(d):
-        dec = _naive_blocks(codes, [y])
-        pos = set()
-        for dec_block in dec:
-            for cond_block in cond:
-                if cond_block <= dec_block:
-                    pos |= cond_block
-        total += Fraction(len(pos), n)
-    return total / d
-
-
-def _naive_min_reducts(codes):
-    d = len(codes[0])
-    full = _naive_mean_dependency(codes, list(range(d)))
-    for size in range(1, d + 1):
-        hits = [
-            combo
-            for combo in itertools.combinations(range(d), size)
-            if _naive_mean_dependency(codes, list(combo)) == full
-        ]
-        if hits:
-            return hits
-    raise AssertionError
-
-
 def test_criterion_1_rough_set_oracle_equivalence():
     start = time.monotonic()
     rng = np.random.default_rng(101)
@@ -133,7 +93,7 @@ def test_criterion_1_rough_set_oracle_equivalence():
             f"trial {trial}: usqr output {reduct.indices} is not a superreduct"
         )
         got = [s.indices for s in brute_force_min_reducts(t)]
-        want = _naive_min_reducts(t.codes.tolist())
+        want = naive_min_reducts(t.codes.tolist())
         assert got == want, f"trial {trial}: oracle disagreement"
     elapsed = time.monotonic() - start
     ok = elapsed < 60.0

@@ -460,6 +460,37 @@ def test_unknown_id_in_a_list_exits_2_before_any_load(capsys, monkeypatch, argv)
     assert out == "" and "foo" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bench", "--datasets", "ecoli,ecoli"),
+    ("bench", "--methods", "edr,usqr,edr"),
+    ("bench", "--classifiers", "nb,nb"),
+    ("evaluate", "--data", "ecoli", "--method", "edr", "--k", "2", "--classifiers", "knn,knn"),
+])
+def test_duplicate_id_in_a_list_exits_2_before_any_load(capsys, monkeypatch, argv):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "duplicate id" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--folds", "1"), "fold count"),
+    (("--folds", "0"), "fold count"),
+    (("--seed", "-1"), "fold seed"),
+])
+@pytest.mark.parametrize("argv", [
+    ("bench",),
+    ("evaluate", "--data", "ecoli", "--method", "edr", "--k", "2"),
+], ids=["bench", "evaluate"])
+def test_bad_folds_or_seed_exits_2_before_any_load(capsys, monkeypatch, argv, flags, message):
+    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
+    monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
+    code, out, err = run(capsys, *argv, *flags)
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_report_rerenders_json(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
     report_path = tmp_path / "r.json"

@@ -622,6 +622,19 @@ def test_benchmark_lets_programming_errors_propagate(tmp_path, monkeypatch):
         run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=4)
 
 
+@pytest.mark.parametrize("folds, seed", [(1, 1), (0, 1), (4, -1)])
+def test_benchmark_rejects_bad_folds_or_seed_before_any_load(tmp_path, monkeypatch,
+                                                             folds, seed):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded")
+
+    monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
+    with pytest.raises(ValueError, match="fold"):
+        run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=folds, seed=seed)
+
+
 def test_benchmark_rows_sorted_and_report_round_trips(tmp_path):
     registry = small_registry(
         tmp_path, {"zeta": toy_dataset(41), "alpha": toy_dataset(42)}

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -21,14 +20,7 @@ from unselect.roughset import (
     upper_approximation,
 )
 
-
-def dtable(columns, bins=None):
-    """Build a DiscreteTable from per-attribute code columns."""
-    codes = np.asarray(columns, dtype=np.int64).T
-    if bins is None:
-        bins = tuple(int(codes[:, j].max()) + 1 for j in range(codes.shape[1]))
-    names = tuple(f"a{j + 1}" for j in range(codes.shape[1]))
-    return DiscreteTable(codes=codes, bins_per_attr=bins, attr_names=names)
+from rough_oracle import dtable, naive_gamma
 
 
 def blocks(partition):
@@ -260,63 +252,6 @@ def test_brute_force_refuses_large_tables():
         brute_force_min_reducts(t)
 
 
-# Independent oracle: dict-based grouping and block containment, sharing no
-# code with the numpy group-id implementation.
-
-def naive_blocks(codes, attrs):
-    groups = {}
-    for i, row in enumerate(codes):
-        key = tuple(row[a] for a in attrs)
-        groups.setdefault(key, set()).add(i)
-    return list(groups.values())
-
-
-def naive_gamma(codes, p, q):
-    cond = naive_blocks(codes, p)
-    dec = naive_blocks(codes, q)
-    pos = set()
-    for dec_block in dec:
-        for cond_block in cond:
-            if cond_block <= dec_block:
-                pos |= cond_block
-    return Fraction(len(pos), len(codes))
-
-
-def naive_mean_dependency(codes, attrs):
-    d = len(codes[0])
-    return sum(naive_gamma(codes, attrs, [y]) for y in range(d)) / d
-
-
-def naive_min_reducts(codes):
-    d = len(codes[0])
-    full = naive_mean_dependency(codes, list(range(d)))
-    for size in range(1, d + 1):
-        hits = [
-            combo
-            for combo in itertools.combinations(range(d), size)
-            if naive_mean_dependency(codes, list(combo)) == full
-        ]
-        if hits:
-            return hits
-    raise AssertionError
-
-
-def test_brute_force_matches_independent_enumeration():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = rng.integers(2, 7)
-        d = rng.integers(1, 5)
-        codes = rng.integers(0, 2, size=(n, d))
-        t = DiscreteTable(
-            codes=codes,
-            bins_per_attr=(2,) * d,
-            attr_names=tuple(f"a{j}" for j in range(d)),
-        )
-        got = [s.indices for s in brute_force_min_reducts(t)]
-        want = naive_min_reducts(codes.tolist())
-        assert got == want
-
-
 # ---------------------------------------------------------------------------
 # laws
 
@@ -330,6 +265,24 @@ def random_table(rng, n_max=10, d_max=8, bins_max=3):
         bins_per_attr=(bins,) * d,
         attr_names=tuple(f"a{j}" for j in range(d)),
     )
+
+
+def test_set_based_positive_region_counts_like_gamma():
+    # the set form (Partition, positive_region) is the kernel's reference:
+    # it, gamma's group-id scorer and the oracle count the same objects
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 11))
+        bins = rng.integers(1, 4, size=int(rng.integers(1, 7)))   # 1 code: constant column
+        t = DiscreteTable(codes=rng.integers(0, bins, size=(n, len(bins))),
+                          bins_per_attr=tuple(int(b) for b in bins),
+                          attr_names=tuple(f"a{j}" for j in range(len(bins))))
+        p = [a for a in range(t.n_attrs) if rng.random() < 0.5]
+        y = int(rng.integers(0, t.n_attrs))
+        cond = indiscernibility_partition(t, FeatureSubset(tuple(p)))
+        dec = indiscernibility_partition(t, FeatureSubset((y,)))
+        pos = len(positive_region(cond, dec))
+        assert gamma(t, p, [y]) * n == pos == naive_gamma(t.codes.tolist(), p, [y]) * n
 
 
 def test_partition_refinement_law():

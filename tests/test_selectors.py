@@ -19,6 +19,8 @@ from unselect.selectors import (
     usqr,
 )
 
+from rough_oracle import dtable
+
 CFG = SelectorConfig()
 
 
@@ -26,15 +28,6 @@ def table(rows, names=None):
     rows = np.asarray(rows, dtype=float)
     names = names or tuple(f"a{j+1}" for j in range(rows.shape[1]))
     return DataTable(values=rows, attr_names=names)
-
-
-def dtable(columns):
-    codes = np.asarray(columns, dtype=np.int64).T
-    bins = tuple(int(codes[:, j].max()) + 1 for j in range(codes.shape[1]))
-    return DiscreteTable(
-        codes=codes, bins_per_attr=bins,
-        attr_names=tuple(f"a{j+1}" for j in range(codes.shape[1])),
-    )
 
 
 # ---------------------------------------------------------------------------
