@@ -28,6 +28,7 @@ from .eval import (
     CLASSIFIER_IDS,
     EvalReport,
     check_cv_settings,
+    check_ids,
     config_fingerprint,
     cross_validate,
     error_source,
@@ -60,18 +61,9 @@ def _parse_pc_policy(text):
         raise ValueError(f"invalid pc policy {text!r}: use var:F, kaiser or fixed:K") from None
 
 
-def _id_list(valid=None):
-    """An argparse type: a comma list of distinct ids, each one of ``valid``
-    when that is given."""
-    def parse(text):
-        ids = tuple(part.strip() for part in text.split(","))
-        for pos, i in enumerate(ids):
-            if valid is not None and i not in valid:
-                raise argparse.ArgumentTypeError(f"unknown id {i!r}; valid: {', '.join(valid)}")
-            if i in ids[:pos]:
-                raise argparse.ArgumentTypeError(f"duplicate id {i!r}")
-        return ids
-    return parse
+def _id_list(text):
+    """A comma list of ids; ``eval.check_ids`` judges it."""
+    return tuple(part.strip() for part in text.split(","))
 
 
 def _load_dataset(args):
@@ -104,21 +96,11 @@ def _load_dataset(args):
 
 
 def _selector_config(args):
-    try:
-        return SelectorConfig(
-            pc_policy=_parse_pc_policy(args.pc_policy),
-            strategy=args.strategy,
-            bins=args.bins,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
-
-
-def _check_cv_settings(args):
-    try:
-        check_cv_settings(args.folds, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
+    return SelectorConfig(
+        pc_policy=_parse_pc_policy(args.pc_policy),
+        strategy=args.strategy,
+        bins=args.bins,
+    )
 
 
 def _emit(text, out_path=None):
@@ -142,16 +124,13 @@ def cmd_select(args):
     cfg = _selector_config(args)
     table = _load_dataset(args)
     ranking = None
-    try:
-        if args.method in ("pca", "edr"):
-            if args.k is None:
-                raise CliError(f"--k is required for method {args.method}", EXIT_CONFIG)
-            ranking = pca_scores(table, cfg) if args.method == "pca" else edr_scores(table)
-            subset = ranking.top(args.k)
-        else:
-            subset = select(table, args.method, cfg, args.k)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
+    if args.method in ("pca", "edr"):
+        if args.k is None:
+            raise CliError(f"--k is required for method {args.method}", EXIT_CONFIG)
+        ranking = pca_scores(table, cfg) if args.method == "pca" else edr_scores(table)
+        subset = ranking.top(args.k)
+    else:
+        subset = select(table, args.method, cfg, args.k)
     fingerprint = config_fingerprint(dict(
         asdict(cfg), command="select", data=table.name, method=args.method,
         k=args.k, missing=args.missing))
@@ -170,21 +149,19 @@ def cmd_select(args):
 
 def cmd_evaluate(args):
     cfg = _selector_config(args)
-    _check_cv_settings(args)
+    check_cv_settings(args.folds, args.seed)
+    check_ids(args.classifiers, CLASSIFIER_IDS)
     table = _load_dataset(args)
     if table.labels is None:
         raise CliError("evaluation needs a labeled dataset", EXIT_DATA)
+    subset = select(table, args.method, cfg, args.k)
+    plan = make_fold_plan(table.labels, args.folds, args.seed)
     lines = []
-    try:
-        subset = select(table, args.method, cfg, args.k)
-        plan = make_fold_plan(table.labels, args.folds, args.seed)
-        for classifier in args.classifiers:
-            result = cross_validate(table, subset, classifier, plan, strategy=cfg.strategy,
-                                    bins=cfg.bins, global_prep=args.global_prep)
-            lines.append(f"{table.name} {args.method} {classifier} "
-                         f"subset={subset.to_one_based()} accuracy={result.accuracy:.4f}")
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
+    for classifier in args.classifiers:
+        result = cross_validate(table, subset, classifier, plan, strategy=cfg.strategy,
+                                bins=cfg.bins, global_prep=args.global_prep)
+        lines.append(f"{table.name} {args.method} {classifier} "
+                     f"subset={subset.to_one_based()} accuracy={result.accuracy:.4f}")
     resolved = dict(asdict(cfg), command="evaluate", data=table.name, method=args.method,
                     k=args.k, seed=args.seed, folds=args.folds,
                     classifiers=args.classifiers, missing=args.missing,
@@ -196,7 +173,6 @@ def cmd_evaluate(args):
 
 def cmd_bench(args):
     cfg = _selector_config(args)
-    _check_cv_settings(args)
     report = run_benchmark(
         default_registry(),
         datasets=args.datasets,
@@ -259,7 +235,7 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="cross-validate one method on one dataset")
     _add_common_selector_flags(p)
-    p.add_argument("--classifiers", type=_id_list(CLASSIFIER_IDS), default="nb",
+    p.add_argument("--classifiers", type=_id_list, default="nb",
                    help="comma list of nb,knn,dtable (default: nb)")
     p.add_argument("--folds", type=int, default=10,
                    help="cross-validation folds (default: 10)")
@@ -269,12 +245,12 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="run the benchmark cross product")
-    p.add_argument("--datasets", type=_id_list(), default=None,
+    p.add_argument("--datasets", type=_id_list, default=None,
                    help="comma list of registry names (default: all)")
-    p.add_argument("--methods", type=_id_list(METHOD_IDS), default=",".join(METHOD_IDS),
+    p.add_argument("--methods", type=_id_list, default=",".join(METHOD_IDS),
                    help=f"comma list of methods (default: all: "
                         f"{','.join(METHOD_IDS)})")
-    p.add_argument("--classifiers", type=_id_list(CLASSIFIER_IDS),
+    p.add_argument("--classifiers", type=_id_list,
                    default=",".join(CLASSIFIER_IDS),
                    help=f"comma list of classifiers (default: "
                         f"{','.join(CLASSIFIER_IDS)})")
@@ -314,9 +290,12 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DatasetError, OSError) as exc:
+    except (DatasetError, OSError, UnicodeError) as exc:    # UnicodeError: not UTF-8
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:      # a setting the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:   # noqa: BLE001
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

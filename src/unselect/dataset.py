@@ -261,6 +261,15 @@ def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
     through, drops its row.  Every error names its file row and column.
     """
     width = len(names)
+    columns = [j + 1 for j in range(width) if j != label_idx]
+    if not columns:
+        raise ParseError(f"{path} has no feature column: its only column is the label",
+                         column=label_idx + 1)
+    first = {}
+    for c in columns:
+        if first.setdefault(names[c - 1], c) != c:
+            raise ParseError(f"column {c} of {path} repeats the name {names[c - 1]!r} "
+                             f"of column {first[names[c - 1]]}", column=c)
     values, labels = [], None if label_idx is None else []
     for row, cells in rows:
         if len(cells) != width:
@@ -275,7 +284,6 @@ def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
                 parsed.append(_parse_cell(cell, row, j + 1))
         values.append(parsed)
 
-    columns = [j + 1 for j in range(width) if j != label_idx]
     data = np.array(values, dtype=float)
     holes = np.isnan(data)
     keep = ~holes.any(axis=1)

@@ -12,6 +12,7 @@ decision table's cut points) is fit on: the training rows when None, and
 every row only under the leaky global-prep variant.  Models fit on class
 codes (``train.y``) and ``predict_codes`` answers in them, so folds compare
 integers, not strings; a class without training rows is never predicted.
+The decision table groups binned rows by ``roughset.group_ids``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from .dataset import (
     fit_cut_points,
     project,
 )
+from .roughset import group_ids
 from .selectors import METHOD_IDS, SelectorConfig, select
 
 __all__ = [
     "FoldPlan",
     "make_fold_plan",
     "check_cv_settings",
+    "check_ids",
     "gaussian_nb_fit",
     "knn_fit",
     "decision_table_fit",
@@ -103,6 +106,16 @@ def check_cv_settings(folds: int, seed: int) -> None:
         raise ValueError(f"fold count must be >= 2, got {folds}")
     if seed < 0:
         raise ValueError(f"fold seed must be >= 0, got {seed}")
+
+
+def check_ids(ids, valid=None) -> None:
+    """The run-wide rule for a list of dataset, method or classifier ids:
+    each one of ``valid`` when that is given, and none given twice."""
+    for pos, i in enumerate(ids):
+        if valid is not None and i not in valid:
+            raise ValueError(f"unknown id {i!r}; valid: {', '.join(valid)}")
+        if i in ids[:pos]:
+            raise ValueError(f"duplicate id {i!r}")
 
 
 def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
@@ -257,38 +270,31 @@ def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
 @dataclass(frozen=True)
 class DecisionTableModel(_Model):
     cuts: tuple[np.ndarray, ...]    # per attribute, fit on prep
-    lookup: dict                    # seen code tuple -> class code
-    fallback: int                   # class code of the training majority
+    binned: np.ndarray              # training rows, binned with cuts
+    codes: np.ndarray               # training row -> index into classes
 
     def predict_codes(self, rows) -> np.ndarray:
-        """Seen code tuple -> its majority class; unseen -> global majority."""
-        codes = apply_cut_points(np.asarray(rows, dtype=float), self.cuts)
-        return np.array([self.lookup.get(key, self.fallback)
-                         for key in map(tuple, codes.tolist())], dtype=np.intp)
+        """The majority class of the training rows binned like each row
+        (ties: the smallest class), else the training majority."""
+        binned = apply_cut_points(np.asarray(rows, dtype=float), self.cuts)
+        ids = group_ids(np.vstack([self.binned, binned]), [len(c) + 1 for c in self.cuts])
+        n_train, n_classes = len(self.codes), len(self.classes)
+        votes = np.bincount(ids[:n_train] * n_classes + self.codes,
+                            minlength=(ids.max() + 1) * n_classes).reshape(-1, n_classes)
+        # classes are sorted, so argmax's first maximum is the smallest class;
+        # votes come from training rows only, so a class without rows never wins
+        majority = np.where(votes.any(axis=1), votes.argmax(axis=1), votes.sum(axis=0).argmax())
+        return majority[ids[n_train:]]
 
 
 def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq",
                        bins=3) -> DecisionTableModel:
-    """Bin with cut points fit on prep, then map each training code tuple
-    to its majority class (ties: lexicographically smallest)."""
+    """Bin with cut points fit on prep and keep the binned training rows."""
     if train.labels is None:
         raise ValueError("decision table needs labeled training data")
     cuts = tuple(fit_cut_points(train.values if prep is None else prep, strategy, bins))
-    groups: dict[tuple, int] = {}
-    keys = map(tuple, apply_cut_points(train.values, cuts).tolist())
-    group = np.fromiter((groups.setdefault(key, len(groups)) for key in keys),
-                        dtype=np.intp, count=train.n_objects)
-    n_classes = len(train.classes)
-    votes = np.bincount(group * n_classes + train.y,
-                        minlength=len(groups) * n_classes).reshape(len(groups), -1)
-    # classes are sorted, so argmax's first maximum is the smallest class;
-    # every group has a row, so a class without rows never wins
-    return DecisionTableModel(
-        cuts=cuts,
-        classes=train.classes,
-        lookup=dict(zip(groups, np.argmax(votes, axis=1).tolist())),
-        fallback=int(np.argmax(votes.sum(axis=0))),
-    )
+    return DecisionTableModel(cuts=cuts, classes=train.classes,
+                              binned=apply_cut_points(train.values, cuts), codes=train.y)
 
 
 CLASSIFIERS = {"nb": gaussian_nb_fit, "knn": knn_fit, "dtable": decision_table_fit}
@@ -396,11 +402,14 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
     A dataset that cannot be loaded is recorded as an error of that
     dataset; a method that fails on it, in selection or in any classifier,
     as an error of that (dataset, method) with none of its rows kept.  The
-    rest of the run continues either way.  Bad folds or a bad seed raise
-    ``ValueError`` before any dataset loads.
+    rest of the run continues either way.  Settings that ``check_cv_settings``
+    or ``check_ids`` reject raise ``ValueError`` before any dataset loads.
     """
     check_cv_settings(folds, seed)
     names = list(datasets) if datasets is not None else registry.names()
+    check_ids(names)
+    check_ids(methods, METHOD_IDS)
+    check_ids(classifiers, CLASSIFIER_IDS)
     base_config = dict(asdict(cfg), seed=seed, folds=folds, knn_k=KNN_K,
                        global_prep=global_prep, missing=missing)
     report = EvalReport(config=dict(base_config, datasets=sorted(names),

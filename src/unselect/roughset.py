@@ -6,12 +6,14 @@ verification and an exhaustive minimal-reduct oracle.  Dependency values
 are exact rationals (counts over the universe size), so reduct checks
 compare integers, never floats.
 
-Every dependency is counted by one scorer, ``positive_total``, on
-group-id arrays: ``pure_groups`` sorts the condition keys once, and a
-minimum and a maximum per group mark the groups pure for every decision
-column at once.  Rows carry weights, so a search may score the table's
-``distinct_rows`` in place of their identical copies; ``selectors.usqr``
-does, and settles weight from the ``pure_groups`` matrix between rounds.
+Objects are grouped by one rule, ``group_ids`` (``eval``'s decision table
+uses it too), and every dependency is counted by one scorer,
+``positive_total``, on the group-id arrays: ``pure_groups`` sorts the
+condition keys once, and a minimum and a maximum per group mark the groups
+pure for every decision column at once.  Rows carry weights, so a search
+may score the table's ``distinct_rows`` in place of their identical
+copies; ``selectors.usqr`` does, and settles weight from the
+``pure_groups`` matrix between rounds.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "mean_dependency_exact",
     "positive_total",
     "pure_groups",
+    "group_ids",
     "distinct_rows",
     "is_superreduct",
     "brute_force_min_reducts",
@@ -75,34 +78,35 @@ class Partition:
         return cls(tuple(tuple(b) for b in groups.values()), len(ids))
 
 
-def _group_ids(table: DiscreteTable, attrs) -> np.ndarray:
-    """Group id per object under the indiscernibility relation of attrs.
+def group_ids(codes: np.ndarray, bins) -> np.ndarray:
+    """Group id per row of a code matrix whose column j holds codes in
+    [0, bins[j]).
 
-    Objects share an id iff they agree on every attribute in attrs; the
-    empty set puts everything into one group (the condition in the
-    indiscernibility definition is vacuous).  Each attribute refines the
-    groups so far, and the ids stay dense and ordered like the code tuples.
+    Rows share an id iff they agree on every column; with no columns every
+    row falls into one group (the condition in the indiscernibility
+    definition is vacuous).  Each column refines the groups so far, and the
+    ids stay dense and ordered like the code tuples.
     """
-    ids = np.zeros(table.n_objects, dtype=np.int64)
-    for a in attrs:
-        _, ids = np.unique(ids * table.bins_per_attr[a] + table.codes[:, a],
-                           return_inverse=True)
+    ids = np.zeros(len(codes), dtype=np.int64)
+    for j, b in enumerate(bins):
+        _, ids = np.unique(ids * b + codes[:, j], return_inverse=True)
     return ids
 
 
-def _check_attrs(table: DiscreteTable, subset) -> list[int]:
+def _columns(table: DiscreteTable, subset) -> tuple[np.ndarray, list[int]]:
+    """The code columns of the subset's attributes and their bin counts."""
     attrs = list(subset)
     for a in attrs:
         if not 0 <= a < table.n_attrs:
             raise IndexError(
                 f"attribute index {a} out of range for {table.n_attrs} attributes"
             )
-    return attrs
+    return table.codes[:, attrs], [table.bins_per_attr[a] for a in attrs]
 
 
 def indiscernibility_partition(table: DiscreteTable, attrs: FeatureSubset) -> Partition:
     """U/IND(P): objects grouped by identical values on every attr in P."""
-    return Partition.from_ids(_group_ids(table, _check_attrs(table, attrs)))
+    return Partition.from_ids(group_ids(*_columns(table, attrs)))
 
 
 def lower_approximation(partition: Partition, x: set) -> set:
@@ -175,19 +179,18 @@ def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
     Identical rows fall in the same group under every attribute subset,
     so a weighted distinct row scores exactly like its copies.
     """
-    ids = _group_ids(table, range(table.n_attrs))
+    ids = group_ids(table.codes, table.bins_per_attr)
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
     return table.codes[first], counts
 
 
 def gamma(table: DiscreteTable, p, q) -> Fraction:
     """Degree of dependency of q on p: |POS_p(q)| / |U|, as an exact rational."""
-    p = _check_attrs(table, p)
-    q = _check_attrs(table, q)
-    if not q:
+    cond, dec = _columns(table, p), _columns(table, q)
+    if not dec[1]:
         raise ValueError("decision attribute set q must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
-    pos = positive_total(_group_ids(table, p), ones, _group_ids(table, q)[:, None])
+    pos = positive_total(group_ids(*cond), ones, group_ids(*dec)[:, None])
     return Fraction(pos, table.n_objects)
 
 
@@ -197,11 +200,11 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     Every attribute of the table serves in turn as a pseudo-decision,
     including members of attrs themselves (those contribute 1).
     """
-    attrs = _check_attrs(table, attrs)
-    if not attrs:
+    codes, bins = _columns(table, attrs)
+    if not bins:
         raise ValueError("attribute subset must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
-    total = positive_total(_group_ids(table, attrs), ones, table.codes)
+    total = positive_total(group_ids(codes, bins), ones, table.codes)
     return Fraction(total, table.n_objects * table.n_attrs)
 
 

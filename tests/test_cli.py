@@ -155,6 +155,34 @@ def test_select_non_finite_cell_exits_3_with_its_file_position(capsys, tmp_path,
     assert "row 3, column 2" in err
 
 
+@pytest.mark.parametrize("suffix, text, message", [
+    (".csv", "a,a,cls\n1,2,A\n3,4,B\n", "column 2"),
+    (".arff", "@relation t\n@attribute a real\n@attribute a real\n"
+              "@attribute cls {A,B}\n@data\n1,2,A\n3,4,B\n", "column 2"),
+    (".csv", "cls\nA\nB\n", "no feature column"),
+    (".arff", "@relation t\n@attribute cls {A,B}\n@data\nA\nB\n", "no feature column"),
+], ids=["csv-repeated-name", "arff-repeated-name", "csv-label-only", "arff-label-only"])
+def test_a_file_the_table_rejects_exits_3_naming_the_file(capsys, tmp_path, suffix, text,
+                                                         message):
+    p = tmp_path / f"t{suffix}"
+    p.write_text(text)
+    label = ["--label-col", "cls"] if suffix == ".csv" else []
+    code, out, err = run(capsys, "select", "--data", str(p), *label, "--method", "edr",
+                         "--k", "1")
+    assert code == 3
+    assert out == "" and err.startswith("data error:")
+    assert str(p) in err and message in err
+
+
+def test_a_file_not_in_utf8_exits_3(capsys, tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"x,y,cls\n1,2,\xe9\n3,4,b\n")
+    code, out, err = run(capsys, "select", "--data", str(p), "--label-col", "cls",
+                         "--method", "edr", "--k", "1")
+    assert code == 3
+    assert out == "" and err.startswith("data error:")
+
+
 def readme_section(heading):
     with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
         text = fh.read()

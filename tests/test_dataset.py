@@ -97,6 +97,23 @@ def test_load_csv_label_by_name_and_index(tmp_path):
     assert by_name.attr_names == ("x", "y")
 
 
+@pytest.mark.parametrize("suffix, text, column, message", [
+    (".csv", "a,a,cls\n1,2,A\n3,4,B\n", 2, "repeats the name 'a' of column 1"),
+    (".arff", "@relation t\n@attribute a real\n@attribute a real\n"
+              "@attribute cls {A,B}\n@data\n1,2,A\n3,4,B\n", 2,
+     "repeats the name 'a' of column 1"),
+    (".csv", "cls\nA\nB\n", 1, "no feature column"),
+    (".arff", "@relation t\n@attribute cls {A,B}\n@data\nA\nB\n", 1, "no feature column"),
+], ids=["csv-repeated-name", "arff-repeated-name", "csv-label-only", "arff-label-only"])
+def test_a_file_the_table_rejects_is_a_parse_error_naming_file_and_column(
+        tmp_path, suffix, text, column, message):
+    p = tmp_path / f"t{suffix}"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        load_table(str(p), label_column="cls" if suffix == ".csv" else None)
+    assert str(p) in str(err.value) and err.value.column == column
+
+
 def test_load_csv_missing_policies(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x,y\n1,2\n?,6\n3,4\n")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 from functools import partial
@@ -315,18 +316,34 @@ def reference_decision_table(train, cuts):
     return {key: majority(ys) for key, ys in buckets.items()}, majority(train.labels)
 
 
-def labelled_rules(model):
-    """The model's lookup and fallback with class labels for class codes."""
-    return ({key: model.classes[c] for key, c in model.lookup.items()},
-            model.classes[model.fallback])
+def reference_rows(train, cuts):
+    """Every training row, then one row for each bin tuple no training row
+    has.  A cut point codes to the bin above it, and a value below the first
+    cut to bin 0."""
+    per_column = [np.r_[edges[:1] - 1, edges] if len(edges) else np.zeros(1)
+                  for edges in cuts]
+    grid = np.array(list(itertools.product(*per_column)), dtype=float)
+    seen = set(map(tuple, apply_cut_points(train.values, cuts).tolist()))
+    unseen = [row for row, key in zip(grid, map(tuple, apply_cut_points(grid, cuts).tolist()))
+              if key not in seen]
+    return np.vstack([train.values, *unseen])
+
+
+def assert_predicts_like_reference(model, train):
+    """The model labels each reference row as the oracle's lookup, or its
+    fallback for a bin tuple the lookup lacks."""
+    lookup, fallback = reference_decision_table(train, model.cuts)
+    rows = reference_rows(train, model.cuts)
+    keys = map(tuple, apply_cut_points(rows, model.cuts).tolist())
+    assert model.predict(rows) == [lookup.get(key, fallback) for key in keys]
 
 
 def test_decision_table_equal_votes_go_to_the_smallest_class():
-    # bucket 0 ties c and b 2-2, the whole table ties a, b and c 2-2-2
-    t = coded([[0, 0, 0, 0, 1, 1]], ["c", "b", "b", "c", "a", "a"])
+    # bucket (0, 0) ties c and b 2-2, the whole table ties a, b and c 2-2-2
+    t = coded([[0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 1]], ["c", "b", "b", "c", "a", "a"])
     model = decision_table_fit(t, strategy="eqwidth", bins=2)
-    assert labelled_rules(model) == ({(0,): "b", (1,): "a"}, "a")
-    assert labelled_rules(model) == reference_decision_table(t, model.cuts)
+    assert model.predict([[0, 0], [1, 1], [0, 1], [1, 0]]) == ["b", "a", "a", "a"]
+    assert_predicts_like_reference(model, t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,7 +355,7 @@ def test_decision_table_fit_equals_reference_buckets(case):
     values, labels = case
     t = table(values, labels)
     model = decision_table_fit(t, strategy="eqwidth", bins=3)
-    assert labelled_rules(model) == reference_decision_table(t, model.cuts)
+    assert_predicts_like_reference(model, t)
 
 
 def test_decision_table_requires_labels():
@@ -633,6 +650,26 @@ def test_benchmark_rejects_bad_folds_or_seed_before_any_load(tmp_path, monkeypat
     monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
     with pytest.raises(ValueError, match="fold"):
         run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=folds, seed=seed)
+
+
+@pytest.mark.parametrize("ids, message", [
+    ({"datasets": ["toy", "toy"]}, "duplicate id 'toy'"),
+    ({"methods": ("edr", "edr")}, "duplicate id 'edr'"),
+    ({"methods": ("magic",)}, "unknown id 'magic'"),
+    ({"classifiers": ("svm",)}, "unknown id 'svm'"),
+    ({"classifiers": ("nb", "nb")}, "duplicate id 'nb'"),
+])
+def test_benchmark_rejects_unknown_or_repeated_ids_before_any_load(tmp_path, monkeypatch,
+                                                                   ids, message):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded")
+
+    monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
+    run = dict({"methods": ("edr",), "classifiers": ("nb",)}, **ids)
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(registry, folds=4, **run)
 
 
 def test_benchmark_rows_sorted_and_report_round_trips(tmp_path):

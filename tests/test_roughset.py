@@ -11,6 +11,7 @@ from unselect.roughset import (
     brute_force_min_reducts,
     distinct_rows,
     gamma,
+    group_ids,
     indiscernibility_partition,
     is_superreduct,
     lower_approximation,
@@ -20,7 +21,7 @@ from unselect.roughset import (
     upper_approximation,
 )
 
-from rough_oracle import dtable, naive_gamma
+from rough_oracle import dtable, naive_blocks, naive_gamma
 
 
 def blocks(partition):
@@ -34,6 +35,28 @@ def test_single_attribute_partition():
     t = dtable([[1, 1, 2, 2]])
     p = indiscernibility_partition(t, FeatureSubset((0,)))
     assert blocks(p) == {frozenset({0, 1}), frozenset({2, 3})}
+
+
+@st.composite
+def code_matrices(draw):
+    """An n x (0-4) code matrix and its bin counts; a 1-bin column is constant."""
+    n = draw(st.integers(1, 30))
+    bins = draw(st.lists(st.integers(1, 3), max_size=4))
+    columns = [draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n)) for b in bins]
+    return np.array(columns, dtype=np.int64).reshape(len(bins), n).T, bins
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_matrices())
+def test_group_ids_are_the_oracle_blocks_in_code_tuple_order(case):
+    codes, bins = case
+    ids = group_ids(codes, bins)
+    oracle = naive_blocks(codes.tolist(), range(len(bins)))
+    assert {frozenset(np.flatnonzero(ids == g).tolist()) for g in set(ids.tolist())} \
+        == {frozenset(b) for b in oracle}
+    keys = list(map(tuple, codes.tolist()))
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    assert ids.tolist() == [rank[key] for key in keys]
 
 
 def test_empty_attribute_set_is_coarsest():
