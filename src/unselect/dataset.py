@@ -218,6 +218,26 @@ def _check_missing(missing):
         raise ValueError(f"unknown missing-value policy {missing!r}")
 
 
+def _text_lines(path, newline=None):
+    """The lines of a UTF-8 text file, read as they are consumed.  A byte
+    that is not UTF-8 is a ParseError at its file line."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # the decoder's position counts from its last chunk; decoding the
+        # whole file again gives the position in the file
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"byte 0x{raw[exc.start]:02x} at line {line} of {path} is not "
+                             "UTF-8", row=line) from None
+        raise
+
+
 def _parse_cell(text, row, col):
     """A feature cell as a finite float; NaN marks a missing value (a
     non-finite literal is rejected, so NaN means nothing else)."""
@@ -333,10 +353,9 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     name : table name; defaults to the file stem
     """
     _check_missing(missing)
-    with open(path, newline="", encoding="utf-8") as fh:
-        # a blank line is an empty record, so record i is file row i (no cell spans lines)
-        raw = [(i, row) for i, row in enumerate(csv.reader(fh), 1)
-               if any(c.strip() for c in row)]
+    # a blank line is an empty record, so record i is file row i (no cell spans lines)
+    raw = [(i, row) for i, row in enumerate(csv.reader(_text_lines(path, newline="")), 1)
+           if any(c.strip() for c in row)]
     if not raw:
         raise EmptyFileError(f"no data in {path}")
 
@@ -395,33 +414,32 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     attrs = []          # (name, kind) with kind 'num' | 'nominal'
     data_rows = []      # (file line, cells)
     in_data = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            low = line.lower()
-            if low.startswith("@attribute"):
-                m = _ARFF_ATTR.match(line)
-                if not m:
-                    raise ParseError(f"bad @attribute line {lineno}", row=lineno)
-                attr_name = m.group(1).strip("'\"")
-                spec = m.group(2).strip()
-                if spec.lower().startswith(("real", "numeric", "integer")):
-                    attrs.append((attr_name, "num"))
-                elif spec.startswith("{"):
-                    attrs.append((attr_name, "nominal"))
-                else:
-                    raise ParseError(
-                        f"unsupported attribute type {spec!r} on line {lineno}",
-                        row=lineno,
-                    )
-            elif low.startswith("@data"):
-                in_data = True
-            elif low.startswith("@"):
-                continue
-            elif in_data:
-                data_rows.append((lineno, [c.strip() for c in _split_arff_row(line)]))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("%"):
+            continue
+        low = line.lower()
+        if low.startswith("@attribute"):
+            m = _ARFF_ATTR.match(line)
+            if not m:
+                raise ParseError(f"bad @attribute line {lineno}", row=lineno)
+            attr_name = m.group(1).strip("'\"")
+            spec = m.group(2).strip()
+            if spec.lower().startswith(("real", "numeric", "integer")):
+                attrs.append((attr_name, "num"))
+            elif spec.startswith("{"):
+                attrs.append((attr_name, "nominal"))
+            else:
+                raise ParseError(
+                    f"unsupported attribute type {spec!r} on line {lineno}",
+                    row=lineno,
+                )
+        elif low.startswith("@data"):
+            in_data = True
+        elif low.startswith("@"):
+            continue
+        elif in_data:
+            data_rows.append((lineno, [c.strip() for c in _split_arff_row(line)]))
     if not attrs or not data_rows:
         raise EmptyFileError(f"no data in {path}")
 
@@ -585,20 +603,19 @@ class Registry:
 def load_registry(path) -> Registry:
     """Parse the plain-text registry: ``name, path, label`` per line."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) == 2:
-                parts.append("auto")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"registry line {lineno} needs 'name, path, label'",
-                    row=lineno,
-                )
-            entries[parts[0]] = (parts[1], parts[2])
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) == 2:
+            parts.append("auto")
+        if len(parts) != 3:
+            raise ParseError(
+                f"registry line {lineno} needs 'name, path, label'",
+                row=lineno,
+            )
+        entries[parts[0]] = (parts[1], parts[2])
     if not entries:
         raise EmptyFileError(f"registry {path} lists no datasets")
     return Registry(entries=entries, root=os.path.dirname(os.path.abspath(path)))

@@ -189,8 +189,10 @@ def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3) -
     )
 
 
-# Cap on block rows x training rows x attributes in one k-NN distance
-# broadcast, so prediction memory stays bounded whatever the test size.
+# Cap on block rows x training rows in one k-NN block, so prediction
+# memory stays bounded whatever the test size.  The broadcasts of exact
+# distances (rows x candidates x attributes, or on the direct path
+# sub-block rows x training rows x attributes) stay under the same cap.
 KNN_BLOCK_CELLS = 2 ** 16
 
 
@@ -199,6 +201,7 @@ class KnnModel(_Model):
     mean: np.ndarray
     std: np.ndarray
     scaled: np.ndarray              # training rows, z-scored
+    sq_norms: np.ndarray            # squared norm of each scaled training row
     codes: np.ndarray               # training row -> index into classes
     k: int
 
@@ -206,41 +209,140 @@ class KnnModel(_Model):
         """Majority vote among the k nearest training rows (z-scored space).
 
         Distance ties go to the lower training index (the order of a stable
-        argsort), vote ties to the class of the nearest tied row.  Test rows
-        are labelled in blocks of at most ``KNN_BLOCK_CELLS`` block rows x
-        training rows x attributes (one row when a single row exceeds it),
+        argsort), vote ties to the class of the nearest tied row; the
+        distance is the root of the summed squared differences.  A row
+        holding NaN has no distance and is rejected.
+
+        Test rows are labelled in blocks of at most ``KNN_BLOCK_CELLS``
+        block rows x training rows (one row when a single row exceeds it),
         so memory is bounded per block rather than growing with the test
-        size.  A row holding NaN has no distance and is rejected.
+        size.  Each block is filtered, then refined (``_predict_block``):
+        one matrix product gives approximate squared distances, the
+        training rows within a rounding bound of each row's approximate
+        k-th distance become its candidates, and the exact distances of the
+        candidates alone decide, as they would over every training row.  A
+        block whose distances could overflow, or whose gathered candidates
+        would exceed the cap, takes the direct path: exact distances to
+        every training row, in sub-blocks of at most ``KNN_BLOCK_CELLS``
+        rows x training rows x attributes.
         """
         rows = np.asarray(rows, dtype=float)
         nan_rows = np.flatnonzero(np.isnan(rows).any(axis=1))
         if len(nan_rows):
             raise ValueError(f"k-NN cannot label row {nan_rows[0] + 1}: it holds NaN")
         scaled_rows = (rows - self.mean) / self.std
-        step = max(1, KNN_BLOCK_CELLS // self.scaled.size)
+        step = max(1, KNN_BLOCK_CELLS // len(self.scaled))
+        # Every block reuses two block rows x training rows arrays: fresh
+        # ones would cost page faults each time malloc hands them back.
+        work = np.empty((2, min(step, len(rows)), len(self.scaled)))
         predicted = np.empty(len(scaled_rows), dtype=np.intp)
         for start in range(0, len(scaled_rows), step):
-            predicted[start:start + step] = self._predict_block(scaled_rows[start:start + step])
+            block = scaled_rows[start:start + step]
+            predicted[start:start + step] = self._predict_block(block, work)
         return predicted
 
-    def _predict_block(self, block: np.ndarray) -> np.ndarray:
-        """Class codes of one block of z-scored test rows."""
-        b, k, n_classes = len(block), self.k, len(self.classes)
-        # The root stays: two different squared distances can round to one
-        # root, and those rows must tie exactly as they do row by row.
-        dist = np.sqrt(((self.scaled - block[:, None, :]) ** 2).sum(axis=2))
+    def _predict_block(self, block: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Class codes of one block of z-scored test rows, by filter and
+        refine (multi-step k-NN search after Seidl and Kriegel, SIGMOD 1998);
+        ``work`` holds two arrays of at least block rows x training rows.
+
+        Why the candidates hold every row the exact search can pick.  Let
+        u be the unit roundoff and gamma_n = nu/(1 - nu); a dot product of
+        length n, summed in any order, is off by at most gamma_n sum|x_i y_i|
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        2002, section 3.1).  For a test row a and training row b in d
+        attributes, let T = |a|^2 + |b|^2, D = |a - b|^2 in exact arithmetic,
+        G the Gram-form value |a|^2 + |b|^2 - 2a.b and Q the sum of squares
+        the exact path takes the root of.
+
+        - Gram form: |a|^2, |b|^2 and a.b each carry gamma_d (sum|a_i b_i|
+          <= T/2), and the addition and subtraction one u each, so
+          |G - D| <= gamma_{2d+3} T.
+        - Exact path: each term is one difference and one square, and the
+          d terms take d - 1 additions, so |Q - D| <= gamma_{d+2} D <=
+          2 gamma_{d+2} T.
+        - Root: two squares whose roots round to one value differ by at
+          most gamma_4 times the smaller, and no Q exceeds
+          2T(1 + gamma_{d+2}).
+
+        Let S = max|a|^2 + max|b|^2 over the block, so T <= S for every
+        pair up to the rounding of S, and let g be the k-th smallest G of a
+        test row.  The k rows with the smallest G have Q <= g + |G - Q|, so
+        the k-th exact root is at most the root of that.  A row the exact
+        tie fill can pick has a root at most the k-th one, so its Q exceeds
+        that bound by at most the root term, and its G is at most
+        g + 2(gamma_{2d+3} + 2 gamma_{d+2})S + 2 gamma_4 (1 + gamma_{d+2})S.
+        Rounding g + 2 tol costs up to u(2S + 2 tol) more.  To first order
+        that is g + (8d + 24)uS, so tol = gamma_{4d+16} S covers it; the
+        spare 4uS absorbs the second-order terms and the rounding of S and
+        of tol.  These bounds need every value finite: D <= 2T, so a block
+        with 4S past the largest float takes the direct path, which also
+        catches every block with a non-finite G.
+        """
+        n, d = self.scaled.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            block_sq = (block ** 2).sum(axis=1)
+            scale = block_sq.max() + self.sq_norms.max()
+        if not scale < np.finfo(float).max / 4:
+            return self._predict_direct(block)
+        approx, spare = work[:, :len(block)]
+        np.matmul(block, self.scaled.T, out=spare)
+        spare *= 2.0
+        np.add.outer(block_sq, self.sq_norms, out=approx)
+        approx -= spare                             # |a|^2 + |b|^2 - 2a.b
+        spare[...] = approx
+        spare.partition(self.k - 1, axis=1)
+        kth = spare[:, self.k - 1:self.k]
+        nu = (4 * d + 16) * np.finfo(float).eps / 2
+        tol = nu / (1 - nu) * scale                                 # gamma_{4d+16} S
+        row, col = np.divmod(np.flatnonzero(approx <= kth + 2.0 * tol), n)
+        counts = np.bincount(row, minlength=len(block))
+        m = counts.max()
+        if len(block) * m * d > KNN_BLOCK_CELLS:
+            return self._predict_direct(block)
+        # each row's candidates in training-index order, padded at the end
+        filled = np.arange(m) < counts[:, None]
+        idx = np.zeros((len(block), m), dtype=np.intp)
+        idx[filled] = col
+        dist = np.sqrt(((self.scaled[idx] - block[:, None, :]) ** 2).sum(axis=2))
+        dist[~filled] = np.inf
+        return self._vote(dist, idx)
+
+    def _predict_direct(self, block: np.ndarray) -> np.ndarray:
+        """Class codes of one block from its exact distances to every
+        training row, in sub-blocks of at most ``KNN_BLOCK_CELLS`` cells."""
+        n, d = self.scaled.shape
+        step = max(1, KNN_BLOCK_CELLS // (n * d))
+        every_row = np.arange(n)[None, :]
+        return np.concatenate([
+            self._vote(np.sqrt(((self.scaled - sub[:, None, :]) ** 2).sum(axis=2)), every_row)
+            for sub in (block[start:start + step] for start in range(0, len(block), step))
+        ])
+
+    def _vote(self, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Class codes from exact distances to candidate training rows.
+
+        ``dist`` is block rows x candidates, each row's candidates in
+        training-index order, with every training row at or under the row's
+        k-th distance among them; ``idx`` (or one row of it, broadcast)
+        maps each column to its training row.  The distances are roots:
+        two different squared distances can round to one root, and those
+        rows must tie exactly as they do row by row.
+        """
+        b, k, n_classes = len(dist), self.k, len(self.classes)
         # The k nearest in stable-argsort order without sorting every
-        # training row: all rows closer than the k-th distance, then the
-        # lowest-index rows tied at it, then a stable sort of those k.
+        # candidate: all closer than the k-th distance, then the
+        # lowest-index ones tied at it, then a stable sort of those k.
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
         closer = dist < kth
         tied = dist == kth
         room = k - np.count_nonzero(closer, axis=1)
         chosen = closer | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-        picked = np.nonzero(chosen)[1].reshape(b, k)        # index order
+        picked = (np.flatnonzero(chosen) % dist.shape[1]).reshape(b, k)     # index order
         order = np.argsort(np.take_along_axis(dist, picked, axis=1), axis=1,
                            kind="stable")
-        nearest = self.codes[np.take_along_axis(picked, order, axis=1)]
+        nearest = self.codes[np.take_along_axis(idx, np.take_along_axis(picked, order, axis=1),
+                                                axis=1)]
         votes = np.bincount((nearest + n_classes * np.arange(b)[:, None]).ravel(),
                             minlength=b * n_classes).reshape(b, n_classes)
         top = np.take_along_axis(votes, nearest, axis=1) == votes.max(axis=1, keepdims=True)
@@ -262,8 +364,11 @@ def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
     if overflow.any():
         raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) + 1}: "
                          "its mean or spread overflows")
+    scaled = (train.values - mean) / std
+    with np.errstate(over="ignore"):    # an infinite norm sends blocks to the direct path
+        sq_norms = (scaled ** 2).sum(axis=1)
     # votes come from training rows only, so a class without rows never wins
-    return KnnModel(mean=mean, std=std, scaled=(train.values - mean) / std,
+    return KnnModel(mean=mean, std=std, scaled=scaled, sq_norms=sq_norms,
                     classes=train.classes, codes=train.y, k=knn_k)
 
 

@@ -175,12 +175,31 @@ def test_a_file_the_table_rejects_exits_3_naming_the_file(capsys, tmp_path, suff
 
 
 def test_a_file_not_in_utf8_exits_3(capsys, tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_bytes(b"x,y,cls\n1,2,\xe9\n3,4,b\n")
-    code, out, err = run(capsys, "select", "--data", str(p), "--label-col", "cls",
-                         "--method", "edr", "--k", "1")
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_bytes(b"x,y,cls\n1,2,\xe9\n3,4,b\n")
+    arff_file = tmp_path / "t.arff"
+    arff_file.write_bytes(b"@relation t\n@attribute x real\n@attribute cls {a,b}\n"
+                          b"@data\n1,a\n2,b\n3,\xe9\n")
+    # the bad byte lies past the text reader's first chunks of the file
+    long_file = tmp_path / "long.csv"
+    long_file.write_bytes(b"x,y,cls\n" + b"1,2,a\n" * 3000 + b"3,4,\xe9\n")
+    for p, label, line in ((csv_file, ("--label-col", "cls"), 2), (arff_file, (), 7),
+                           (long_file, ("--label-col", "cls"), 3002)):
+        code, out, err = run(capsys, "select", "--data", str(p), *label,
+                             "--method", "edr", "--k", "1")
+        assert code == 3
+        assert out == "" and err.startswith("data error:")
+        assert f"byte 0xe9 at line {line} of {p} is not UTF-8" in err
+
+
+
+def test_a_registry_not_in_utf8_exits_3_naming_its_line(capsys, tmp_path, monkeypatch):
+    registry = tmp_path / "registry.txt"
+    registry.write_bytes(b"# datasets\nplain, plain.csv\n\xe9cole, e.csv\n")
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))
+    code, out, err = run(capsys, "bench", "--datasets", "plain")
     assert code == 3
-    assert out == "" and err.startswith("data error:")
+    assert out == "" and f"byte 0xe9 at line 3 of {registry} is not UTF-8" in err
 
 
 def readme_section(heading):

@@ -22,6 +22,7 @@ from unselect.eval import (
     CLASSIFIERS,
     EvalReport,
     FoldPlan,
+    KnnModel,
     cross_validate,
     decision_table_fit,
     gaussian_nb_fit,
@@ -220,8 +221,8 @@ def knn_cases(draw):
 
     Half the tables hold integers 0-2, so many training rows lie at equal
     distances and ties cross the k-th boundary; labels come from one, two
-    or three classes.  The cap ranges from under one test row's cells
-    (one row per block) to all of them (one block).
+    or three classes.  The cap counts block rows x training rows; it ranges
+    from 1 (one row per block) to m x n (one block).
     """
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 4))
@@ -235,7 +236,7 @@ def knn_cases(draw):
     classes = draw(st.sampled_from(["a", "ab", "abc"]))
     labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
-    block_cells = draw(st.integers(1, m * n * d))
+    block_cells = draw(st.integers(1, m * n))
     return table(values, labels), rows, k, block_cells
 
 
@@ -252,16 +253,105 @@ def test_knn_predict_equals_reference_loop(case):
 
 
 def test_knn_predict_spans_several_blocks_like_the_reference_loop():
-    # 200 x 10 training cells per test row put 32 rows in a block of the
+    # 2000 training rows per test row put 32 rows in a block of the
     # module's cap, so 100 test rows take 4 blocks; integer values tie
     rng = np.random.default_rng(36)
-    train = table(rng.integers(0, 3, size=(200, 10)),
-                  rng.choice(["p", "q", "r"], size=200))
+    train = table(rng.integers(0, 3, size=(2000, 10)),
+                  rng.choice(["p", "q", "r"], size=2000))
     rows = rng.integers(0, 3, size=(100, 10))
-    assert 100 * 200 * 10 > 3 * unselect.eval.KNN_BLOCK_CELLS
-    for k in (1, 4, 7, 200):
+    assert 100 > 3 * (unselect.eval.KNN_BLOCK_CELLS // 2000)
+    for k in (1, 4, 7, 2000):
         model = knn_fit(train, knn_k=k)
         assert model.predict(rows) == reference_knn_predict(model, rows), k
+
+
+@pytest.fixture
+def direct_blocks(monkeypatch):
+    """The number of test rows in each block k-NN labels by the direct
+    path, recorded as ``predict`` runs."""
+    sizes = []
+    direct = KnnModel._predict_direct
+
+    def counted(self, block):
+        sizes.append(len(block))
+        return direct(self, block)
+
+    monkeypatch.setattr(KnnModel, "_predict_direct", counted)
+    return sizes
+
+
+def test_knn_gaussian_blocks_take_the_refine_path(direct_blocks):
+    rng = np.random.default_rng(37)
+    train = table(rng.normal(size=(500, 8)), rng.choice(["p", "q", "r"], size=500))
+    rows = rng.normal(size=(300, 8))
+    model = knn_fit(train, knn_k=3)
+    assert model.predict(rows) == reference_knn_predict(model, rows)
+    assert direct_blocks == []
+
+
+def test_knn_duplicated_training_rows_match_the_reference_loop(direct_blocks):
+    # each test row that copies a base row lies at distance 0 from about 25
+    # training rows, which the Gram form puts a rounding error off 0
+    rng = np.random.default_rng(38)
+    base = rng.normal(size=(12, 5))
+    train = table(base[rng.integers(0, 12, size=300)], rng.choice(["p", "q", "r"], size=300))
+    rows = np.vstack([base, rng.normal(size=(20, 5))])
+    for k in (1, 5, 26, 60):
+        model = knn_fit(train, knn_k=k)
+        assert model.predict(rows) == reference_knn_predict(model, rows), k
+    assert direct_blocks == []
+
+
+def test_knn_rows_equidistant_across_the_kth_boundary_match_the_reference_loop():
+    # the origin is the mean of the training rows and the columns spread
+    # alike, so the 8 rows at +-1 on one axis lie at one exact distance
+    # from it, as do the 8 at +-2; labels alternate, so which tied rows
+    # fill the k nearest decides the vote
+    unit = np.vstack([np.eye(4), -np.eye(4)])
+    train = table(np.vstack([unit, 2 * unit, [[0.0] * 4]]),
+                  ["a", "b", "b", "a", "b", "a", "a", "b"] * 2 + ["c"])
+    rows = np.vstack([np.zeros(4), unit, 0.5 * unit])
+    for k in range(1, 18):
+        model = knn_fit(train, knn_k=k)
+        assert model.predict(rows) == reference_knn_predict(model, rows), k
+
+
+def test_knn_offset_columns_match_the_reference_loop(direct_blocks):
+    # about half the training rows sit 1e8 from the rest, so the scaled far
+    # cluster's Gram-form distances cancel to rounding noise: every far row
+    # becomes a candidate, and the exact distances still rank them
+    rng = np.random.default_rng(39)
+    far = rng.random(300) < 0.5
+    train = table(rng.integers(0, 3, size=(300, 4)) + 1e8 * far[:, None],
+                  rng.choice(["p", "q"], size=300))
+    rows = np.vstack([rng.integers(0, 3, size=(30, 4)) + 1e8,
+                      rng.integers(0, 3, size=(10, 4))])
+    for k in (1, 3, 10):
+        model = knn_fit(train, knn_k=k)
+        assert model.predict(rows) == reference_knn_predict(model, rows), k
+    assert direct_blocks == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+def test_knn_infinite_distances_take_the_direct_path(direct_blocks):
+    # the second column spreads about 1e-153, so a test row at 100 there
+    # scales past the root of the largest float and its squares overflow
+    train = table([[0.0, 0.0], [1.0, 1e-153], [2.0, 0.0], [3.0, 1e-153]], "abab")
+    rows = [[0.5, 0.0], [2.5, 100.0], [1.0, -100.0]]
+    model = knn_fit(train, knn_k=1)
+    assert model.predict(rows) == reference_knn_predict(model, rows)
+    assert direct_blocks == [3]
+
+
+def test_knn_every_row_a_candidate_takes_the_direct_path(direct_blocks):
+    # with k = n every training row is a candidate, and one block of 327
+    # rows x 200 candidates x 3 attributes exceeds the cap
+    rng = np.random.default_rng(40)
+    train = table(rng.normal(size=(200, 3)), rng.choice(["p", "q", "r"], size=200))
+    rows = rng.normal(size=(327, 3))
+    model = knn_fit(train, knn_k=200)
+    assert model.predict(rows) == reference_knn_predict(model, rows)
+    assert direct_blocks == [327]
 
 
 # ---------------------------------------------------------------------------
