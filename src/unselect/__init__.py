@@ -35,7 +35,6 @@ from .roughset import (
     upper_approximation,
 )
 from .selectors import (
-    RankedFeatures,
     SelectorConfig,
     edr_scores,
     edr_select,
@@ -53,7 +52,6 @@ __all__ = [
     "FeatureSubset",
     "Partition",
     "PCModel",
-    "RankedFeatures",
     "SelectorConfig",
     "EvalReport",
     "load_csv",

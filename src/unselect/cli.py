@@ -1,7 +1,7 @@
 """Command-line front door: select, evaluate, bench and report.
 
-For pca and edr, ``select`` prints the ranking its subset is taken from
-(``selectors.pca_scores`` or ``selectors.edr_scores``, computed once).
+For pca and edr, ``select`` also prints the ranking its subset was cut
+from, which the subset carries (``FeatureSubset.ranking``).
 
 Exit codes: 0 ok, 1 internal error, 2 bad configuration, 3 data error,
 4 benchmark finished with failed datasets.  Results go to stdout,
@@ -37,7 +37,7 @@ from .eval import (
     render_text_tables,
     run_benchmark,
 )
-from .selectors import METHOD_IDS, SelectorConfig, edr_scores, pca_scores, select
+from .selectors import METHOD_IDS, SelectorConfig, select
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -123,14 +123,7 @@ def _render(report, fmt):
 def cmd_select(args):
     cfg = _selector_config(args)
     table = _load_dataset(args)
-    ranking = None
-    if args.method in ("pca", "edr"):
-        if args.k is None:
-            raise CliError(f"--k is required for method {args.method}", EXIT_CONFIG)
-        ranking = pca_scores(table, cfg) if args.method == "pca" else edr_scores(table)
-        subset = ranking.top(args.k)
-    else:
-        subset = select(table, args.method, cfg, args.k)
+    subset = select(table, args.method, cfg, args.k)
     fingerprint = config_fingerprint(dict(
         asdict(cfg), command="select", data=table.name, method=args.method,
         k=args.k, missing=args.missing))
@@ -140,8 +133,8 @@ def cmd_select(args):
         )
     else:
         lines = [f"subset: {subset.to_one_based()}"]
-        if ranking is not None:
-            lines.append("ranking: " + " ".join(f"{j + 1}:{s:.4f}" for j, s in ranking.entries))
+        if subset.ranking is not None:
+            lines.append("ranking: " + " ".join(f"{j + 1}:{s:.4f}" for j, s in subset.ranking))
         payload = "\n".join(lines + [f"fingerprint: {fingerprint}"])
     _emit(payload + "\n", args.out)
     return EXIT_OK
@@ -200,51 +193,52 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def _add_common_selector_flags(p, one_dataset=True):
-    if one_dataset:
-        p.add_argument("--data", required=True, help="dataset path or registry name")
-        p.add_argument("--method", required=True, choices=METHOD_IDS)
-        p.add_argument("--label-col", default=None,
-                       help="label column (1-based index or name; default: auto)")
-        p.add_argument("--k", type=int, default=None,
-                       help="number of features for pca/edr (default: none)")
-    p.add_argument("--bins", type=int, default=3,
-                   help="discretization bin count (default: 3)")
-    p.add_argument("--strategy", choices=STRATEGIES, default="eqfreq",
-                   help="discretization strategy (default: eqfreq)")
-    p.add_argument("--pc-policy", default="var:0.90",
-                   help="PC retention: var:F, kaiser or fixed:K (default: var:0.90)")
-    p.add_argument("--missing", choices=MISSING_POLICIES, default="reject",
-                   help="missing-value policy at load (default: reject)")
-    p.add_argument("--out", default=None,
-                   help="write output to this path instead of stdout")
-
-
 def build_parser():
+    one_dataset = argparse.ArgumentParser(add_help=False)
+    one_dataset.add_argument("--data", required=True, help="dataset path or registry name")
+    one_dataset.add_argument("--method", required=True, choices=METHOD_IDS)
+    one_dataset.add_argument("--label-col", default=None,
+                             help="label column (1-based index or name; default: auto)")
+    one_dataset.add_argument("--k", type=int, default=None,
+                             help="number of features for pca/edr (default: none)")
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--bins", type=int, default=3,
+                           help="discretization bin count (default: 3)")
+    selection.add_argument("--strategy", choices=STRATEGIES, default="eqfreq",
+                           help="discretization strategy (default: eqfreq)")
+    selection.add_argument("--pc-policy", default="var:0.90",
+                           help="PC retention: var:F, kaiser or fixed:K (default: var:0.90)")
+    selection.add_argument("--missing", choices=MISSING_POLICIES, default="reject",
+                           help="missing-value policy at load (default: reject)")
+    selection.add_argument("--out", default=None,
+                           help="write output to this path instead of stdout")
+    cv = argparse.ArgumentParser(add_help=False)
+    cv.add_argument("--folds", type=int, default=10,
+                    help="cross-validation folds (default: 10)")
+    cv.add_argument("--seed", type=int, default=1, help="fold seed (default: 1)")
+    cv.add_argument("--global-prep", action="store_true",
+                    help="fit preprocessing on the full dataset (leaky variant)")
+
     parser = argparse.ArgumentParser(
         prog="unselect",
         description="Unsupervised feature selection and benchmark toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("select", help="select a feature subset")
-    _add_common_selector_flags(p)
+    p = sub.add_parser("select", parents=[one_dataset, selection],
+                       help="select a feature subset")
     p.add_argument("--format", choices=["table", "json"], default="table",
                    help="output format (default: table)")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("evaluate", help="cross-validate one method on one dataset")
-    _add_common_selector_flags(p)
+    p = sub.add_parser("evaluate", parents=[one_dataset, selection, cv],
+                       help="cross-validate one method on one dataset")
     p.add_argument("--classifiers", type=_id_list, default="nb",
                    help="comma list of nb,knn,dtable (default: nb)")
-    p.add_argument("--folds", type=int, default=10,
-                   help="cross-validation folds (default: 10)")
-    p.add_argument("--seed", type=int, default=1, help="fold seed (default: 1)")
-    p.add_argument("--global-prep", action="store_true",
-                   help="fit preprocessing on the full dataset (leaky variant)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", help="run the benchmark cross product")
+    p = sub.add_parser("bench", parents=[cv, selection],
+                       help="run the benchmark cross product")
     p.add_argument("--datasets", type=_id_list, default=None,
                    help="comma list of registry names (default: all)")
     p.add_argument("--methods", type=_id_list, default=",".join(METHOD_IDS),
@@ -254,12 +248,6 @@ def build_parser():
                    default=",".join(CLASSIFIER_IDS),
                    help=f"comma list of classifiers (default: "
                         f"{','.join(CLASSIFIER_IDS)})")
-    p.add_argument("--folds", type=int, default=10,
-                   help="cross-validation folds (default: 10)")
-    p.add_argument("--seed", type=int, default=1, help="fold seed (default: 1)")
-    p.add_argument("--global-prep", action="store_true",
-                   help="fit preprocessing on the full dataset (leaky variant)")
-    _add_common_selector_flags(p, one_dataset=False)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table",
                    help="output format (default: table)")
     p.set_defaults(func=cmd_bench)

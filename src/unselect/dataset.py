@@ -60,10 +60,14 @@ class FeatureSubset:
     """An ordered set of attribute indices (0-based internally).
 
     The order is the selection order, which is meaningful for greedy
-    methods.  All user-facing I/O renders indices 1-based.
+    methods.  All user-facing I/O renders indices 1-based.  A subset cut
+    from a ranking (pca, edr) carries every ``(index, score)`` pair of it,
+    best first; equality, hashing and repr ignore it.
     """
 
     indices: tuple[int, ...]
+    ranking: tuple[tuple[int, float], ...] | None = field(default=None, compare=False,
+                                                          repr=False)
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
@@ -368,12 +372,13 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     if label_column is not None:
         if isinstance(label_column, str):
             if label_column not in header:
-                raise ParseError(f"label column {label_column!r} not in header")
+                raise ParseError(f"label column {label_column!r} not in the header of {path}")
             label_idx = header.index(label_column)
         else:
             label_idx = int(label_column)
             if not 0 <= label_idx < len(header):
-                raise ParseError(f"label column index {label_idx} out of range")
+                raise ParseError(f"label column {label_idx + 1} out of range: {path} has "
+                                 f"{len(header)} columns")
     return _build_table(path, raw, header, label_idx, missing, name)
 
 
@@ -601,8 +606,9 @@ class Registry:
 
 
 def load_registry(path) -> Registry:
-    """Parse the plain-text registry: ``name, path, label`` per line."""
-    entries = {}
+    """Parse the plain-text registry: ``name, path, label`` per line; a
+    name may appear once."""
+    entries, first = {}, {}
     for lineno, line in enumerate(_text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -615,6 +621,9 @@ def load_registry(path) -> Registry:
                 f"registry line {lineno} needs 'name, path, label'",
                 row=lineno,
             )
+        if first.setdefault(parts[0], lineno) != lineno:
+            raise ParseError(f"registry line {lineno} of {path} repeats the name "
+                             f"{parts[0]!r} of line {first[parts[0]]}", row=lineno)
         entries[parts[0]] = (parts[1], parts[2])
     if not entries:
         raise EmptyFileError(f"registry {path} lists no datasets")

@@ -2,8 +2,9 @@
 
 Each maps a dataset to an ordered FeatureSubset: PCA loading selection,
 the Rough-PCA pipeline, empirical-distribution ranking (EDR), and the
-unsupervised QuickReduct greedy search (USQR).  Every tie anywhere is
-broken toward the lowest attribute index so results are deterministic.
+unsupervised QuickReduct greedy search (USQR).  A pca or edr subset
+carries the ranking it was cut from.  Every tie anywhere is broken toward
+the lowest attribute index so results are deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .dataset import (DataTable, DiscreteTable, FeatureSubset, check_binning, di
                       project, zscore_normalize)
 
 __all__ = [
-    "RankedFeatures",
     "SelectorConfig",
     "pca_scores",
     "pca_select",
@@ -33,23 +33,6 @@ METHOD_IDS = ("pca", "roughpca", "edr", "usqr")
 
 
 @dataclass(frozen=True)
-class RankedFeatures:
-    """Per-attribute scores in the method's ranking order."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        idx = [i for i, _ in self.entries]
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate attribute in ranking")
-
-    def top(self, k: int) -> FeatureSubset:
-        if not 1 <= k <= len(self.entries):
-            raise ValueError(f"k={k} out of range for {len(self.entries)} attributes")
-        return FeatureSubset(tuple(i for i, _ in self.entries[:k]))
-
-
-@dataclass(frozen=True)
 class SelectorConfig:
     """Every under-specified knob of the pipelines, in one auditable place."""
 
@@ -62,17 +45,28 @@ class SelectorConfig:
         pca.check_policy(self.pc_policy)
 
 
-def pca_scores(table: DataTable, cfg: SelectorConfig) -> RankedFeatures:
-    """Each attribute's loading score over the PCs kept under ``cfg.pc_policy``
-    (``pca.loading_scores``), ranked descending, ties by lower index."""
+Ranking = tuple[tuple[int, float], ...]
+
+
+def _top(ranking: Ranking, k: int) -> FeatureSubset:
+    """The first k attributes of a ranking, carrying the whole ranking."""
+    if not 1 <= k <= len(ranking):
+        raise ValueError(f"k={k} out of range for {len(ranking)} attributes")
+    return FeatureSubset(tuple(i for i, _ in ranking[:k]), ranking=ranking)
+
+
+def pca_scores(table: DataTable, cfg: SelectorConfig) -> Ranking:
+    """Each attribute's ``(index, loading score)`` over the PCs kept under
+    ``cfg.pc_policy`` (``pca.loading_scores``), ranked descending, ties by
+    lower index."""
     model = pca.fit_pca(zscore_normalize(table))
     kept = pca.retain_count(model, cfg.pc_policy)
-    return RankedFeatures(tuple(pca.loading_scores(model, kept)))
+    return tuple(pca.loading_scores(model, kept))
 
 
 def pca_select(table: DataTable, cfg: SelectorConfig, k: int) -> FeatureSubset:
     """Top-k original attributes by loading score over the retained PCs."""
-    return pca_scores(table, cfg).top(k)
+    return _top(pca_scores(table, cfg), k)
 
 
 def _preselect_covered(model, kept: int) -> list[int]:
@@ -91,8 +85,6 @@ def rough_pca_select(table: DataTable, cfg: SelectorConfig) -> FeatureSubset:
     The result is expressed in original attribute indices and is always a
     subset of the preselection.
     """
-    if table.n_attrs < 2:
-        raise ValueError("rough-pca needs at least 2 attributes")
     normed = zscore_normalize(table)
     model = pca.fit_pca(normed)
     kept = pca.retain_count(model, cfg.pc_policy)
@@ -103,23 +95,23 @@ def rough_pca_select(table: DataTable, cfg: SelectorConfig) -> FeatureSubset:
     return FeatureSubset(tuple(preselected[i] for i in local))
 
 
-def edr_scores(table: DataTable) -> RankedFeatures:
+def edr_scores(table: DataTable) -> Ranking:
     """Empirical distribution function of each attribute at its own mean.
 
     score_j = (1/n) |{i : x_ij <= mean_j}|.  Attributes are ranked by
     ascending score (the minimum-value attributes come first), ties by
-    lower index.
+    lower index.  Returns the ``(index, score)`` pairs in ranking order.
     """
     values = table.values
     n = table.n_objects
     scores = (values <= values.mean(axis=0)).sum(axis=0) / n
     order = sorted(range(table.n_attrs), key=lambda j: (scores[j], j))
-    return RankedFeatures(tuple((j, float(scores[j])) for j in order))
+    return tuple((j, float(scores[j])) for j in order)
 
 
 def edr_select(table: DataTable, k: int) -> FeatureSubset:
     """First k attributes of the EDR ranking."""
-    return edr_scores(table).top(k)
+    return _top(edr_scores(table), k)
 
 
 def usqr(table: DiscreteTable) -> FeatureSubset:

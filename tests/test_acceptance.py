@@ -177,7 +177,7 @@ def test_criterion_4_edr_affine_invariance():
             values=values * scale + shift,
             attr_names=t1.attr_names,
         )
-        assert edr_scores(t1).entries == edr_scores(t2).entries
+        assert edr_scores(t1) == edr_scores(t2)
     assert verdict(4, True, "scores and ranking unchanged over 100 affine trials")
 
 

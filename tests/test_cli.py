@@ -65,12 +65,11 @@ def test_select_unknown_method_exits_2(capsys):
     assert "usqr" in err and "edr" in err   # usage text lists valid methods
 
 
-def test_select_edr_without_k_exits_2(capsys):
-    code, _, err = run(
-        capsys, "select", "--data", diabetes_path(), "--method", "edr"
-    )
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_edr_without_k_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--data", diabetes_path(), "--method", "edr")
     assert code == 2
-    assert "--k" in err
+    assert out == "" and "needs k" in err
 
 
 @pytest.mark.parametrize("command", ["select", "evaluate"])
@@ -200,6 +199,33 @@ def test_a_registry_not_in_utf8_exits_3_naming_its_line(capsys, tmp_path, monkey
     code, out, err = run(capsys, "bench", "--datasets", "plain")
     assert code == 3
     assert out == "" and f"byte 0xe9 at line 3 of {registry} is not UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [["bench"], ["select", "--data", "d", "--method", "usqr"]],
+                         ids=["bench", "select-by-name"])
+def test_a_registry_repeating_a_name_exits_3_naming_both_lines(capsys, tmp_path, monkeypatch,
+                                                                argv):
+    registry = tmp_path / "registry.txt"
+    registry.write_text("d, d.csv, cls\nd, d.csv, 1\n")
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and f"registry line 2 of {registry} repeats the name 'd' of line 1" in err
+
+
+@pytest.mark.parametrize("label_col, message", [
+    ("9", "label column 9 out of range: {path} has 3 columns"),
+    ("0", "label column 0 out of range: {path} has 3 columns"),
+    ("kind", "label column 'kind' not in the header of {path}"),
+], ids=["past-the-end", "zero", "name"])
+def test_a_label_column_the_file_lacks_exits_3_naming_it_1_based(capsys, tmp_path,
+                                                                  label_col, message):
+    p = tmp_path / "d.csv"
+    p.write_text("x,y,cls\n1,2,a\n3,4,b\n")
+    code, out, err = run(capsys, "select", "--data", str(p), "--label-col", label_col,
+                         "--method", "usqr")
+    assert code == 3
+    assert out == "" and err == f"data error: {message.format(path=p)}\n"
 
 
 def readme_section(heading):

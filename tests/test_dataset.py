@@ -97,6 +97,20 @@ def test_load_csv_label_by_name_and_index(tmp_path):
     assert by_name.attr_names == ("x", "y")
 
 
+@pytest.mark.parametrize("label_column, message", [
+    (9, "label column 10 out of range: {path} has 3 columns"),
+    (-1, "label column 0 out of range: {path} has 3 columns"),
+    ("kind", "label column 'kind' not in the header of {path}"),
+], ids=["past-the-end", "zero", "name"])
+def test_a_label_column_the_file_lacks_is_named_1_based_with_the_file(
+        tmp_path, label_column, message):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y,cls\n1,2,A\n3,4,B\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(str(p), label_column=label_column)
+    assert str(err.value) == message.format(path=p)
+
+
 @pytest.mark.parametrize("suffix, text, column, message", [
     (".csv", "a,a,cls\n1,2,A\n3,4,B\n", 2, "repeats the name 'a' of column 1"),
     (".arff", "@relation t\n@attribute a real\n@attribute a real\n"
@@ -196,6 +210,15 @@ def test_registry_line_with_two_fields_defaults_to_auto(tmp_path):
     assert registry.entries == {"plain": ("plain.csv", "auto")}
     t = registry.load("plain")
     assert t.labels is None and t.attr_names == ("x", "y") and t.name == "plain"
+
+
+def test_registry_repeating_a_name_is_a_parse_error_naming_both_lines(tmp_path):
+    path = tmp_path / "registry.txt"
+    path.write_text("# name, path, label\nd, d.csv, cls\nother, o.csv\nd, d.csv, 1\n")
+    with pytest.raises(ParseError) as err:
+        load_registry(path)
+    assert str(err.value) == f"registry line 4 of {path} repeats the name 'd' of line 2"
+    assert err.value.row == 4
 
 
 @pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comments-only"])

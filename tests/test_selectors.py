@@ -14,8 +14,10 @@ from unselect.selectors import (
     _preselect_covered,
     edr_scores,
     edr_select,
+    pca_scores,
     pca_select,
     rough_pca_select,
+    select,
     usqr,
 )
 
@@ -35,22 +37,22 @@ def table(rows, names=None):
 
 def test_edr_score_simple_column():
     t = table([[1], [2], [3]])
-    assert edr_scores(t).entries[0][1] == pytest.approx(2 / 3)
+    assert edr_scores(t)[0][1] == pytest.approx(2 / 3)
 
 
 def test_edr_score_skewed_column():
     t = table([[0], [0], [0], [10]])
-    assert edr_scores(t).entries[0][1] == pytest.approx(3 / 4)
+    assert edr_scores(t)[0][1] == pytest.approx(3 / 4)
 
 
 def test_edr_score_symmetric_column():
     t = table([[-1], [1]])
-    assert edr_scores(t).entries[0][1] == pytest.approx(1 / 2)
+    assert edr_scores(t)[0][1] == pytest.approx(1 / 2)
 
 
 def test_edr_ranking_ascending_with_index_ties():
     t = table([[1, 1, 0], [2, 2, 0], [3, 3, 10]])
-    ranked = [j for j, _ in edr_scores(t).entries]
+    ranked = [j for j, _ in edr_scores(t)]
     # col 3 scores 2/3 with the others; ties resolve to the lowest index
     assert ranked == [0, 1, 2]
 
@@ -59,6 +61,20 @@ def test_edr_select_is_prefix_of_ranking(diabetes):
     full = edr_select(diabetes, diabetes.n_attrs)
     for k in range(1, diabetes.n_attrs):
         assert edr_select(diabetes, k).indices == full.indices[:k]
+
+
+def test_a_ranked_subset_compares_hashes_and_reprs_as_its_indices(diabetes):
+    s = edr_select(diabetes, 4)
+    plain = FeatureSubset(s.indices)
+    assert s.ranking is not None and plain.ranking is None
+    assert s == plain and hash(s) == hash(plain) and repr(s) == repr(plain)
+
+
+@pytest.mark.parametrize("method, k", [("pca", 3), ("edr", 4), ("usqr", None),
+                                       ("roughpca", None)])
+def test_select_carries_the_ranking_of_pca_and_edr_only(diabetes, method, k):
+    ranking = {"pca": pca_scores(diabetes, CFG), "edr": edr_scores(diabetes)}.get(method)
+    assert select(diabetes, method, CFG, k).ranking == ranking
 
 
 def test_edr_select_rejects_bad_k(diabetes):
@@ -91,8 +107,8 @@ def test_edr_affine_invariance(a, b, col, seed):
     scaled[:, col] = a * scaled[:, col] + b
     t2 = table(scaled)
     s1, s2 = edr_scores(t1), edr_scores(t2)
-    assert s1.entries == s2.entries
-    assert all(0.0 <= s <= 1.0 for _, s in s1.entries)
+    assert s1 == s2
+    assert all(0.0 <= s <= 1.0 for _, s in s1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +329,14 @@ def test_usqr_on_one_column_returns_it(column, strategy, bins):
     assert usqr(discretize(table([[v] for v in column]), strategy, bins)).indices == (0,)
 
 
-def test_rough_pca_needs_two_attributes():
-    with pytest.raises(ValueError):
-        rough_pca_select(table([[1], [2]]), CFG)
+@pytest.mark.parametrize("column", [[1.0, 2.0, 3.0, 4.0, 8.0], [5.0, 5.0, 5.0]],
+                         ids=["varying", "constant"])
+@pytest.mark.parametrize("policy", [("var", 0.90), ("kaiser", None), ("fixed", 3)])
+@pytest.mark.parametrize("strategy", ["eqfreq", "eqwidth"])
+def test_rough_pca_on_one_attribute_equals_usqr(column, policy, strategy):
+    t = table([[v] for v in column])
+    cfg = SelectorConfig(pc_policy=policy, strategy=strategy)
+    assert select(t, "roughpca", cfg) == select(t, "usqr", cfg) == FeatureSubset((0,))
 
 
 def test_selectors_invariant_under_row_permutation(ecoli):
@@ -332,7 +353,7 @@ def test_selectors_invariant_under_row_permutation(ecoli):
         rough_pca_select(ecoli, CFG).indices
         == rough_pca_select(shuffled, CFG).indices
     )
-    assert edr_scores(ecoli).entries == edr_scores(shuffled).entries
+    assert edr_scores(ecoli) == edr_scores(shuffled)
 
 
 def test_selector_config_validation():
