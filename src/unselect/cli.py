@@ -187,7 +187,7 @@ def cmd_report(args):
     try:
         with open(args.input, encoding="utf-8") as fh:
             report = EvalReport.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read report {args.input!r}: {exc}", EXIT_DATA)
     _emit(_render(report, args.format), args.out)
     return EXIT_OK

@@ -80,8 +80,7 @@ class FoldPlan:
     def __post_init__(self):
         # Every fold must hold test rows and leave training rows, so no
         # fold is scored on nothing and no model is fit on nothing.
-        if self.k < 2:
-            raise ValueError(f"fold count must be >= 2, got {self.k}")
+        check_cv_settings(self.k, self.seed)
         if any(not 0 <= a < self.k for a in self.assignments):
             raise ValueError(f"fold assignments must lie in [0, {self.k})")
         folds = np.asarray(self.assignments, dtype=int)
@@ -191,8 +190,8 @@ def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3) -
 
 # Cap on block rows x training rows in one k-NN block, so prediction
 # memory stays bounded whatever the test size.  The broadcasts of exact
-# distances (rows x candidates x attributes, or on the direct path
-# sub-block rows x training rows x attributes) stay under the same cap.
+# distances (sub-block rows x most candidates x attributes) stay under the
+# same cap, or hold one row.
 KNN_BLOCK_CELLS = 2 ** 16
 
 
@@ -220,11 +219,10 @@ class KnnModel(_Model):
         one matrix product gives approximate squared distances, the
         training rows within a rounding bound of each row's approximate
         k-th distance become its candidates, and the exact distances of the
-        candidates alone decide, as they would over every training row.  A
-        block whose distances could overflow, or whose gathered candidates
-        would exceed the cap, takes the direct path: exact distances to
-        every training row, in sub-blocks of at most ``KNN_BLOCK_CELLS``
-        rows x training rows x attributes.
+        candidates alone decide, as they would over every training row.  In
+        a block whose distances could overflow every training row is a
+        candidate.  The refine step works in sub-blocks of at most
+        ``KNN_BLOCK_CELLS`` rows x most candidates x attributes, or one row.
         """
         rows = np.asarray(rows, dtype=float)
         nan_rows = np.flatnonzero(np.isnan(rows).any(axis=1))
@@ -268,81 +266,62 @@ class KnnModel(_Model):
         Let S = max|a|^2 + max|b|^2 over the block, so T <= S for every
         pair up to the rounding of S, and let g be the k-th smallest G of a
         test row.  The k rows with the smallest G have Q <= g + |G - Q|, so
-        the k-th exact root is at most the root of that.  A row the exact
-        tie fill can pick has a root at most the k-th one, so its Q exceeds
-        that bound by at most the root term, and its G is at most
+        the k-th exact root is at most the root of that.  A row among the k
+        nearest by the exact roots has a root at most the k-th one, so its
+        Q exceeds that bound by at most the root term, and its G is at most
         g + 2(gamma_{2d+3} + 2 gamma_{d+2})S + 2 gamma_4 (1 + gamma_{d+2})S.
         Rounding g + 2 tol costs up to u(2S + 2 tol) more.  To first order
         that is g + (8d + 24)uS, so tol = gamma_{4d+16} S covers it; the
         spare 4uS absorbs the second-order terms and the rounding of S and
-        of tol.  These bounds need every value finite: D <= 2T, so a block
-        with 4S past the largest float takes the direct path, which also
-        catches every block with a non-finite G.
+        of tol.  These bounds need every value finite: D <= 2T, so in a
+        block with 4S past the largest float, which also catches every
+        block with a non-finite G, every training row is a candidate.
         """
         n, d = self.scaled.shape
         with np.errstate(over="ignore", invalid="ignore"):
             block_sq = (block ** 2).sum(axis=1)
             scale = block_sq.max() + self.sq_norms.max()
-        if not scale < np.finfo(float).max / 4:
-            return self._predict_direct(block)
-        approx, spare = work[:, :len(block)]
-        np.matmul(block, self.scaled.T, out=spare)
-        spare *= 2.0
-        np.add.outer(block_sq, self.sq_norms, out=approx)
-        approx -= spare                             # |a|^2 + |b|^2 - 2a.b
-        spare[...] = approx
-        spare.partition(self.k - 1, axis=1)
-        kth = spare[:, self.k - 1:self.k]
-        nu = (4 * d + 16) * np.finfo(float).eps / 2
-        tol = nu / (1 - nu) * scale                                 # gamma_{4d+16} S
-        row, col = np.divmod(np.flatnonzero(approx <= kth + 2.0 * tol), n)
+        if scale < np.finfo(float).max / 4:
+            approx, spare = work[:, :len(block)]
+            np.matmul(block, self.scaled.T, out=spare)
+            spare *= 2.0
+            np.add.outer(block_sq, self.sq_norms, out=approx)
+            approx -= spare                             # |a|^2 + |b|^2 - 2a.b
+            spare[...] = approx
+            spare.partition(self.k - 1, axis=1)
+            kth = spare[:, self.k - 1:self.k]
+            nu = (4 * d + 16) * np.finfo(float).eps / 2
+            tol = nu / (1 - nu) * scale                             # gamma_{4d+16} S
+            candidates = approx <= kth + 2.0 * tol
+        else:
+            candidates = np.ones((len(block), n), dtype=bool)
+        row, col = np.divmod(np.flatnonzero(candidates), n)
         counts = np.bincount(row, minlength=len(block))
         m = counts.max()
-        if len(block) * m * d > KNN_BLOCK_CELLS:
-            return self._predict_direct(block)
         # each row's candidates in training-index order, padded at the end
         filled = np.arange(m) < counts[:, None]
         idx = np.zeros((len(block), m), dtype=np.intp)
         idx[filled] = col
-        dist = np.sqrt(((self.scaled[idx] - block[:, None, :]) ** 2).sum(axis=2))
-        dist[~filled] = np.inf
-        return self._vote(dist, idx)
-
-    def _predict_direct(self, block: np.ndarray) -> np.ndarray:
-        """Class codes of one block from its exact distances to every
-        training row, in sub-blocks of at most ``KNN_BLOCK_CELLS`` cells."""
-        n, d = self.scaled.shape
-        step = max(1, KNN_BLOCK_CELLS // (n * d))
-        every_row = np.arange(n)[None, :]
+        step = max(1, KNN_BLOCK_CELLS // (m * d))
         return np.concatenate([
-            self._vote(np.sqrt(((self.scaled - sub[:, None, :]) ** 2).sum(axis=2)), every_row)
-            for sub in (block[start:start + step] for start in range(0, len(block), step))
+            self._refine(block[start:start + step], idx[start:start + step],
+                         filled[start:start + step])
+            for start in range(0, len(block), step)
         ])
 
-    def _vote(self, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Class codes from exact distances to candidate training rows.
-
-        ``dist`` is block rows x candidates, each row's candidates in
-        training-index order, with every training row at or under the row's
-        k-th distance among them; ``idx`` (or one row of it, broadcast)
-        maps each column to its training row.  The distances are roots:
-        two different squared distances can round to one root, and those
-        rows must tie exactly as they do row by row.
-        """
-        b, k, n_classes = len(dist), self.k, len(self.classes)
-        # The k nearest in stable-argsort order without sorting every
-        # candidate: all closer than the k-th distance, then the
-        # lowest-index ones tied at it, then a stable sort of those k.
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-        closer = dist < kth
-        tied = dist == kth
-        room = k - np.count_nonzero(closer, axis=1)
-        chosen = closer | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-        picked = (np.flatnonzero(chosen) % dist.shape[1]).reshape(b, k)     # index order
-        order = np.argsort(np.take_along_axis(dist, picked, axis=1), axis=1,
-                           kind="stable")
-        nearest = self.codes[np.take_along_axis(idx, np.take_along_axis(picked, order, axis=1),
-                                                axis=1)]
+    def _refine(self, rows: np.ndarray, idx: np.ndarray, filled: np.ndarray) -> np.ndarray:
+        """Class codes of z-scored test rows from exact distances to their
+        candidates.  Row i's candidates are ``idx[i][filled[i]]``, in
+        training-index order, and include every training row at or under
+        its k-th distance; the padding after them is infinitely far.  The
+        distances stay roots, so squares that round to one root tie as they
+        do row by row, and one stable sort ranks the candidates as a stable
+        argsort over every training row would."""
+        b, n_classes = len(rows), len(self.classes)
+        dist = np.sqrt(((self.scaled[idx] - rows[:, None, :]) ** 2).sum(axis=2))
+        dist[~filled] = np.inf
+        order = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
+        nearest = self.codes[np.take_along_axis(idx, order, axis=1)]
         votes = np.bincount((nearest + n_classes * np.arange(b)[:, None]).ravel(),
                             minlength=b * n_classes).reshape(b, n_classes)
         top = np.take_along_axis(votes, nearest, axis=1) == votes.max(axis=1, keepdims=True)
@@ -365,7 +344,7 @@ def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
         raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) + 1}: "
                          "its mean or spread overflows")
     scaled = (train.values - mean) / std
-    with np.errstate(over="ignore"):    # an infinite norm sends blocks to the direct path
+    with np.errstate(over="ignore"):    # an infinite norm makes every row a candidate
         sq_norms = (scaled ** 2).sum(axis=1)
     # votes come from training rows only, so a class without rows never wins
     return KnnModel(mean=mean, std=std, scaled=scaled, sq_norms=sq_norms,
@@ -458,6 +437,19 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
 # ---------------------------------------------------------------------------
 # Benchmark runner
 
+# The fields of each report row and error that the renderers read.
+_ENTRY_FIELDS = {
+    "rows": {"dataset": str, "method": str, "classifier": str, "accuracy": (int, float)},
+    "errors": {"dataset": str, "error": str},
+}
+
+
+def _check_fields(where: str, entry, fields: dict) -> None:
+    for key, kind in fields.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get(key), kind)):
+            raise ValueError(f"{where} lacks a valid {key!r}")
+
+
 @dataclass
 class EvalReport:
     """All accuracy rows of one benchmark run plus any errors, each of one
@@ -473,12 +465,16 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        """The report of ``to_json`` text; its config must name the methods and
-        classifiers the run covered, which the renderers show."""
+        """The report of ``to_json`` text.  Its config must name the methods
+        and classifiers the run covered, and each row and error must hold
+        the fields the renderers show; a ``ValueError`` names the first
+        entry that does not."""
         d = json.loads(text)
-        for key in ("methods", "classifiers"):
-            if key not in d["config"]:
-                raise ValueError(f"report config has no {key!r}")
+        _check_fields("report", d, {"config": dict, "rows": list, "errors": list})
+        _check_fields("report config", d["config"], {"methods": list, "classifiers": list})
+        for name, fields in _ENTRY_FIELDS.items():
+            for i, entry in enumerate(d[name]):
+                _check_fields(f"report {name}[{i}]", entry, fields)
         return cls(rows=d["rows"], errors=d["errors"], config=d["config"])
 
     def datasets(self):

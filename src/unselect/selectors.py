@@ -101,10 +101,13 @@ def edr_scores(table: DataTable) -> Ranking:
     score_j = (1/n) |{i : x_ij <= mean_j}|.  Attributes are ranked by
     ascending score (the minimum-value attributes come first), ties by
     lower index.  Returns the ``(index, score)`` pairs in ranking order.
+    The computed mean is clipped to the column's range, where the exact
+    mean lies, so a constant column scores 1.0 however its mean rounds.
     """
     values = table.values
     n = table.n_objects
-    scores = (values <= values.mean(axis=0)).sum(axis=0) / n
+    mean = np.clip(values.mean(axis=0), values.min(axis=0), values.max(axis=0))
+    scores = (values <= mean).sum(axis=0) / n
     order = sorted(range(table.n_attrs), key=lambda j: (scores[j], j))
     return tuple((j, float(scores[j])) for j in order)
 

@@ -577,6 +577,9 @@ def test_report_rerenders_json(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out.startswith("dataset,classifier,")
     assert "ecoli" in out
+    code, out, _ = run(capsys, "report", "--input", str(report_path), "--format", "json")
+    assert code == 0
+    assert out == report_path.read_text()
 
 
 def test_bench_and_report_show_only_the_run_methods_and_classifiers(capsys, tmp_path,
@@ -611,6 +614,36 @@ def test_report_without_its_methods_exits_3(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "report", "--input", str(report_path))
     assert code == 3
     assert out == "" and "methods" in err
+
+
+def _report_payload():
+    return {"config": {"methods": ["edr", "usqr"], "classifiers": ["nb"]},
+            "rows": [{"dataset": "d", "method": "edr", "classifier": "nb", "accuracy": 50.0}],
+            "errors": [{"dataset": "d", "method": "usqr", "error": "no subset"}]}
+
+
+def _without(part, key):
+    payload = _report_payload()
+    del payload[part][0][key]
+    return payload
+
+
+@pytest.mark.parametrize("payload, where", [
+    (_without("rows", "classifier"), "rows[0]"),
+    (_without("errors", "dataset"), "errors[0]"),
+    ([_report_payload()], "report lacks"),
+    ({**_report_payload(), "rows": [{**_report_payload()["rows"][0], "accuracy": "50"}]},
+     "rows[0]"),
+], ids=["row-without-classifier", "error-without-dataset", "top-level-list",
+        "string-accuracy"])
+def test_report_malformed_entries_exit_3(capsys, tmp_path, payload, where):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(_report_payload()))
+    assert run(capsys, "report", "--input", str(path))[0] == 0
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "report", "--input", str(path))
+    assert code == 3
+    assert out == "" and where in err
 
 
 def test_report_bad_input_exits_3(capsys, tmp_path):

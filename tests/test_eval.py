@@ -83,6 +83,11 @@ def test_fold_plan_rejects_bad_k():
         make_fold_plan(["A", "B"], 1, 0)
     with pytest.raises(ValueError):
         make_fold_plan(["A", "B"], 3, 0)
+    # a plan built directly follows the same run-wide rule, seed included
+    with pytest.raises(ValueError, match="fold count must be >= 2"):
+        FoldPlan(seed=0, k=1, assignments=(0, 0))
+    with pytest.raises(ValueError, match="fold seed must be >= 0"):
+        FoldPlan(seed=-5, k=2, assignments=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +271,32 @@ def test_knn_predict_spans_several_blocks_like_the_reference_loop():
 
 
 @pytest.fixture
-def direct_blocks(monkeypatch):
-    """The number of test rows in each block k-NN labels by the direct
-    path, recorded as ``predict`` runs."""
-    sizes = []
-    direct = KnnModel._predict_direct
+def refined(monkeypatch):
+    """Each sub-block k-NN refines, as (rows, most candidates), recorded as
+    ``predict`` runs; each must hold one row or fit ``KNN_BLOCK_CELLS``."""
+    shapes = []
+    refine = KnnModel._refine
 
-    def counted(self, block):
-        sizes.append(len(block))
-        return direct(self, block)
+    def counted(self, rows, idx, filled):
+        b, m = idx.shape
+        assert b == 1 or b * m * self.scaled.shape[1] <= unselect.eval.KNN_BLOCK_CELLS
+        shapes.append((b, m))
+        return refine(self, rows, idx, filled)
 
-    monkeypatch.setattr(KnnModel, "_predict_direct", counted)
-    return sizes
+    monkeypatch.setattr(KnnModel, "_refine", counted)
+    return shapes
 
 
-def test_knn_gaussian_blocks_take_the_refine_path(direct_blocks):
+def test_knn_gaussian_blocks_take_the_refine_path(refined):
     rng = np.random.default_rng(37)
     train = table(rng.normal(size=(500, 8)), rng.choice(["p", "q", "r"], size=500))
     rows = rng.normal(size=(300, 8))
     model = knn_fit(train, knn_k=3)
     assert model.predict(rows) == reference_knn_predict(model, rows)
-    assert direct_blocks == []
+    assert max(m for _, m in refined) < 500
 
 
-def test_knn_duplicated_training_rows_match_the_reference_loop(direct_blocks):
+def test_knn_duplicated_training_rows_match_the_reference_loop(refined):
     # each test row that copies a base row lies at distance 0 from about 25
     # training rows, which the Gram form puts a rounding error off 0
     rng = np.random.default_rng(38)
@@ -299,7 +306,7 @@ def test_knn_duplicated_training_rows_match_the_reference_loop(direct_blocks):
     for k in (1, 5, 26, 60):
         model = knn_fit(train, knn_k=k)
         assert model.predict(rows) == reference_knn_predict(model, rows), k
-    assert direct_blocks == []
+    assert max(m for _, m in refined) < 300
 
 
 def test_knn_rows_equidistant_across_the_kth_boundary_match_the_reference_loop():
@@ -316,7 +323,7 @@ def test_knn_rows_equidistant_across_the_kth_boundary_match_the_reference_loop()
         assert model.predict(rows) == reference_knn_predict(model, rows), k
 
 
-def test_knn_offset_columns_match_the_reference_loop(direct_blocks):
+def test_knn_offset_columns_match_the_reference_loop(refined):
     # about half the training rows sit 1e8 from the rest, so the scaled far
     # cluster's Gram-form distances cancel to rounding noise: every far row
     # becomes a candidate, and the exact distances still rank them
@@ -329,29 +336,30 @@ def test_knn_offset_columns_match_the_reference_loop(direct_blocks):
     for k in (1, 3, 10):
         model = knn_fit(train, knn_k=k)
         assert model.predict(rows) == reference_knn_predict(model, rows), k
-    assert direct_blocks == []
+    assert max(m for _, m in refined) < 300
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in square")
-def test_knn_infinite_distances_take_the_direct_path(direct_blocks):
+def test_knn_infinite_distances_make_every_row_a_candidate(refined):
     # the second column spreads about 1e-153, so a test row at 100 there
     # scales past the root of the largest float and its squares overflow
     train = table([[0.0, 0.0], [1.0, 1e-153], [2.0, 0.0], [3.0, 1e-153]], "abab")
     rows = [[0.5, 0.0], [2.5, 100.0], [1.0, -100.0]]
     model = knn_fit(train, knn_k=1)
     assert model.predict(rows) == reference_knn_predict(model, rows)
-    assert direct_blocks == [3]
+    assert refined == [(3, 4)]
 
 
-def test_knn_every_row_a_candidate_takes_the_direct_path(direct_blocks):
+def test_knn_every_row_a_candidate_is_refined_in_sub_blocks(refined):
     # with k = n every training row is a candidate, and one block of 327
-    # rows x 200 candidates x 3 attributes exceeds the cap
+    # rows x 200 candidates x 3 attributes exceeds the cap, so the refine
+    # step takes sub-blocks of 2^16 // 600 = 109 rows
     rng = np.random.default_rng(40)
     train = table(rng.normal(size=(200, 3)), rng.choice(["p", "q", "r"], size=200))
     rows = rng.normal(size=(327, 3))
     model = knn_fit(train, knn_k=200)
     assert model.predict(rows) == reference_knn_predict(model, rows)
-    assert direct_blocks == [327]
+    assert refined == [(109, 200)] * 3
 
 
 # ---------------------------------------------------------------------------

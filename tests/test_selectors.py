@@ -262,6 +262,16 @@ def test_pca_select_constant_column_cannot_rank_first():
     assert s.indices == (0,)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.3, -0.7, 1e-300, 123.456])
+@pytest.mark.parametrize("n", [3, 7, 10, 49])
+def test_edr_constant_column_scores_one_and_cannot_rank_first(value, n):
+    # every value of a constant column equals its mean, though the computed
+    # mean of seven 0.1s rounds below 0.1
+    t = table(np.column_stack([np.full(n, value), np.arange(n)]))
+    assert dict(edr_scores(t))[0] == 1.0
+    assert edr_select(t, 1).indices == (1,)
+
+
 def test_pca_select_breast_is_count_matched(breast):
     # the published breast-cancer selection lists 6 attributes; identity
     # match is not required, only the subset size
