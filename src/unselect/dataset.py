@@ -14,6 +14,8 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -226,7 +228,7 @@ def _text_lines(path, newline=None):
     """The lines of a UTF-8 text file, read as they are consumed.  A byte
     that is not UTF-8 is a ParseError at its file line."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
             yield from fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
@@ -275,25 +277,44 @@ def _parse_label(text, missing, row, col, path):
     )
 
 
-def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
-    """The DataTable of a file's ``(file row, cells)`` pairs.
+def _bulk_parse(rows, width, label_idx, label_chars):
+    """The value matrix and labels of well-formed rows in one C-level pass,
+    or None when any row is ragged, any cell fails ``float`` or is not
+    finite, or any label is missing.
 
-    ``names`` has one entry per file column and sets the row width.
-    ``label_idx`` is the 0-based label column or None; a label cell is
-    stripped of ``label_chars`` (whitespace if None).  Holes follow the
-    missing-value policy, and a missing label, which only ``drop`` lets
-    through, drops its row.  Every error names its file row and column.
+    ``float`` strips the whitespace ``str.strip`` strips, and every missing
+    token either fails in it or gives NaN, so a finite cell here is one
+    ``_parse_cell`` accepts, with the same value.
     """
-    width = len(names)
-    columns = [j + 1 for j in range(width) if j != label_idx]
-    if not columns:
-        raise ParseError(f"{path} has no feature column: its only column is the label",
-                         column=label_idx + 1)
-    first = {}
-    for c in columns:
-        if first.setdefault(names[c - 1], c) != c:
-            raise ParseError(f"column {c} of {path} repeats the name {names[c - 1]!r} "
-                             f"of column {first[names[c - 1]]}", column=c)
+    cells = list(map(itemgetter(1), rows))
+    if set(map(len, cells)) != {width}:
+        return None
+    features = [j for j in range(width) if j != label_idx]
+    if label_idx is None:
+        flat = chain.from_iterable(cells)
+    elif len(features) == 1:
+        flat = map(itemgetter(features[0]), cells)
+    else:
+        flat = chain.from_iterable(map(itemgetter(*features), cells))
+    try:
+        data = np.fromiter(map(float, flat), float, len(cells) * len(features))
+    except ValueError:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    labels = None
+    if label_idx is not None:
+        labels = [c[label_idx].strip(label_chars) for c in cells]
+        if not _MISSING_TOKENS.isdisjoint(map(str.lower, labels)):
+            return None
+    return data.reshape(len(cells), len(features)), labels
+
+
+def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
+    """The value matrix and labels of ``_build_table``'s rows, read row-major
+    one cell at a time, so the first fault in the file is the one raised;
+    holes and missing labels then follow the missing-value policy."""
+    width = len(columns) + (label_idx is not None)
     values, labels = [], None if label_idx is None else []
     for row, cells in rows:
         if len(cells) != width:
@@ -336,7 +357,34 @@ def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
             data = data[keep]
             if labels is not None:
                 labels = [y for y, k in zip(labels, keep) if k]
+    return data, labels
 
+
+def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
+    """The DataTable of a file's ``(file row, cells)`` pairs.
+
+    ``names`` has one entry per file column and sets the row width.
+    ``label_idx`` is the 0-based label column or None; a label cell is
+    stripped of ``label_chars`` (whitespace if None).  Holes follow the
+    missing-value policy, and a missing label, which only ``drop`` lets
+    through, drops its row.  Every error names its file row and column.
+    A table without a hole or a fault is read in one bulk pass; any other
+    goes, whole, through the per-cell loop, which finds the first fault.
+    """
+    width = len(names)
+    columns = [j + 1 for j in range(width) if j != label_idx]
+    if not columns:
+        raise ParseError(f"{path} has no feature column: its only column is the label",
+                         column=label_idx + 1)
+    first = {}
+    for c in columns:
+        if first.setdefault(names[c - 1], c) != c:
+            raise ParseError(f"column {c} of {path} repeats the name {names[c - 1]!r} "
+                             f"of column {first[names[c - 1]]}", column=c)
+    parsed = _bulk_parse(rows, width, label_idx, label_chars)
+    if parsed is None:
+        parsed = _parse_rows(path, rows, columns, label_idx, missing, label_chars)
+    data, labels = parsed
     return DataTable(
         values=data,
         attr_names=tuple(names[c - 1] for c in columns),
@@ -359,7 +407,7 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     _check_missing(missing)
     # a blank line is an empty record, so record i is file row i (no cell spans lines)
     raw = [(i, row) for i, row in enumerate(csv.reader(_text_lines(path, newline="")), 1)
-           if any(c.strip() for c in row)]
+           if "".join(row).strip()]
     if not raw:
         raise EmptyFileError(f"no data in {path}")
 

@@ -1,3 +1,6 @@
+import csv
+import math
+import os
 import re
 
 import numpy as np
@@ -22,6 +25,8 @@ from unselect.dataset import (
     project,
     write_csv,
     zscore_normalize,
+    _parse_cell,
+    _parse_label,
     _split_arff_row,
 )
 
@@ -183,6 +188,41 @@ def test_load_csv_row_wider_than_header_is_ragged(tmp_path):
     assert err.value.row == 2
 
 
+def test_load_csv_ignores_a_byte_order_mark(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("\ufeffa,b\n1,2\n3,4\n", encoding="utf-8")
+    t = load_csv(p)
+    assert t.attr_names == ("a", "b")
+    assert t.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    labelled = load_csv(p, label_column="a")
+    assert labelled.attr_names == ("b",) and labelled.labels == ("1", "3")
+
+
+def test_a_bad_cell_is_reported_before_a_later_ragged_row(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y\n1,oops\n3,4\n5,6\n7,8,9\n")
+    with pytest.raises(ParseError, match="row 2, column 2") as err:
+        load_csv(p)
+    assert (err.value.row, err.value.column) == (2, 2)
+
+
+def test_a_bad_cell_is_reported_before_a_later_missing_label(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,cls\noops,a\n3,?\n")
+    for missing in ("reject", "impute", "drop"):
+        with pytest.raises(ParseError, match="cell 'oops' at row 2, column 1") as err:
+            load_csv(p, label_column="cls", missing=missing)
+        assert (err.value.row, err.value.column) == (2, 1)
+
+
+def test_a_bad_cell_in_the_last_of_many_rows_names_its_row_and_column(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y,z\n" + "1.5,2,-3e-2\n" * 19999 + "4,5,x\n")
+    with pytest.raises(ParseError, match="cell 'x' at row 20001, column 3") as err:
+        load_csv(p)
+    assert (err.value.row, err.value.column) == (20001, 3)
+
+
 def test_pima_diabetes_shape(diabetes):
     # UCI Pima diabetes: 768 instances, 2 classes, 8 attributes
     assert diabetes.n_objects == 768
@@ -220,6 +260,11 @@ def test_registry_repeating_a_name_is_a_parse_error_naming_both_lines(tmp_path):
     assert str(err.value) == f"registry line 4 of {path} repeats the name 'd' of line 2"
     assert err.value.row == 4
 
+
+def test_registry_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "registry.txt"
+    path.write_text("\ufeff# name, path, label\nd, d.csv, cls\n", encoding="utf-8")
+    assert load_registry(path).names() == ["d"]
 
 @pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comments-only"])
 def test_registry_listing_no_datasets_is_rejected(tmp_path, text):
@@ -420,6 +465,183 @@ def test_arff_fuzz_fails_only_with_located_parse_errors(tmp_path_factory, text,
         assert t.n_objects >= 1 and len(t.labels) == t.n_objects
         assert np.all(np.isfinite(t.values))
 
+
+
+# ---------------------------------------------------------------------------
+# the bulk pass against the row-major loader
+
+def reference_build(path, rows, names, label_idx, missing, label_chars=None):
+    """The loader before the bulk pass: every cell of the ``(file row,
+    cells)`` pairs through ``_parse_cell`` and every label through
+    ``_parse_label``, row-major, then the missing-value policy."""
+    values, labels = [], []
+    for row, cells in rows:
+        if len(cells) != len(names):
+            raise ParseError(f"ragged row {row}: expected {len(names)} cells, "
+                             f"got {len(cells)}", row=row)
+        values.append([])
+        for j, cell in enumerate(cells):
+            if j == label_idx:
+                labels.append(_parse_label(cell.strip(label_chars), missing, row, j + 1, path))
+            else:
+                values[-1].append(_parse_cell(cell, row, j + 1))
+    columns = [j + 1 for j in range(len(names)) if j != label_idx]
+    data = np.array(values, dtype=float).reshape(len(rows), len(columns))
+    holes = [(row, c) for (row, _), v in zip(rows, values)
+             for c, x in zip(columns, v) if math.isnan(x)]
+    if holes and missing == "reject":
+        row, column = holes[0]
+        raise ParseError(f"missing value at row {row}, column {column} of {path} "
+                         "(pass missing='impute' or missing='drop' to handle it)",
+                         row=row, column=column)
+    if holes and missing == "impute":
+        for j, c in enumerate(columns):
+            if np.isnan(data[:, j]).all():
+                raise ParseError(f"column {c} of {path} has no observed values", column=c)
+            data[np.isnan(data[:, j]), j] = np.nanmean(data[:, j])
+    if missing == "drop":
+        keep = [i for i, v in enumerate(data) if not np.isnan(v).any()
+                and (label_idx is None or labels[i] is not None)]
+        if not keep:
+            raise EmptyFileError(f"every row of {path} has missing values")
+        data, labels = data[keep], [labels[i] for i in keep if labels]
+    return DataTable(values=data, attr_names=tuple(names[c - 1] for c in columns),
+                     labels=None if label_idx is None else tuple(labels))
+
+
+def reference_csv(path, label_idx, missing):
+    """``reference_build`` over ``csv.reader``; the header is never blank."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = [(i, r) for i, r in enumerate(csv.reader(fh), 1) if any(c.strip() for c in r)]
+    if len(records) < 2:
+        raise EmptyFileError(f"only a header row in {path}")
+    names = [c.strip() for c in records[0][1]]
+    return reference_build(path, records[1:], names, label_idx, missing)
+
+
+def reference_arff(path, names, label_idx, missing):
+    """``reference_build`` over the lines after ``@data``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = list(enumerate(fh, 1))
+    start = next(k for k, (_, line) in enumerate(lines) if line.strip() == "@data") + 1
+    rows = [(i, [c.strip() for c in _split_arff_row(line.strip())])
+            for i, line in lines[start:] if line.strip()]
+    if not rows:
+        raise EmptyFileError(f"no data in {path}")
+    return reference_build(path, rows, names, label_idx, missing, label_chars="'\"")
+
+
+def outcome(load, *args, **kwargs):
+    """A loaded table's value bytes, shape, labels and names, or the type,
+    message, row and column of the error it raised."""
+    try:
+        t = load(*args, **kwargs)
+    except (ParseError, EmptyFileError) as err:
+        return type(err), str(err), getattr(err, "row", None), getattr(err, "column", None)
+    return t.values.tobytes(), t.values.shape, t.labels, t.attr_names
+
+
+# float() and str.strip() agree on these: Unicode blanks, digit separators,
+# full-width digits, signed zero, underflow to zero
+GOOD_CELLS = ["1", "-2.5", "3e2", "0", "-0", "1_0", "\uff11\uff12", "1e-400", "-7e-310", "0.1"]
+BAD_CELLS = ["1e400", "-inf", "inf", "NaN", "-nan", "?", "", "NA", "n/a", "x", "1__0"]
+BLANKS = ["", " ", "\xa0", "\u3000", "\u2003"]
+GOOD_LABELS = ["a", "b", " a ", "\xa0b", "'a"]
+BAD_LABELS = ["?", "", "NA", "nan"]
+
+
+faults = st.fixed_dictionaries({k: st.booleans() for k in ("cells", "labels", "ragged")})
+
+
+@st.composite
+def drawn_cells(draw, width, label_idx, allowed):
+    """One row's cells: a value or a label token wrapped in blanks.  The
+    ``allowed`` faults (bad value cells, missing labels, ragged rows) are
+    drawn each on its own, so every fault also shows in an otherwise clean
+    file."""
+    if allowed["ragged"]:
+        width = draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))
+    cells = []
+    for j in range(width):
+        if j == label_idx:
+            pool = GOOD_LABELS + BAD_LABELS * allowed["labels"]
+        else:
+            pool = GOOD_CELLS + BAD_CELLS * allowed["cells"]
+        blank = draw(st.sampled_from(BLANKS))
+        cells.append(blank + draw(st.sampled_from(pool)) + draw(st.sampled_from(BLANKS)))
+    return cells
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text, its label column (0-based or None); rows may be blank and
+    the file may start with a byte order mark."""
+    width = draw(st.integers(1, 4))
+    label_idx = draw(st.sampled_from([None] + list(range(width)))) if width > 1 else None
+    drawn_faults = draw(faults)
+    lines = [",".join(f"a{j + 1}" for j in range(width))]
+    for _ in range(draw(st.integers(1, 6))):
+        blank = draw(st.integers(0, 9)) == 0
+        lines.append("" if blank else ",".join(draw(drawn_cells(width, label_idx, drawn_faults))))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "\n".join(lines) + "\n", label_idx
+
+
+@st.composite
+def arff_tables(draw):
+    """ARFF text with 1-3 numeric attributes and, mostly, a trailing class;
+    each cell bare or quoted with ' or ", a quote sometimes left open."""
+    d = draw(st.integers(1, 3))
+    labelled = draw(st.integers(0, 3)) > 0
+    names = [f"x{j}" for j in range(d)] + ["class"] * labelled
+    drawn_faults = draw(faults)
+    lines = ["@relation fuzz"] + [f"@attribute x{j} real" for j in range(d)]
+    lines += ["@attribute class {a,b}"] * labelled + ["@data"]
+    for _ in range(draw(st.integers(1, 6))):
+        cells = draw(drawn_cells(len(names), d if labelled else None, drawn_faults))
+        quotes = draw(st.lists(st.sampled_from(["", "", "'", '"', "'-open"]),
+                               min_size=len(cells), max_size=len(cells)))
+        lines.append(",".join(c if not q else q[0] + c + q * (q != "'-open")
+                              for c, q in zip(cells, quotes)))
+    return "\n".join(lines) + "\n", names, d if labelled else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=csv_files(), missing=st.sampled_from(["reject", "impute", "drop"]))
+def test_load_csv_equals_the_row_major_reference(tmp_path_factory, drawn, missing):
+    text, label_idx = drawn
+    p = tmp_path_factory.mktemp("diff") / "t.csv"
+    p.write_text(text, encoding="utf-8")
+    assert (outcome(load_csv, p, label_column=label_idx, missing=missing)
+            == outcome(reference_csv, p, label_idx, missing))
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=arff_tables(), missing=st.sampled_from(["reject", "impute", "drop"]))
+def test_load_arff_equals_the_row_major_reference(tmp_path_factory, drawn, missing):
+    text, names, label_idx = drawn
+    p = tmp_path_factory.mktemp("diff") / "t.arff"
+    p.write_text(text, encoding="utf-8")
+    assert (outcome(load_arff, p, missing=missing)
+            == outcome(reference_arff, p, names, label_idx, missing))
+
+
+def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, monkeypatch):
+    calls = []
+    parse_cell = unselect.dataset._parse_cell
+    monkeypatch.setattr(unselect.dataset, "_parse_cell",
+                        lambda *args: calls.append(args) or parse_cell(*args))
+    (tmp_path / "plain.csv").write_text("x,y\n1,2\n3,4\n")
+    (tmp_path / "labelled.csv").write_text("x,cls,y\n1,a,2\n3,b,4\n")
+    load_csv(tmp_path / "plain.csv")
+    load_csv(tmp_path / "labelled.csv", label_column="cls")
+    load_arff(os.path.join(os.path.dirname(__file__), "..", "data", "diabetes.arff"))
+    assert calls == []
+    # one hole sends the whole table through the per-cell loop
+    p = tmp_path / "hole.csv"
+    p.write_text("x,y\n1,2\n?,4\n5,6\n")
+    assert outcome(load_csv, p, missing="impute") == outcome(reference_csv, p, None, "impute")
+    assert len(calls) == 6
 
 # ---------------------------------------------------------------------------
 # zscore_normalize
