@@ -1,7 +1,9 @@
 """Command-line front door: select, evaluate, bench and report.
 
 For pca and edr, ``select`` also prints the ranking its subset was cut
-from, which the subset carries (``FeatureSubset.ranking``).
+from, which the subset carries (``FeatureSubset.ranking``).  For usqr it
+prints the search's rounds (``FeatureSubset.rounds``), each as
+``attribute:total:scorer calls``; the last total is the target n*d.
 
 Exit codes: 0 ok, 1 internal error, 2 bad configuration, 3 data error,
 4 benchmark finished with failed datasets.  Results go to stdout,
@@ -135,6 +137,9 @@ def cmd_select(args):
         lines = [f"subset: {subset.to_one_based()}"]
         if subset.ranking is not None:
             lines.append("ranking: " + " ".join(f"{j + 1}:{s:.4f}" for j, s in subset.ranking))
+        if subset.rounds is not None:
+            lines.append("rounds: " + " ".join(f"{j + 1}:{total}:{calls}"
+                                               for j, total, calls in subset.rounds))
         payload = "\n".join(lines + [f"fingerprint: {fingerprint}"])
     _emit(payload + "\n", args.out)
     return EXIT_OK

@@ -64,12 +64,15 @@ class FeatureSubset:
     The order is the selection order, which is meaningful for greedy
     methods.  All user-facing I/O renders indices 1-based.  A subset cut
     from a ranking (pca, edr) carries every ``(index, score)`` pair of it,
-    best first; equality, hashing and repr ignore it.
+    best first; a usqr subset carries its ``(index, total, scorer calls)``
+    rounds (``selectors.usqr``).  Equality, hashing and repr ignore both.
     """
 
     indices: tuple[int, ...]
     ranking: tuple[tuple[int, float], ...] | None = field(default=None, compare=False,
                                                           repr=False)
+    rounds: tuple[tuple[int, int, int], ...] | None = field(default=None, compare=False,
+                                                            repr=False)
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)

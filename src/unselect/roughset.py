@@ -7,13 +7,15 @@ are exact rationals (counts over the universe size), so reduct checks
 compare integers, never floats.
 
 Objects are grouped by one rule, ``group_ids`` (``eval``'s decision table
-uses it too), and every dependency is counted by one scorer,
-``positive_total``, on the group-id arrays: ``pure_groups`` sorts the
-condition keys once, and a minimum and a maximum per group mark the groups
-pure for every decision column at once.  Rows carry weights, so a search
-may score the table's ``distinct_rows`` in place of their identical
-copies; ``selectors.usqr`` does, and settles weight from the
-``pure_groups`` matrix between rounds.
+uses it too): the columns fold into one mixed-radix key, ranked by one
+``np.unique``.  Every dependency is counted by one scorer,
+``positive_total``: the decision columns are packed into ``uint64`` words
+(``pack_codes``), ``pure_groups`` sorts the condition keys once, and the
+AND and the OR of each group's words mark every column the group's rows
+disagree on, for all decision columns at once.  Rows carry weights, so a
+search may score the table's ``distinct_rows`` in place of their
+identical copies; ``selectors.usqr`` does, and settles weight from the
+``pure_groups`` flags between rounds.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "positive_region",
     "gamma",
     "mean_dependency_exact",
+    "PackedCodes",
+    "pack_codes",
     "positive_total",
     "pure_groups",
     "group_ids",
@@ -84,13 +88,26 @@ def group_ids(codes: np.ndarray, bins) -> np.ndarray:
 
     Rows share an id iff they agree on every column; with no columns every
     row falls into one group (the condition in the indiscernibility
-    definition is vacuous).  Each column refines the groups so far, and the
-    ids stay dense and ordered like the code tuples.
+    definition is vacuous).  The columns fold into one mixed-radix key,
+    ``key * bins[j] + codes[:, j]``, which orders rows like their code
+    tuples; before the key could pass 2**62 it is compressed to its dense
+    rank (and a column whose bin count alone would still carry it past, to
+    the column's rank).  So the ids stay dense and ordered like the code
+    tuples.
     """
     ids = np.zeros(len(codes), dtype=np.int64)
-    for j, b in enumerate(bins):
-        _, ids = np.unique(ids * b + codes[:, j], return_inverse=True)
-    return ids
+    size = 1        # every key lies in [0, size)
+    for j, b in enumerate(map(int, bins)):     # Python ints: size never wraps
+        column = codes[:, j]
+        if size * b > 2**62:
+            keys, ids = np.unique(ids, return_inverse=True)
+            size = len(keys)
+            if size * b > 2**62:    # a bin count near 2**62: fold the column's rank
+                values, column = np.unique(column, return_inverse=True)
+                b = len(values)
+        ids = ids * b + column
+        size *= b
+    return np.unique(ids, return_inverse=True)[1]
 
 
 def _columns(table: DiscreteTable, subset) -> tuple[np.ndarray, list[int]]:
@@ -146,31 +163,76 @@ def positive_region(cond: Partition, dec: Partition) -> set:
     return out
 
 
-def pure_groups(keys: np.ndarray, decisions: np.ndarray):
-    """One stable sort of ``keys``: the row order, the start of each
-    group's run of sorted rows, and a groups x columns mask that is true
-    where every row of the group agrees on the column.
+@dataclass(frozen=True)
+class PackedCodes:
+    """A code matrix packed into ``uint64`` words, ``pack_codes``'s result.
 
-    Rows sharing a key form one condition group.  The minimum and maximum
-    of a group's run of sorted rows are equal exactly on its pure columns.
+    Every field is ``width`` bits wide; each word holds ``64 // width``
+    fields, column j in word ``j // (64 // width)``, and no field crosses a
+    word boundary.  ``low`` has the low bit of each of a word's fields set.
     """
-    order = np.argsort(keys, kind="stable")
+
+    words: np.ndarray       # rows x words, uint64
+    low: np.ndarray         # words, uint64
+    width: int
+    n_cols: int
+
+    def columns(self, flags: np.ndarray) -> np.ndarray:
+        """The per-column booleans of one row of low-bit ``flags``."""
+        per = 64 // self.width
+        j = np.arange(self.n_cols)
+        shifts = (j % per * self.width).astype(np.uint64)
+        return ((flags[j // per] >> shifts) & np.uint64(1)).astype(bool)
+
+
+def pack_codes(codes: np.ndarray) -> PackedCodes:
+    """Pack each row of a non-negative code matrix into ``uint64`` words, one
+    field per column, all as wide as the bit length of the largest code."""
+    codes = np.asarray(codes)
+    n, d = codes.shape
+    width = max(1, int(codes.max(initial=0)).bit_length())
+    per = 64 // width
+    words = np.zeros((n, -(-d // per)), dtype=np.uint64)
+    low = np.zeros(words.shape[1], dtype=np.uint64)
+    for j in range(d):
+        shift = np.uint64(j % per * width)
+        words[:, j // per] |= codes[:, j].astype(np.uint64) << shift
+        low[j // per] |= np.uint64(1) << shift
+    return PackedCodes(words, low, width, d)
+
+
+def pure_groups(keys: np.ndarray, packed: PackedCodes):
+    """One sort of ``keys``: the row order, the start of each group's run of
+    sorted rows, and a groups x words array with the low bit of a field set
+    where the group's rows disagree on that column.
+
+    Rows sharing a key form one condition group, and grouping does not
+    depend on the order inside a group, so the sort need not be stable.
+    The AND and the OR of a group's words differ exactly in the bits where
+    its rows disagree; a field with any such bit is OR-folded onto its low
+    bit by adding its lower bits into its top bit.
+    """
+    order = np.argsort(keys)
     sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    rows = decisions[order]
-    return order, starts, np.minimum.reduceat(rows, starts) == np.maximum.reduceat(rows, starts)
+    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    rows = packed.words[order]
+    diff = np.bitwise_and.reduceat(rows, starts) ^ np.bitwise_or.reduceat(rows, starts)
+    top = np.uint64(packed.width - 1)
+    rest = packed.low * np.uint64((1 << (packed.width - 1)) - 1)
+    return order, starts, ((((diff & rest) + rest) | diff) >> top) & packed.low
 
 
-def positive_total(keys: np.ndarray, weights: np.ndarray, decisions: np.ndarray) -> int:
+def positive_total(keys: np.ndarray, weights: np.ndarray, packed: PackedCodes) -> int:
     """Positive-region weight of the grouping ``keys``, summed over every
-    column of ``decisions`` taken as the decision.
+    packed column taken as the decision.
 
     A group lies in the positive region of column y iff all its rows agree
     on y, so one sort of the keys serves every column at once.
     ``weights`` counts the objects each row stands for.
     """
-    order, starts, pure = pure_groups(keys, decisions)
-    return int(pure.sum(axis=1) @ np.add.reduceat(weights[order], starts))
+    order, starts, impure = pure_groups(keys, packed)
+    pure = np.bitwise_count(~impure & packed.low).sum(axis=1, dtype=np.int64)
+    return int(pure @ np.add.reduceat(weights[order], starts))
 
 
 def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +252,7 @@ def gamma(table: DiscreteTable, p, q) -> Fraction:
     if not dec[1]:
         raise ValueError("decision attribute set q must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
-    pos = positive_total(group_ids(*cond), ones, group_ids(*dec)[:, None])
+    pos = positive_total(group_ids(*cond), ones, pack_codes(group_ids(*dec)[:, None]))
     return Fraction(pos, table.n_objects)
 
 
@@ -204,7 +266,7 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     if not bins:
         raise ValueError("attribute subset must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
-    total = positive_total(group_ids(codes, bins), ones, table.codes)
+    total = positive_total(group_ids(codes, bins), ones, pack_codes(table.codes))
     return Fraction(total, table.n_objects * table.n_attrs)
 
 

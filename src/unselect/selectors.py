@@ -131,16 +131,18 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     compares integer positive-region totals and stops at total n*d.  It
     works on the distinct rows weighted by their counts, and on the group
     ids of the chosen subset: a candidate x only refines those groups, by
-    the key ``ids * bins[x] + codes[:, x]``.  After each round one
-    ``roughset.pure_groups`` matrix (group x live column: do the group's
-    rows agree on it?) settles the weight no refinement can change, and
-    takes it out of every later round:
+    the key ``ids * bins[x] + codes[:, x]``.  Each round packs the live
+    columns into words once (``roughset.pack_codes``) and scores every
+    candidate against them.  After each round ``roughset.pure_groups``
+    marks, per group, the live columns its rows disagree on, which settles
+    the weight no refinement can change and takes it out of every later
+    round:
 
-    - a group pure on every live column settles its rows, with
-      ``len(live)`` times their weight.  It holds exactly one row (the
+    - a group with no such column settles its rows, with ``len(live)``
+      times their weight.  It holds exactly one row (the
       positive-approximation accelerator): rows are distinct, and rows of
       one group already agree on every chosen and settled column;
-    - a column pure in every group settles on the rows left.
+    - a column no group disagrees on settles on the rows left.
 
     A settled column also stops being a candidate.  Adding it would leave
     the groups, and so the total, as they are, while adding any column
@@ -148,6 +150,10 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     so a settled column could never win a round.  The chosen attribute
     settles in the round that adds it, so the live columns are exactly the
     candidates left.
+
+    The subset carries its ``rounds``: per round the attribute added, the
+    total after it and the number of candidates scored.  The last total is
+    n*d.
     """
     codes, weights = roughset.distinct_rows(table)
     bins = table.bins_per_attr
@@ -155,26 +161,29 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     ids = np.zeros(len(weights), dtype=np.int64)
     settled = 0
     chosen: list[int] = []
+    rounds: list[tuple[int, int, int]] = []
     live = list(range(table.n_attrs))     # original index of each column of codes
     while True:
+        packed = roughset.pack_codes(codes)
         best, best_total = None, -1     # best is a position in live
         for i, x in enumerate(live):
             keys = ids * bins[x] + codes[:, i]
-            total = settled + roughset.positive_total(keys, weights, codes)
+            total = settled + roughset.positive_total(keys, weights, packed)
             if total > best_total:
                 best, best_total = i, total
                 if total == target:     # no later candidate can exceed it
                     break
         chosen.append(live[best])
+        rounds.append((live[best], best_total, i + 1))      # i + 1 candidates scored
         if best_total == target:
-            return FeatureSubset(tuple(chosen))
-        # dense ids, so row g of the matrix is group g
+            return FeatureSubset(tuple(chosen), rounds=tuple(rounds))
+        # dense ids, so row g of the flags is group g
         _, ids = np.unique(ids * bins[live[best]] + codes[:, best], return_inverse=True)
-        pure = roughset.pure_groups(ids, codes)[2]
-        whole = pure.all(axis=1)[ids]
+        impure = roughset.pure_groups(ids, packed)[2]
+        whole = ~impure.any(axis=1)[ids]
         settled += len(live) * int(weights[whole].sum())
         ids, codes, weights = ids[~whole], codes[~whole], weights[~whole]
-        columns = pure.all(axis=0)
+        columns = ~packed.columns(np.bitwise_or.reduce(impure, axis=0))
         settled += int(columns.sum()) * int(weights.sum())
         codes = codes[:, ~columns]
         live = [x for x, p in zip(live, columns) if not p]

@@ -57,6 +57,18 @@ def test_select_edr_matches_published_diabetes_subset(capsys):
     assert "ranking:" in out
 
 
+def test_select_usqr_prints_its_rounds_and_keeps_json_to_the_subset(capsys):
+    argv = ["select", "--data", "lung", "--method", "usqr"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "subset: 31,14,3,6,54,2,10",
+        "rounds: 31:560:56 14:894:44 3:1363:43 6:1598:40 54:1738:39 2:1768:18 10:1792:1"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)) == ["fingerprint", "subset"]
+
+
 def test_select_unknown_method_exits_2(capsys):
     code, out, err = run(
         capsys, "select", "--data", diabetes_path(), "--method", "magic"

@@ -16,6 +16,7 @@ from unselect.roughset import (
     is_superreduct,
     lower_approximation,
     mean_dependency_exact,
+    pack_codes,
     positive_region,
     positive_total,
     upper_approximation,
@@ -168,18 +169,18 @@ def ones(n):
 
 def test_positive_total_reflexive_is_every_object():
     col = np.array([0, 1, 0, 2])
-    assert positive_total(col, ones(4), col[:, None]) == 4
+    assert positive_total(col, ones(4), pack_codes(col[:, None])) == 4
 
 
 def test_positive_total_one_group_two_classes_is_zero():
     assert positive_total(np.zeros(4, dtype=np.int64), ones(4),
-                          np.array([[0], [1], [0], [1]])) == 0
+                          pack_codes(np.array([[0], [1], [0], [1]]))) == 0
 
 
 def test_positive_total_hand_verified_half():
     # groups {0,1} and {2,3}; only the first agrees on the decision
     keys = np.array([1, 1, 2, 2])
-    assert positive_total(keys, ones(4), np.array([[1], [1], [1], [2]])) == 2
+    assert positive_total(keys, ones(4), pack_codes(np.array([[1], [1], [1], [2]]))) == 2
 
 
 def test_positive_total_sums_columns_and_weights():
@@ -187,13 +188,13 @@ def test_positive_total_sums_columns_and_weights():
     # (weight 4), column 1 only in the singleton (weight 2)
     keys = np.array([7, 7, 3])
     decisions = np.array([[0, 0], [0, 1], [1, 1]])
-    assert positive_total(keys, np.array([1, 1, 2]), decisions) == 4 + 2
+    assert positive_total(keys, np.array([1, 1, 2]), pack_codes(decisions)) == 4 + 2
 
 
 def test_positive_total_ignores_key_order_and_gaps():
     keys = np.array([9, 2, 9, 2, 40])
     decisions = np.array([[1], [0], [1], [1], [5]])
-    assert positive_total(keys, ones(5), decisions) == 3
+    assert positive_total(keys, ones(5), pack_codes(decisions)) == 3
 
 
 def test_distinct_rows_weighted_score_like_their_copies():
@@ -211,7 +212,98 @@ def test_distinct_rows_weighted_score_like_their_copies():
         keys = np.unique(np.asarray(cond).reshape(len(rows), -1), axis=0,
                          return_inverse=True)[1].ravel()
         want = sum(naive_gamma(t.codes.tolist(), attrs, [y]) for y in range(t.n_attrs))
-        assert positive_total(keys, weights, rows) == want * t.n_objects
+        assert positive_total(keys, weights, pack_codes(rows)) == want * t.n_objects
+
+
+def pooled_rows(draw, n, tops):
+    """n rows drawn from a smaller pool; column j takes 1-3 codes in
+    [0, tops[j]], and the first row holds tops[0]."""
+    palettes = [draw(st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True))
+                for top in tops]
+    pool = [[draw(st.sampled_from(v)) for v in palettes]
+            for _ in range(draw(st.integers(1, n)))]
+    if tops:
+        pool[0][0] = tops[0]
+    rows = [pool[0]] + [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n - 1)]
+    return np.array(rows, dtype=np.int64).reshape(n, len(tops))
+
+
+@st.composite
+def scored_groupings(draw):
+    """Unsorted condition keys with gaps, row weights and a decision matrix
+    whose largest code has bit length ``width``; the column count may fill
+    a word exactly or cross into the next one.  Or, with ``as_ids``, the
+    decision is one column of the rows' group ids over all those columns,
+    as ``gamma`` scores a decision set."""
+    width = draw(st.sampled_from([*range(1, 11), 62, 63]))
+    per = 64 // width
+    d = draw(st.sampled_from([per, per + 1]) | st.integers(1, min(40, 2 * per + 1)))
+    n = draw(st.integers(1, 30))
+    key_pool = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=4, unique=True))
+    keys = np.array([draw(st.sampled_from(key_pool)) for _ in range(n)], dtype=np.int64)
+    weights = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    decisions = pooled_rows(draw, n, [2**width - 1] * d)
+    return keys, weights, decisions, width, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_groupings())
+def test_positive_total_of_packed_codes_counts_like_the_oracle(case):
+    keys, weights, decisions, width, as_ids = case
+    n, d = decisions.shape
+    objects = [[int(k)] + row for k, row, w in zip(keys, decisions.tolist(), weights)
+               for _ in range(w)]
+    if as_ids:
+        ids = np.unique(decisions, axis=0, return_inverse=True)[1]
+        packed = pack_codes(ids.reshape(n, 1))
+        want = naive_gamma(objects, [0], range(1, d + 1))
+    else:
+        packed = pack_codes(decisions)
+        assert packed.width == width and packed.n_cols == d
+        assert packed.words.shape == (n, -(-d // (64 // width)))
+        want = sum(naive_gamma(objects, [0], [1 + y]) for y in range(d))
+    assert positive_total(keys, weights, packed) == want * len(objects)
+
+
+@pytest.mark.parametrize("bins", [(3, 2**62), (2**62, 2**62, 2), (2**40, 2**40)])
+def test_group_ids_of_bin_counts_near_2_to_62_rank_like_the_code_tuples(bins):
+    # a key folded from these bin counts would wrap in int64
+    rng = np.random.default_rng(29)
+    columns = [rng.choice([0, 1, b // 3, b - 2, b - 1], size=40) for b in bins]
+    codes = np.array(columns, dtype=np.int64).T
+    keys = list(map(tuple, codes.tolist()))
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    assert group_ids(codes, bins).tolist() == [rank[key] for key in keys]
+
+
+def one_unique_per_column(codes, bins):
+    """Group ids as one ``np.unique`` per column: each column refines the
+    groups so far.  The reference for ``group_ids``' mixed-radix fold."""
+    ids = np.zeros(len(codes), dtype=np.int64)
+    for j, b in enumerate(bins):
+        _, ids = np.unique(ids * b + codes[:, j], return_inverse=True)
+    return ids
+
+
+@st.composite
+def radix_cases(draw):
+    """Up to 45 columns of 1-3 bins, or up to 4 columns of 2**31 to 2**40
+    bins: either can carry the product of bin counts past 2**62."""
+    if draw(st.booleans()):
+        bins = draw(st.lists(st.integers(1, 3), max_size=45))
+    else:
+        bins = draw(st.lists(st.sampled_from([2**31, 2**31 + 1, 2**40]), max_size=4))
+    n = draw(st.integers(1, 30))
+    return pooled_rows(draw, n, [b - 1 for b in bins]), bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(radix_cases())
+def test_group_ids_equal_one_unique_per_column(case):
+    codes, bins = case
+    want = one_unique_per_column(codes, bins)
+    assert group_ids(codes, bins).tolist() == want.tolist()
+    assert group_ids(codes, np.array(bins, dtype=np.int64)).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

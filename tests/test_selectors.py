@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from unselect import roughset
 from unselect.dataset import DataTable, DiscreteTable, FeatureSubset, discretize, project, zscore_normalize
 from unselect.pca import fit_pca, retain_count
-from unselect.roughset import brute_force_min_reducts, is_superreduct, mean_dependency_exact
+from unselect.roughset import brute_force_min_reducts, is_superreduct, pack_codes
 from unselect.selectors import (
     SelectorConfig,
     _preselect_covered,
@@ -21,7 +21,7 @@ from unselect.selectors import (
     usqr,
 )
 
-from rough_oracle import dtable
+from rough_oracle import dtable, naive_mean_dependency
 
 CFG = SelectorConfig()
 
@@ -160,17 +160,17 @@ def test_usqr_insertion_order_is_greedy_order():
 
 
 def reference_usqr(t):
-    """The greedy search scored from scratch: every candidate subset
-    chosen + [x] is regrouped and its mean dependency compared as an exact
-    rational, against the full set's.  The incremental search in usqr must
-    return exactly this subset."""
-    d = t.n_attrs
-    target = mean_dependency_exact(t, range(d))
+    """The greedy search scored from scratch by the tests' oracle: every
+    candidate subset chosen + [x] is regrouped and its mean dependency
+    compared as an exact rational, against the full set's.  The
+    incremental search in usqr must return exactly this subset."""
+    codes, d = t.codes.tolist(), t.n_attrs
+    target = naive_mean_dependency(codes, range(d))
     chosen, remaining = [], list(range(d))
     while True:
         best, best_value = None, Fraction(-1)
         for x in remaining:
-            value = mean_dependency_exact(t, chosen + [x])
+            value = naive_mean_dependency(codes, chosen + [x])
             if value > best_value:
                 best, best_value = x, value
         chosen.append(best)
@@ -211,6 +211,32 @@ def test_usqr_equals_reference_search(t):
     assert usqr(t).indices == reference_usqr(t)
 
 
+@st.composite
+def wide_tables(draw):
+    """Tables whose packed rows span at least two words: 33-40 columns with
+    codes up to 3 (2-bit fields, 32 to a word), or 7-12 columns with codes
+    up to 600 (10-bit fields, 6 to a word).  Each column takes 1-3 codes,
+    column 0 its top one; n in [1, 12], rows repeat from a smaller pool."""
+    top = draw(st.sampled_from([3, 600]))
+    d = draw(st.integers(33, 40) if top == 3 else st.integers(7, 12))
+    n = draw(st.integers(1, 12))
+    values = [draw(st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True))
+              for _ in range(d)]
+    pool = [[draw(st.sampled_from(v)) for v in values]
+            for _ in range(draw(st.integers(1, n)))]
+    pool[0][0] = top
+    rows = [pool[0]] + [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n - 1)]
+    return DiscreteTable(codes=np.asarray(rows), bins_per_attr=(top + 1,) * d,
+                         attr_names=tuple(f"a{j}" for j in range(d)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_tables())
+def test_usqr_on_words_spanning_two_words_equals_reference_search(t):
+    assert pack_codes(t.codes).words.shape[1] >= 2
+    assert usqr(t).indices == reference_usqr(t)
+
+
 def test_usqr_non_contiguous_codes_with_duplicates():
     # with one attribute the full-set group ids are the raw codes 2, 1, 1,
     # which are not compact: row weights must come from the distinct ids
@@ -239,12 +265,72 @@ def test_usqr_never_scores_a_settled_copy(count_calls):
     a = [0, 0, 1, 1, 2, 2]
     t = dtable([a, [0, 1, 0, 1, 0, 1], [(x + 1) % 3 for x in a]])
     calls = count_calls(roughset.positive_total)
-    assert usqr(t).indices == (0, 1)
+    s = usqr(t)
+    assert s.indices == (0, 1)
     assert len(calls) == 3 + 1
+    assert s.rounds == ((0, 12, 3), (1, 18, 1))
     # the round-two call scores the one live pseudo-decision, b
-    _, _, decisions = calls[-1]
-    assert decisions.shape[1] == 1
+    _, _, packed = calls[-1]
+    assert packed.n_cols == 1
     assert reference_usqr(t) == (0, 1)
+
+
+# Every USQR subset of the bundled tables under both binning strategies at
+# 2-5 bins, and every default Rough-PCA subset, pinned: a change to how the
+# kernel breaks ties or settles rows and columns fails loudly here.
+PINNED_USQR = {
+    ("lung", "eqwidth"): ("31,37,20,42,54,25,5,34", "8,42,12,6,11,16", "8,3,42,34,2",
+                          "8,3,42,34,2"),
+    ("lung", "eqfreq"): ("26,37,31,20,34,36,3,6", "31,14,3,6,54,2,10", "8,26,14,3,36,6",
+                         "8,3,26,14,21,6"),
+    ("breast", "eqwidth"): (
+        "1,28,9,5,22,16,25,27,2,12,29,15,23,6,24,10,8,21,4,26,18,3",
+        "3,9,28,10,22,25,18,5,2,4,26,12,29,6,21,15,1,27,7,19,8,16,24,30,23",
+        "28,1,10,22,25,9,18,29,23,5,6,12,2,26,19,4,21,3,15,30,27,7,8",
+        "21,28,16,22,25,9,10,29,2,12,19,4,5,27,23,1,6,15,26,18,7,8"),
+    ("breast", "eqfreq"): (
+        "1,11,26,29,18,2,25,12,20,19,15,5,9,27,10,24,22,16,23,17,30,13,6,14,3,21,28",
+        "1,30,5,11,22,15,16,12,29,19,18,10,23,20,14,9,25,2",
+        "21,30,11,2,19,5,12,15,9,16",
+        "1,30,15,22,5,19,13,17,6"),
+    ("diabetes", "eqwidth"): ("2,6,3,1,8,7,5,4", "8,6,3,2,1,4,7,5", "3,6,2,1,8,4,7,5",
+                              "2,3,1,8,4,7,6,5"),
+    ("diabetes", "eqfreq"): ("1,2,3,4,5,7,6,8", "1,8,4,7,2,3,6,5", "1,8,2,7,6,3,5,4",
+                             "1,8,2,7,3,6,4,5"),
+    ("heart", "eqwidth"): ("1,2,11,7,9,3,13,12,8,4,6,10,5", "3,11,1,12,4,8,7,2,13,9,5,10,6",
+                           "1,3,8,4,12,11,5,7,13,2,9", "5,10,1,3,8,4,12,11,7,13,2,9"),
+    ("heart", "eqfreq"): ("1,2,3,5,11,7,4,8,10", "1,2,10,3,4,5,8,7,13,12,11",
+                          "1,8,4,5,10,3,7,12,11,2,13", "13,5,8,1,4,3,10,2,11,7"),
+    ("ecoli", "eqwidth"): ("3,5,7,1,6,2", "3,7,2,5,1,6,4", "1,6,2,7,5,3", "6,1,2,5,7,3"),
+    ("ecoli", "eqfreq"): ("1,2,5,7,6", "1,2,7,5,6", "1,2,7,5,6", "1,6,5,2,7"),
+}
+
+PINNED_ROUGH_PCA = {"lung": "6,4,8,38,2,10,12", "breast": "5,8,30,12,29,22,10",
+                    "diabetes": "3,4,6,7,8", "heart": "1,2,10,5,7,11", "ecoli": "2,5,6"}
+
+
+@pytest.mark.parametrize("name, strategy", sorted(PINNED_USQR))
+def test_usqr_subsets_of_the_bundled_tables_are_pinned(request, name, strategy):
+    t = request.getfixturevalue(name)
+    got = tuple(usqr(discretize(t, strategy, bins)).to_one_based() for bins in range(2, 6))
+    assert got == PINNED_USQR[name, strategy]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROUGH_PCA))
+def test_rough_pca_subsets_of_the_bundled_tables_are_pinned(request, name):
+    assert rough_pca_select(request.getfixturevalue(name), CFG).to_one_based() \
+        == PINNED_ROUGH_PCA[name]
+
+
+def test_usqr_rounds_record_each_choice_its_total_and_its_scorer_calls(lung, count_calls):
+    calls = count_calls(roughset.positive_total)
+    s = usqr(discretize(lung, "eqfreq", 3))
+    assert [(a + 1, total, scored) for a, total, scored in s.rounds] == [
+        (31, 560, 56), (14, 894, 44), (3, 1363, 43), (6, 1598, 40), (54, 1738, 39),
+        (2, 1768, 18), (10, 1792, 1)]
+    assert s.rounds[-1][1] == lung.n_objects * lung.n_attrs
+    assert len(calls) == sum(scored for _, _, scored in s.rounds)
+    assert s == FeatureSubset(s.indices) and repr(s) == repr(FeatureSubset(s.indices))
 
 
 # ---------------------------------------------------------------------------
