@@ -115,7 +115,7 @@ class DataTable:
     when present, holds one class identifier per object and never counts
     as an attribute.  ``classes`` holds the sorted distinct labels and ``y``
     each object's read-only index into them (``()`` and None if unlabeled);
-    ``take`` and ``project`` keep the source's ``classes``.
+    ``project`` keeps the source's ``classes``.
     """
 
     values: np.ndarray
@@ -163,19 +163,6 @@ class DataTable:
     @property
     def n_attrs(self) -> int:
         return self.values.shape[1]
-
-    def take(self, rows) -> "DataTable":
-        """The table with only the rows at the given (non-empty) indices.
-
-        The rows come from this table, already checked, so none of the
-        checks of construction runs again.
-        """
-        sub = copy.copy(self)
-        object.__setattr__(sub, "values", _freeze(self.values[rows]))
-        if self.y is not None:
-            object.__setattr__(sub, "y", _freeze(self.y[rows]))
-            object.__setattr__(sub, "labels", tuple(np.array(self.classes, dtype=object)[sub.y]))
-        return sub
 
 
 @dataclass(frozen=True)
@@ -445,8 +432,17 @@ def _split_arff_row(line):
     """Split a data line on the commas outside quotes, unquoting each cell.
 
     ARFF quotes a value holding a comma or a space with ' or ", and one
-    line may use both.
+    line may use both.  A line without quotes is split on its commas
+    alone; its cells differ from ``_split_quoted_arff_row``'s only in the
+    blanks around them, which the caller strips.
     """
+    if "'" not in line and '"' not in line:
+        return line.split(",")
+    return _split_quoted_arff_row(line)
+
+
+def _split_quoted_arff_row(line):
+    """``_split_arff_row`` of a line that may hold quotes, cell by cell."""
     cells, pos = [], 0
     while True:
         m = _ARFF_CELL.match(line, pos)
@@ -573,44 +569,58 @@ def check_binning(strategy, bins):
         raise ValueError(f"bins must be >= 2, got {bins}")
 
 
-def fit_cut_points(values: np.ndarray, strategy: str, bins: int) -> list[np.ndarray]:
-    """Per-column interior cut points for the given binning strategy.
+def fit_cut_points(values: np.ndarray, strategy: str, bins: int) -> np.ndarray:
+    """Interior cut points of each column for the given binning strategy.
 
-    ``eqwidth`` spaces cuts evenly over [min, max]; ``eqfreq`` places them
-    at empirical quantiles.  A constant column yields no cut points.
+    ``values`` is rows x attributes, or folds x rows x attributes for a
+    stack of folds, each of which gets cuts from its own rows; the cuts
+    come as [folds x] attributes x (bins - 1).  ``eqwidth`` spaces them
+    evenly over [min, max], with the bits of ``np.linspace`` per column;
+    ``eqfreq`` places them at empirical quantiles.  A column constant in
+    its rows gets +inf cuts, which no finite value reaches, so it codes to
+    one bin.
     """
     check_binning(strategy, bins)
-    lo, hi = values.min(axis=0), values.max(axis=0)
+    lo, hi = values.min(axis=-2), values.max(axis=-2)
     if strategy == "eqfreq":
-        # one call for every column gives the bits of one call per column
-        quantiles = np.quantile(values, [i / bins for i in range(1, bins)], axis=0).T
-        return [np.empty(0) if lo[j] == hi[j] else quantiles[j] for j in range(len(lo))]
-    # per column: np.linspace over all columns at once rounds some cuts
-    # differently in the last bit
-    return [np.empty(0) if lo[j] == hi[j] else np.linspace(lo[j], hi[j], bins + 1)[1:-1]
-            for j in range(len(lo))]
+        # one call for every column and fold gives the bits of one call per column
+        quantiles = np.quantile(values, [i / bins for i in range(1, bins)], axis=-2)
+        cuts = np.moveaxis(quantiles, 0, -1)
+    else:
+        # np.linspace per column: k * step + lo, or, where the step
+        # underflows to 0, k / bins * delta + lo (np.linspace over all
+        # columns at once takes that branch for every column)
+        delta = (hi - lo)[..., None]
+        step = delta / bins
+        k = np.arange(1.0, bins)
+        cuts = np.where(step == 0, k / bins * delta, k * step) + lo[..., None]
+    cuts[lo == hi] = np.inf
+    return cuts
 
 
-def apply_cut_points(values: np.ndarray, cuts: list[np.ndarray]) -> np.ndarray:
+def apply_cut_points(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Code each cell by its bin: intervals are [low, high), last bin closed.
 
-    A value equal to a cut point lands in the upper bin; values outside
-    the fitted range clamp into the first / last bin.
+    ``values`` is rows x attributes with cuts from ``fit_cut_points``, or
+    folds x rows x attributes with one set of cuts per fold (or one for
+    every fold).  A cell's code is the number of its column's finite cuts
+    that it is not below, which for sorted cuts is
+    ``np.searchsorted(..., side="right")`` on the finite ones: a value
+    equal to a cut point lands in the upper bin, values outside the fitted
+    range (NaN above every cut) clamp into the first / last bin, and a
+    constant column's +inf cuts count for nothing.
     """
-    codes = np.zeros(values.shape, dtype=np.int64)
-    for j, edges in enumerate(cuts):
-        if len(edges):
-            codes[:, j] = np.searchsorted(edges, values[:, j], side="right")
-    return codes
+    edges = np.moveaxis(cuts, -1, 0)[..., None, :]
+    return (~(values < edges) & (edges < np.inf)).sum(axis=0)
 
 
 def discretize(table: DataTable, strategy: str = "eqfreq", bins: int = 3) -> DiscreteTable:
     """Bin every column of a DataTable into integer codes."""
     cuts = fit_cut_points(table.values, strategy, bins)
-    codes = apply_cut_points(table.values, cuts)
+    constant = table.values.min(axis=0) == table.values.max(axis=0)
     return DiscreteTable(
-        codes=codes,
-        bins_per_attr=tuple(len(c) + 1 for c in cuts),
+        codes=apply_cut_points(table.values, cuts),
+        bins_per_attr=tuple(np.where(constant, 1, bins).tolist()),
         attr_names=table.attr_names,
         name=table.name,
     )
@@ -625,7 +635,7 @@ def project(table: DataTable, subset: FeatureSubset) -> DataTable:
                 f"{table.n_attrs} attributes"
             )
     idx = list(subset)
-    # columns of a checked table, so, as in take, no construction check runs
+    # columns of a checked table, so no construction check runs
     sub = copy.copy(table)
     object.__setattr__(sub, "values", _freeze(table.values[:, idx]))
     object.__setattr__(sub, "attr_names", tuple(table.attr_names[i] for i in idx))

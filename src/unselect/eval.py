@@ -5,14 +5,20 @@ tables.
 The three classifiers (Gaussian naive Bayes, k-NN, a discrete decision
 table) stand in for the Weka lineup.  Each is a fit function in
 ``CLASSIFIERS`` with one signature, ``fit(train, prep=None, *, strategy,
-bins)``, that ignores the options it has no use for and returns a frozen
-model whose ``predict(rows)`` labels a whole test matrix.  ``prep``
-holds the rows the fold-level preprocessing (k-NN's z-score scaling, the
-decision table's cut points) is fit on: the training rows when None, and
-every row only under the leaky global-prep variant.  Models fit on class
-codes (``train.y``) and ``predict_codes`` answers in them, so folds compare
-integers, not strings; a class without training rows is never predicted.
-The decision table groups binned rows by ``roughset.group_ids``.
+bins)``, that ignores the options it has no use for.  ``train`` is a
+``FoldStack`` (the training rows of folds of one training size, stacked)
+or a labelled ``DataTable``, fit as a stack of one fold by the same code.
+The frozen model's ``predict_codes`` labels a folds x rows x attributes
+stack of test rows with one set of array operations, and ``predict(rows)``
+one fold's test matrix.  ``prep`` holds the rows the fold-level
+preprocessing (k-NN's z-score scaling, the decision table's cut points)
+is fit on: each fold's training rows when None, and every row only under
+the leaky global-prep variant.  Models fit on class codes and answer in
+them, so folds compare integers, not strings; a class without training
+rows in a fold is never predicted there.  ``cross_validate`` hands the
+classifier each run of consecutive folds of one training size as one
+stack of at most ``BLOCK_CELLS`` training cells; the results are those of
+one model per fold, bit for bit, and a fault is the lowest failing fold's.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .selectors import METHOD_IDS, SelectorConfig, select
 
 __all__ = [
     "FoldPlan",
+    "FoldStack",
     "make_fold_plan",
     "check_cv_settings",
     "check_ids",
@@ -144,6 +151,42 @@ def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
 # ---------------------------------------------------------------------------
 # Classifiers
 
+# Cap on the cells of every batched array in this module, so memory stays
+# bounded whatever the table size: a fold stack's training cells (folds x
+# training rows x attributes), a k-NN block's distances (folds x block rows
+# x training rows) and the exact-distance broadcasts of k-NN's refine step
+# (sub-block rows x most candidates x attributes).  Each holds at most this
+# many cells, or one fold or one row.
+BLOCK_CELLS = 2 ** 16
+
+
+@dataclass(frozen=True)
+class FoldStack:
+    """The training rows of folds of one training size, stacked: ``values``
+    is folds x rows x attributes and ``y`` folds x rows of codes into
+    ``classes``.  A table fit on its own is a stack of one fold."""
+
+    values: np.ndarray
+    y: np.ndarray
+    classes: tuple[str, ...]
+
+
+def _fold_stack(train, who: str) -> FoldStack:
+    if isinstance(train, FoldStack):
+        return train
+    if train.labels is None:
+        raise ValueError(f"{who} needs labeled training data")
+    return FoldStack(values=train.values[None], y=train.y[None], classes=train.classes)
+
+
+def _fold_counts(codes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Folds x classes: how often each class occurs in each fold's row of
+    ``codes``."""
+    offsets = n_classes * np.arange(len(codes))[:, None]
+    return np.bincount((codes + offsets).ravel(),
+                       minlength=len(codes) * n_classes).reshape(-1, n_classes)
+
+
 @dataclass(frozen=True)
 class _Model:
     classes: tuple[str, ...]        # the training table's sorted classes
@@ -152,97 +195,132 @@ class _Model:
         """Class labels of the rows, from their ``predict_codes``."""
         return [self.classes[c] for c in self.predict_codes(rows).tolist()]
 
+    def predict_codes(self, rows) -> np.ndarray:
+        """Class codes of a stack of test rows, folds x rows x attributes
+        (one slice per fitted fold), as folds x rows; a model of one fold
+        also takes a rows x attributes matrix and gives one code per row."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim == 3:
+            return self._predict_stack(rows)
+        return self._predict_stack(rows[None])[0]
+
 
 @dataclass(frozen=True)
 class NbModel(_Model):
-    fitted: np.ndarray      # codes of the classes with training rows, sorted
-    log_priors: np.ndarray
-    means: np.ndarray       # fitted class x attr
-    variances: np.ndarray   # fitted class x attr, floored
+    order: np.ndarray       # fold x class: codes with training rows first, each part sorted
+    log_priors: np.ndarray  # fold x class, in order; -inf for a class without rows
+    means: np.ndarray       # fold x class x attr, in order
+    variances: np.ndarray   # fold x class x attr, in order, floored
 
-    def predict_codes(self, rows) -> np.ndarray:
+    def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
         """argmax of log prior + summed log normal densities; ties resolve
-        to the lexicographically first class (classes are stored sorted)."""
-        rows = np.asarray(rows, dtype=float)[:, None, :]   # row x 1 x attr
-        ll = self.log_priors - 0.5 * np.sum(
-            np.log(2.0 * np.pi * self.variances)
-            + (rows - self.means) ** 2 / self.variances,
-            axis=2,
+        to the lexicographically first class (classes are stored sorted).
+        A class without training rows has a log prior of -inf and sits
+        after those with rows, so it never wins."""
+        rows = rows[:, :, None, :]                          # fold x row x 1 x attr
+        variances = self.variances[:, None]
+        ll = self.log_priors[:, None, :] - 0.5 * np.sum(
+            np.log(2.0 * np.pi * variances) + (rows - self.means[:, None]) ** 2 / variances,
+            axis=3,
         )
-        return self.fitted[np.argmax(ll, axis=1)]
+        return np.take_along_axis(self.order, np.argmax(ll, axis=2), axis=1)
 
 
-def gaussian_nb_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3) -> NbModel:
+def gaussian_nb_fit(train, prep=None, *, strategy="eqfreq", bins=3) -> NbModel:
     """Class priors plus per-class, per-attribute normal densities, for
-    the classes that have training rows."""
-    if train.labels is None:
-        raise ValueError("gaussian naive Bayes needs labeled training data")
-    fitted = np.flatnonzero(np.bincount(train.y))
-    groups = [train.values[train.y == code] for code in fitted]
+    the classes that have training rows, fit on a ``DataTable`` or on every
+    fold of a ``FoldStack``.
+
+    The folds holding a class equally often share one stacked mean and
+    variance; a stacked reduction over the row axis gives each fold the
+    bits of its own.  A class a fold lacks borrows the statistics of the
+    fold's first class with rows, so no new overflow can arise from it.
+    """
+    stack = _fold_stack(train, "gaussian naive Bayes")
+    values, y = stack.values, stack.y
+    folds, n, d = values.shape
+    counts = _fold_counts(y, len(stack.classes))
+    means = np.empty(counts.shape + (d,))
+    variances = np.empty(counts.shape + (d,))
+    for code in np.flatnonzero(counts.any(axis=0)):
+        for size in np.unique(counts[:, code]):
+            if size:
+                same = np.flatnonzero(counts[:, code] == size)
+                rows = values[same][y[same] == code].reshape(len(same), size, d)
+                means[same, code] = rows.mean(axis=1)
+                variances[same, code] = np.maximum(rows.var(axis=1), VARIANCE_FLOOR)
+    order = np.argsort(counts == 0, axis=1, kind="stable")
+    fold, empty = np.nonzero(counts == 0)
+    means[fold, empty] = means[fold, order[fold, 0]]
+    variances[fold, empty] = variances[fold, order[fold, 0]]
+    with np.errstate(divide="ignore"):      # log 0 = -inf: a class without rows never wins
+        log_priors = np.log(np.take_along_axis(counts, order, axis=1) / n)
     return NbModel(
-        classes=train.classes,
-        fitted=fitted,
-        log_priors=np.array([np.log(len(rows) / train.n_objects) for rows in groups]),
-        means=np.array([rows.mean(axis=0) for rows in groups]),
-        variances=np.array([np.maximum(rows.var(axis=0), VARIANCE_FLOOR) for rows in groups]),
+        classes=stack.classes,
+        order=order,
+        log_priors=log_priors,
+        means=np.take_along_axis(means, order[:, :, None], axis=1),
+        variances=np.take_along_axis(variances, order[:, :, None], axis=1),
     )
-
-
-# Cap on block rows x training rows in one k-NN block, so prediction
-# memory stays bounded whatever the test size.  The broadcasts of exact
-# distances (sub-block rows x most candidates x attributes) stay under the
-# same cap, or hold one row.
-KNN_BLOCK_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
 class KnnModel(_Model):
-    mean: np.ndarray
-    std: np.ndarray
-    scaled: np.ndarray              # training rows, z-scored
+    mean: np.ndarray                # fold x attr
+    std: np.ndarray                 # fold x attr
+    scaled: np.ndarray              # every fold's training rows, z-scored, fold after fold
     sq_norms: np.ndarray            # squared norm of each scaled training row
     codes: np.ndarray               # training row -> index into classes
     k: int
 
-    def predict_codes(self, rows) -> np.ndarray:
-        """Majority vote among the k nearest training rows (z-scored space).
+    def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
+        """Majority vote among the k nearest training rows of each test
+        row's fold (z-scored space).
 
         Distance ties go to the lower training index (the order of a stable
         argsort), vote ties to the class of the nearest tied row; the
         distance is the root of the summed squared differences.  A row
         holding NaN has no distance and is rejected.
 
-        Test rows are labelled in blocks of at most ``KNN_BLOCK_CELLS``
-        block rows x training rows (one row when a single row exceeds it),
-        so memory is bounded per block rather than growing with the test
-        size.  Each block is filtered, then refined (``_predict_block``):
-        one matrix product gives approximate squared distances, the
-        training rows within a rounding bound of each row's approximate
-        k-th distance become its candidates, and the exact distances of the
-        candidates alone decide, as they would over every training row.  In
-        a block whose distances could overflow every training row is a
-        candidate.  The refine step works in sub-blocks of at most
-        ``KNN_BLOCK_CELLS`` rows x most candidates x attributes, or one row.
+        Test rows are labelled in blocks of at most ``BLOCK_CELLS`` folds x
+        block rows x training rows, so memory is bounded per block rather
+        than growing with the test size.  A block holds as many of a fold's
+        rows as fit (one when a single row exceeds the cap), and then as
+        many folds as fit, so each fold's matrix product covers as many
+        rows as it can.  Each block is filtered, then refined
+        (``_predict_block``): one batched matrix product gives approximate
+        squared distances, the training rows within a rounding bound of each
+        row's approximate k-th distance become its candidates, and the exact
+        distances of the candidates alone decide, as they would over every
+        training row of the fold.  In a fold whose distances could overflow
+        every training row is a candidate.  The refine step works in
+        sub-blocks of at most ``BLOCK_CELLS`` rows x most candidates x
+        attributes, or one row.
         """
-        rows = np.asarray(rows, dtype=float)
-        nan_rows = np.flatnonzero(np.isnan(rows).any(axis=1))
+        folds, t, _ = rows.shape
+        nan_rows = np.flatnonzero(np.isnan(rows).any(axis=2))
         if len(nan_rows):
-            raise ValueError(f"k-NN cannot label row {nan_rows[0] + 1}: it holds NaN")
-        scaled_rows = (rows - self.mean) / self.std
-        step = max(1, KNN_BLOCK_CELLS // len(self.scaled))
-        # Every block reuses two block rows x training rows arrays: fresh
-        # ones would cost page faults each time malloc hands them back.
-        work = np.empty((2, min(step, len(rows)), len(self.scaled)))
-        predicted = np.empty(len(scaled_rows), dtype=np.intp)
-        for start in range(0, len(scaled_rows), step):
-            block = scaled_rows[start:start + step]
-            predicted[start:start + step] = self._predict_block(block, work)
+            raise ValueError(f"k-NN cannot label row {nan_rows[0] % t + 1}: it holds NaN")
+        scaled_rows = (rows - self.mean[:, None]) / self.std[:, None]
+        n = len(self.scaled) // folds
+        step = min(t, max(1, BLOCK_CELLS // n))             # rows of one fold
+        fold_step = max(1, BLOCK_CELLS // (step * n))
+        # Every block reuses two folds x block rows x training rows arrays:
+        # fresh ones would cost page faults each time malloc hands them back.
+        work = np.empty((2, min(fold_step, folds), step, n))
+        predicted = np.empty((folds, t), dtype=np.intp)
+        for first in range(0, folds, fold_step):
+            for start in range(0, t, step):
+                block = scaled_rows[first:first + fold_step, start:start + step]
+                predicted[first:first + fold_step, start:start + step] = \
+                    self._predict_block(block, first, work)
         return predicted
 
-    def _predict_block(self, block: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Class codes of one block of z-scored test rows, by filter and
-        refine (multi-step k-NN search after Seidl and Kriegel, SIGMOD 1998);
-        ``work`` holds two arrays of at least block rows x training rows.
+    def _predict_block(self, block: np.ndarray, first: int, work: np.ndarray) -> np.ndarray:
+        """Class codes of one block of z-scored test rows, folds x block
+        rows from fold ``first`` on, by filter and refine (multi-step k-NN
+        search after Seidl and Kriegel, SIGMOD 1998); ``work`` holds two
+        arrays of at least folds x block rows x training rows.
 
         Why the candidates hold every row the exact search can pick.  Let
         u be the unit roundoff and gamma_n = nu/(1 - nu); a dot product of
@@ -263,51 +341,58 @@ class KnnModel(_Model):
           most gamma_4 times the smaller, and no Q exceeds
           2T(1 + gamma_{d+2}).
 
-        Let S = max|a|^2 + max|b|^2 over the block, so T <= S for every
-        pair up to the rounding of S, and let g be the k-th smallest G of a
-        test row.  The k rows with the smallest G have Q <= g + |G - Q|, so
-        the k-th exact root is at most the root of that.  A row among the k
-        nearest by the exact roots has a root at most the k-th one, so its
-        Q exceeds that bound by at most the root term, and its G is at most
+        Let S = max|a|^2 + max|b|^2 over one fold of the block, so T <= S
+        for every pair of that fold up to the rounding of S, and let g be
+        the k-th smallest G of a test row.  The k rows with the smallest G
+        have Q <= g + |G - Q|, so the k-th exact root is at most the root of
+        that.  A row among the k nearest by the exact roots has a root at
+        most the k-th one, so its Q exceeds that bound by at most the root
+        term, and its G is at most
         g + 2(gamma_{2d+3} + 2 gamma_{d+2})S + 2 gamma_4 (1 + gamma_{d+2})S.
         Rounding g + 2 tol costs up to u(2S + 2 tol) more.  To first order
-        that is g + (8d + 24)uS, so tol = gamma_{4d+16} S covers it; the
-        spare 4uS absorbs the second-order terms and the rounding of S and
-        of tol.  These bounds need every value finite: D <= 2T, so in a
-        block with 4S past the largest float, which also catches every
-        block with a non-finite G, every training row is a candidate.
+        that is g + (8d + 24)uS, so tol = gamma_{4d+16} S, taken per fold,
+        covers it; the spare 4uS absorbs the second-order terms and the
+        rounding of S and of tol.  These bounds need every value finite:
+        D <= 2T, so in a fold with 4S past the largest float, which also
+        catches every fold with a non-finite G, every training row is a
+        candidate, whatever its Gram form gave.
         """
-        n, d = self.scaled.shape
+        folds, b, d = block.shape
+        n = len(self.scaled) // len(self.mean)
+        train = self.scaled[first * n:(first + folds) * n]
+        sq_norms = self.sq_norms[first * n:(first + folds) * n].reshape(folds, n)
+        approx, spare = work[:, :folds, :b]
+        # a fold whose values could overflow runs the Gram form too, and
+        # ignores it
         with np.errstate(over="ignore", invalid="ignore"):
-            block_sq = (block ** 2).sum(axis=1)
-            scale = block_sq.max() + self.sq_norms.max()
-        if scale < np.finfo(float).max / 4:
-            approx, spare = work[:, :len(block)]
-            np.matmul(block, self.scaled.T, out=spare)
+            block_sq = (block ** 2).sum(axis=2)
+            scale = block_sq.max(axis=1) + sq_norms.max(axis=1)
+            np.matmul(block, train.reshape(folds, n, d).transpose(0, 2, 1), out=spare)
             spare *= 2.0
-            np.add.outer(block_sq, self.sq_norms, out=approx)
+            np.add(block_sq[:, :, None], sq_norms[:, None, :], out=approx)
             approx -= spare                             # |a|^2 + |b|^2 - 2a.b
             spare[...] = approx
-            spare.partition(self.k - 1, axis=1)
-            kth = spare[:, self.k - 1:self.k]
+            spare.partition(self.k - 1, axis=2)
+            kth = spare[:, :, self.k - 1:self.k]
             nu = (4 * d + 16) * np.finfo(float).eps / 2
             tol = nu / (1 - nu) * scale                             # gamma_{4d+16} S
-            candidates = approx <= kth + 2.0 * tol
-        else:
-            candidates = np.ones((len(block), n), dtype=bool)
+            candidates = approx <= kth + 2.0 * tol[:, None, None]
+        candidates[~(scale < np.finfo(float).max / 4)] = True
         row, col = np.divmod(np.flatnonzero(candidates), n)
-        counts = np.bincount(row, minlength=len(block))
+        counts = np.bincount(row, minlength=folds * b)
         m = counts.max()
-        # each row's candidates in training-index order, padded at the end
+        # each row's candidates in training-index order, padded at the end;
+        # the index runs over the training rows of every fold, fold after fold
         filled = np.arange(m) < counts[:, None]
-        idx = np.zeros((len(block), m), dtype=np.intp)
-        idx[filled] = col
-        step = max(1, KNN_BLOCK_CELLS // (m * d))
+        idx = np.zeros((folds * b, m), dtype=np.intp)
+        idx[filled] = col + (row // b + first) * n
+        rows = block.reshape(folds * b, d)
+        step = max(1, BLOCK_CELLS // (m * d))
         return np.concatenate([
-            self._refine(block[start:start + step], idx[start:start + step],
+            self._refine(rows[start:start + step], idx[start:start + step],
                          filled[start:start + step])
-            for start in range(0, len(block), step)
-        ])
+            for start in range(0, len(rows), step)
+        ]).reshape(folds, b)
 
     def _refine(self, rows: np.ndarray, idx: np.ndarray, filled: np.ndarray) -> np.ndarray:
         """Class codes of z-scored test rows from exact distances to their
@@ -328,57 +413,67 @@ class KnnModel(_Model):
         return nearest[np.arange(b), np.argmax(top, axis=1)]
 
 
-def knn_fit(train: DataTable, prep=None, *, strategy="eqfreq", bins=3,
-            knn_k=KNN_K) -> KnnModel:
-    """Store the training rows z-scored with the mean and std of prep."""
-    if train.labels is None:
-        raise ValueError("k-NN needs labeled training data")
-    if not 1 <= knn_k <= train.n_objects:
-        raise ValueError(f"k={knn_k} out of range for {train.n_objects} training rows")
-    prep = train.values if prep is None else prep
-    mean = prep.mean(axis=0)
-    std = prep.std(axis=0, ddof=1) if len(prep) > 1 else np.ones(prep.shape[1])
+def knn_fit(train, prep=None, *, strategy="eqfreq", bins=3, knn_k=KNN_K) -> KnnModel:
+    """Store the training rows z-scored with the mean and std of prep, for
+    a ``DataTable`` or every fold of a ``FoldStack``.  A stacked mean and
+    std over the row axis give each fold the bits of its own, and a fault
+    is that of the lowest fold that has one."""
+    stack = _fold_stack(train, "k-NN")
+    folds, n, d = stack.values.shape
+    if not 1 <= knn_k <= n:
+        raise ValueError(f"k={knn_k} out of range for {n} training rows")
+    prep = stack.values if prep is None else prep
+    mean = prep.mean(axis=-2)
+    std = prep.std(axis=-2, ddof=1) if prep.shape[-2] > 1 else np.ones(d)
     std = np.where(std == 0, 1.0, std)
     overflow = ~(np.isfinite(mean) & np.isfinite(std))
     if overflow.any():
-        raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) + 1}: "
+        raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) % d + 1}: "
                          "its mean or spread overflows")
-    scaled = (train.values - mean) / std
+    mean, std = np.broadcast_to(mean, (folds, d)), np.broadcast_to(std, (folds, d))
+    scaled = ((stack.values - mean[:, None]) / std[:, None]).reshape(folds * n, d)
     with np.errstate(over="ignore"):    # an infinite norm makes every row a candidate
         sq_norms = (scaled ** 2).sum(axis=1)
     # votes come from training rows only, so a class without rows never wins
     return KnnModel(mean=mean, std=std, scaled=scaled, sq_norms=sq_norms,
-                    classes=train.classes, codes=train.y, k=knn_k)
+                    classes=stack.classes, codes=stack.y.ravel(), k=knn_k)
 
 
 @dataclass(frozen=True)
 class DecisionTableModel(_Model):
-    cuts: tuple[np.ndarray, ...]    # per attribute, fit on prep
-    binned: np.ndarray              # training rows, binned with cuts
-    codes: np.ndarray               # training row -> index into classes
+    cuts: np.ndarray                # fold x attr x cut, fit on prep
+    binned: np.ndarray              # fold x training row x attr, binned with cuts
+    codes: np.ndarray               # fold x training row -> index into classes
 
-    def predict_codes(self, rows) -> np.ndarray:
-        """The majority class of the training rows binned like each row
-        (ties: the smallest class), else the training majority."""
-        binned = apply_cut_points(np.asarray(rows, dtype=float), self.cuts)
-        ids = group_ids(np.vstack([self.binned, binned]), [len(c) + 1 for c in self.cuts])
-        n_train, n_classes = len(self.codes), len(self.classes)
-        votes = np.bincount(ids[:n_train] * n_classes + self.codes,
+    def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
+        """The majority class of the fold's training rows binned like each
+        row (ties: the smallest class), else the fold's training majority.
+        One ``group_ids`` call groups every fold, keyed by fold first."""
+        folds, n, d = self.binned.shape
+        n_classes = len(self.classes)
+        keys = np.concatenate([self.binned, apply_cut_points(rows, self.cuts)], axis=1)
+        fold = np.broadcast_to(np.arange(folds)[:, None, None], keys.shape[:2] + (1,))
+        ids = group_ids(np.concatenate([fold, keys], axis=2).reshape(-1, d + 1),
+                        [folds] + [self.cuts.shape[-1] + 1] * d).reshape(folds, -1)
+        votes = np.bincount((ids[:, :n] * n_classes + self.codes).ravel(),
                             minlength=(ids.max() + 1) * n_classes).reshape(-1, n_classes)
         # classes are sorted, so argmax's first maximum is the smallest class;
         # votes come from training rows only, so a class without rows never wins
-        majority = np.where(votes.any(axis=1), votes.argmax(axis=1), votes.sum(axis=0).argmax())
-        return majority[ids[n_train:]]
+        test = ids[:, n:]
+        fallback = _fold_counts(self.codes, n_classes).argmax(axis=1)
+        return np.where(votes.any(axis=1)[test], votes.argmax(axis=1)[test], fallback[:, None])
 
 
-def decision_table_fit(train: DataTable, prep=None, *, strategy="eqfreq",
+def decision_table_fit(train, prep=None, *, strategy="eqfreq",
                        bins=3) -> DecisionTableModel:
-    """Bin with cut points fit on prep and keep the binned training rows."""
-    if train.labels is None:
-        raise ValueError("decision table needs labeled training data")
-    cuts = tuple(fit_cut_points(train.values if prep is None else prep, strategy, bins))
-    return DecisionTableModel(cuts=cuts, classes=train.classes,
-                              binned=apply_cut_points(train.values, cuts), codes=train.y)
+    """Bin with cut points fit on prep and keep the binned training rows,
+    for a ``DataTable`` or every fold of a ``FoldStack``."""
+    stack = _fold_stack(train, "decision table")
+    folds, _, d = stack.values.shape
+    cuts = fit_cut_points(stack.values if prep is None else prep, strategy, bins)
+    cuts = np.broadcast_to(cuts, (folds, d, cuts.shape[-1]))
+    return DecisionTableModel(cuts=cuts, classes=stack.classes,
+                              binned=apply_cut_points(stack.values, cuts), codes=stack.y)
 
 
 CLASSIFIERS = {"nb": gaussian_nb_fit, "knn": knn_fit, "dtable": decision_table_fit}
@@ -395,14 +490,30 @@ class CvResult:
     fold_sizes: tuple[int, ...]
 
 
+def _fold_runs(sizes: list[int], n_objects: int, n_attrs: int):
+    """The folds as runs of consecutive folds with one test size, hence one
+    training size, each cut to at most ``BLOCK_CELLS`` training cells or
+    one fold."""
+    start = 0
+    for fold in range(1, len(sizes) + 1):
+        if (fold == len(sizes) or sizes[fold] != sizes[start]
+                or (fold - start + 1) * (n_objects - sizes[start]) * n_attrs > BLOCK_CELLS):
+            yield range(start, fold)
+            start = fold
+
+
 def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
                    plan: FoldPlan, *, strategy: str = "eqfreq", bins: int = 3,
                    global_prep: bool = False) -> CvResult:
     """Stratified k-fold accuracy of one classifier on a feature subset.
 
-    Each fold fits a model on its training rows and predicts its test rows.
-    Preprocessing is fit on the training folds only; ``global_prep=True``
-    reproduces the leaky fit-on-everything variant for comparison.
+    Each fold's model is fit on its training rows and predicts its test
+    rows.  Consecutive folds of one training size go to the classifier as
+    one ``FoldStack``, which it fits and predicts with one set of array
+    operations; the stacks are fit in fold order, so a fault is that of the
+    lowest fold that has one.  Preprocessing is fit on the training folds
+    only; ``global_prep=True`` reproduces the leaky fit-on-everything
+    variant for comparison.
     """
     if table.labels is None:
         raise ValueError("cross-validation needs labeled data")
@@ -418,19 +529,20 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
     fit = CLASSIFIERS[classifier]
     projected = project(table, subset)
     values, y = projected.values, projected.y
-    corrects, fold_sizes = [], []
-    for fold in range(plan.k):
-        test_idx = plan.fold_indices(fold)
-        model = fit(projected.take(plan.train_indices(fold)),
-                    values if global_prep else None,
-                    strategy=strategy, bins=bins)
-        corrects.append(int(np.count_nonzero(model.predict_codes(values[test_idx])
-                                             == y[test_idx])))
-        fold_sizes.append(len(test_idx))
+    test_idx = [plan.fold_indices(fold) for fold in range(plan.k)]
+    sizes = [len(idx) for idx in test_idx]
+    corrects = []
+    for run in _fold_runs(sizes, table.n_objects, projected.n_attrs):
+        train = np.array([plan.train_indices(fold) for fold in run])
+        test = np.array([test_idx[fold] for fold in run])
+        model = fit(FoldStack(values=values[train], y=y[train], classes=projected.classes),
+                    values if global_prep else None, strategy=strategy, bins=bins)
+        corrects += np.count_nonzero(model.predict_codes(values[test]) == y[test],
+                                     axis=1).tolist()
     return CvResult(
         accuracy=100.0 * sum(corrects) / table.n_objects,
-        fold_accuracies=tuple(100.0 * c / size for c, size in zip(corrects, fold_sizes)),
-        fold_sizes=tuple(fold_sizes),
+        fold_accuracies=tuple(100.0 * c / size for c, size in zip(corrects, sizes)),
+        fold_sizes=tuple(sizes),
     )
 
 

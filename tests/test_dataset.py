@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import unselect.dataset
 from unselect.dataset import (
@@ -15,6 +16,7 @@ from unselect.dataset import (
     EmptyFileError,
     FeatureSubset,
     ParseError,
+    apply_cut_points,
     default_registry,
     discretize,
     fit_cut_points,
@@ -28,6 +30,7 @@ from unselect.dataset import (
     _parse_cell,
     _parse_label,
     _split_arff_row,
+    _split_quoted_arff_row,
 )
 
 
@@ -394,6 +397,17 @@ def test_arff_line_may_quote_with_both_quote_characters(tmp_path):
     assert list(t.values[:, 0]) == [1.0, 2.0]
     assert _split_arff_row("1,\"c,d\",'a,b'") == ["1", "c,d", "a,b"]
     assert _split_arff_row("1, 'a b' ,,\"x\"") == ["1", "a b", "", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("a1.,-e ?%\t\xa0\u3000\x1c\x0c\u2028é")),
+               max_size=30))
+def test_unquoted_arff_rows_split_like_the_quoted_loop(text):
+    # the caller strips the line, then each cell; blanks, empty cells and a
+    # trailing comma must come out as the cell-by-cell loop gives them
+    line = text.strip()
+    assert ([c.strip() for c in _split_arff_row(line)]
+            == [c.strip() for c in _split_quoted_arff_row(line)])
 
 
 def test_arff_missing_labels_follow_policy(tmp_path):
@@ -763,20 +777,57 @@ def cut_point_columns(draw, n):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    values=st.tuples(st.one_of(st.just(1), st.integers(1, 40)), st.integers(1, 7))
-    .flatmap(lambda nd: st.lists(cut_point_columns(nd[0]), min_size=nd[1],
-                                 max_size=nd[1]))
-    .map(lambda cols: np.array(cols, dtype=float).T),
+    stack=st.tuples(st.integers(1, 4), st.one_of(st.just(1), st.integers(1, 40)),
+                    st.integers(1, 7))
+    .flatmap(lambda gnd: st.lists(
+        st.lists(cut_point_columns(gnd[1]), min_size=gnd[2], max_size=gnd[2]),
+        min_size=gnd[0], max_size=gnd[0]))
+    .map(lambda folds: np.array(folds, dtype=float).transpose(0, 2, 1)),
     strategy=st.sampled_from(["eqwidth", "eqfreq"]),
     bins=st.integers(2, 5),
 )
 # evenly spaced cuts computed for all columns at once differ here in the
 # last bit (1.2 against 1.2000000000000002)
-@example(values=np.array([[0.0], [2.0]]), strategy="eqwidth", bins=5)
-def test_fit_cut_points_equal_the_per_column_loop_bit_for_bit(values, strategy, bins):
-    got = fit_cut_points(values, strategy, bins)
-    want = reference_cut_points(values, strategy, bins)
-    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+@example(stack=np.array([[[0.0], [2.0]]]), strategy="eqwidth", bins=5)
+# a subnormal spread makes the step underflow to 0, where np.linspace
+# scales k / bins instead ([0, 5e-324] against [0, 0])
+@example(stack=np.array([[[0.0], [5e-324]], [[0.0], [2.0]]]), strategy="eqwidth", bins=3)
+def test_fit_cut_points_equal_the_per_column_loop_bit_for_bit(stack, strategy, bins):
+    # each fold of a stack, and each fold on its own, gets the cuts of the
+    # loop over its own rows; a column constant in them gets +inf cuts
+    got = fit_cut_points(stack, strategy, bins)
+    assert got.shape == (len(stack), stack.shape[2], bins - 1)
+    for fold, values in enumerate(stack):
+        alone = fit_cut_points(values, strategy, bins)
+        assert alone.tobytes() == got[fold].tobytes()
+        for j, want in enumerate(reference_cut_points(values, strategy, bins)):
+            if len(want):
+                assert got[fold, j].tobytes() == want.tobytes()
+            else:
+                assert np.all(got[fold, j] == np.inf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 4)),
+                  elements=st.integers(-3, 3).map(float)),
+    probes=arrays(float, st.integers(1, 6),
+                  elements=st.sampled_from([-np.inf, -4.0, -0.5, 0.0, 1.0, 3.5, np.inf, np.nan])),
+    strategy=st.sampled_from(["eqwidth", "eqfreq"]),
+    bins=st.integers(2, 5),
+)
+def test_apply_cut_points_counts_like_searchsorted(values, probes, strategy, bins):
+    # integer cells land on cut points and tie across rows; the probes add
+    # values outside the fitted range, infinities and NaN in every column
+    cuts = fit_cut_points(values, strategy, bins)
+    rows = np.concatenate([values, np.repeat(probes[None, :, None], len(values), axis=0)
+                           .repeat(values.shape[2], axis=2)], axis=1)
+    codes = apply_cut_points(rows, cuts)
+    for fold in range(len(rows)):
+        assert np.array_equal(codes[fold], apply_cut_points(rows[fold], cuts[fold]))
+        for j, edges in enumerate(cuts[fold]):
+            want = np.searchsorted(edges[np.isfinite(edges)], rows[fold, :, j], side="right")
+            assert codes[fold, :, j].tolist() == want.tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -834,20 +885,6 @@ def test_project_composition():
     assert np.array_equal(second.values, composed.values)
 
 
-def test_take_keeps_the_given_rows_without_checking_again(monkeypatch):
-    t = DataTable(values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-                  attr_names=("p", "q"), labels=("x", "y", "z"), name="t")
-    unlabeled = table([[1, 2], [3, 4]])
-    monkeypatch.setattr(DataTable, "__post_init__", lambda self: pytest.fail("checked"))
-    sub = t.take(np.array([2, 0]))
-    assert sub.values.tolist() == [[5.0, 6.0], [1.0, 2.0]]
-    assert not sub.values.flags.writeable
-    assert (sub.labels, sub.attr_names, sub.name) == (("z", "x"), ("p", "q"), "t")
-    assert t.labels == ("x", "y", "z") and t.n_objects == 3
-    sub = unlabeled.take(np.array([1]))
-    assert sub.labels is None and sub.values.tolist() == [[3.0, 4.0]]
-
-
 def test_project_keeps_columns_without_checking_again(monkeypatch):
     t = DataTable(values=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
                   attr_names=("p", "q", "r"), labels=("y", "x"), name="t")
@@ -858,17 +895,6 @@ def test_project_keeps_columns_without_checking_again(monkeypatch):
     assert (p.attr_names, p.labels, p.name) == (("r", "p"), ("y", "x"), "t")
     assert p.classes == ("x", "y") and p.y.tolist() == [1, 0]
     assert t.attr_names == ("p", "q", "r") and t.n_attrs == 3
-
-
-def test_take_keeps_labels_and_classes_consistent():
-    t = table(np.arange(12.0).reshape(6, 2), labels=("b", "a", "c", "a", "b", "é"))
-    sub = t.take(np.array([4, 1, 3]))
-    assert sub.labels == ("b", "a", "a")
-    # the source's classes stay, so a code means the same class in every slice
-    assert sub.classes == t.classes == ("a", "b", "c", "é")
-    assert sub.y.tolist() == [1, 0, 0]
-    assert [sub.classes[c] for c in sub.y] == list(sub.labels)
-    assert not sub.y.flags.writeable and t.y.tolist() == [1, 0, 2, 0, 1, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from unselect.dataset import (
     DataTable,
     FeatureSubset,
     Registry,
-    apply_cut_points,
     write_csv,
 )
 from unselect.eval import (
     CLASSIFIERS,
     EvalReport,
     FoldPlan,
+    FoldStack,
     KnnModel,
     cross_validate,
     decision_table_fit,
@@ -253,7 +253,7 @@ def knn_cases(draw):
 def test_knn_predict_equals_reference_loop(case):
     train, rows, k, block_cells = case
     model = knn_fit(train, knn_k=k)
-    with mock.patch.object(unselect.eval, "KNN_BLOCK_CELLS", block_cells):
+    with mock.patch.object(unselect.eval, "BLOCK_CELLS", block_cells):
         assert model.predict(rows) == reference_knn_predict(model, rows)
 
 
@@ -264,7 +264,7 @@ def test_knn_predict_spans_several_blocks_like_the_reference_loop():
     train = table(rng.integers(0, 3, size=(2000, 10)),
                   rng.choice(["p", "q", "r"], size=2000))
     rows = rng.integers(0, 3, size=(100, 10))
-    assert 100 > 3 * (unselect.eval.KNN_BLOCK_CELLS // 2000)
+    assert 100 > 3 * (unselect.eval.BLOCK_CELLS // 2000)
     for k in (1, 4, 7, 2000):
         model = knn_fit(train, knn_k=k)
         assert model.predict(rows) == reference_knn_predict(model, rows), k
@@ -273,13 +273,13 @@ def test_knn_predict_spans_several_blocks_like_the_reference_loop():
 @pytest.fixture
 def refined(monkeypatch):
     """Each sub-block k-NN refines, as (rows, most candidates), recorded as
-    ``predict`` runs; each must hold one row or fit ``KNN_BLOCK_CELLS``."""
+    ``predict`` runs; each must hold one row or fit ``BLOCK_CELLS``."""
     shapes = []
     refine = KnnModel._refine
 
     def counted(self, rows, idx, filled):
         b, m = idx.shape
-        assert b == 1 or b * m * self.scaled.shape[1] <= unselect.eval.KNN_BLOCK_CELLS
+        assert b == 1 or b * m * self.scaled.shape[1] <= unselect.eval.BLOCK_CELLS
         shapes.append((b, m))
         return refine(self, rows, idx, filled)
 
@@ -397,6 +397,16 @@ def test_decision_table_tie_breaks_lexicographically():
     assert model.predict([[0]]) == ["A"]
 
 
+def reference_codes(values, cuts):
+    """The per-column loop apply_cut_points replaced: each column's bins by
+    ``np.searchsorted`` on its cut points, a list that is empty for a column
+    constant in the training rows."""
+    codes = np.zeros(values.shape, dtype=np.int64)
+    for j, edges in enumerate(cuts):
+        codes[:, j] = np.searchsorted(edges, values[:, j], side="right")
+    return codes
+
+
 def reference_decision_table(train, cuts):
     """Lookup and fallback of the per-bucket majority loop the batched fit
     replaced; ties go to the lexicographically smallest class."""
@@ -408,7 +418,7 @@ def reference_decision_table(train, cuts):
         return min(c for c, v in counts.items() if v == top)
 
     buckets = {}
-    for key, y in zip(map(tuple, apply_cut_points(train.values, cuts).tolist()),
+    for key, y in zip(map(tuple, reference_codes(train.values, cuts).tolist()),
                       train.labels):
         buckets.setdefault(key, []).append(y)
     return {key: majority(ys) for key, ys in buckets.items()}, majority(train.labels)
@@ -421,18 +431,21 @@ def reference_rows(train, cuts):
     per_column = [np.r_[edges[:1] - 1, edges] if len(edges) else np.zeros(1)
                   for edges in cuts]
     grid = np.array(list(itertools.product(*per_column)), dtype=float)
-    seen = set(map(tuple, apply_cut_points(train.values, cuts).tolist()))
-    unseen = [row for row, key in zip(grid, map(tuple, apply_cut_points(grid, cuts).tolist()))
+    seen = set(map(tuple, reference_codes(train.values, cuts).tolist()))
+    unseen = [row for row, key in zip(grid, map(tuple, reference_codes(grid, cuts).tolist()))
               if key not in seen]
     return np.vstack([train.values, *unseen])
 
 
 def assert_predicts_like_reference(model, train):
     """The model labels each reference row as the oracle's lookup, or its
-    fallback for a bin tuple the lookup lacks."""
-    lookup, fallback = reference_decision_table(train, model.cuts)
-    rows = reference_rows(train, model.cuts)
-    keys = map(tuple, apply_cut_points(rows, model.cuts).tolist())
+    fallback for a bin tuple the lookup lacks.  The model is one fold's; a
+    column constant in its rows has +inf cuts, which the oracle lists as no
+    cuts."""
+    cuts = [edges[np.isfinite(edges)] for edges in model.cuts[0]]
+    lookup, fallback = reference_decision_table(train, cuts)
+    rows = reference_rows(train, cuts)
+    keys = map(tuple, reference_codes(rows, cuts).tolist())
     assert model.predict(rows) == [lookup.get(key, fallback) for key in keys]
 
 
@@ -564,7 +577,8 @@ def test_class_missing_from_training_rows_is_never_predicted(classifier):
     # "b" sits between "a" and "c"; a fold whose training rows lack it must
     # not predict it, even for test rows at its centre
     t = three_class_table()
-    train = t.take(np.flatnonzero(np.asarray(t.labels) != "b"))
+    keep = np.asarray(t.labels) != "b"
+    train = FoldStack(values=t.values[keep][None], y=t.y[keep][None], classes=t.classes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         predicted = CLASSIFIERS[classifier](train).predict(t.values)
@@ -575,7 +589,10 @@ def test_class_missing_from_training_rows_is_never_predicted(classifier):
         result = cross_validate(single, FeatureSubset((0, 1)), classifier, plan)
     assert set(predicted) == {"a", "c"}
     lone_fold = plan.assignments[30]
-    model = CLASSIFIERS[classifier](single.take(plan.train_indices(lone_fold)))
+    train_idx = plan.train_indices(lone_fold)
+    model = CLASSIFIERS[classifier](FoldStack(values=single.values[train_idx][None],
+                                              y=single.y[train_idx][None],
+                                              classes=single.classes))
     assert "lone" not in model.predict(single.values)
     assert result.fold_accuracies[lone_fold] < 100.0
 
@@ -635,6 +652,143 @@ def test_cv_global_prep_differs_from_fold_fit(diabetes):
     fold_fit = cross_validate(diabetes, subset, "dtable", plan)
     leaky = cross_validate(diabetes, subset, "dtable", plan, global_prep=True)
     assert fold_fit.accuracy != leaky.accuracy or fold_fit.fold_accuracies != leaky.fold_accuracies
+
+
+# ---------------------------------------------------------------------------
+# fold stacks
+
+def fold_by_fold(table, classifier, plan, **options):
+    """Correct predictions per fold of the loop that fold stacks replaced:
+    one model per fold, fit on that fold's training rows alone (a stack of
+    one fold, so a class the fold lacks stays a class) and scored on its
+    test rows."""
+    values, y, global_prep = table.values, table.y, options.pop("global_prep")
+    corrects = []
+    for fold in range(plan.k):
+        train_idx, test_idx = plan.train_indices(fold), plan.fold_indices(fold)
+        model = CLASSIFIERS[classifier](
+            FoldStack(values=values[train_idx][None], y=y[train_idx][None],
+                      classes=table.classes),
+            values if global_prep else None, **options)
+        corrects.append(int(np.count_nonzero(model.predict_codes(values[test_idx])
+                                             == y[test_idx])))
+    return corrects
+
+
+@st.composite
+def cv_cases(draw):
+    """A table, a fold plan and the options of one cross-validation.
+
+    The plan comes from ``make_fold_plan`` or is built directly from at
+    least three distinct fold sizes in shuffled order, so folds of one
+    training size need not be consecutive.  Columns hold integers 0-2 (ties
+    and shared bins) or floats, plus optionally a constant column and a
+    copy of the first; a class of one row is missing from the training rows
+    of its fold.  The block cap ranges from 1 (one fold per stack, one row
+    per k-NN block) to past the whole table.
+    """
+    direct = draw(st.booleans())
+    if direct:
+        sizes = draw(st.permutations([1, 2, 3] + draw(st.lists(st.integers(1, 4), max_size=3))))
+        n = sum(sizes)
+        folds = draw(st.permutations([f for f, size in enumerate(sizes) for _ in range(size)]))
+    else:
+        n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        cell = st.integers(0, 2).map(float)
+    else:
+        cell = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (n, d), elements=cell))
+    if draw(st.booleans()):
+        values = np.column_stack([values, np.full(n, 7.0), values[:, 0]])
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, n - 1))] = "lone"
+    if direct:
+        plan = FoldPlan(seed=0, k=len(sizes), assignments=tuple(folds))
+    else:
+        plan = make_fold_plan(labels, draw(st.integers(2, min(n, 6))), draw(st.integers(0, 99)))
+    options = dict(strategy=draw(st.sampled_from(["eqfreq", "eqwidth"])),
+                   bins=draw(st.integers(2, 5)),
+                   global_prep=draw(st.booleans()))
+    fewest = n - max(np.bincount(plan.assignments))     # training rows of the largest fold
+    knn_k = draw(st.sampled_from(sorted({1, min(3, fewest), fewest})))
+    block_cells = draw(st.integers(1, 4 * n * values.shape[1] * plan.k))
+    return table(values, labels), plan, options, knn_k, block_cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(cv_cases(), st.sampled_from(sorted(CLASSIFIERS)))
+def test_cv_fold_stacks_equal_the_fold_by_fold_loop(case, classifier):
+    t, plan, options, knn_k, block_cells = case
+    with mock.patch.dict(CLASSIFIERS, {"knn": partial(knn_fit, knn_k=knn_k)}), \
+            mock.patch.object(unselect.eval, "BLOCK_CELLS", block_cells):
+        result = cross_validate(t, FeatureSubset(tuple(range(t.n_attrs))), classifier,
+                                plan, **options)
+        corrects = fold_by_fold(t, classifier, plan, **options)
+    assert result.fold_sizes == tuple(np.bincount(plan.assignments).tolist())
+    assert result.fold_accuracies == tuple(100.0 * c / size
+                                           for c, size in zip(corrects, result.fold_sizes))
+    assert result.accuracy == 100.0 * sum(corrects) / t.n_objects
+
+
+def test_cv_splits_runs_of_folds_into_stacks_under_the_cap(monkeypatch):
+    # 10 folds over 24 rows: folds 0-3 hold 3 rows, folds 4-9 hold 2; with
+    # 2 attributes a cap of 3 x 22 x 2 training cells takes 3 folds a stack
+    t = noisy_table(n=24)
+    plan = make_fold_plan(t.labels, 10, seed=4)
+    stacks = []
+    fit = CLASSIFIERS["nb"]
+
+    def recording_fit(train, *args, **kwargs):
+        stacks.append(train.values.shape)
+        return fit(train, *args, **kwargs)
+
+    monkeypatch.setitem(CLASSIFIERS, "nb", recording_fit)
+    monkeypatch.setattr(unselect.eval, "BLOCK_CELLS", 3 * 22 * 2)
+    cross_validate(t, FeatureSubset((0, 2)), "nb", plan)
+    assert stacks == [(3, 21, 2), (1, 21, 2), (3, 22, 2), (3, 22, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.one_of(st.just(1), st.just(2), st.integers(1, 300)),
+       st.one_of(st.just(1), st.integers(1, 12)), st.integers(-8, 8), st.integers(0, 2**32 - 1))
+def test_stacked_statistics_equal_each_slice_bit_for_bit(folds, m, d, exponent, seed):
+    # fold stacks rest on this numpy property: a mean, var or std over the
+    # row axis of a folds x rows x attributes stack gives each fold the bits
+    # of its own rows x attributes call
+    stack = np.random.default_rng(seed).normal(size=(folds, m, d)) * 10.0 ** exponent
+    mean, var, std = stack.mean(axis=1), stack.var(axis=1), stack.std(axis=1, ddof=1) \
+        if m > 1 else None
+    for fold, rows in enumerate(stack):
+        assert mean[fold].tobytes() == rows.mean(axis=0).tobytes()
+        assert var[fold].tobytes() == rows.var(axis=0).tobytes()
+        if m > 1:
+            assert std[fold].tobytes() == rows.std(axis=0, ddof=1).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("sizes, message", [
+    # fold 1 overflows; fold 2 has 3 training rows for k = 4
+    ((1, 1, 5, 1), "k-NN cannot z-score attribute 2: its mean or spread overflows"),
+    # fold 1 has 3 training rows for k = 4; folds 2 and 3 overflow
+    ((1, 5, 1, 1), "k=4 out of range for 3 training rows"),
+])
+def test_cv_raises_the_fault_of_the_lowest_failing_fold(sizes, message):
+    # row 0 is 1e200 in attribute 2, and its square overflows the spread of
+    # every fold that trains on it: all but fold 0.  Folds 0, 2 and 3 share
+    # a training size in the second plan, so the fold order, not the size,
+    # must decide which fault is raised.
+    values = np.column_stack([np.arange(8.0), np.r_[1e200, np.arange(7.0)]])
+    t = table(values, "ababab" "ab")
+    plan = FoldPlan(seed=0, k=4, assignments=tuple(np.repeat(np.arange(4), sizes)))
+    with mock.patch.dict(CLASSIFIERS, {"knn": partial(knn_fit, knn_k=4)}):
+        with pytest.raises(ValueError) as stacked:
+            cross_validate(t, FeatureSubset((0, 1)), "knn", plan)
+        with pytest.raises(ValueError) as loop:
+            fold_by_fold(t, "knn", plan, strategy="eqfreq", bins=3, global_prep=False)
+    assert str(stacked.value) == str(loop.value) == message
 
 
 # ---------------------------------------------------------------------------
