@@ -167,7 +167,13 @@ class DataTable:
 
 @dataclass(frozen=True)
 class DiscreteTable:
-    """An integer-coded table; cell codes lie in [0, bins_per_attr[j])."""
+    """An integer-coded table; cell codes lie in [0, bins_per_attr[j]).
+
+    ``bins_per_attr`` declares each column's code range and is checked
+    here, at construction.  Grouping (``roughset.group_ids``, USQR) reads
+    each column's range from the codes themselves, so a declared count
+    wider than the codes changes no result.
+    """
 
     codes: np.ndarray
     bins_per_attr: tuple[int, ...]

@@ -10,15 +10,18 @@ bins)``, that ignores the options it has no use for.  ``train`` is a
 or a labelled ``DataTable``, fit as a stack of one fold by the same code.
 The frozen model's ``predict_codes`` labels a folds x rows x attributes
 stack of test rows with one set of array operations, and ``predict(rows)``
-one fold's test matrix.  ``prep`` holds the rows the fold-level
-preprocessing (k-NN's z-score scaling, the decision table's cut points)
-is fit on: each fold's training rows when None, and every row only under
-the leaky global-prep variant.  Models fit on class codes and answer in
-them, so folds compare integers, not strings; a class without training
-rows in a fold is never predicted there.  ``cross_validate`` hands the
-classifier each run of consecutive folds of one training size as one
-stack of at most ``BLOCK_CELLS`` training cells; the results are those of
-one model per fold, bit for bit, and a fault is the lowest failing fold's.
+one fold's test matrix.  Every model takes its input by one rule: a
+matrix or a stack, with the attribute and fold counts of the fit and
+every cell finite, else a ``ValueError`` names the count or the cell.
+``prep`` holds the rows the fold-level preprocessing (k-NN's z-score
+scaling, the decision table's cut points) is fit on: each fold's training
+rows when None, and every row only under the leaky global-prep variant.
+Models fit on class codes and answer in them, so folds compare integers,
+not strings; a class without training rows in a fold is never predicted
+there.  ``cross_validate`` hands the classifier each run of consecutive
+folds of one training size as one stack of at most ``BLOCK_CELLS``
+training cells; the results are those of one model per fold, bit for bit,
+and a fault is the lowest failing fold's.
 """
 
 from __future__ import annotations
@@ -179,9 +182,9 @@ def _fold_stack(train, who: str) -> FoldStack:
     return FoldStack(values=train.values[None], y=train.y[None], classes=train.classes)
 
 
-def _fold_counts(codes: np.ndarray, n_classes: int) -> np.ndarray:
-    """Folds x classes: how often each class occurs in each fold's row of
-    ``codes``."""
+def _row_counts(codes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Rows x classes: how often each class occurs in each row of a matrix
+    of class codes."""
     offsets = n_classes * np.arange(len(codes))[:, None]
     return np.bincount((codes + offsets).ravel(),
                        minlength=len(codes) * n_classes).reshape(-1, n_classes)
@@ -198,11 +201,31 @@ class _Model:
     def predict_codes(self, rows) -> np.ndarray:
         """Class codes of a stack of test rows, folds x rows x attributes
         (one slice per fitted fold), as folds x rows; a model of one fold
-        also takes a rows x attributes matrix and gives one code per row."""
+        also takes a rows x attributes matrix and gives one code per row.
+
+        The input rule of every model: the attribute and fold counts are
+        those of the fit, and every cell is finite.  A ``ValueError`` names
+        the wrong count or the first bad cell (1-based).
+        """
         rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 3:
-            return self._predict_stack(rows)
-        return self._predict_stack(rows[None])[0]
+        if rows.ndim not in (2, 3):
+            raise ValueError("predict takes a rows x attributes matrix or a folds x rows x "
+                             f"attributes stack, not {rows.ndim}-D input")
+        stack = rows if rows.ndim == 3 else rows[None]
+        folds, d = self._fit_shape
+        if stack.shape[2] != d:
+            raise ValueError(f"test rows of {stack.shape[2]} attributes; "
+                             f"the model was fit on {d}")
+        if len(stack) != folds:
+            raise ValueError(f"test rows for {len(stack)} folds; the model was fit on {folds}")
+        finite = np.isfinite(stack)
+        if not finite.all():
+            fold, row, col = np.argwhere(~finite)[0]
+            where = f"fold {fold + 1}, " if rows.ndim == 3 else ""
+            raise ValueError(f"cannot label {where}row {row + 1}, column {col + 1}: "
+                             f"it holds {stack[fold, row, col]}")
+        predicted = self._predict_stack(stack)
+        return predicted if rows.ndim == 3 else predicted[0]
 
 
 @dataclass(frozen=True)
@@ -211,6 +234,10 @@ class NbModel(_Model):
     log_priors: np.ndarray  # fold x class, in order; -inf for a class without rows
     means: np.ndarray       # fold x class x attr, in order
     variances: np.ndarray   # fold x class x attr, in order, floored
+
+    @property
+    def _fit_shape(self) -> tuple[int, int]:
+        return self.means.shape[0], self.means.shape[2]
 
     def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
         """argmax of log prior + summed log normal densities; ties resolve
@@ -239,7 +266,7 @@ def gaussian_nb_fit(train, prep=None, *, strategy="eqfreq", bins=3) -> NbModel:
     stack = _fold_stack(train, "gaussian naive Bayes")
     values, y = stack.values, stack.y
     folds, n, d = values.shape
-    counts = _fold_counts(y, len(stack.classes))
+    counts = _row_counts(y, len(stack.classes))
     means = np.empty(counts.shape + (d,))
     variances = np.empty(counts.shape + (d,))
     for code in np.flatnonzero(counts.any(axis=0)):
@@ -273,14 +300,17 @@ class KnnModel(_Model):
     codes: np.ndarray               # training row -> index into classes
     k: int
 
+    @property
+    def _fit_shape(self) -> tuple[int, int]:
+        return self.mean.shape
+
     def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
         """Majority vote among the k nearest training rows of each test
         row's fold (z-scored space).
 
         Distance ties go to the lower training index (the order of a stable
         argsort), vote ties to the class of the nearest tied row; the
-        distance is the root of the summed squared differences.  A row
-        holding NaN has no distance and is rejected.
+        distance is the root of the summed squared differences.
 
         Test rows are labelled in blocks of at most ``BLOCK_CELLS`` folds x
         block rows x training rows, so memory is bounded per block rather
@@ -298,12 +328,9 @@ class KnnModel(_Model):
         attributes, or one row.
         """
         folds, t, _ = rows.shape
-        nan_rows = np.flatnonzero(np.isnan(rows).any(axis=2))
-        if len(nan_rows):
-            raise ValueError(f"k-NN cannot label row {nan_rows[0] % t + 1}: it holds NaN")
         scaled_rows = (rows - self.mean[:, None]) / self.std[:, None]
         n = len(self.scaled) // folds
-        step = min(t, max(1, BLOCK_CELLS // n))             # rows of one fold
+        step = max(1, min(t, BLOCK_CELLS // n))             # rows of one fold
         fold_step = max(1, BLOCK_CELLS // (step * n))
         # Every block reuses two folds x block rows x training rows arrays:
         # fresh ones would cost page faults each time malloc hands them back.
@@ -402,15 +429,15 @@ class KnnModel(_Model):
         distances stay roots, so squares that round to one root tie as they
         do row by row, and one stable sort ranks the candidates as a stable
         argsort over every training row would."""
-        b, n_classes = len(rows), len(self.classes)
-        dist = np.sqrt(((self.scaled[idx] - rows[:, None, :]) ** 2).sum(axis=2))
+        # a distance past the largest float is inf, as it is row by row
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(((self.scaled[idx] - rows[:, None, :]) ** 2).sum(axis=2))
         dist[~filled] = np.inf
         order = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
         nearest = self.codes[np.take_along_axis(idx, order, axis=1)]
-        votes = np.bincount((nearest + n_classes * np.arange(b)[:, None]).ravel(),
-                            minlength=b * n_classes).reshape(b, n_classes)
+        votes = _row_counts(nearest, len(self.classes))
         top = np.take_along_axis(votes, nearest, axis=1) == votes.max(axis=1, keepdims=True)
-        return nearest[np.arange(b), np.argmax(top, axis=1)]
+        return nearest[np.arange(len(rows)), np.argmax(top, axis=1)]
 
 
 def knn_fit(train, prep=None, *, strategy="eqfreq", bins=3, knn_k=KNN_K) -> KnnModel:
@@ -445,6 +472,10 @@ class DecisionTableModel(_Model):
     binned: np.ndarray              # fold x training row x attr, binned with cuts
     codes: np.ndarray               # fold x training row -> index into classes
 
+    @property
+    def _fit_shape(self) -> tuple[int, int]:
+        return self.cuts.shape[:2]
+
     def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
         """The majority class of the fold's training rows binned like each
         row (ties: the smallest class), else the fold's training majority.
@@ -453,14 +484,13 @@ class DecisionTableModel(_Model):
         n_classes = len(self.classes)
         keys = np.concatenate([self.binned, apply_cut_points(rows, self.cuts)], axis=1)
         fold = np.broadcast_to(np.arange(folds)[:, None, None], keys.shape[:2] + (1,))
-        ids = group_ids(np.concatenate([fold, keys], axis=2).reshape(-1, d + 1),
-                        [folds] + [self.cuts.shape[-1] + 1] * d).reshape(folds, -1)
+        ids = group_ids(np.concatenate([fold, keys], axis=2).reshape(-1, d + 1)).reshape(folds, -1)
         votes = np.bincount((ids[:, :n] * n_classes + self.codes).ravel(),
                             minlength=(ids.max() + 1) * n_classes).reshape(-1, n_classes)
         # classes are sorted, so argmax's first maximum is the smallest class;
         # votes come from training rows only, so a class without rows never wins
         test = ids[:, n:]
-        fallback = _fold_counts(self.codes, n_classes).argmax(axis=1)
+        fallback = _row_counts(self.codes, n_classes).argmax(axis=1)
         return np.where(votes.any(axis=1)[test], votes.argmax(axis=1)[test], fallback[:, None])
 
 

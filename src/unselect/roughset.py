@@ -8,11 +8,14 @@ compare integers, never floats.
 
 Objects are grouped by one rule, ``group_ids`` (``eval``'s decision table
 uses it too): the columns fold into one mixed-radix key, ranked by one
-``np.unique``.  Every dependency is counted by one scorer,
-``positive_total``: the decision columns are packed into ``uint64`` words
-(``pack_codes``), ``pure_groups`` sorts the condition keys once, and the
-AND and the OR of each group's words mark every column the group's rows
-disagree on, for all decision columns at once.  Rows carry weights, so a
+``np.unique``.  Each column's radix is its largest code + 1, read from the
+codes by ``key_radixes``, the one guard that keeps every key within int64;
+``selectors.usqr`` takes its radixes from it too.  Every dependency is
+counted by one scorer, ``positive_total``: the decision columns are
+packed into ``uint64`` words (``pack_codes``), ``pure_groups`` sorts the
+condition keys once, and the AND and the OR of each group's words mark
+every column the group's rows disagree on, for all decision columns at
+once.  Rows carry weights, so a
 search may score the table's ``distinct_rows`` in place of their
 identical copies; ``selectors.usqr`` does, and settles weight from the
 ``pure_groups`` flags between rounds.
@@ -40,6 +43,7 @@ __all__ = [
     "pack_codes",
     "positive_total",
     "pure_groups",
+    "key_radixes",
     "group_ids",
     "distinct_rows",
     "is_superreduct",
@@ -82,48 +86,72 @@ class Partition:
         return cls(tuple(tuple(b) for b in groups.values()), len(ids))
 
 
-def group_ids(codes: np.ndarray, bins) -> np.ndarray:
-    """Group id per row of a code matrix whose column j holds codes in
-    [0, bins[j]).
+_KEY_LIMIT = 2**62      # every mixed-radix key stays below it, so int64 never wraps
+
+
+def key_radixes(codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A non-negative code matrix and each column's radix, its largest
+    code + 1: the one guard on mixed-radix key size.  Dense ids below the
+    row count n take a column as ``ids * radix + code`` < n * radix, so a
+    column whose radix times n would pass ``_KEY_LIMIT`` is replaced, in a
+    copy, by its dense rank, which groups and orders the rows alike."""
+    codes = np.asarray(codes)
+    n, d = codes.shape
+    # numpy reduces axis 0 one row at a time, so the rows of a tall matrix
+    # are first folded into blocks of k rows, about 1024 cells each
+    k = max(1, 1024 // max(d, 1))
+    head = n - n % k
+    tops = codes[head:].max(axis=0, initial=0)
+    if head:
+        blocks = codes[:head].reshape(head // k, k * d).max(axis=0).reshape(k, d)
+        tops = np.maximum(tops, blocks.max(axis=0))
+    radixes = [int(top) + 1 for top in tops]
+    ranked = [j for j, r in enumerate(radixes) if n * r > _KEY_LIMIT]
+    if ranked:
+        codes = codes.copy()
+    for j in ranked:
+        values, codes[:, j] = np.unique(codes[:, j], return_inverse=True)
+        radixes[j] = len(values)
+    return codes, radixes
+
+
+def group_ids(codes: np.ndarray) -> np.ndarray:
+    """Group id per row of a non-negative code matrix.
 
     Rows share an id iff they agree on every column; with no columns every
     row falls into one group (the condition in the indiscernibility
     definition is vacuous).  The columns fold into one mixed-radix key,
-    ``key * bins[j] + codes[:, j]``, which orders rows like their code
-    tuples; before the key could pass 2**62 it is compressed to its dense
-    rank (and a column whose bin count alone would still carry it past, to
-    the column's rank).  So the ids stay dense and ordered like the code
-    tuples.
+    ``key * radix + codes[:, j]`` with the radixes of ``key_radixes``,
+    which orders rows like their code tuples; before the key could pass
+    ``_KEY_LIMIT`` it is compressed to its dense rank, which lies below the
+    row count.  So the ids stay dense and ordered like the code tuples.
     """
+    codes, radixes = key_radixes(codes)
     ids = np.zeros(len(codes), dtype=np.int64)
     size = 1        # every key lies in [0, size)
-    for j, b in enumerate(map(int, bins)):     # Python ints: size never wraps
-        column = codes[:, j]
-        if size * b > 2**62:
+    for j, r in enumerate(radixes):
+        if size * r > _KEY_LIMIT:
             keys, ids = np.unique(ids, return_inverse=True)
             size = len(keys)
-            if size * b > 2**62:    # a bin count near 2**62: fold the column's rank
-                values, column = np.unique(column, return_inverse=True)
-                b = len(values)
-        ids = ids * b + column
-        size *= b
+        ids = ids * r + codes[:, j]
+        size *= r
     return np.unique(ids, return_inverse=True)[1]
 
 
-def _columns(table: DiscreteTable, subset) -> tuple[np.ndarray, list[int]]:
-    """The code columns of the subset's attributes and their bin counts."""
+def _columns(table: DiscreteTable, subset) -> np.ndarray:
+    """The code columns of the subset's attributes."""
     attrs = list(subset)
     for a in attrs:
         if not 0 <= a < table.n_attrs:
             raise IndexError(
                 f"attribute index {a} out of range for {table.n_attrs} attributes"
             )
-    return table.codes[:, attrs], [table.bins_per_attr[a] for a in attrs]
+    return table.codes[:, attrs]
 
 
 def indiscernibility_partition(table: DiscreteTable, attrs: FeatureSubset) -> Partition:
     """U/IND(P): objects grouped by identical values on every attr in P."""
-    return Partition.from_ids(group_ids(*_columns(table, attrs)))
+    return Partition.from_ids(group_ids(_columns(table, attrs)))
 
 
 def lower_approximation(partition: Partition, x: set) -> set:
@@ -241,7 +269,7 @@ def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
     Identical rows fall in the same group under every attribute subset,
     so a weighted distinct row scores exactly like its copies.
     """
-    ids = group_ids(table.codes, table.bins_per_attr)
+    ids = group_ids(table.codes)
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
     return table.codes[first], counts
 
@@ -249,10 +277,10 @@ def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
 def gamma(table: DiscreteTable, p, q) -> Fraction:
     """Degree of dependency of q on p: |POS_p(q)| / |U|, as an exact rational."""
     cond, dec = _columns(table, p), _columns(table, q)
-    if not dec[1]:
+    if not dec.shape[1]:
         raise ValueError("decision attribute set q must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
-    pos = positive_total(group_ids(*cond), ones, pack_codes(group_ids(*dec)[:, None]))
+    pos = positive_total(group_ids(cond), ones, pack_codes(group_ids(dec)[:, None]))
     return Fraction(pos, table.n_objects)
 
 
@@ -262,11 +290,11 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     Every attribute of the table serves in turn as a pseudo-decision,
     including members of attrs themselves (those contribute 1).
     """
-    codes, bins = _columns(table, attrs)
-    if not bins:
+    codes = _columns(table, attrs)
+    if not codes.shape[1]:
         raise ValueError("attribute subset must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
-    total = positive_total(group_ids(codes, bins), ones, pack_codes(table.codes))
+    total = positive_total(group_ids(codes), ones, pack_codes(table.codes))
     return Fraction(total, table.n_objects * table.n_attrs)
 
 

@@ -131,12 +131,13 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     compares integer positive-region totals and stops at total n*d.  It
     works on the distinct rows weighted by their counts, and on the group
     ids of the chosen subset: a candidate x only refines those groups, by
-    the key ``ids * bins[x] + codes[:, x]``.  Each round packs the live
-    columns into words once (``roughset.pack_codes``) and scores every
-    candidate against them.  After each round ``roughset.pure_groups``
-    marks, per group, the live columns its rows disagree on, which settles
-    the weight no refinement can change and takes it out of every later
-    round:
+    the key ``ids * radix + code`` of x, with the radixes read from the
+    codes once per search (``roughset.key_radixes``), so no key wraps.
+    Each round packs the live columns into words once
+    (``roughset.pack_codes``) and scores every candidate against them.
+    After each round ``roughset.pure_groups`` marks, per group, the live
+    columns its rows disagree on, which settles the weight no refinement
+    can change and takes it out of every later round:
 
     - a group with no such column settles its rows, with ``len(live)``
       times their weight.  It holds exactly one row (the
@@ -156,7 +157,7 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     n*d.
     """
     codes, weights = roughset.distinct_rows(table)
-    bins = table.bins_per_attr
+    codes, radixes = roughset.key_radixes(codes)
     target = table.n_objects * table.n_attrs
     ids = np.zeros(len(weights), dtype=np.int64)
     settled = 0
@@ -167,7 +168,7 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
         packed = roughset.pack_codes(codes)
         best, best_total = None, -1     # best is a position in live
         for i, x in enumerate(live):
-            keys = ids * bins[x] + codes[:, i]
+            keys = ids * radixes[x] + codes[:, i]
             total = settled + roughset.positive_total(keys, weights, packed)
             if total > best_total:
                 best, best_total = i, total
@@ -178,7 +179,7 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
         if best_total == target:
             return FeatureSubset(tuple(chosen), rounds=tuple(rounds))
         # dense ids, so row g of the flags is group g
-        _, ids = np.unique(ids * bins[live[best]] + codes[:, best], return_inverse=True)
+        _, ids = np.unique(ids * radixes[live[best]] + codes[:, best], return_inverse=True)
         impure = roughset.pure_groups(ids, packed)[2]
         whole = ~impure.any(axis=1)[ids]
         settled += len(live) * int(weights[whole].sum())

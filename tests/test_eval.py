@@ -350,6 +350,14 @@ def test_knn_infinite_distances_make_every_row_a_candidate(refined):
     assert refined == [(3, 4)]
 
 
+def test_knn_distances_past_the_largest_float_are_infinite_without_a_warning():
+    # the column spreads about 4e-158, so the test row at 1.0 lies past the
+    # root of the largest float from every training row: all tie at inf
+    # and the lowest training index wins
+    train = table([[8.8e-158], [0.0], [0.0], [0.0]], "baab")
+    assert knn_fit(train, knn_k=1).predict([[1.0], [0.0]]) == ["b", "a"]
+
+
 def test_knn_every_row_a_candidate_is_refined_in_sub_blocks(refined):
     # with k = n every training row is a candidate, and one block of 327
     # rows x 200 candidates x 3 attributes exceeds the cap, so the refine
@@ -606,6 +614,67 @@ def test_predicting_noise_rows_leaves_the_model_unchanged():
         before = model.predict(probe)
         model.predict(noise)
         assert model.predict(probe) == before, classifier
+
+
+def four_rows():
+    return table([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]], "xxyy")
+
+
+def two_fold_stack():
+    t = four_rows()
+    return FoldStack(values=np.stack([t.values, t.values[::-1]]),
+                     y=np.stack([t.y, t.y[::-1]]), classes=t.classes)
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+@pytest.mark.parametrize("width", [1, 3])
+def test_predict_rejects_rows_of_another_attribute_count(classifier, width):
+    model = CLASSIFIERS[classifier](four_rows())
+    with pytest.raises(ValueError, match=f"test rows of {width} attributes; "
+                                         "the model was fit on 2"):
+        model.predict(np.zeros((2, width)))
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_a_non_finite_cell_naming_its_row_and_column(classifier, value):
+    fit = CLASSIFIERS[classifier]
+    rows = np.zeros((3, 2))
+    rows[2, 1] = rows[2, 0] = value
+    with pytest.raises(ValueError, match=f"cannot label row 3, column 1: it holds {value}"):
+        fit(four_rows()).predict(rows)
+    stack = np.zeros((2, 3, 2))
+    stack[1, 0, 1] = value
+    with pytest.raises(ValueError, match=f"cannot label fold 2, row 1, column 2: "
+                                         f"it holds {value}"):
+        fit(two_fold_stack()).predict_codes(stack)
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_predict_rejects_a_stack_of_another_fold_count(classifier):
+    fit = CLASSIFIERS[classifier]
+    with pytest.raises(ValueError, match="test rows for 2 folds; the model was fit on 1"):
+        fit(four_rows()).predict_codes(np.zeros((2, 1, 2)))
+    with pytest.raises(ValueError, match="test rows for 1 folds; the model was fit on 2"):
+        fit(two_fold_stack()).predict_codes(np.zeros((1, 1, 2)))
+    with pytest.raises(ValueError, match="test rows for 1 folds; the model was fit on 2"):
+        fit(two_fold_stack()).predict(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 1, 2)])
+def test_predict_takes_only_a_matrix_or_a_stack(classifier, shape):
+    model = CLASSIFIERS[classifier](four_rows())
+    with pytest.raises(ValueError, match="a rows x attributes matrix or a folds x rows x "
+                                         f"attributes stack, not {len(shape)}-D"):
+        model.predict_codes(np.zeros(shape))
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_predict_labels_no_rows_with_no_labels(classifier):
+    model = CLASSIFIERS[classifier](four_rows())
+    assert model.predict(np.zeros((0, 2))) == []
+    assert model.predict_codes(np.zeros((1, 0, 2))).shape == (1, 0)
 
 
 def test_fold_plan_rejects_out_of_range_assignment():

@@ -14,6 +14,7 @@ from unselect.roughset import (
     group_ids,
     indiscernibility_partition,
     is_superreduct,
+    key_radixes,
     lower_approximation,
     mean_dependency_exact,
     pack_codes,
@@ -51,7 +52,7 @@ def code_matrices(draw):
 @given(code_matrices())
 def test_group_ids_are_the_oracle_blocks_in_code_tuple_order(case):
     codes, bins = case
-    ids = group_ids(codes, bins)
+    ids = group_ids(codes)
     oracle = naive_blocks(codes.tolist(), range(len(bins)))
     assert {frozenset(np.flatnonzero(ids == g).tolist()) for g in set(ids.tolist())} \
         == {frozenset(b) for b in oracle}
@@ -267,13 +268,29 @@ def test_positive_total_of_packed_codes_counts_like_the_oracle(case):
 
 @pytest.mark.parametrize("bins", [(3, 2**62), (2**62, 2**62, 2), (2**40, 2**40)])
 def test_group_ids_of_bin_counts_near_2_to_62_rank_like_the_code_tuples(bins):
-    # a key folded from these bin counts would wrap in int64
+    # a key folded from these codes' radixes would wrap in int64; the
+    # columns ranked in its place are copies
     rng = np.random.default_rng(29)
     columns = [rng.choice([0, 1, b // 3, b - 2, b - 1], size=40) for b in bins]
     codes = np.array(columns, dtype=np.int64).T
     keys = list(map(tuple, codes.tolist()))
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    assert group_ids(codes, bins).tolist() == [rank[key] for key in keys]
+    assert group_ids(codes).tolist() == [rank[key] for key in keys]
+    assert list(map(tuple, codes.tolist())) == keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2500), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_key_radixes_are_each_columns_largest_code_plus_one(n, d, seed):
+    # tall tables are reduced in blocks of rows, so the largest code may sit
+    # in a block or in the rows after the last whole block
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 4, size=(n, d))
+    if n and d:
+        codes[rng.integers(0, n, size=d), np.arange(d)] = rng.integers(4, 9, size=d)
+    ranked, radixes = key_radixes(codes)
+    assert radixes == [int(codes[:, j].max(initial=0)) + 1 for j in range(d)]
+    assert ranked is codes
 
 
 def one_unique_per_column(codes, bins):
@@ -288,7 +305,7 @@ def one_unique_per_column(codes, bins):
 @st.composite
 def radix_cases(draw):
     """Up to 45 columns of 1-3 bins, or up to 4 columns of 2**31 to 2**40
-    bins: either can carry the product of bin counts past 2**62."""
+    bins: either can carry the product of the codes' radixes past 2**62."""
     if draw(st.booleans()):
         bins = draw(st.lists(st.integers(1, 3), max_size=45))
     else:
@@ -302,8 +319,7 @@ def radix_cases(draw):
 def test_group_ids_equal_one_unique_per_column(case):
     codes, bins = case
     want = one_unique_per_column(codes, bins)
-    assert group_ids(codes, bins).tolist() == want.tolist()
-    assert group_ids(codes, np.array(bins, dtype=np.int64)).tolist() == want.tolist()
+    assert group_ids(codes).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,44 @@ def test_usqr_rounds_record_each_choice_its_total_and_its_scorer_calls(lung, cou
     assert s == FeatureSubset(s.indices) and repr(s) == repr(FeatureSubset(s.indices))
 
 
+@st.composite
+def declared_bin_counts(draw):
+    """A code table (n <= 60, d <= 6, codes < 4) twice: once with each
+    column's bin count its largest code + 1, and once with each declared as
+    that, 2**31 or 2**62."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 6))
+    codes = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                                   min_size=n, max_size=n)))
+    tight = [int(top) + 1 for top in codes.max(axis=0)]
+    loose = [draw(st.sampled_from([b, 2**31, 2**62])) for b in tight]
+    names = tuple(f"a{j}" for j in range(d))
+    return (DiscreteTable(codes=codes, bins_per_attr=tuple(tight), attr_names=names),
+            DiscreteTable(codes=codes, bins_per_attr=tuple(loose), attr_names=names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(declared_bin_counts())
+def test_usqr_does_not_depend_on_the_declared_bin_counts(tables):
+    tight, loose = usqr(tables[0]), usqr(tables[1])
+    assert (loose.indices, loose.rounds) == (tight.indices, tight.rounds)
+
+
+def test_usqr_of_a_seeded_table_is_pinned_under_wide_bin_counts_and_codes():
+    # a key folded from a declared bin count of 2**62 wrapped in int64 and
+    # picked attribute 1 in the third round; codes near 2**62 must be ranked
+    codes = np.random.default_rng(0).integers(0, 3, size=(40, 4))
+    names = ("a", "b", "c", "d")
+    tables = [DiscreteTable(codes=codes, bins_per_attr=(3,) * 4, attr_names=names),
+              DiscreteTable(codes=codes, bins_per_attr=(2**62,) * 4, attr_names=names),
+              DiscreteTable(codes=np.array([0, 2**61, 2**62])[codes],
+                            bins_per_attr=(2**62 + 1,) * 4, attr_names=names)]
+    for t in tables:
+        s = usqr(t)
+        assert s.indices == (0, 3, 2, 1)
+        assert s.rounds == ((0, 40, 4), (3, 84, 3), (2, 134, 2), (1, 160, 1))
+
+
 # ---------------------------------------------------------------------------
 # PCA selection
 
