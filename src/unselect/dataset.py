@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -75,7 +75,10 @@ class FeatureSubset:
                                                             repr=False)
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        try:        # a float index is refused, never truncated
+            idx = tuple(map(index, self.indices))
+        except TypeError:
+            raise ValueError(f"non-integral attribute index in subset: {self.indices}") from None
         if len(set(idx)) != len(idx):
             raise ValueError(f"duplicate attribute indices in subset: {idx}")
         if any(i < 0 for i in idx):

@@ -38,6 +38,7 @@ from .dataset import (
     FeatureSubset,
     Registry,
     apply_cut_points,
+    check_binning,
     fit_cut_points,
     project,
 )
@@ -556,6 +557,7 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
             f"fold plan assigns {len(plan.assignments)} objects, "
             f"table has {table.n_objects}"
         )
+    check_binning(strategy, bins)
     fit = CLASSIFIERS[classifier]
     projected = project(table, subset)
     values, y = projected.values, projected.y
@@ -727,17 +729,10 @@ def render_text_tables(report: EvalReport) -> str:
         out.append(f"Classification accuracy for {dataset}")
         header = ["Classifier"] + [m.upper() for m in methods]
         body = _table_cells(report, dataset, methods, classifiers)
-        widths = [
-            max(len(header[0]), *(len(name) for name, _ in body)),
-            *(
-                max(len(header[j + 1]), *(len(row[j]) for _, row in body))
-                for j in range(len(methods))
-            ),
-        ]
+        rows = [header] + [[name, *cells] for name, cells in body]
+        widths = [max(map(len, column)) for column in zip(*rows)]
         fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-        out.append(fmt.format(*header))
-        for name, row in body:
-            out.append(fmt.format(name, *row))
+        out += [fmt.format(*row) for row in rows]
         out.append("")
     for err in report.errors:
         out.append(f"ERROR {error_source(err)}: {err['error']}")

@@ -10,15 +10,18 @@ Objects are grouped by one rule, ``group_ids`` (``eval``'s decision table
 uses it too): the columns fold into one mixed-radix key, ranked by one
 ``np.unique``.  Each column's radix is its largest code + 1, read from the
 codes by ``key_radixes``, the one guard that keeps every key within int64;
-``selectors.usqr`` takes its radixes from it too.  Every dependency is
-counted by one scorer, ``positive_total``: the decision columns are
-packed into ``uint64`` words (``pack_codes``), ``pure_groups`` sorts the
-condition keys once, and the AND and the OR of each group's words mark
-every column the group's rows disagree on, for all decision columns at
-once.  Rows carry weights, so a
-search may score the table's ``distinct_rows`` in place of their
-identical copies; ``selectors.usqr`` does, and settles weight from the
-``pure_groups`` flags between rounds.
+``selectors.usqr`` takes its radixes from it too.  A negative code would
+fold into a colliding key, so ``key_radixes`` and ``pack_codes`` refuse
+one.  Every dependency is counted by one scorer, ``positive_total``: the
+decision columns are packed into ``uint64`` words (``pack_codes``),
+``pure_groups`` sorts the condition keys once, and the AND and the OR of
+each group's words mark every column the group's rows disagree on, for
+all decision columns at once.  The columns scored are those marked in the
+packing's ``low`` bits.  Rows carry weights, so a search may score the
+table's ``distinct_rows`` in place of their identical copies.
+``selectors.usqr`` does: it packs them once per search, and between rounds
+it settles weight from the ``pure_groups`` flags of the winner's keys,
+dropping rows from the packing and columns from its ``low`` bits.
 """
 
 from __future__ import annotations
@@ -89,22 +92,34 @@ class Partition:
 _KEY_LIMIT = 2**62      # every mixed-radix key stays below it, so int64 never wraps
 
 
+def _refuse_negative(codes: np.ndarray, least) -> None:
+    """Raise a ``ValueError`` naming the first negative cell of a code
+    matrix (1-based) when its least code ``least`` is negative."""
+    if least < 0:
+        r, c = np.argwhere(codes < 0)[0]
+        raise ValueError(f"codes must be non-negative, got {codes[r, c]} at row {r + 1}, "
+                         f"column {c + 1}")
+
+
 def key_radixes(codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """A non-negative code matrix and each column's radix, its largest
     code + 1: the one guard on mixed-radix key size.  Dense ids below the
     row count n take a column as ``ids * radix + code`` < n * radix, so a
     column whose radix times n would pass ``_KEY_LIMIT`` is replaced, in a
-    copy, by its dense rank, which groups and orders the rows alike."""
+    copy, by its dense rank, which groups and orders the rows alike.  A
+    negative code is a ``ValueError``: it would fold into a colliding key."""
     codes = np.asarray(codes)
     n, d = codes.shape
     # numpy reduces axis 0 one row at a time, so the rows of a tall matrix
     # are first folded into blocks of k rows, about 1024 cells each
     k = max(1, 1024 // max(d, 1))
     head = n - n % k
-    tops = codes[head:].max(axis=0, initial=0)
+    tops, least = codes[head:].max(axis=0, initial=0), codes[head:].min(initial=0)
     if head:
-        blocks = codes[:head].reshape(head // k, k * d).max(axis=0).reshape(k, d)
-        tops = np.maximum(tops, blocks.max(axis=0))
+        blocks = codes[:head].reshape(head // k, k * d)
+        tops = np.maximum(tops, blocks.max(axis=0).reshape(k, d).max(axis=0))
+        least = min(least, blocks.min(initial=0))
+    _refuse_negative(codes, least)
     radixes = [int(top) + 1 for top in tops]
     ranked = [j for j, r in enumerate(radixes) if n * r > _KEY_LIMIT]
     if ranked:
@@ -159,11 +174,7 @@ def lower_approximation(partition: Partition, x: set) -> set:
     x = set(x)
     if not x <= set(range(partition.universe_size)):
         raise ValueError("x must be a subset of the universe")
-    out: set[int] = set()
-    for block in partition.blocks:
-        if set(block) <= x:
-            out.update(block)
-    return out
+    return set().union(*(block for block in partition.blocks if x.issuperset(block)))
 
 
 def upper_approximation(partition: Partition, x: set) -> set:
@@ -171,11 +182,7 @@ def upper_approximation(partition: Partition, x: set) -> set:
     x = set(x)
     if not x <= set(range(partition.universe_size)):
         raise ValueError("x must be a subset of the universe")
-    out: set[int] = set()
-    for block in partition.blocks:
-        if x.intersection(block):
-            out.update(block)
-    return out
+    return set().union(*(block for block in partition.blocks if not x.isdisjoint(block)))
 
 
 def positive_region(cond: Partition, dec: Partition) -> set:
@@ -185,10 +192,7 @@ def positive_region(cond: Partition, dec: Partition) -> set:
         raise ValueError(
             f"universe mismatch: {cond.universe_size} vs {dec.universe_size}"
         )
-    out: set[int] = set()
-    for block in dec.blocks:
-        out |= lower_approximation(cond, set(block))
-    return out
+    return set().union(*(lower_approximation(cond, block) for block in dec.blocks))
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,9 @@ class PackedCodes:
 
     Every field is ``width`` bits wide; each word holds ``64 // width``
     fields, column j in word ``j // (64 // width)``, and no field crosses a
-    word boundary.  ``low`` has the low bit of each of a word's fields set.
+    word boundary.  ``low`` has the low bit set of each field that counts:
+    ``pack_codes`` marks every column, and a search may clear the bits of
+    columns it no longer scores (``selectors.usqr`` does).
     """
 
     words: np.ndarray       # rows x words, uint64
@@ -215,9 +221,11 @@ class PackedCodes:
 
 def pack_codes(codes: np.ndarray) -> PackedCodes:
     """Pack each row of a non-negative code matrix into ``uint64`` words, one
-    field per column, all as wide as the bit length of the largest code."""
+    field per column, all as wide as the bit length of the largest code.
+    A negative code is a ``ValueError``."""
     codes = np.asarray(codes)
     n, d = codes.shape
+    _refuse_negative(codes, codes.min(initial=0))
     width = max(1, int(codes.max(initial=0)).bit_length())
     per = 64 // width
     words = np.zeros((n, -(-d // per)), dtype=np.uint64)
@@ -232,7 +240,8 @@ def pack_codes(codes: np.ndarray) -> PackedCodes:
 def pure_groups(keys: np.ndarray, packed: PackedCodes):
     """One sort of ``keys``: the row order, the start of each group's run of
     sorted rows, and a groups x words array with the low bit of a field set
-    where the group's rows disagree on that column.
+    where the group's rows disagree on that column.  Only the columns whose
+    bit is set in ``packed.low`` are marked.
 
     Rows sharing a key form one condition group, and grouping does not
     depend on the order inside a group, so the sort need not be stable.
@@ -252,7 +261,7 @@ def pure_groups(keys: np.ndarray, packed: PackedCodes):
 
 def positive_total(keys: np.ndarray, weights: np.ndarray, packed: PackedCodes) -> int:
     """Positive-region weight of the grouping ``keys``, summed over every
-    packed column taken as the decision.
+    packed column marked in ``packed.low`` taken as the decision.
 
     A group lies in the positive region of column y iff all its rows agree
     on y, so one sort of the keys serves every column at once.

@@ -9,7 +9,7 @@ the lowest attribute index so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,17 +133,21 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     ids of the chosen subset: a candidate x only refines those groups, by
     the key ``ids * radix + code`` of x, with the radixes read from the
     codes once per search (``roughset.key_radixes``), so no key wraps.
-    Each round packs the live columns into words once
-    (``roughset.pack_codes``) and scores every candidate against them.
-    After each round ``roughset.pure_groups`` marks, per group, the live
-    columns its rows disagree on, which settles the weight no refinement
-    can change and takes it out of every later round:
+    The rows are packed into words once per search (``roughset.pack_codes``),
+    and the set low bits of ``packed.low`` mark the live columns: the
+    pseudo-decisions every candidate is scored on, and the candidates.
+    After each round one ``roughset.pure_groups`` sort of the winner's keys
+    gives the new dense group ids and marks, per group, the live columns
+    its rows disagree on, which settles the weight no refinement can
+    change and takes it out of every later round:
 
     - a group with no such column settles its rows, with ``len(live)``
-      times their weight.  It holds exactly one row (the
-      positive-approximation accelerator): rows are distinct, and rows of
-      one group already agree on every chosen and settled column;
-    - a column no group disagrees on settles on the rows left.
+      times their weight, and they leave the ids, codes, weights and
+      packed words.  It holds exactly one row (the positive-approximation
+      accelerator): rows are distinct, and rows of one group already agree
+      on every chosen and settled column;
+    - a column no group disagrees on settles on the rows left: the OR of
+      every group's flags, the new ``packed.low``, drops its bit.
 
     A settled column also stops being a candidate.  Adding it would leave
     the groups, and so the total, as they are, while adding any column
@@ -158,36 +162,35 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     """
     codes, weights = roughset.distinct_rows(table)
     codes, radixes = roughset.key_radixes(codes)
+    packed = roughset.pack_codes(codes)
     target = table.n_objects * table.n_attrs
     ids = np.zeros(len(weights), dtype=np.int64)
     settled = 0
     chosen: list[int] = []
     rounds: list[tuple[int, int, int]] = []
-    live = list(range(table.n_attrs))     # original index of each column of codes
     while True:
-        packed = roughset.pack_codes(codes)
-        best, best_total = None, -1     # best is a position in live
+        live = np.flatnonzero(packed.columns(packed.low)).tolist()
+        best_total = -1
         for i, x in enumerate(live):
-            keys = ids * radixes[x] + codes[:, i]
+            keys = ids * radixes[x] + codes[:, x]
             total = settled + roughset.positive_total(keys, weights, packed)
             if total > best_total:
-                best, best_total = i, total
+                best, best_total, best_keys = x, total, keys
                 if total == target:     # no later candidate can exceed it
                     break
-        chosen.append(live[best])
-        rounds.append((live[best], best_total, i + 1))      # i + 1 candidates scored
+        chosen.append(best)
+        rounds.append((best, best_total, i + 1))      # i + 1 candidates scored
         if best_total == target:
             return FeatureSubset(tuple(chosen), rounds=tuple(rounds))
-        # dense ids, so row g of the flags is group g
-        _, ids = np.unique(ids * radixes[live[best]] + codes[:, best], return_inverse=True)
-        impure = roughset.pure_groups(ids, packed)[2]
-        whole = ~impure.any(axis=1)[ids]
-        settled += len(live) * int(weights[whole].sum())
-        ids, codes, weights = ids[~whole], codes[~whole], weights[~whole]
-        columns = ~packed.columns(np.bitwise_or.reduce(impure, axis=0))
-        settled += int(columns.sum()) * int(weights.sum())
-        codes = codes[:, ~columns]
-        live = [x for x, p in zip(live, columns) if not p]
+        order, starts, impure = roughset.pure_groups(best_keys, packed)
+        # dense ids ranked like the keys, so row g of the flags is group g
+        ids = np.empty_like(ids)
+        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ids)))
+        keep = impure.any(axis=1)[ids]
+        settled += len(live) * int(weights[~keep].sum())
+        ids, codes, weights = ids[keep], codes[keep], weights[keep]
+        packed = replace(packed, words=packed.words[keep], low=np.bitwise_or.reduce(impure))
+        settled += (len(live) - int(np.bitwise_count(packed.low).sum())) * int(weights.sum())
 
 
 def select(table: DataTable, method: str, cfg: SelectorConfig, k: int | None = None) -> FeatureSubset:

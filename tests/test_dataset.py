@@ -911,6 +911,16 @@ def test_feature_subset_rejects_duplicates():
         FeatureSubset((1, 1))
 
 
+def test_feature_subset_refuses_a_non_integral_index():
+    # truncated, 1.5 and 2.9 would silently name attributes 1 and 2
+    with pytest.raises(ValueError, match=r"1\.5"):
+        FeatureSubset((1.5, 2.9))
+    with pytest.raises(ValueError, match=r"2\.0"):
+        FeatureSubset((0, np.float64(2.0)))
+    s = FeatureSubset((np.int64(1), np.int32(2), 0))
+    assert s.indices == (1, 2, 0) and all(type(i) is int for i in s.indices)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(["b", "B", "a", "10", "9", "é", "e", "Z", "日本"]),
                           st.text(alphabet="aAzZ09éÉß日 _-", min_size=1, max_size=3)),

@@ -55,6 +55,20 @@ def test_fold_plan_sizes_and_stratification():
         assert counts.max() - counts.min() <= 1
 
 
+@pytest.mark.parametrize("classifier", sorted(CLASSIFIERS))
+@pytest.mark.parametrize("strategy, bins, message", [
+    ("bogus", 3, "unknown discretization strategy 'bogus'"),
+    ("eqfreq", 0, "bins must be >= 2, got 0"),
+], ids=["strategy", "bins"])
+def test_cross_validate_checks_the_binning_for_every_classifier(diabetes, classifier,
+                                                                strategy, bins, message):
+    # nb and knn bin nothing, yet a binning no classifier could use is refused
+    plan = make_fold_plan(diabetes.y, 5, seed=1)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(diabetes, FeatureSubset((0, 1)), classifier, plan,
+                       strategy=strategy, bins=bins)
+
+
 def test_fold_plan_is_deterministic():
     labels = ["A", "B"] * 10
     assert make_fold_plan(labels, 5, 9) == make_fold_plan(labels, 5, 9)

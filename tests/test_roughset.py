@@ -293,6 +293,31 @@ def test_key_radixes_are_each_columns_largest_code_plus_one(n, d, seed):
     assert ranked is codes
 
 
+@pytest.mark.parametrize("fn", [key_radixes, group_ids, pack_codes])
+def test_a_negative_code_is_refused_naming_its_cell(fn):
+    # a negative code folds into a colliding key (the two rows of the first
+    # matrix would share a group), and a packed -1 sets every bit of its word
+    # (the second's rows would disagree on column 2, where they agree)
+    with pytest.raises(ValueError, match=r"-1 at row 1, column 2"):
+        fn(np.array([[1, -1], [0, 1]]))
+    with pytest.raises(ValueError, match=r"-1 at row 1, column 1"):
+        fn(np.array([[-1, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("cells, named", [
+    ([(4, 1), (2399, 0)], "row 5, column 2"),      # in a whole block of rows
+    ([(2399, 0), (2450, 2)], "row 2400, column 1"),    # after the last whole block
+    ([(7, 2), (7, 0)], "row 8, column 1"),
+])
+def test_key_radixes_names_the_first_negative_cell_of_a_tall_matrix(cells, named):
+    # 2500 x 3 is reduced in blocks of 341 rows and a tail of 113
+    codes = np.random.default_rng(5).integers(0, 4, size=(2500, 3))
+    for r, c in cells:
+        codes[r, c] = -3
+    with pytest.raises(ValueError, match=f"-3 at {named}"):
+        key_radixes(codes)
+
+
 def one_unique_per_column(codes, bins):
     """Group ids as one ``np.unique`` per column: each column refines the
     groups so far.  The reference for ``group_ids``' mixed-radix fold."""

@@ -269,9 +269,10 @@ def test_usqr_never_scores_a_settled_copy(count_calls):
     assert s.indices == (0, 1)
     assert len(calls) == 3 + 1
     assert s.rounds == ((0, 12, 3), (1, 18, 1))
-    # the round-two call scores the one live pseudo-decision, b
+    # the round-two call scores the one live pseudo-decision, b: the low
+    # bits of the packed table mark it alone
     _, _, packed = calls[-1]
-    assert packed.n_cols == 1
+    assert packed.columns(packed.low).tolist() == [False, True, False]
     assert reference_usqr(t) == (0, 1)
 
 
@@ -331,6 +332,28 @@ def test_usqr_rounds_record_each_choice_its_total_and_its_scorer_calls(lung, cou
     assert s.rounds[-1][1] == lung.n_objects * lung.n_attrs
     assert len(calls) == sum(scored for _, _, scored in s.rounds)
     assert s == FeatureSubset(s.indices) and repr(s) == repr(FeatureSubset(s.indices))
+
+
+def test_usqr_rounds_of_breast_are_pinned(breast):
+    # breast settles whole columns in the middle of its search: round 8
+    # scores 22 candidates after round 7 scored 24, and round 14 scores 9
+    # after round 13 scored 16
+    s = usqr(discretize(breast, "eqfreq", 3))
+    assert " ".join(f"{a + 1}:{total}:{scored}" for a, total, scored in s.rounds) == (
+        "1:758:30 30:1854:29 5:3236:28 11:5619:27 22:9091:26 15:12457:25 16:14736:24 "
+        "12:15900:22 29:16516:21 19:16817:20 18:16929:19 10:16994:17 23:17034:16 "
+        "20:17047:9 14:17057:8 9:17063:4 25:17068:2 2:17070:1")
+    assert s.rounds[-1][1] == breast.n_objects * breast.n_attrs
+
+
+def test_usqr_packs_the_distinct_rows_once_per_search(lung, count_calls):
+    # the live columns are the packed table's low bits, so no round repacks
+    packs = count_calls(roughset.pack_codes)
+    regroups = count_calls(roughset.pure_groups)
+    s = usqr(discretize(lung, "eqfreq", 3))
+    assert len(packs) == 1
+    # one sort per scored candidate, and one regroup per round but the last
+    assert len(regroups) == sum(scored for _, _, scored in s.rounds) + len(s.rounds) - 1
 
 
 @st.composite
