@@ -110,6 +110,45 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_codes(codes) -> np.ndarray:
+    """The one rule for a code matrix, returned as an array: 2-D, of an
+    integer or bool dtype that int64 holds, with no negative cell.  A
+    ``ValueError`` names the shape, the dtype or the first negative cell
+    (row and column, 1-based)."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2:
+        raise ValueError(f"codes must be 2-D, got shape {codes.shape}")
+    if not np.can_cast(codes.dtype, np.int64):      # a float code is never truncated
+        raise ValueError(f"codes must be integers that int64 holds, got dtype {codes.dtype}")
+    if codes.min(initial=0) < 0:
+        r, c = np.argwhere(codes < 0)[0]
+        raise ValueError(f"codes must be non-negative, got {codes[r, c]} at row {r + 1}, "
+                         f"column {c + 1}")
+    return codes
+
+
+def class_codes(labels) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """The one rule for class labels: the labels as text, the sorted
+    distinct labels, and each label's read-only ``np.intp`` index into
+    them."""
+    labels = tuple(map(str, labels))
+    classes = tuple(sorted(set(labels)))
+    code = {c: i for i, c in enumerate(classes)}
+    return labels, classes, _freeze(np.fromiter(map(code.__getitem__, labels), np.intp,
+                                                len(labels)))
+
+
+def column_indices(subset, n_attrs: int) -> list[int]:
+    """The one rule for a column pick: the subset's indices, each naming
+    one of ``n_attrs`` columns, else an ``IndexError`` naming the first
+    that does not."""
+    attrs = list(subset)
+    for a in attrs:
+        if not 0 <= a < n_attrs:
+            raise IndexError(f"attribute index {a} out of range for {n_attrs} attributes")
+    return attrs
+
+
 @dataclass(frozen=True)
 class DataTable:
     """A rectangular numeric dataset with optional class labels.
@@ -147,12 +186,9 @@ class DataTable:
             raise ValueError("attribute names must be unique")
         classes, y = (), None
         if self.labels is not None:
-            labels = tuple(str(label) for label in self.labels)
+            labels, classes, y = class_codes(self.labels)
             if len(labels) != n:
                 raise ValueError(f"{len(labels)} labels for {n} objects")
-            classes = tuple(sorted(set(labels)))
-            code = {c: i for i, c in enumerate(classes)}
-            y = _freeze(np.fromiter(map(code.__getitem__, labels), np.intp, n))
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "attr_names", names)
@@ -172,10 +208,13 @@ class DataTable:
 class DiscreteTable:
     """An integer-coded table; cell codes lie in [0, bins_per_attr[j]).
 
+    The codes pass ``check_codes``, the rule the rough-set kernel holds
+    every code matrix to, so float codes are refused, never truncated.
     ``bins_per_attr`` declares each column's code range and is checked
-    here, at construction.  Grouping (``roughset.group_ids``, USQR) reads
-    each column's range from the codes themselves, so a declared count
-    wider than the codes changes no result.
+    here, at construction; a code outside it is an error naming its cell.
+    Grouping (``roughset.group_ids``, USQR) reads each column's range from
+    the codes themselves, so a declared count wider than the codes changes
+    no result.
     """
 
     codes: np.ndarray
@@ -184,9 +223,7 @@ class DiscreteTable:
     name: str = ""
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        if codes.ndim != 2:
-            raise ValueError(f"codes must be 2-D, got shape {codes.shape}")
+        codes = check_codes(self.codes)
         n, d = codes.shape
         if n < 1 or d < 1:
             raise ValueError(f"table must be at least 1x1, got {n}x{d}")
@@ -195,12 +232,15 @@ class DiscreteTable:
             raise ValueError(f"{len(bins)} bin counts for {d} columns")
         if any(b < 1 for b in bins):
             raise ValueError("bins_per_attr entries must be positive")
-        if codes.min() < 0 or np.any(codes >= np.asarray(bins)):
-            raise ValueError("codes out of range for bins_per_attr")
+        over = codes >= np.asarray(bins)
+        if over.any():
+            r, c = np.argwhere(over)[0]
+            raise ValueError(f"code {codes[r, c]} at row {r + 1}, column {c + 1} is outside "
+                             f"its {bins[c]} bins")
         names = tuple(str(a) for a in self.attr_names)
         if len(names) != d or len(set(names)) != len(names):
             raise ValueError("attribute names must be unique and match columns")
-        object.__setattr__(self, "codes", _freeze(codes))
+        object.__setattr__(self, "codes", _freeze(codes.astype(np.int64, copy=False)))
         object.__setattr__(self, "bins_per_attr", bins)
         object.__setattr__(self, "attr_names", names)
 
@@ -624,12 +664,12 @@ def apply_cut_points(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
 
 
 def discretize(table: DataTable, strategy: str = "eqfreq", bins: int = 3) -> DiscreteTable:
-    """Bin every column of a DataTable into integer codes."""
+    """Bin every column of a DataTable into integer codes; a column has one
+    code more than it has finite cut points."""
     cuts = fit_cut_points(table.values, strategy, bins)
-    constant = table.values.min(axis=0) == table.values.max(axis=0)
     return DiscreteTable(
         codes=apply_cut_points(table.values, cuts),
-        bins_per_attr=tuple(np.where(constant, 1, bins).tolist()),
+        bins_per_attr=tuple(((cuts < np.inf).sum(axis=1) + 1).tolist()),
         attr_names=table.attr_names,
         name=table.name,
     )
@@ -637,13 +677,7 @@ def discretize(table: DataTable, strategy: str = "eqfreq", bins: int = 3) -> Dis
 
 def project(table: DataTable, subset: FeatureSubset) -> DataTable:
     """Keep only the subset's columns, in the subset's order."""
-    for i in subset:
-        if i >= table.n_attrs:
-            raise IndexError(
-                f"attribute index {i} out of range for table with "
-                f"{table.n_attrs} attributes"
-            )
-    idx = list(subset)
+    idx = column_indices(subset, table.n_attrs)
     # columns of a checked table, so no construction check runs
     sub = copy.copy(table)
     object.__setattr__(sub, "values", _freeze(table.values[:, idx]))

@@ -39,6 +39,7 @@ from .dataset import (
     Registry,
     apply_cut_points,
     check_binning,
+    class_codes,
     fit_cut_points,
     project,
 )
@@ -135,8 +136,7 @@ def make_fold_plan(labels, k: int, seed: int) -> FoldPlan:
     dealing position carries over between classes so overall fold sizes
     also differ by at most one.  Fully determined by (seed, k, labels).
     """
-    classes, codes = np.unique(np.array([str(y) for y in labels], dtype=object),
-                               return_inverse=True)
+    _, classes, codes = class_codes(labels)
     n = len(codes)
     check_cv_settings(k, seed)
     if k > n:

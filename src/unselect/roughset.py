@@ -6,13 +6,17 @@ verification and an exhaustive minimal-reduct oracle.  Dependency values
 are exact rationals (counts over the universe size), so reduct checks
 compare integers, never floats.
 
-Objects are grouped by one rule, ``group_ids`` (``eval``'s decision table
-uses it too): the columns fold into one mixed-radix key, ranked by one
-``np.unique``.  Each column's radix is its largest code + 1, read from the
-codes by ``key_radixes``, the one guard that keeps every key within int64;
-``selectors.usqr`` takes its radixes from it too.  A negative code would
-fold into a colliding key, so ``key_radixes`` and ``pack_codes`` refuse
-one.  Every dependency is counted by one scorer, ``positive_total``: the
+Every code matrix the kernel takes passes ``dataset.check_codes``, the
+rule ``DiscreteTable`` holds its codes to as well: 2-D, integers that
+int64 holds, none negative.  A float or negative code would fold into a
+colliding key, so it is a ``ValueError``, never a wrong group.  Column
+picks are checked by ``dataset.column_indices``, the rule ``project``
+uses.  Objects are grouped by one rule, ``group_ids`` (``eval``'s decision
+table uses it too): the columns fold into one mixed-radix key, ranked by
+one ``np.unique``.  Each column's radix is its largest code + 1, read from
+the codes by ``key_radixes``, the one guard that keeps every key within
+int64; ``selectors.usqr`` takes its radixes from it too.  Every
+dependency is counted by one scorer, ``positive_total``: the
 decision columns are packed into ``uint64`` words (``pack_codes``),
 ``pure_groups`` sorts the condition keys once, and the AND and the OR of
 each group's words mark every column the group's rows disagree on, for
@@ -32,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dataset import DiscreteTable, FeatureSubset
+from .dataset import DiscreteTable, FeatureSubset, check_codes, column_indices
 
 __all__ = [
     "Partition",
@@ -92,34 +96,22 @@ class Partition:
 _KEY_LIMIT = 2**62      # every mixed-radix key stays below it, so int64 never wraps
 
 
-def _refuse_negative(codes: np.ndarray, least) -> None:
-    """Raise a ``ValueError`` naming the first negative cell of a code
-    matrix (1-based) when its least code ``least`` is negative."""
-    if least < 0:
-        r, c = np.argwhere(codes < 0)[0]
-        raise ValueError(f"codes must be non-negative, got {codes[r, c]} at row {r + 1}, "
-                         f"column {c + 1}")
-
-
 def key_radixes(codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """A non-negative code matrix and each column's radix, its largest
+    """A code matrix (``check_codes``) and each column's radix, its largest
     code + 1: the one guard on mixed-radix key size.  Dense ids below the
     row count n take a column as ``ids * radix + code`` < n * radix, so a
     column whose radix times n would pass ``_KEY_LIMIT`` is replaced, in a
-    copy, by its dense rank, which groups and orders the rows alike.  A
-    negative code is a ``ValueError``: it would fold into a colliding key."""
-    codes = np.asarray(codes)
+    copy, by its dense rank, which groups and orders the rows alike."""
+    codes = check_codes(codes)
     n, d = codes.shape
     # numpy reduces axis 0 one row at a time, so the rows of a tall matrix
     # are first folded into blocks of k rows, about 1024 cells each
     k = max(1, 1024 // max(d, 1))
     head = n - n % k
-    tops, least = codes[head:].max(axis=0, initial=0), codes[head:].min(initial=0)
+    tops = codes[head:].max(axis=0, initial=0)
     if head:
         blocks = codes[:head].reshape(head // k, k * d)
         tops = np.maximum(tops, blocks.max(axis=0).reshape(k, d).max(axis=0))
-        least = min(least, blocks.min(initial=0))
-    _refuse_negative(codes, least)
     radixes = [int(top) + 1 for top in tops]
     ranked = [j for j, r in enumerate(radixes) if n * r > _KEY_LIMIT]
     if ranked:
@@ -130,43 +122,39 @@ def key_radixes(codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return codes, radixes
 
 
-def group_ids(codes: np.ndarray) -> np.ndarray:
-    """Group id per row of a non-negative code matrix.
+def _row_keys(codes) -> np.ndarray:
+    """One int64 key per row of a code matrix, ordered like the rows' code
+    tuples, so rows share a key iff they agree on every column.
 
-    Rows share an id iff they agree on every column; with no columns every
-    row falls into one group (the condition in the indiscernibility
-    definition is vacuous).  The columns fold into one mixed-radix key,
-    ``key * radix + codes[:, j]`` with the radixes of ``key_radixes``,
-    which orders rows like their code tuples; before the key could pass
+    The columns fold into one mixed-radix key, ``key * radix + codes[:, j]``
+    with the radixes of ``key_radixes``; before the key could pass
     ``_KEY_LIMIT`` it is compressed to its dense rank, which lies below the
-    row count.  So the ids stay dense and ordered like the code tuples.
+    row count.
     """
     codes, radixes = key_radixes(codes)
-    ids = np.zeros(len(codes), dtype=np.int64)
+    keys = np.zeros(len(codes), dtype=np.int64)
     size = 1        # every key lies in [0, size)
     for j, r in enumerate(radixes):
         if size * r > _KEY_LIMIT:
-            keys, ids = np.unique(ids, return_inverse=True)
-            size = len(keys)
-        ids = ids * r + codes[:, j]
+            ranks, keys = np.unique(keys, return_inverse=True)
+            size = len(ranks)
+        keys = keys * r + codes[:, j]
         size *= r
-    return np.unique(ids, return_inverse=True)[1]
+    return keys
 
 
-def _columns(table: DiscreteTable, subset) -> np.ndarray:
-    """The code columns of the subset's attributes."""
-    attrs = list(subset)
-    for a in attrs:
-        if not 0 <= a < table.n_attrs:
-            raise IndexError(
-                f"attribute index {a} out of range for {table.n_attrs} attributes"
-            )
-    return table.codes[:, attrs]
+def group_ids(codes) -> np.ndarray:
+    """Group id per row of a code matrix: the dense rank of its
+    ``_row_keys`` key, so rows share an id iff they agree on every column
+    and the ids are ordered like the code tuples.  With no columns every
+    row falls into one group (the condition in the indiscernibility
+    definition is vacuous)."""
+    return np.unique(_row_keys(codes), return_inverse=True)[1]
 
 
 def indiscernibility_partition(table: DiscreteTable, attrs: FeatureSubset) -> Partition:
     """U/IND(P): objects grouped by identical values on every attr in P."""
-    return Partition.from_ids(group_ids(_columns(table, attrs)))
+    return Partition.from_ids(group_ids(table.codes[:, column_indices(attrs, table.n_attrs)]))
 
 
 def lower_approximation(partition: Partition, x: set) -> set:
@@ -220,12 +208,11 @@ class PackedCodes:
 
 
 def pack_codes(codes: np.ndarray) -> PackedCodes:
-    """Pack each row of a non-negative code matrix into ``uint64`` words, one
-    field per column, all as wide as the bit length of the largest code.
-    A negative code is a ``ValueError``."""
-    codes = np.asarray(codes)
+    """Pack each row of a code matrix (``check_codes``) into ``uint64``
+    words, one field per column, all as wide as the bit length of the
+    largest code."""
+    codes = check_codes(codes)
     n, d = codes.shape
-    _refuse_negative(codes, codes.min(initial=0))
     width = max(1, int(codes.max(initial=0)).bit_length())
     per = 64 // width
     words = np.zeros((n, -(-d // per)), dtype=np.uint64)
@@ -276,16 +263,17 @@ def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
     """The table's distinct rows and how many objects each stands for.
 
     Identical rows fall in the same group under every attribute subset,
-    so a weighted distinct row scores exactly like its copies.
+    so a weighted distinct row scores exactly like its copies.  One
+    ``np.unique`` of the rows' keys gives each first copy and its count.
     """
-    ids = group_ids(table.codes)
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    _, first, counts = np.unique(_row_keys(table.codes), return_index=True, return_counts=True)
     return table.codes[first], counts
 
 
 def gamma(table: DiscreteTable, p, q) -> Fraction:
     """Degree of dependency of q on p: |POS_p(q)| / |U|, as an exact rational."""
-    cond, dec = _columns(table, p), _columns(table, q)
+    cond = table.codes[:, column_indices(p, table.n_attrs)]
+    dec = table.codes[:, column_indices(q, table.n_attrs)]
     if not dec.shape[1]:
         raise ValueError("decision attribute set q must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)
@@ -299,7 +287,7 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     Every attribute of the table serves in turn as a pseudo-decision,
     including members of attrs themselves (those contribute 1).
     """
-    codes = _columns(table, attrs)
+    codes = table.codes[:, column_indices(attrs, table.n_attrs)]
     if not codes.shape[1]:
         raise ValueError("attribute subset must be non-empty")
     ones = np.ones(table.n_objects, dtype=np.int64)

@@ -13,6 +13,7 @@ import unselect.dataset
 from unselect.dataset import (
     DatasetError,
     DataTable,
+    DiscreteTable,
     EmptyFileError,
     FeatureSubset,
     ParseError,
@@ -919,6 +920,24 @@ def test_feature_subset_refuses_a_non_integral_index():
         FeatureSubset((0, np.float64(2.0)))
     s = FeatureSubset((np.int64(1), np.int32(2), 0))
     assert s.indices == (1, 2, 0) and all(type(i) is int for i in s.indices)
+
+
+def discrete(codes, bins):
+    return DiscreteTable(codes=codes, bins_per_attr=bins,
+                         attr_names=tuple(f"a{j + 1}" for j in range(len(bins))))
+
+
+def test_discrete_table_refuses_float_codes():
+    # cast to integers, [[0.5, 1.7]] would silently become [[0, 1]]
+    with pytest.raises(ValueError, match="float64"):
+        discrete(np.array([[0.5, 1.7]]), (2, 2))
+
+
+def test_discrete_table_names_a_code_outside_its_bins():
+    with pytest.raises(ValueError, match=r"^code 3 at row 2, column 2 is outside its 2 bins$"):
+        discrete(np.array([[0, 1], [1, 3]]), (2, 2))
+    with pytest.raises(ValueError, match=r"-1 at row 1, column 2"):
+        discrete(np.array([[0, -1]]), (2, 2))
 
 
 @settings(max_examples=100, deadline=None)

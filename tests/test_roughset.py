@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unselect.dataset import DiscreteTable, FeatureSubset
+from unselect.dataset import DataTable, DiscreteTable, FeatureSubset, project
 from unselect.roughset import (
     Partition,
     brute_force_min_reducts,
@@ -164,6 +164,18 @@ def test_gamma_rejects_empty_decision():
         gamma(t, FeatureSubset((0,)), FeatureSubset(()))
 
 
+def test_an_attribute_index_past_the_table_is_one_error_for_kernel_and_project():
+    # the kernel and project check a column pick by one rule, in one text
+    codes = dtable([[0, 1]])
+    values = DataTable(values=np.zeros((2, 1)), attr_names=("a1",))
+    with pytest.raises(IndexError) as kernel:
+        gamma(codes, (5,), (0,))
+    with pytest.raises(IndexError) as table:
+        project(values, FeatureSubset((5,)))
+    assert str(kernel.value) == str(table.value)
+    assert "5" in str(kernel.value)
+
+
 def ones(n):
     return np.ones(n, dtype=np.int64)
 
@@ -302,6 +314,23 @@ def test_a_negative_code_is_refused_naming_its_cell(fn):
         fn(np.array([[1, -1], [0, 1]]))
     with pytest.raises(ValueError, match=r"-1 at row 1, column 1"):
         fn(np.array([[-1, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("fn", [key_radixes, group_ids, pack_codes])
+def test_a_code_dtype_int64_cannot_hold_is_refused_by_name(fn):
+    # folded, both rows would key to 1.5 and share a group; packed, every
+    # cell would be truncated to an integer
+    with pytest.raises(ValueError, match="float64"):
+        fn(np.array([[0, 1.5], [0.75, 0]]))
+    # an int64 key times a radix plus a uint64 code is a float64 in numpy
+    with pytest.raises(ValueError, match="uint64"):
+        fn(np.array([[0, 1], [1, 0]], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("fn", [key_radixes, group_ids, pack_codes])
+def test_a_code_vector_is_refused_naming_its_shape(fn):
+    with pytest.raises(ValueError, match=r"2-D.*\(3,\)"):
+        fn(np.array([0, 1, 2]))
 
 
 @pytest.mark.parametrize("cells, named", [
