@@ -623,28 +623,71 @@ def fit_cut_points(values: np.ndarray, strategy: str, bins: int) -> np.ndarray:
 
     ``values`` is rows x attributes, or folds x rows x attributes for a
     stack of folds, each of which gets cuts from its own rows; the cuts
-    come as [folds x] attributes x (bins - 1).  ``eqwidth`` spaces them
-    evenly over [min, max], with the bits of ``np.linspace`` per column;
-    ``eqfreq`` places them at empirical quantiles.  A column constant in
-    its rows gets +inf cuts, which no finite value reaches, so it codes to
-    one bin.
+    come as [folds x] attributes x (bins - 1).  The columns are copied
+    once, as floats, each to one contiguous row.  ``eqwidth`` spaces the
+    cuts evenly over [min, max] of that row, with the bits of
+    ``np.linspace`` per column; ``eqfreq`` sorts the row once and reads
+    min, max and the cuts from it, at empirical quantiles with the bits of
+    ``np.quantile``'s default linear method.  A column constant in its
+    rows gets +inf cuts, which no finite value reaches, so it codes to one
+    bin.  A zero cut is always +0.0, whichever zero the sort put at its
+    place.
+
+    A ``ValueError`` refuses input with no rows, names the first
+    non-finite cell ([fold,] row, column, 1-based), or names the first
+    column whose range max - min overflows; each would be mis-binned.
     """
     check_binning(strategy, bins)
-    lo, hi = values.min(axis=-2), values.max(axis=-2)
+    n = values.shape[-2]
+    if n == 0:
+        raise ValueError("cannot fit cut points to no rows")
+    # each column as one contiguous float row, [folds x] attrs x rows: an
+    # integer range would wrap in its own dtype
+    columns = np.array(np.moveaxis(values, -2, -1), dtype=float, order="C")
     if strategy == "eqfreq":
-        # one call for every column and fold gives the bits of one call per column
-        quantiles = np.quantile(values, [i / bins for i in range(1, bins)], axis=-2)
-        cuts = np.moveaxis(quantiles, 0, -1)
+        columns.sort(axis=-1)
+        lo, hi = columns[..., 0], columns[..., -1]
+    else:
+        lo, hi = columns.min(axis=-1), columns.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = hi - lo
+    if not np.isfinite(spread).all():
+        _refuse_cut_input(values, lo, hi, spread)
+    if strategy == "eqfreq":
+        # np.quantile's linear method, step by step, on the sorted rows
+        virtual = (n - 1) * np.array([i / bins for i in range(1, bins)])
+        below = np.floor(virtual)
+        gamma = virtual - below
+        below = below.astype(np.intp)
+        # one row has no next row; its cuts become +inf below anyway
+        a, b = columns[..., below], columns[..., np.minimum(below + 1, n - 1)]
+        diff = b - a
+        cuts = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
     else:
         # np.linspace per column: k * step + lo, or, where the step
         # underflows to 0, k / bins * delta + lo (np.linspace over all
         # columns at once takes that branch for every column)
-        delta = (hi - lo)[..., None]
+        delta = spread[..., None]
         step = delta / bins
         k = np.arange(1.0, bins)
         cuts = np.where(step == 0, k / bins * delta, k * step) + lo[..., None]
     cuts[lo == hi] = np.inf
-    return cuts
+    return cuts + 0.0
+
+
+def _refuse_cut_input(values, lo, hi, spread):
+    """Raise the ``fit_cut_points`` error for the first non-finite cell,
+    else for the first column whose range overflows."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        *fold, row, col = np.argwhere(bad)[0]
+        at = f"fold {fold[0] + 1}, " if fold else ""
+        raise ValueError(f"cannot fit cut points to {at}row {row + 1}, column {col + 1}: "
+                         f"it holds {values[(*fold, row, col)]}")
+    *fold, col = np.argwhere(~np.isfinite(spread))[0]
+    at = f"fold {fold[0] + 1}, " if fold else ""
+    raise ValueError(f"cannot fit cut points to {at}column {col + 1}: its range "
+                     f"{lo[(*fold, col)]} to {hi[(*fold, col)]} overflows")
 
 
 def apply_cut_points(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:

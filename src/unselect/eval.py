@@ -296,14 +296,20 @@ def gaussian_nb_fit(train, prep=None, *, strategy="eqfreq", bins=3) -> NbModel:
 class KnnModel(_Model):
     mean: np.ndarray                # fold x attr
     std: np.ndarray                 # fold x attr
-    scaled: np.ndarray              # every fold's training rows, z-scored, fold after fold
-    sq_norms: np.ndarray            # squared norm of each scaled training row
+    augmented: np.ndarray           # every fold's training rows, fold after fold, as
+                                    # [b | fl|b|^2 | 1] for z-scored b
     codes: np.ndarray               # training row -> index into classes
     k: int
 
     @property
     def _fit_shape(self) -> tuple[int, int]:
         return self.mean.shape
+
+    @property
+    def scaled(self) -> np.ndarray:
+        """The z-scored training rows, fold after fold: the first d
+        columns of ``augmented``."""
+        return self.augmented[:, :-2]
 
     def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
         """Majority vote among the k nearest training rows of each test
@@ -313,42 +319,66 @@ class KnnModel(_Model):
         argsort), vote ties to the class of the nearest tied row; the
         distance is the root of the summed squared differences.
 
-        Test rows are labelled in blocks of at most ``BLOCK_CELLS`` folds x
+        Test rows are filtered in blocks of at most ``BLOCK_CELLS`` folds x
         block rows x training rows, so memory is bounded per block rather
         than growing with the test size.  A block holds as many of a fold's
         rows as fit (one when a single row exceeds the cap), and then as
         many folds as fit, so each fold's matrix product covers as many
-        rows as it can.  Each block is filtered, then refined
-        (``_predict_block``): one batched matrix product gives approximate
-        squared distances, the training rows within a rounding bound of each
-        row's approximate k-th distance become its candidates, and the exact
-        distances of the candidates alone decide, as they would over every
-        training row of the fold.  In a fold whose distances could overflow
-        every training row is a candidate.  The refine step works in
-        sub-blocks of at most ``BLOCK_CELLS`` rows x most candidates x
-        attributes, or one row.
+        rows as it can.  The filter (``_candidates``) keeps, for each test
+        row, the training rows within a rounding bound of its approximate
+        k-th distance, which one batched matrix product gives.  The refine
+        step (``_refine_batch``) then decides by the exact distances of the
+        candidates alone, as they would over every training row of the
+        fold.  It takes the candidates of consecutive blocks together, up
+        to ``BLOCK_CELLS`` rows x most candidates x attributes, and splits
+        a block that alone passes the cap into sub-blocks of at most that
+        many cells, or one row.
         """
-        folds, t, _ = rows.shape
+        folds, t, d = rows.shape
         scaled_rows = (rows - self.mean[:, None]) / self.std[:, None]
-        n = len(self.scaled) // folds
+        # [-2a | 1 | fl|a|^2], whose product with [b | fl|b|^2 | 1] is
+        # |a|^2 + |b|^2 - 2a.b
+        queries = np.empty((folds, t, d + 2))
+        np.multiply(scaled_rows, -2.0, out=queries[..., :d])
+        queries[..., d] = 1.0
+        with np.errstate(over="ignore"):    # an infinite norm makes every row a candidate
+            np.sum(scaled_rows ** 2, axis=2, out=queries[..., d + 1])
+            train_sq = self.augmented[:, d].reshape(folds, -1).max(axis=1)
+        n = len(self.augmented) // folds
         step = max(1, min(t, BLOCK_CELLS // n))             # rows of one fold
         fold_step = max(1, BLOCK_CELLS // (step * n))
         # Every block reuses two folds x block rows x training rows arrays:
         # fresh ones would cost page faults each time malloc hands them back.
         work = np.empty((2, min(fold_step, folds), step, n))
-        predicted = np.empty((folds, t), dtype=np.intp)
+        # A block is whole folds or rows of one fold (fold_step is 1 when
+        # step < t), so the blocks come in the row order of the flat stack.
+        flat = scaled_rows.reshape(-1, d)
+        predicted = np.empty(folds * t, dtype=np.intp)
+        done, batch, most = 0, [], 0        # rows refined; blocks pending, their most candidates
         for first in range(0, folds, fold_step):
             for start in range(0, t, step):
-                block = scaled_rows[first:first + fold_step, start:start + step]
-                predicted[first:first + fold_step, start:start + step] = \
-                    self._predict_block(block, first, work)
-        return predicted
+                counts, cols = self._candidates(
+                    queries[first:first + fold_step, start:start + step], first, train_sq, work)
+                held = sum(len(c) for c, _ in batch)
+                if batch and (held + len(counts)) * max(most, counts.max()) * d > BLOCK_CELLS:
+                    predicted[done:done + held] = self._refine_batch(flat[done:done + held], batch)
+                    done, batch, most = done + held, [], 0
+                batch.append((counts, cols))
+                most = max(most, counts.max())
+        if batch:
+            predicted[done:] = self._refine_batch(flat[done:], batch)
+        return predicted.reshape(folds, t)
 
-    def _predict_block(self, block: np.ndarray, first: int, work: np.ndarray) -> np.ndarray:
-        """Class codes of one block of z-scored test rows, folds x block
-        rows from fold ``first`` on, by filter and refine (multi-step k-NN
-        search after Seidl and Kriegel, SIGMOD 1998); ``work`` holds two
-        arrays of at least folds x block rows x training rows.
+    def _candidates(self, block: np.ndarray, first: int, train_sq: np.ndarray,
+                    work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The filter step of one block of augmented test rows, folds x
+        block rows from fold ``first`` on, after the multi-step k-NN search
+        of Seidl and Kriegel (SIGMOD 1998): each row's candidate count, and
+        the candidates' training indices, row after row, each row's in
+        training-index order.  A training index runs over the rows of every
+        fold, fold after fold.  ``train_sq`` holds each fold's largest
+        training norm and ``work`` two arrays of at least folds x block
+        rows x training rows.
 
         Why the candidates hold every row the exact search can pick.  Let
         u be the unit roundoff and gamma_n = nu/(1 - nu); a dot product of
@@ -356,12 +386,14 @@ class KnnModel(_Model):
         (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
         2002, section 3.1).  For a test row a and training row b in d
         attributes, let T = |a|^2 + |b|^2, D = |a - b|^2 in exact arithmetic,
-        G the Gram-form value |a|^2 + |b|^2 - 2a.b and Q the sum of squares
-        the exact path takes the root of.
+        G the computed product of [-2a | 1 | fl|a|^2] and [b | fl|b|^2 | 1]
+        and Q the sum of squares the exact path takes the root of.
 
-        - Gram form: |a|^2, |b|^2 and a.b each carry gamma_d (sum|a_i b_i|
-          <= T/2), and the addition and subtraction one u each, so
-          |G - D| <= gamma_{2d+3} T.
+        - Product: the norms fl|a|^2 and fl|b|^2 each carry gamma_d, so
+          they are off by at most gamma_d T together.  The product has
+          length d + 2, and its terms sum in magnitude to at most
+          2 sum|a_i b_i| + (1 + gamma_d)T <= (2 + gamma_d)T, so it adds
+          gamma_{d+2}(2 + gamma_d)T.  To first order |G - D| <= (3d + 4)uT.
         - Exact path: each term is one difference and one square, and the
           d terms take d - 1 additions, so |Q - D| <= gamma_{d+2} D <=
           2 gamma_{d+2} T.
@@ -375,52 +407,51 @@ class KnnModel(_Model):
         have Q <= g + |G - Q|, so the k-th exact root is at most the root of
         that.  A row among the k nearest by the exact roots has a root at
         most the k-th one, so its Q exceeds that bound by at most the root
-        term, and its G is at most
-        g + 2(gamma_{2d+3} + 2 gamma_{d+2})S + 2 gamma_4 (1 + gamma_{d+2})S.
+        term, and its G is at most g + 2(|G - D| + |Q - D|) + 8uS.
         Rounding g + 2 tol costs up to u(2S + 2 tol) more.  To first order
-        that is g + (8d + 24)uS, so tol = gamma_{4d+16} S, taken per fold,
-        covers it; the spare 4uS absorbs the second-order terms and the
-        rounding of S and of tol.  These bounds need every value finite:
+        that is g + (10d + 26)uS, so tol = gamma_{5d+17} S, taken per fold,
+        covers it; the spare 8uS absorbs the second-order terms and the
+        rounding of S and of tol.  A larger tol only adds candidates, so it
+        never changes a label.  These bounds need every value finite:
         D <= 2T, so in a fold with 4S past the largest float, which also
         catches every fold with a non-finite G, every training row is a
-        candidate, whatever its Gram form gave.
+        candidate, whatever its product gave.
         """
-        folds, b, d = block.shape
-        n = len(self.scaled) // len(self.mean)
-        train = self.scaled[first * n:(first + folds) * n]
-        sq_norms = self.sq_norms[first * n:(first + folds) * n].reshape(folds, n)
+        folds, b, width = block.shape
+        n = len(self.augmented) // len(self.mean)
+        train = self.augmented[first * n:(first + folds) * n].reshape(folds, n, width)
         approx, spare = work[:, :folds, :b]
-        # a fold whose values could overflow runs the Gram form too, and
+        # a fold whose values could overflow runs the product too, and
         # ignores it
         with np.errstate(over="ignore", invalid="ignore"):
-            block_sq = (block ** 2).sum(axis=2)
-            scale = block_sq.max(axis=1) + sq_norms.max(axis=1)
-            np.matmul(block, train.reshape(folds, n, d).transpose(0, 2, 1), out=spare)
-            spare *= 2.0
-            np.add(block_sq[:, :, None], sq_norms[:, None, :], out=approx)
-            approx -= spare                             # |a|^2 + |b|^2 - 2a.b
+            scale = block[..., -1].max(axis=1) + train_sq[first:first + folds]
+            np.matmul(block, train.transpose(0, 2, 1), out=approx)  # |a|^2 + |b|^2 - 2a.b
             spare[...] = approx
             spare.partition(self.k - 1, axis=2)
             kth = spare[:, :, self.k - 1:self.k]
-            nu = (4 * d + 16) * np.finfo(float).eps / 2
-            tol = nu / (1 - nu) * scale                             # gamma_{4d+16} S
+            nu = (5 * (width - 2) + 17) * np.finfo(float).eps / 2
+            tol = nu / (1 - nu) * scale                             # gamma_{5d+17} S
             candidates = approx <= kth + 2.0 * tol[:, None, None]
         candidates[~(scale < np.finfo(float).max / 4)] = True
         row, col = np.divmod(np.flatnonzero(candidates), n)
-        counts = np.bincount(row, minlength=folds * b)
+        col += (row // b + first) * n
+        return np.bincount(row, minlength=folds * b), col
+
+    def _refine_batch(self, rows: np.ndarray, batch) -> np.ndarray:
+        """Class codes of the z-scored test rows of consecutive blocks, from
+        each block's (candidate counts, candidates) pair of ``_candidates``."""
+        counts = np.concatenate([counts for counts, _ in batch])
         m = counts.max()
-        # each row's candidates in training-index order, padded at the end;
-        # the index runs over the training rows of every fold, fold after fold
+        # each row's candidates in training-index order, padded at the end
         filled = np.arange(m) < counts[:, None]
-        idx = np.zeros((folds * b, m), dtype=np.intp)
-        idx[filled] = col + (row // b + first) * n
-        rows = block.reshape(folds * b, d)
-        step = max(1, BLOCK_CELLS // (m * d))
+        idx = np.zeros((len(rows), m), dtype=np.intp)
+        idx[filled] = np.concatenate([cols for _, cols in batch])
+        step = max(1, BLOCK_CELLS // (m * rows.shape[1]))
         return np.concatenate([
             self._refine(rows[start:start + step], idx[start:start + step],
                          filled[start:start + step])
             for start in range(0, len(rows), step)
-        ]).reshape(folds, b)
+        ])
 
     def _refine(self, rows: np.ndarray, idx: np.ndarray, filled: np.ndarray) -> np.ndarray:
         """Class codes of z-scored test rows from exact distances to their
@@ -443,9 +474,10 @@ class KnnModel(_Model):
 
 def knn_fit(train, prep=None, *, strategy="eqfreq", bins=3, knn_k=KNN_K) -> KnnModel:
     """Store the training rows z-scored with the mean and std of prep, for
-    a ``DataTable`` or every fold of a ``FoldStack``.  A stacked mean and
-    std over the row axis give each fold the bits of its own, and a fault
-    is that of the lowest fold that has one."""
+    a ``DataTable`` or every fold of a ``FoldStack``, each with its squared
+    norm and a one (``KnnModel.augmented``).  A stacked mean and std over
+    the row axis give each fold the bits of its own, and a fault is that of
+    the lowest fold that has one."""
     stack = _fold_stack(train, "k-NN")
     folds, n, d = stack.values.shape
     if not 1 <= knn_k <= n:
@@ -459,11 +491,14 @@ def knn_fit(train, prep=None, *, strategy="eqfreq", bins=3, knn_k=KNN_K) -> KnnM
         raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) % d + 1}: "
                          "its mean or spread overflows")
     mean, std = np.broadcast_to(mean, (folds, d)), np.broadcast_to(std, (folds, d))
-    scaled = ((stack.values - mean[:, None]) / std[:, None]).reshape(folds * n, d)
+    augmented = np.empty((folds, n, d + 2))
+    scaled = augmented[..., :d]
+    np.divide(stack.values - mean[:, None], std[:, None], out=scaled)
     with np.errstate(over="ignore"):    # an infinite norm makes every row a candidate
-        sq_norms = (scaled ** 2).sum(axis=1)
+        np.sum(scaled ** 2, axis=2, out=augmented[..., d])
+    augmented[..., d + 1] = 1.0
     # votes come from training rows only, so a class without rows never wins
-    return KnnModel(mean=mean, std=std, scaled=scaled, sq_norms=sq_norms,
+    return KnnModel(mean=mean, std=std, augmented=augmented.reshape(folds * n, d + 2),
                     classes=stack.classes, codes=stack.y.ravel(), k=knn_k)
 
 

@@ -166,6 +166,18 @@ def test_select_non_finite_cell_exits_3_with_its_file_position(capsys, tmp_path,
     assert "row 3, column 2" in err
 
 
+@pytest.mark.parametrize("strategy", ["eqwidth", "eqfreq"])
+def test_select_a_column_whose_range_overflows_exits_2_naming_it(capsys, tmp_path, strategy):
+    # max - min of column a is past the largest float; binned, it would be
+    # one bin and the subset would leave it out without a word
+    p = tmp_path / "wide.csv"
+    p.write_text("a,b\n-1.7e308,0\n1.7e308,1\n0,0\n1,1\n")
+    code, out, err = run(capsys, "select", "--data", str(p), "--method", "usqr",
+                         "--strategy", strategy)
+    assert code == 2 and out == ""
+    assert "column 1: its range" in err
+
+
 @pytest.mark.parametrize("suffix, text, message", [
     (".csv", "a,a,cls\n1,2,A\n3,4,B\n", "column 2"),
     (".arff", "@relation t\n@attribute a real\n@attribute a real\n"

@@ -793,9 +793,24 @@ def cut_point_columns(draw, n):
 # a subnormal spread makes the step underflow to 0, where np.linspace
 # scales k / bins instead ([0, 5e-324] against [0, 0])
 @example(stack=np.array([[[0.0], [5e-324]], [[0.0], [2.0]]]), strategy="eqwidth", bins=3)
+# one row, and two rows
+@example(stack=np.array([[[3.0, -2.0]]]), strategy="eqfreq", bins=3)
+@example(stack=np.array([[[0.0], [1.0]], [[1.0], [-1.0]]]), strategy="eqfreq", bins=4)
+# the quantiles land exactly on rows 3 and 5 of 7
+@example(stack=np.array([[[6.0], [0.0], [5.0], [1.0], [4.0], [2.0], [3.0]]]),
+         strategy="eqfreq", bins=3)
+# ties on both sides of each quantile position
+@example(stack=np.array([[[1.0], [0.0], [1.0], [2.0], [1.0], [1.0]]]), strategy="eqfreq",
+         bins=3)
+# a spread of 2e300 is finite, so neither strategy refuses it
+@example(stack=np.array([[[-1e300], [1e300], [0.0]]]), strategy="eqwidth", bins=3)
+@example(stack=np.array([[[-1e300], [1e300], [0.0]]]), strategy="eqfreq", bins=3)
+# a sort and np.quantile's partition may leave either zero at the median
+@example(stack=np.array([[[-0.0]] + [[0.0]] * 18 + [[1.0]] * 19]), strategy="eqfreq", bins=2)
 def test_fit_cut_points_equal_the_per_column_loop_bit_for_bit(stack, strategy, bins):
     # each fold of a stack, and each fold on its own, gets the cuts of the
-    # loop over its own rows; a column constant in them gets +inf cuts
+    # loop over its own rows, a zero cut as +0.0; a column constant in them
+    # gets +inf cuts
     got = fit_cut_points(stack, strategy, bins)
     assert got.shape == (len(stack), stack.shape[2], bins - 1)
     for fold, values in enumerate(stack):
@@ -803,9 +818,66 @@ def test_fit_cut_points_equal_the_per_column_loop_bit_for_bit(stack, strategy, b
         assert alone.tobytes() == got[fold].tobytes()
         for j, want in enumerate(reference_cut_points(values, strategy, bins)):
             if len(want):
-                assert got[fold, j].tobytes() == want.tobytes()
+                assert got[fold, j].tobytes() == (want + 0.0).tobytes()
             else:
                 assert np.all(got[fold, j] == np.inf)
+
+
+@pytest.mark.parametrize("strategy, bins", [("eqfreq", 2), ("eqfreq", 4), ("eqwidth", 4)])
+def test_fit_cut_points_give_zero_cuts_as_positive_zero(strategy, bins):
+    # both zeros in one column; np.quantile puts -0.0 at some of its
+    # eqfreq cuts, and the codes are those of its cuts
+    column = np.array([-0.0, 0.0, -0.0, -0.0, 1.0, -1.0])[:, None]
+    cuts = fit_cut_points(column, strategy, bins)
+    assert (cuts == 0).any() and not np.signbit(cuts[cuts == 0]).any()
+    want = reference_cut_points(column, strategy, bins)[0][None]
+    assert np.array_equal(apply_cut_points(column, cuts), apply_cut_points(column, want))
+
+
+@pytest.mark.parametrize("strategy", ["eqwidth", "eqfreq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fit_cut_points_refuse_a_non_finite_cell_naming_it(strategy, value):
+    values = np.zeros((3, 2))
+    values[1, 1] = values[2, 0] = value
+    with pytest.raises(ValueError, match=f"row 2, column 2: it holds {value}"):
+        fit_cut_points(values, strategy, 3)
+    stack = np.zeros((2, 3, 2))
+    stack[1, 2, 0] = value
+    with pytest.raises(ValueError, match=f"fold 2, row 3, column 1: it holds {value}"):
+        fit_cut_points(stack, strategy, 3)
+
+
+@pytest.mark.parametrize("strategy", ["eqwidth", "eqfreq"])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_fit_cut_points_refuse_a_column_whose_range_overflows(strategy, rows):
+    # max - min of the first column is past the largest float; as a single
+    # bin it would be ignored without a word
+    values = np.array([[-1.7e308, 0.0], [1.7e308, 1.0], [0.0, 0.0], [1.0, 1.0]])[:rows]
+    with pytest.raises(ValueError, match="column 1: its range -1.7e[+]308 to 1.7e[+]308 "
+                                         "overflows"):
+        fit_cut_points(values, strategy, 3)
+    with pytest.raises(ValueError, match="fold 2, column 2: its range"):
+        fit_cut_points(np.stack([values[:, [1, 1]], values[:, ::-1]]), strategy, 3)
+    with pytest.raises(ValueError, match="column 1: its range"):
+        discretize(table(values), strategy, 3)
+
+
+@pytest.mark.parametrize("strategy", ["eqwidth", "eqfreq"])
+def test_fit_cut_points_bin_an_integer_column_as_its_floats(strategy):
+    # max - min wraps in int64, which put every row in the top bin
+    values = np.array([[-6 * 10 ** 18], [6 * 10 ** 18], [0], [1]])
+    cuts = fit_cut_points(values, strategy, 3)
+    assert cuts.tobytes() == fit_cut_points(values.astype(float), strategy, 3).tobytes()
+    assert apply_cut_points(values, cuts).ravel().tolist() == (
+        [0, 2, 1, 1] if strategy == "eqwidth" else [0, 2, 1, 2])
+
+
+@pytest.mark.parametrize("strategy", ["eqwidth", "eqfreq"])
+def test_fit_cut_points_refuse_no_rows(strategy):
+    with pytest.raises(ValueError, match="cannot fit cut points to no rows"):
+        fit_cut_points(np.zeros((0, 2)), strategy, 3)
+    with pytest.raises(ValueError, match="cannot fit cut points to no rows"):
+        fit_cut_points(np.zeros((2, 0, 2)), strategy, 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -310,6 +310,38 @@ def test_knn_gaussian_blocks_take_the_refine_path(refined):
     assert max(m for _, m in refined) < 500
 
 
+def test_knn_refines_the_candidates_of_many_blocks_together(refined, monkeypatch):
+    # a cap of 600 cells puts 10 test rows of 60 training rows in a block,
+    # so 50 test rows take 5 blocks, a stack of 3 folds 15; a handful of
+    # candidates per row lets several blocks share one refine call, which
+    # the fixture holds to the cap
+    blocks = []
+    candidates = KnnModel._candidates
+
+    def counted(self, *args):
+        blocks.append(args[0].shape[:2])
+        return candidates(self, *args)
+
+    monkeypatch.setattr(KnnModel, "_candidates", counted)
+    monkeypatch.setattr(unselect.eval, "BLOCK_CELLS", 600)
+    rng = np.random.default_rng(41)
+    train = table(rng.normal(size=(60, 3)), rng.choice(["p", "q", "r"], size=60))
+    rows = rng.normal(size=(50, 3))
+    model = knn_fit(train, knn_k=3)
+    assert model.predict(rows) == reference_knn_predict(model, rows)
+    assert blocks == [(1, 10)] * 5
+    assert 1 <= len(refined) < len(blocks)
+    blocks.clear(), refined.clear()
+    values = rng.normal(size=(3, 60, 3))
+    y = rng.integers(0, 3, size=(3, 60))
+    stack = knn_fit(FoldStack(values=values, y=y, classes=("p", "q", "r")), knn_k=3)
+    got = stack.predict_codes(np.stack([rows] * 3))
+    for fold in range(3):
+        alone = knn_fit(table(values[fold], np.array(["p", "q", "r"])[y[fold]]), knn_k=3)
+        assert [stack.classes[c] for c in got[fold]] == reference_knn_predict(alone, rows)
+    assert len(blocks) == 15 and 1 <= len(refined) < len(blocks)
+
+
 def test_knn_duplicated_training_rows_match_the_reference_loop(refined):
     # each test row that copies a base row lies at distance 0 from about 25
     # training rows, which the Gram form puts a rounding error off 0
