@@ -8,14 +8,16 @@ are immutable value objects; every function returns a new table.
 
 from __future__ import annotations
 
+import codecs
 import copy
 import csv
+import io
 import math
 import os
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import index, itemgetter
+from itertools import chain, repeat
+from operator import index, methodcaller
 
 import numpy as np
 
@@ -104,8 +106,15 @@ class FeatureSubset:
         return cls(tuple(int(p) - 1 for p in parts))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr: np.ndarray, source=None) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous array.  Where ``arr`` is
+    writeable and may share memory with ``source``, an array the caller
+    passed in, a copy is frozen instead, so the caller's array stays
+    writeable; a read-only array is kept as it is."""
     arr = np.ascontiguousarray(arr)
+    shared = isinstance(source, np.ndarray) and np.may_share_memory(arr, source)
+    if arr.flags.writeable and shared:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -157,7 +166,9 @@ class DataTable:
     when present, holds one class identifier per object and never counts
     as an attribute.  ``classes`` holds the sorted distinct labels and ``y``
     each object's read-only index into them (``()`` and None if unlabeled);
-    ``project`` keeps the source's ``classes``.
+    ``project`` keeps the source's ``classes``.  The table holds its values
+    read-only: a read-only float64 array is kept, and any other is copied,
+    so the caller's own array stays writeable.
     """
 
     values: np.ndarray
@@ -190,7 +201,7 @@ class DataTable:
             if len(labels) != n:
                 raise ValueError(f"{len(labels)} labels for {n} objects")
             object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", _freeze(values, self.values))
         object.__setattr__(self, "attr_names", names)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "y", y)
@@ -214,7 +225,7 @@ class DiscreteTable:
     here, at construction; a code outside it is an error naming its cell.
     Grouping (``roughset.group_ids``, USQR) reads each column's range from
     the codes themselves, so a declared count wider than the codes changes
-    no result.
+    no result.  Read-only int64 codes are kept; any others are copied.
     """
 
     codes: np.ndarray
@@ -240,7 +251,8 @@ class DiscreteTable:
         names = tuple(str(a) for a in self.attr_names)
         if len(names) != d or len(set(names)) != len(names):
             raise ValueError("attribute names must be unique and match columns")
-        object.__setattr__(self, "codes", _freeze(codes.astype(np.int64, copy=False)))
+        object.__setattr__(self, "codes", _freeze(codes.astype(np.int64, copy=False),
+                                                  self.codes))
         object.__setattr__(self, "bins_per_attr", bins)
         object.__setattr__(self, "attr_names", names)
 
@@ -263,24 +275,40 @@ def _check_missing(missing):
         raise ValueError(f"unknown missing-value policy {missing!r}")
 
 
-def _text_lines(path, newline=None):
-    """The lines of a UTF-8 text file, read as they are consumed.  A byte
-    that is not UTF-8 is a ParseError at its file line."""
+def _read_text(path):
+    """A UTF-8 file's text, its line ends as they are and a leading byte
+    order mark dropped.  A byte that is not UTF-8 is a ParseError at its
+    file line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, newline=newline, encoding="utf-8-sig") as fh:
-            yield from fh
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        # the decoder's position counts from its last chunk; decoding the
-        # whole file again gives the position in the file
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise ParseError(f"byte 0x{raw[exc.start]:02x} at line {line} of {path} is not "
-                             "UTF-8", row=line) from None
-        raise
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the decoder counts from after a byte order mark
+        start = exc.start + len(codecs.BOM_UTF8) * raw.startswith(codecs.BOM_UTF8)
+        line = raw.count(b"\n", 0, start) + 1
+        raise ParseError(f"byte 0x{raw[start]:02x} at line {line} of {path} is not UTF-8",
+                         row=line) from None
+
+
+def _text_lines(path):
+    """The lines of a UTF-8 text file, every line end read as ``\\n``."""
+    return io.StringIO(_read_text(path), newline=None)
+
+
+# Printable ASCII, tab, CR and LF.  On text of these alone, numpy's reader
+# reads each cell as ``float`` reads it once ``str.strip`` has run, and
+# ``str.splitlines`` ends lines where file iteration and ``csv`` do.  On
+# other text they part: numpy takes \x0b, \x0c and \x1c-\x1f for blanks
+# around a number, which ``float`` refuses, and ``splitlines`` ends a line
+# at each of them.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+
+
+def _plain(text, quotes):
+    """Whether ``text`` holds ``_PLAIN`` characters alone and none of ``quotes``."""
+    return text.isascii() and not text.encode("ascii").translate(
+        None, _PLAIN.translate(None, quotes.encode("ascii")))
 
 
 def _parse_cell(text, row, col):
@@ -316,37 +344,39 @@ def _parse_label(text, missing, row, col, path):
     )
 
 
-def _bulk_parse(rows, width, label_idx, label_chars):
-    """The value matrix and labels of well-formed rows in one C-level pass,
-    or None when any row is ragged, any cell fails ``float`` or is not
-    finite, or any label is missing.
+def _bulk_parse(lines, width, label_idx):
+    """The value matrix and labels of a table's data lines in one pass of
+    numpy's C text reader, or None when a line is blank but not empty or
+    has other than ``width`` comma-separated cells, a cell is not a finite
+    number, or a label is missing.
 
-    ``float`` strips the whitespace ``str.strip`` strips, and every missing
+    The lines are ``_plain`` and hold no quote, so their cells are their
+    comma-separated fields, as ``csv`` and the ARFF split read them, and a
+    cell's blanks are spaces and tabs, which numpy strips as ``str.strip``
+    does.  numpy then parses a number as ``float`` does, and every missing
     token either fails in it or gives NaN, so a finite cell here is one
-    ``_parse_cell`` accepts, with the same value.
+    ``_parse_cell`` accepts, with the same value.  An empty line is no row
+    to either loader, and numpy skips it too.
     """
-    cells = list(map(itemgetter(1), rows))
-    if set(map(len, cells)) != {width}:
+    lines = list(filter(None, lines))
+    if not lines or any(map(str.isspace, lines)):
         return None
-    features = [j for j in range(width) if j != label_idx]
-    if label_idx is None:
-        flat = chain.from_iterable(cells)
-    elif len(features) == 1:
-        flat = map(itemgetter(features[0]), cells)
-    else:
-        flat = chain.from_iterable(map(itemgetter(*features), cells))
+    # numpy checks no row's width beyond the columns it reads
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
     try:
-        data = np.fromiter(map(float, flat), float, len(cells) * len(features))
+        data = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                          usecols=[j for j in range(width) if j != label_idx])
     except ValueError:
         return None
     if not np.isfinite(data).all():
         return None
     labels = None
     if label_idx is not None:
-        labels = [c[label_idx].strip(label_chars) for c in cells]
+        labels = [line.split(",")[label_idx].strip() for line in lines]
         if not _MISSING_TOKENS.isdisjoint(map(str.lower, labels)):
             return None
-    return data.reshape(len(cells), len(features)), labels
+    return data, labels
 
 
 def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
@@ -399,16 +429,19 @@ def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
     return data, labels
 
 
-def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
-    """The DataTable of a file's ``(file row, cells)`` pairs.
+def _build_table(path, lines, rows, names, label_idx, missing, name, label_chars=None):
+    """The DataTable of a file's data.
 
-    ``names`` has one entry per file column and sets the row width.
-    ``label_idx`` is the 0-based label column or None; a label cell is
-    stripped of ``label_chars`` (whitespace if None).  Holes follow the
-    missing-value policy, and a missing label, which only ``drop`` lets
-    through, drops its row.  Every error names its file row and column.
-    A table without a hole or a fault is read in one bulk pass; any other
-    goes, whole, through the per-cell loop, which finds the first fault.
+    ``lines`` are the data lines when they are ``_plain`` and hold no
+    quote, else None; ``rows`` are the same data as ``(file row, cells)``
+    pairs, read only if the bulk pass declines.  ``names`` has one entry
+    per file column and sets the row width.  ``label_idx`` is the 0-based
+    label column or None; a label cell is stripped of ``label_chars``
+    (whitespace if None).  Holes follow the missing-value policy, and a
+    missing label, which only ``drop`` lets through, drops its row.  Every
+    error names its file row and column.  A table without a hole or a
+    fault is read in one bulk pass; any other goes, whole, through the
+    per-cell loop, which finds the first fault.
     """
     width = len(names)
     columns = [j + 1 for j in range(width) if j != label_idx]
@@ -420,16 +453,31 @@ def _build_table(path, rows, names, label_idx, missing, name, label_chars=None):
         if first.setdefault(names[c - 1], c) != c:
             raise ParseError(f"column {c} of {path} repeats the name {names[c - 1]!r} "
                              f"of column {first[names[c - 1]]}", column=c)
-    parsed = _bulk_parse(rows, width, label_idx, label_chars)
+    parsed = None if lines is None else _bulk_parse(lines, width, label_idx)
     if parsed is None:
-        parsed = _parse_rows(path, rows, columns, label_idx, missing, label_chars)
+        parsed = _parse_rows(path, list(rows), columns, label_idx, missing, label_chars)
     data, labels = parsed
     return DataTable(
-        values=data,
+        values=_freeze(data),
         attr_names=tuple(names[c - 1] for c in columns),
         labels=None if labels is None else tuple(labels),
         name=name or os.path.splitext(os.path.basename(path))[0],
     )
+
+
+def _csv_records(path):
+    """A CSV file's lines if it is ``_plain`` with no quote, else None, and
+    its non-blank records as ``(file row, cells)`` pairs, split as they are
+    consumed.  A plain line's record is its comma-separated fields, which
+    is what ``csv.reader``, run on any other file, makes of it."""
+    text = _read_text(path)
+    if _plain(text, '"'):
+        lines = text.splitlines()
+        records = map(methodcaller("split", ","), lines)
+    else:
+        lines, records = None, csv.reader(io.StringIO(text, newline=""))
+    # a blank line is an empty record, so record i is file row i (no cell spans lines)
+    return lines, ((i, row) for i, row in enumerate(records, 1) if "".join(row).strip())
 
 
 def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
@@ -444,17 +492,15 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     name : table name; defaults to the file stem
     """
     _check_missing(missing)
-    # a blank line is an empty record, so record i is file row i (no cell spans lines)
-    raw = [(i, row) for i, row in enumerate(csv.reader(_text_lines(path, newline="")), 1)
-           if "".join(row).strip()]
-    if not raw:
+    lines, records = _csv_records(path)
+    head = next(records, None)
+    if head is None:
         raise EmptyFileError(f"no data in {path}")
-
-    header = [c.strip() for c in raw[0][1]]
-    raw = raw[1:]
-    if not raw:
+    first = next(records, None)
+    if first is None:
         raise EmptyFileError(f"only a header row in {path}")
 
+    header = [c.strip() for c in head[1]]
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -466,7 +512,9 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
             if not 0 <= label_idx < len(header):
                 raise ParseError(f"label column {label_idx + 1} out of range: {path} has "
                                  f"{len(header)} columns")
-    return _build_table(path, raw, header, label_idx, missing, name)
+    # the data lines follow the header's line; the data records start at ``first``
+    return _build_table(path, None if lines is None else lines[head[0]:],
+                        chain([first], records), header, label_idx, missing, name)
 
 
 _ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
@@ -513,7 +561,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     """
     _check_missing(missing)
     attrs = []          # (name, kind) with kind 'num' | 'nominal'
-    data_rows = []      # (file line, cells)
+    data = []           # (file line, stripped line)
     in_data = False
     for lineno, line in enumerate(_text_lines(path), start=1):
         line = line.strip()
@@ -540,16 +588,18 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
         elif low.startswith("@"):
             continue
         elif in_data:
-            data_rows.append((lineno, [c.strip() for c in _split_arff_row(line)]))
-    if not attrs or not data_rows:
+            data.append((lineno, line))
+    if not attrs or not data:
         raise EmptyFileError(f"no data in {path}")
 
     # Weka convention: the class attribute comes last.  A trailing nominal
     # attribute is the label; earlier nominal attributes are accepted only
     # when their values are all numbers (integer-coded features).
     label_idx = len(attrs) - 1 if attrs[-1][1] == "nominal" else None
-    return _build_table(path, data_rows, [a for a, _ in attrs], label_idx, missing, name,
-                        label_chars="'\"")
+    lines = [line for _, line in data]
+    rows = ((row, [c.strip() for c in _split_arff_row(line)]) for row, line in data)
+    return _build_table(path, lines if _plain("\n".join(lines), "'\"") else None, rows,
+                        [a for a, _ in attrs], label_idx, missing, name, label_chars="'\"")
 
 
 def load_table(path, label_column=None, missing="reject", name=None) -> DataTable:
@@ -604,7 +654,7 @@ def zscore_normalize(table: DataTable) -> DataTable:
     safe_std = np.where(constant, 1.0, std)
     normed = centered / safe_std
     normed[:, constant] = 0.0
-    return replace(table, values=normed)
+    return replace(table, values=_freeze(normed))
 
 
 STRATEGIES = ("eqwidth", "eqfreq")
@@ -711,7 +761,7 @@ def discretize(table: DataTable, strategy: str = "eqfreq", bins: int = 3) -> Dis
     code more than it has finite cut points."""
     cuts = fit_cut_points(table.values, strategy, bins)
     return DiscreteTable(
-        codes=apply_cut_points(table.values, cuts),
+        codes=_freeze(apply_cut_points(table.values, cuts)),
         bins_per_attr=tuple(((cuts < np.inf).sum(axis=1) + 1).tolist()),
         attr_names=table.attr_names,
         name=table.name,

@@ -1,6 +1,5 @@
 import csv
 import math
-import os
 import re
 
 import numpy as np
@@ -560,9 +559,13 @@ def outcome(load, *args, **kwargs):
 # full-width digits, signed zero, underflow to zero
 GOOD_CELLS = ["1", "-2.5", "3e2", "0", "-0", "1_0", "\uff11\uff12", "1e-400", "-7e-310", "0.1"]
 BAD_CELLS = ["1e400", "-inf", "inf", "NaN", "-nan", "?", "", "NA", "n/a", "x", "1__0"]
-BLANKS = ["", " ", "\xa0", "\u3000", "\u2003"]
-GOOD_LABELS = ["a", "b", " a ", "\xa0b", "'a"]
+# numpy's reader takes \x0b and \x1c-\x1f for blanks too, and str.splitlines
+# ends a line at each, so a file holding one is read cell by cell
+BLANKS = ["", " ", "\t", "\xa0", "\u3000", "\u2003", "\x0b", "\x1c", "\x1f"]
+GOOD_LABELS = ["a", "b", " a ", "\xa0b", "'a", "\xfc"]
 BAD_LABELS = ["?", "", "NA", "nan"]
+LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
+BLANK_LINES = ["", "", " ", "\t "]
 
 
 faults = st.fixed_dictionaries({k: st.booleans() for k in ("cells", "labels", "ragged")})
@@ -589,17 +592,26 @@ def drawn_cells(draw, width, label_idx, allowed):
 
 @st.composite
 def csv_files(draw):
-    """CSV text, its label column (0-based or None); rows may be blank and
+    """CSV text, its label column (0-based or None); rows may be blank or
+    hold blanks alone, cells may be quoted with ", the header may be
+    numeric and follow blank lines, lines may end in LF, CRLF or CR, and
     the file may start with a byte order mark."""
     width = draw(st.integers(1, 4))
     label_idx = draw(st.sampled_from([None] + list(range(width)))) if width > 1 else None
     drawn_faults = draw(faults)
-    lines = [",".join(f"a{j + 1}" for j in range(width))]
+    header = draw(st.sampled_from(["a{}", "{}"]))
+    lines = [""] * draw(st.sampled_from([0, 0, 1, 2]))
+    lines.append(",".join(header.format(j + 1) for j in range(width)))
     for _ in range(draw(st.integers(1, 6))):
-        blank = draw(st.integers(0, 9)) == 0
-        lines.append("" if blank else ",".join(draw(drawn_cells(width, label_idx, drawn_faults))))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
+        cells = draw(drawn_cells(width, label_idx, drawn_faults))
+        quoted = draw(st.lists(st.integers(0, 5), min_size=len(cells), max_size=len(cells)))
+        lines.append(",".join(f'"{c}"' if q == 0 else c for c, q in zip(cells, quoted)))
     bom = draw(st.sampled_from(["", "\ufeff"]))
-    return bom + "\n".join(lines) + "\n", label_idx
+    end = draw(st.sampled_from(LINE_ENDS))
+    return bom + end.join(lines) + end, label_idx
 
 
 @st.composite
@@ -613,16 +625,73 @@ def arff_tables(draw):
     lines = ["@relation fuzz"] + [f"@attribute x{j} real" for j in range(d)]
     lines += ["@attribute class {a,b}"] * labelled + ["@data"]
     for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
         cells = draw(drawn_cells(len(names), d if labelled else None, drawn_faults))
-        quotes = draw(st.lists(st.sampled_from(["", "", "'", '"', "'-open"]),
+        quotes = draw(st.lists(st.sampled_from(["", "", "", "'", '"', "'-open"]),
                                min_size=len(cells), max_size=len(cells)))
         lines.append(",".join(c if not q else q[0] + c + q * (q != "'-open")
                               for c, q in zip(cells, quotes)))
-    return "\n".join(lines) + "\n", names, d if labelled else None
+    end = draw(st.sampled_from(LINE_ENDS))
+    return end.join(lines) + end, names, d if labelled else None
+
+
+# Each way numpy's reader, given the lines, would read a file otherwise
+# than csv, float and the loader: the bulk pass must decline every one.
+CSV_DECLINES = [
+    ('a1,a2\n"1",2\n3,4\n', None),                    # a quote: csv unquotes the cell
+    ('a1,cls\n1,"x"\n3,y\n', 1),                      # ... and a quoted label
+    ("a1,a2\n1.5\x1c,2\n3,\x1f4\n", None),            # \x1c-\x1f around a cell
+    ("a1,a2\n1.5\x1c2,3\n", None),                    # ... inside it: no line ends there
+    ("a1,a2\n1,2\x1e3,4\n", None),
+    ("a1,a2,cls\n1,2,x\n3,4,y,5\n", 2),               # wider than the header, label read apart
+    ("a1,a2\n1,2\n3,4,5\n", None),
+    ("a1,a2\n1,2\n  \n3,4\n", None),                  # a line of blanks alone
+    ("a1\n1\n \t\n2\n", None),
+    ("a1,a2\n1,inf\n2,3\n", None),                    # not finite
+    ("a1,a2\n1e400,2\n", None),
+    ("a1,cls\n1,?\n2,a\n", 1),                        # a missing label
+    ("a1,a2\n\n\n", None),                            # no data row
+    ("a1,cls\r\n1,a\r\n2,b\r\n", 1),                  # CRLF and bare CR line ends
+    ("a1,a2\r1,2\r\r3,4\r", None),
+    ("\n\n1,2\n3,4\n", None),                         # a numeric header after blank lines
+    ("\n1,2\n3,a\n", 1),
+    ("a1,cls\n1,\xe9\n2,b\n", 1),                     # a label beyond ASCII
+]
+ARFF_HEAD = "@relation r\n@attribute x0 real\n@attribute x1 real\n@attribute class {a,b}\n@data\n"
+ARFF_DECLINES = [ARFF_HEAD + data for data in [
+    "'1',2,a\n3,4,b\n",
+    "1,2,\"a\"\n3,4,b\n",
+    "1.5\x1c,2,a\n3,4,b\n",
+    "1.5\x1c2,3,a\n",
+    "1,2,a,5\n3,4,b\n",
+    "1,2,a\n \t\n3,4,b\n",
+    "1,inf,a\n",
+    "1,2,?\n3,4,b\n",
+    "1,2,a\r\n3,4,b\r\n",
+    "1,2,a\r3,4,b\r",
+    "1,2,\xe9\n3,4,b\n",
+]]
+
+
+def csv_decline_examples(test):
+    for text, label_idx in CSV_DECLINES:
+        for missing in ("reject", "drop"):
+            test = example(drawn=(text, label_idx), missing=missing)(test)
+    return test
+
+
+def arff_decline_examples(test):
+    for text in ARFF_DECLINES:
+        for missing in ("reject", "drop"):
+            test = example(drawn=(text, ["x0", "x1", "class"], 2), missing=missing)(test)
+    return test
 
 
 @settings(max_examples=400, deadline=None)
 @given(drawn=csv_files(), missing=st.sampled_from(["reject", "impute", "drop"]))
+@csv_decline_examples
 def test_load_csv_equals_the_row_major_reference(tmp_path_factory, drawn, missing):
     text, label_idx = drawn
     p = tmp_path_factory.mktemp("diff") / "t.csv"
@@ -633,6 +702,7 @@ def test_load_csv_equals_the_row_major_reference(tmp_path_factory, drawn, missin
 
 @settings(max_examples=400, deadline=None)
 @given(drawn=arff_tables(), missing=st.sampled_from(["reject", "impute", "drop"]))
+@arff_decline_examples
 def test_load_arff_equals_the_row_major_reference(tmp_path_factory, drawn, missing):
     text, names, label_idx = drawn
     p = tmp_path_factory.mktemp("diff") / "t.arff"
@@ -641,22 +711,35 @@ def test_load_arff_equals_the_row_major_reference(tmp_path_factory, drawn, missi
             == outcome(reference_arff, p, names, label_idx, missing))
 
 
-def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, monkeypatch):
-    calls = []
-    parse_cell = unselect.dataset._parse_cell
-    monkeypatch.setattr(unselect.dataset, "_parse_cell",
-                        lambda *args: calls.append(args) or parse_cell(*args))
+def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, monkeypatch, count_calls,
+                                                             registry):
+    cells = count_calls(unselect.dataset._parse_cell)
+    splits = count_calls(unselect.dataset._split_arff_row)
+    readers, reader = [], csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or reader(*args))
     (tmp_path / "plain.csv").write_text("x,y\n1,2\n3,4\n")
     (tmp_path / "labelled.csv").write_text("x,cls,y\n1,a,2\n3,b,4\n")
+    rng = np.random.default_rng(7)
+    with open(tmp_path / "codes.csv", "w") as fh:
+        fh.write(",".join(f"a{j + 1}" for j in range(16)) + "\n")
+        np.savetxt(fh, rng.integers(0, 3, (20000, 16)), fmt="%d", delimiter=",")
+    with open(tmp_path / "mixture.csv", "w") as fh:
+        fh.write("a1,a2,a3,class\n")
+        for row in rng.standard_normal((300, 3)):
+            fh.write(",".join("%.17g" % v for v in row) + f",c{rng.integers(3)}\n")
     load_csv(tmp_path / "plain.csv")
     load_csv(tmp_path / "labelled.csv", label_column="cls")
-    load_arff(os.path.join(os.path.dirname(__file__), "..", "data", "diabetes.arff"))
-    assert calls == []
+    assert load_csv(tmp_path / "codes.csv").values.shape == (20000, 16)
+    assert len(set(load_csv(tmp_path / "mixture.csv", label_column="class").labels)) == 3
+    for name in registry.names():
+        registry.load(name)
+    assert cells == splits == readers == []
     # one hole sends the whole table through the per-cell loop
     p = tmp_path / "hole.csv"
     p.write_text("x,y\n1,2\n?,4\n5,6\n")
-    assert outcome(load_csv, p, missing="impute") == outcome(reference_csv, p, None, "impute")
-    assert len(calls) == 6
+    table = load_csv(p, missing="impute")
+    assert len(cells) == 6 and readers == []
+    assert outcome(lambda: table) == outcome(reference_csv, p, None, "impute")
 
 # ---------------------------------------------------------------------------
 # zscore_normalize
@@ -1031,6 +1114,22 @@ def test_table_rejects_non_finite():
 def test_table_rejects_duplicate_names():
     with pytest.raises(ValueError):
         DataTable(values=np.ones((1, 2)), attr_names=("a", "a"))
+
+
+def test_a_table_copies_a_writeable_array_and_keeps_a_read_only_one():
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    t = DataTable(values=values, attr_names=("a", "b"))
+    assert values.flags.writeable and not t.values.flags.writeable
+    values[0, 0] = 9.0
+    assert t.values[0, 0] == 1.0
+    codes = np.array([[0, 1], [1, 0]])
+    d = discrete(codes, (2, 2))
+    assert codes.flags.writeable and not d.codes.flags.writeable
+    codes[0, 0] = 1
+    assert d.codes[0, 0] == 0
+    values.flags.writeable = codes.flags.writeable = False
+    assert DataTable(values=values, attr_names=("a", "b")).values is values
+    assert discrete(codes, (2, 2)).codes is codes
 
 
 def test_tables_are_immutable():
