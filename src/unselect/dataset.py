@@ -17,7 +17,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
-from operator import index, methodcaller
+from operator import index
 
 import numpy as np
 
@@ -297,11 +297,10 @@ def _text_lines(path):
 
 
 # Printable ASCII, tab, CR and LF.  On text of these alone, numpy's reader
-# reads each cell as ``float`` reads it once ``str.strip`` has run, and
-# ``str.splitlines`` ends lines where file iteration and ``csv`` do.  On
-# other text they part: numpy takes \x0b, \x0c and \x1c-\x1f for blanks
-# around a number, which ``float`` refuses, and ``splitlines`` ends a line
-# at each of them.
+# reads each cell as ``float`` does, and ``str.splitlines`` ends lines where
+# file iteration and ``csv`` do.  On other text they part: ``splitlines``
+# ends a line at \x0b, \x0c and \x1c-\x1f, and numpy takes \x1c-\x1f for
+# blanks around a number, which ``float`` refuses (it takes \x0b and \x0c).
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 
 
@@ -311,10 +310,17 @@ def _plain(text, quotes):
         None, _PLAIN.translate(None, quotes.encode("ascii")))
 
 
+# The blanks ``float`` takes around a number: every ``str.isspace``
+# character but the separators \x1c-\x1f.
+_BLANKS = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+           "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
 def _parse_cell(text, row, col):
     """A feature cell as a finite float; NaN marks a missing value (a
-    non-finite literal is rejected, so NaN means nothing else)."""
-    token = text.strip()
+    non-finite literal is rejected, so NaN means nothing else).  The cell
+    loses the ``_BLANKS`` around it, as ``float`` would strip them."""
+    token = text.strip(_BLANKS)
     if token.lower() in _MISSING_TOKENS:
         return math.nan
     try:
@@ -432,16 +438,14 @@ def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
 def _build_table(path, lines, rows, names, label_idx, missing, name, label_chars=None):
     """The DataTable of a file's data.
 
-    ``lines`` are the data lines when they are ``_plain`` and hold no
-    quote, else None; ``rows`` are the same data as ``(file row, cells)``
-    pairs, read only if the bulk pass declines.  ``names`` has one entry
-    per file column and sets the row width.  ``label_idx`` is the 0-based
-    label column or None; a label cell is stripped of ``label_chars``
-    (whitespace if None).  Holes follow the missing-value policy, and a
-    missing label, which only ``drop`` lets through, drops its row.  Every
-    error names its file row and column.  A table without a hole or a
-    fault is read in one bulk pass; any other goes, whole, through the
-    per-cell loop, which finds the first fault.
+    ``lines`` are the data lines the bulk pass may read, else None;
+    ``rows`` are the same data as ``(file row, cells)`` pairs, read only if
+    that pass declines.  ``names`` has one entry per file column and sets
+    the row width.  ``label_idx`` is the 0-based label column or None; a
+    label cell is stripped of ``label_chars`` (whitespace if None).  Holes
+    follow the missing-value policy, and a missing label, which only
+    ``drop`` lets through, drops its row.  Every error names its file row
+    and column.
     """
     width = len(names)
     columns = [j + 1 for j in range(width) if j != label_idx]
@@ -466,18 +470,27 @@ def _build_table(path, lines, rows, names, label_idx, missing, name, label_chars
 
 
 def _csv_records(path):
-    """A CSV file's lines if it is ``_plain`` with no quote, else None, and
-    its non-blank records as ``(file row, cells)`` pairs, split as they are
-    consumed.  A plain line's record is its comma-separated fields, which
-    is what ``csv.reader``, run on any other file, makes of it."""
+    """A CSV file's lines if the bulk pass may read them, else None, and
+    its non-blank records as ``(file row, cells)`` pairs, read by ``csv``
+    as they are consumed.  A record ``csv`` refuses is a ParseError at the
+    file row it was reading."""
     text = _read_text(path)
-    if _plain(text, '"'):
-        lines = text.splitlines()
-        records = map(methodcaller("split", ","), lines)
-    else:
-        lines, records = None, csv.reader(io.StringIO(text, newline=""))
+    lines = text.splitlines() if _plain(text, '"') else None
+    reader = csv.reader(io.StringIO(text, newline="") if lines is None else lines)
+    # csv refuses a cell past its field limit, so the bulk pass takes no
+    # line that could hold one
+    if lines and len(max(lines, key=len)) > csv.field_size_limit():
+        lines = None
+    return lines, _numbered_records(reader, path)
+
+
+def _numbered_records(reader, path):
     # a blank line is an empty record, so record i is file row i (no cell spans lines)
-    return lines, ((i, row) for i, row in enumerate(records, 1) if "".join(row).strip())
+    try:
+        yield from ((i, row) for i, row in enumerate(reader, 1) if "".join(row).strip())
+    except csv.Error as exc:
+        raise ParseError(f"cannot read row {reader.line_num} of {path}: {exc}",
+                         row=reader.line_num) from None
 
 
 def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
@@ -508,7 +521,7 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
                 raise ParseError(f"label column {label_column!r} not in the header of {path}")
             label_idx = header.index(label_column)
         else:
-            label_idx = int(label_column)
+            label_idx = index(label_column)     # a float is refused, never truncated
             if not 0 <= label_idx < len(header):
                 raise ParseError(f"label column {label_idx + 1} out of range: {path} has "
                                  f"{len(header)} columns")
@@ -521,32 +534,17 @@ _ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
 
 
 # One ARFF data cell: a value quoted with ' or " (it may hold commas and
-# spaces), or the bare text up to the next comma; then the comma or the end.
-_ARFF_CELL = re.compile(r"""\s*(?:(['"])(.*?)\1|([^,]*?))\s*(,|$)""")
+# spaces), or the bare text up to the next comma; then that comma.
+_ARFF_CELL = re.compile(r"""\s*(['"]?)(.*?)\1\s*,""")
 
 
 def _split_arff_row(line):
     """Split a data line on the commas outside quotes, unquoting each cell.
 
     ARFF quotes a value holding a comma or a space with ' or ", and one
-    line may use both.  A line without quotes is split on its commas
-    alone; its cells differ from ``_split_quoted_arff_row``'s only in the
-    blanks around them, which the caller strips.
+    line may use both.
     """
-    if "'" not in line and '"' not in line:
-        return line.split(",")
-    return _split_quoted_arff_row(line)
-
-
-def _split_quoted_arff_row(line):
-    """``_split_arff_row`` of a line that may hold quotes, cell by cell."""
-    cells, pos = [], 0
-    while True:
-        m = _ARFF_CELL.match(line, pos)
-        cells.append(m[2] if m[1] else m[3])
-        if not m[4]:
-            return cells
-        pos = m.end()
+    return [cell for _, cell in _ARFF_CELL.findall(line + ",")]
 
 
 def load_arff(path, missing="reject", name=None) -> DataTable:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -93,9 +94,10 @@ class FoldPlan:
         # Every fold must hold test rows and leave training rows, so no
         # fold is scored on nothing and no model is fit on nothing.
         check_cv_settings(self.k, self.seed)
-        if any(not 0 <= a < self.k for a in self.assignments):
+        # a float assignment is refused, never truncated
+        folds = np.fromiter(map(index, self.assignments), int, len(self.assignments))
+        if ((folds < 0) | (folds >= self.k)).any():
             raise ValueError(f"fold assignments must lie in [0, {self.k})")
-        folds = np.asarray(self.assignments, dtype=int)
         sizes = np.bincount(folds, minlength=self.k)
         if not sizes.all():
             raise ValueError(f"fold {int(np.argmin(sizes))} has no objects")

@@ -27,10 +27,10 @@ from unselect.dataset import (
     project,
     write_csv,
     zscore_normalize,
+    _BLANKS,
     _parse_cell,
     _parse_label,
     _split_arff_row,
-    _split_quoted_arff_row,
 )
 
 
@@ -105,6 +105,14 @@ def test_load_csv_label_by_name_and_index(tmp_path):
     assert by_name.attr_names == ("x", "y")
 
 
+def test_a_non_integral_label_column_is_refused_not_truncated(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y,cls\n1,2,A\n3,4,B\n")
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        load_csv(p, label_column=1.9)
+    assert load_csv(p, label_column=np.int64(2)).labels == ("A", "B")
+
+
 @pytest.mark.parametrize("label_column, message", [
     (9, "label column 10 out of range: {path} has 3 columns"),
     (-1, "label column 0 out of range: {path} has 3 columns"),
@@ -174,7 +182,9 @@ def test_load_csv_missing_value_names_file_row_and_column(tmp_path):
     assert (err.value.row, err.value.column) == (3, 3)
 
 
-@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e400", "-1e400"])
+# float refuses \x1c-\x1f around a number, which str.strip would take
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e400", "-1e400", "1.5\x1c",
+                                   "\x1f2"])
 def test_load_csv_non_finite_cell_names_file_row_and_column(tmp_path, token):
     p = tmp_path / "t.csv"
     p.write_text(f"x,y,cls\n1,2,a\n3,{token},b\n")
@@ -224,6 +234,28 @@ def test_a_bad_cell_in_the_last_of_many_rows_names_its_row_and_column(tmp_path):
     with pytest.raises(ParseError, match="cell 'x' at row 20001, column 3") as err:
         load_csv(p)
     assert (err.value.row, err.value.column) == (20001, 3)
+
+
+@pytest.mark.parametrize("cell", ["x" * 200000, "0" * 200000 + "1", '"' + "1" * 200000 + '"'],
+                         ids=["plain", "plain-number", "quoted"])
+def test_a_csv_cell_past_the_field_limit_is_a_parse_error_naming_its_row(tmp_path, cell):
+    # csv refuses a cell over 131,072 characters; the bulk pass never
+    # takes a line that could hold one, so a plain file fails the same way
+    p = tmp_path / "t.csv"
+    p.write_text(f"a,b\n1,2\n{cell},3\n4,5\n")
+    with pytest.raises(ParseError, match="row 3 of .*field larger than field limit") as err:
+        load_csv(p)
+    assert err.value.row == 3
+
+
+def test_a_number_cell_sheds_only_the_blanks_float_takes():
+    assert set(_BLANKS) == {chr(i) for i in range(0x110000) if chr(i).isspace()} - set(
+        "\x1c\x1d\x1e\x1f")
+    assert all(float(b + "1.5" + b) == 1.5 for b in _BLANKS)
+    assert _parse_cell("\xa0 1.5 \u3000", 2, 1) == 1.5
+    for cell in ["1.5\x1c", "\x1f2", "\x1e"]:
+        with pytest.raises(ParseError, match="row 2, column 1"):
+            _parse_cell(cell, 2, 1)
 
 
 def test_pima_diabetes_shape(diabetes):
@@ -403,11 +435,11 @@ def test_arff_line_may_quote_with_both_quote_characters(tmp_path):
 @given(st.text(alphabet=st.sampled_from(list("a1.,-e ?%\t\xa0\u3000\x1c\x0c\u2028é")),
                max_size=30))
 def test_unquoted_arff_rows_split_like_the_quoted_loop(text):
-    # the caller strips the line, then each cell; blanks, empty cells and a
-    # trailing comma must come out as the cell-by-cell loop gives them
+    # the caller strips the line, then each cell; a line without quotes
+    # splits on its commas, with blanks, empty cells and a trailing comma kept
     line = text.strip()
     assert ([c.strip() for c in _split_arff_row(line)]
-            == [c.strip() for c in _split_quoted_arff_row(line)])
+            == [c.strip() for c in line.split(",")])
 
 
 def test_arff_missing_labels_follow_policy(tmp_path):
@@ -711,12 +743,10 @@ def test_load_arff_equals_the_row_major_reference(tmp_path_factory, drawn, missi
             == outcome(reference_arff, p, names, label_idx, missing))
 
 
-def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, monkeypatch, count_calls,
-                                                             registry):
+def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, count_calls, registry):
     cells = count_calls(unselect.dataset._parse_cell)
     splits = count_calls(unselect.dataset._split_arff_row)
-    readers, reader = [], csv.reader
-    monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or reader(*args))
+    loops = count_calls(unselect.dataset._parse_rows)
     (tmp_path / "plain.csv").write_text("x,y\n1,2\n3,4\n")
     (tmp_path / "labelled.csv").write_text("x,cls,y\n1,a,2\n3,b,4\n")
     rng = np.random.default_rng(7)
@@ -733,12 +763,12 @@ def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, monkeypat
     assert len(set(load_csv(tmp_path / "mixture.csv", label_column="class").labels)) == 3
     for name in registry.names():
         registry.load(name)
-    assert cells == splits == readers == []
+    assert cells == splits == loops == []
     # one hole sends the whole table through the per-cell loop
     p = tmp_path / "hole.csv"
     p.write_text("x,y\n1,2\n?,4\n5,6\n")
     table = load_csv(p, missing="impute")
-    assert len(cells) == 6 and readers == []
+    assert len(cells) == 6 and len(loops) == 1
     assert outcome(lambda: table) == outcome(reference_csv, p, None, "impute")
 
 # ---------------------------------------------------------------------------

@@ -730,6 +730,13 @@ def test_fold_plan_rejects_out_of_range_assignment():
         FoldPlan(seed=0, k=2, assignments=(0, 1, -1))
 
 
+def test_fold_plan_refuses_a_non_integral_assignment():
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        FoldPlan(seed=1, k=2, assignments=(0.5, 1.5, 0, 1))
+    plan = FoldPlan(seed=1, k=2, assignments=tuple(np.array([0, 1, 0, 1])))
+    assert list(plan.fold_indices(1)) == [1, 3]
+
+
 def test_fold_plan_rejects_empty_fold():
     with pytest.raises(ValueError, match="fold 1 has no objects"):
         FoldPlan(seed=0, k=3, assignments=(0, 0, 2, 2))
