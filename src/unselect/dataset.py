@@ -100,7 +100,7 @@ class FeatureSubset:
     @classmethod
     def from_one_based(cls, text: str) -> "FeatureSubset":
         """Parse a 1-based comma list such as ``2,7,8``."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
+        parts = [p for p in map(str.strip, text.split(","), repeat(_BLANKS)) if p]
         if not parts:
             raise ValueError("empty feature subset text")
         return cls(tuple(int(p) - 1 for p in parts))
@@ -291,16 +291,11 @@ def _read_text(path):
                          row=line) from None
 
 
-def _text_lines(path):
-    """The lines of a UTF-8 text file, every line end read as ``\\n``."""
-    return io.StringIO(_read_text(path), newline=None)
-
-
 # Printable ASCII, tab, CR and LF.  On text of these alone, numpy's reader
-# reads each cell as ``float`` does, and ``str.splitlines`` ends lines where
-# file iteration and ``csv`` do.  On other text they part: ``splitlines``
-# ends a line at \x0b, \x0c and \x1c-\x1f, and numpy takes \x1c-\x1f for
-# blanks around a number, which ``float`` refuses (it takes \x0b and \x0c).
+# reads each cell as ``float`` does, its blanks are spaces and tabs, and
+# ``str.splitlines`` ends lines where file iteration and ``csv`` do.  On
+# other text they part: ``splitlines`` ends a line at \x0b, \x0c and
+# \x1c-\x1f, and numpy takes \x1c-\x1f for blanks, which ``_BLANKS`` is not.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 
 
@@ -310,10 +305,14 @@ def _plain(text, quotes):
         None, _PLAIN.translate(None, quotes.encode("ascii")))
 
 
-# The blanks ``float`` takes around a number: every ``str.isspace``
-# character but the separators \x1c-\x1f.
+# The one blank rule of the readers: the blanks ``float`` and ``int`` take
+# around a number, which is every ``str.isspace`` character but the
+# separators \x1c-\x1f.  Every cell, label, header name and registry field
+# sheds these alone, and a line or record is blank only if it holds them
+# alone; ``_B`` is the same set escaped for a regex class.
 _BLANKS = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
            "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_B = re.escape(_BLANKS)
 
 
 def _parse_cell(text, row, col):
@@ -352,20 +351,22 @@ def _parse_label(text, missing, row, col, path):
 
 def _bulk_parse(lines, width, label_idx):
     """The value matrix and labels of a table's data lines in one pass of
-    numpy's C text reader, or None when a line is blank but not empty or
-    has other than ``width`` comma-separated cells, a cell is not a finite
-    number, or a label is missing.
+    numpy's C text reader, or None when a line has other than ``width``
+    comma-separated cells, a cell is not a finite number, or a label is
+    missing.
 
     The lines are ``_plain`` and hold no quote, so their cells are their
     comma-separated fields, as ``csv`` and the ARFF split read them, and a
-    cell's blanks are spaces and tabs, which numpy strips as ``str.strip``
-    does.  numpy then parses a number as ``float`` does, and every missing
-    token either fails in it or gives NaN, so a finite cell here is one
-    ``_parse_cell`` accepts, with the same value.  An empty line is no row
-    to either loader, and numpy skips it too.
+    cell's blanks are spaces and tabs, the ``_BLANKS`` of plain text, which
+    numpy strips too.  numpy then parses a number as ``float`` does, and
+    every missing token either fails in it or gives NaN, so a finite cell
+    here is one ``_parse_cell`` accepts, with the same value.  An empty
+    line is no row to either loader.  A line of blanks alone, which the
+    loaders skip, is declined: it has too few commas for two or more
+    cells, and numpy refuses it as the one value cell of a one-cell row.
     """
     lines = list(filter(None, lines))
-    if not lines or any(map(str.isspace, lines)):
+    if not lines:
         return None
     # numpy checks no row's width beyond the columns it reads
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
@@ -379,7 +380,7 @@ def _bulk_parse(lines, width, label_idx):
         return None
     labels = None
     if label_idx is not None:
-        labels = [line.split(",")[label_idx].strip() for line in lines]
+        labels = [line.split(",")[label_idx].strip(_BLANKS) for line in lines]
         if not _MISSING_TOKENS.isdisjoint(map(str.lower, labels)):
             return None
     return data, labels
@@ -435,17 +436,17 @@ def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
     return data, labels
 
 
-def _build_table(path, lines, rows, names, label_idx, missing, name, label_chars=None):
+def _build_table(path, lines, rows, names, label_idx, missing, name, label_chars=_BLANKS):
     """The DataTable of a file's data.
 
     ``lines`` are the data lines the bulk pass may read, else None;
     ``rows`` are the same data as ``(file row, cells)`` pairs, read only if
     that pass declines.  ``names`` has one entry per file column and sets
     the row width.  ``label_idx`` is the 0-based label column or None; a
-    label cell is stripped of ``label_chars`` (whitespace if None).  Holes
-    follow the missing-value policy, and a missing label, which only
-    ``drop`` lets through, drops its row.  Every error names its file row
-    and column.
+    label cell is stripped of ``label_chars``, the ``_BLANKS`` unless an
+    ARFF label's quotes are given.  Holes follow the missing-value policy,
+    and a missing label, which only ``drop`` lets through, drops its row.
+    Every error names its file row and column.
     """
     width = len(names)
     columns = [j + 1 for j in range(width) if j != label_idx]
@@ -487,7 +488,7 @@ def _csv_records(path):
 def _numbered_records(reader, path):
     # a blank line is an empty record, so record i is file row i (no cell spans lines)
     try:
-        yield from ((i, row) for i, row in enumerate(reader, 1) if "".join(row).strip())
+        yield from ((i, row) for i, row in enumerate(reader, 1) if "".join(row).strip(_BLANKS))
     except csv.Error as exc:
         raise ParseError(f"cannot read row {reader.line_num} of {path}: {exc}",
                          row=reader.line_num) from None
@@ -513,7 +514,7 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     if first is None:
         raise EmptyFileError(f"only a header row in {path}")
 
-    header = [c.strip() for c in head[1]]
+    header = [c.strip(_BLANKS) for c in head[1]]
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -530,12 +531,12 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
                         chain([first], records), header, label_idx, missing, name)
 
 
-_ARFF_ATTR = re.compile(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+(.+)", re.I)
+_ARFF_ATTR = re.compile(rf"@attribute[{_B}]+('[^']*'|\"[^\"]*\"|[^{_B}]+)[{_B}]+(.+)", re.I)
 
 
 # One ARFF data cell: a value quoted with ' or " (it may hold commas and
 # spaces), or the bare text up to the next comma; then that comma.
-_ARFF_CELL = re.compile(r"""\s*(['"]?)(.*?)\1\s*,""")
+_ARFF_CELL = re.compile(rf"""[{_B}]*(['"]?)(.*?)\1[{_B}]*,""")
 
 
 def _split_arff_row(line):
@@ -561,17 +562,19 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     attrs = []          # (name, kind) with kind 'num' | 'nominal'
     data = []           # (file line, stripped line)
     in_data = False
-    for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), 1):
+        line = line.strip(_BLANKS)
         if not line or line.startswith("%"):
             continue
         low = line.lower()
-        if low.startswith("@attribute"):
+        if in_data:         # every other line after @data is a data row
+            data.append((lineno, line))
+        elif low.startswith("@attribute"):
             m = _ARFF_ATTR.match(line)
             if not m:
                 raise ParseError(f"bad @attribute line {lineno}", row=lineno)
             attr_name = m.group(1).strip("'\"")
-            spec = m.group(2).strip()
+            spec = m.group(2)
             if spec.lower().startswith(("real", "numeric", "integer")):
                 attrs.append((attr_name, "num"))
             elif spec.startswith("{"):
@@ -583,10 +586,9 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
                 )
         elif low.startswith("@data"):
             in_data = True
-        elif low.startswith("@"):
-            continue
-        elif in_data:
-            data.append((lineno, line))
+        elif not low.startswith("@relation"):
+            raise ParseError(f"line {lineno} of {path} is neither a % comment nor an "
+                             "@relation, @attribute or @data line", row=lineno)
     if not attrs or not data:
         raise EmptyFileError(f"no data in {path}")
 
@@ -595,7 +597,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     # when their values are all numbers (integer-coded features).
     label_idx = len(attrs) - 1 if attrs[-1][1] == "nominal" else None
     lines = [line for _, line in data]
-    rows = ((row, [c.strip() for c in _split_arff_row(line)]) for row, line in data)
+    rows = ((row, [c.strip(_BLANKS) for c in _split_arff_row(line)]) for row, line in data)
     return _build_table(path, lines if _plain("\n".join(lines), "'\"") else None, rows,
                         [a for a, _ in attrs], label_idx, missing, name, label_chars="'\"")
 
@@ -659,10 +661,11 @@ STRATEGIES = ("eqwidth", "eqfreq")
 
 
 def check_binning(strategy, bins):
-    """The one rule for a binning setting: a known strategy and >= 2 bins."""
+    """The one rule for a binning setting: a known strategy and an integer
+    count of >= 2 bins (a float is a ``TypeError``, never truncated)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown discretization strategy {strategy!r}")
-    if bins < 2:
+    if index(bins) < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
 
 
@@ -767,8 +770,11 @@ def discretize(table: DataTable, strategy: str = "eqfreq", bins: int = 3) -> Dis
 
 
 def project(table: DataTable, subset: FeatureSubset) -> DataTable:
-    """Keep only the subset's columns, in the subset's order."""
+    """Keep only the subset's columns, in the subset's order; a table keeps
+    at least one column, so an empty subset is a ``ValueError``."""
     idx = column_indices(subset, table.n_attrs)
+    if not idx:
+        raise ValueError("cannot project a table onto an empty subset")
     # columns of a checked table, so no construction check runs
     sub = copy.copy(table)
     object.__setattr__(sub, "values", _freeze(table.values[:, idx]))
@@ -804,11 +810,11 @@ def load_registry(path) -> Registry:
     """Parse the plain-text registry: ``name, path, label`` per line; a
     name may appear once."""
     entries, first = {}, {}
-    for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), 1):
+        line = line.strip(_BLANKS)
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = [p.strip(_BLANKS) for p in line.split(",")]
         if len(parts) == 2:
             parts.append("auto")
         if len(parts) != 3:

@@ -112,12 +112,13 @@ class FoldPlan:
 
 
 def check_cv_settings(folds: int, seed: int) -> None:
-    """The run-wide rule for cross-validation settings: at least 2 folds
-    and a non-negative fold seed.  Whether there are enough objects for the
-    folds only a loaded table can tell (``make_fold_plan``)."""
-    if folds < 2:
+    """The run-wide rule for cross-validation settings: an integer count
+    of at least 2 folds and a non-negative integer fold seed (a float is a
+    ``TypeError``, never truncated).  Whether there are enough objects for
+    the folds only a loaded table can tell (``make_fold_plan``)."""
+    if index(folds) < 2:
         raise ValueError(f"fold count must be >= 2, got {folds}")
-    if seed < 0:
+    if index(seed) < 0:
         raise ValueError(f"fold seed must be >= 0, got {seed}")
 
 

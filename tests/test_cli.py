@@ -126,6 +126,30 @@ def test_evaluate_on_an_unlabeled_csv_exits_3(capsys, tmp_path):
     assert out == "" and "needs a labeled dataset" in err
 
 
+ARFF_AB = "@relation r\n@attribute a real\n@attribute b real\n@data\n"
+
+
+# \x1c-\x1f is no blank to float, so no reader takes it for one; an ARFF line
+# before @data is a header line, and every line after it is a data row
+@pytest.mark.parametrize("name, text, where", [
+    ("t.arff", ARFF_AB + "1,2\n1.5\x1c,3\n4,5\n", "row 6, column 1"),
+    ("t.arff", ARFF_AB + "1,2\n\x1c1.5,3\n4,5\n", "row 6, column 1"),
+    ("t.csv", "a,b\n1,2\n\x1c,\x1c\n3,4\n", "row 3, column 1"),
+    ("t.csv", "a,b\n1,2\n\x1c\n3,4\n", "ragged row 3"),
+    ("t.arff", ARFF_AB + "1,2\n\x1c\n4,5\n", "ragged row 6"),
+    ("t.arff", "@relation r\n@attribute a real\nstray,junk\n@data\n3\n4\n", "line 3 of"),
+    ("t.arff", "@relation r\n@attribute a real\n@data\n3\n@attribute b real\n4\n",
+     "row 5, column 1"),
+], ids=["arff-cell-after", "arff-cell-before", "csv-separator-cells", "csv-separator-row",
+        "arff-separator-row", "arff-stray-header-line", "arff-attribute-after-data"])
+def test_select_on_a_misread_file_exits_3_naming_its_row(capsys, tmp_path, name, text, where):
+    p = tmp_path / name
+    p.write_text(text)
+    code, out, err = run(capsys, "select", "--data", str(p), "--method", "edr", "--k", "1")
+    assert code == 3
+    assert out == "" and where in err
+
+
 @pytest.mark.parametrize("strategy, bins", [("mystery", 3), ("eqfreq", 1)])
 def test_one_binning_rule_for_config_cut_points_and_cli(strategy, bins):
     with pytest.raises(ValueError) as config_error:

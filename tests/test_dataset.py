@@ -258,6 +258,57 @@ def test_a_number_cell_sheds_only_the_blanks_float_takes():
             _parse_cell(cell, 2, 1)
 
 
+# A separator \x1c-\x1f is no blank to ``float``, so a line holding one
+# alone, or one in each cell, is a row to read, where ``str.strip`` took it
+# for a blank line to skip.
+@pytest.mark.parametrize("name, text, row, column", [
+    ("t.csv", "a,b\n1,2\n\x1c,\x1c\n3,4\n", 3, 1),
+    ("t.csv", "a,b\n1,2\n\x1c\n3,4\n", 3, None),                 # ragged
+    ("t.arff", "@relation r\n@attribute a real\n@attribute b real\n@data\n1,2\n\x1c\n4,5\n",
+     6, None),
+], ids=["csv-separator-cells", "csv-separator-row", "arff-separator-row"])
+def test_a_separator_row_is_no_blank_line(tmp_path, name, text, row, column):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"row {row}") as err:
+        load_table(p)
+    assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_labels_and_header_names_keep_a_separator_at_their_edge(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a\x1c,\u3000b ,cls\n1,2,y\n3,4,y\x1c\n5,6,\xa0y\t\n")
+    t = load_csv(p, label_column="cls")
+    assert t.attr_names == ("a\x1c", "b")
+    assert t.labels == ("y", "y\x1c", "y") and t.classes == ("y", "y\x1c")
+    p = tmp_path / "t.arff"
+    p.write_text("@relation r\n@attribute a\x1c real\n@attribute\u3000b\treal\n"
+                 "@attribute cls {y}\n@data\n1,2,y\x1c\n3,4,\u2003'y'\n")
+    t = load_arff(p)
+    assert t.attr_names == ("a\x1c", "b") and t.labels == ("y\x1c", "y")
+    p.write_text("@relation r\n@attribute\x1ca real\n@data\n1\n")
+    with pytest.raises(ParseError, match="bad @attribute line 2"):
+        load_arff(p)
+
+
+def test_registry_fields_shed_the_blanks_float_takes_alone(tmp_path):
+    path = tmp_path / "registry.txt"
+    path.write_text("\u3000d ,\td.csv\xa0, cls\x1c\n")
+    assert load_registry(path).entries == {"d": ("d.csv", "cls\x1c")}
+    path.write_text("d, d.csv\n\x1c\n")        # not a blank line
+    with pytest.raises(ParseError, match="registry line 2") as err:
+        load_registry(path)
+    assert err.value.row == 2
+
+
+def test_a_one_based_subset_sheds_the_blanks_float_takes_alone():
+    assert FeatureSubset.from_one_based("\u3000 2 ,\t7,,8\n").indices == (1, 6, 7)
+    with pytest.raises(ValueError):
+        FeatureSubset.from_one_based("2,\x1c7")
+    with pytest.raises(ValueError, match="empty"):
+        FeatureSubset.from_one_based(" ,\xa0")
+
+
 def test_pima_diabetes_shape(diabetes):
     # UCI Pima diabetes: 768 instances, 2 classes, 8 attributes
     assert diabetes.n_objects == 768
@@ -431,15 +482,45 @@ def test_arff_line_may_quote_with_both_quote_characters(tmp_path):
     assert _split_arff_row("1, 'a b' ,,\"x\"") == ["1", "a b", "", "x"]
 
 
+ARFF_HEADER = "@relation r\n@attribute a real\n"
+
+
+@pytest.mark.parametrize("lines", [["stray,junk"], ["@atribute b real"], ["@end"], ["3"]],
+                         ids=["stray", "misspelled", "unknown-keyword", "data-before-@data"])
+def test_an_arff_line_before_data_is_a_header_line_or_an_error(tmp_path, lines):
+    p = tmp_path / "t.arff"
+    p.write_text(ARFF_HEADER + "".join(f"{line}\n" for line in lines) + "@data\n3\n4\n")
+    with pytest.raises(ParseError, match="line 3 of .* is neither a % comment nor") as err:
+        load_arff(p)
+    assert err.value.row == 3
+    p.write_text("% c\n\n@RELATION r\n  @Attribute a real\n%x\n@DATA\n3\n")
+    assert load_arff(p).values.tolist() == [[3.0]]
+
+
+def test_every_arff_line_after_data_is_a_data_row(tmp_path):
+    # a declaration after @data fails at its own row, not at a valid row above it
+    p = tmp_path / "t.arff"
+    p.write_text(ARFF_HEADER + "@data\n3\n@attribute b real\n4\n")
+    with pytest.raises(ParseError, match="row 5, column 1") as err:
+        load_arff(p)
+    assert (err.value.row, err.value.column) == (5, 1)
+    p.write_text(ARFF_HEADER + "@attribute cls {x}\n@data\n3,x\n@relation s\n4,x\n")
+    with pytest.raises(ParseError, match="ragged row 6") as err:
+        load_arff(p)
+    p.write_text(ARFF_HEADER + "@data\n3\n% a comment\n\t\n4\n")
+    assert load_arff(p).values.tolist() == [[3.0], [4.0]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=st.sampled_from(list("a1.,-e ?%\t\xa0\u3000\x1c\x0c\u2028é")),
                max_size=30))
 def test_unquoted_arff_rows_split_like_the_quoted_loop(text):
-    # the caller strips the line, then each cell; a line without quotes
-    # splits on its commas, with blanks, empty cells and a trailing comma kept
-    line = text.strip()
-    assert ([c.strip() for c in _split_arff_row(line)]
-            == [c.strip() for c in line.split(",")])
+    # the caller strips the line, then each cell, of _BLANKS; a line without
+    # quotes splits on its commas, with blanks, empty cells and a trailing
+    # comma kept, and \x1c stays in its cell
+    line = text.strip(_BLANKS)
+    assert ([c.strip(_BLANKS) for c in _split_arff_row(line)]
+            == [c.strip(_BLANKS) for c in line.split(",")])
 
 
 def test_arff_missing_labels_follow_policy(tmp_path):
@@ -458,7 +539,8 @@ def test_arff_missing_labels_follow_policy(tmp_path):
     assert list(dropped.values[:, 0]) == [1.0, 3.0]
 
 
-@pytest.mark.parametrize("token", ["inf", "-inf", "1e400", "'-1e400'"])
+# float refuses \x1c-\x1f around a number, which str.strip would take
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e400", "'-1e400'", "1.5\x1c", "\x1c1.5"])
 def test_arff_non_finite_cell_names_line_and_column(tmp_path, token):
     p = tmp_path / "t.arff"
     p.write_text(
@@ -516,7 +598,7 @@ def test_arff_fuzz_fails_only_with_located_parse_errors(tmp_path_factory, text,
 # ---------------------------------------------------------------------------
 # the bulk pass against the row-major loader
 
-def reference_build(path, rows, names, label_idx, missing, label_chars=None):
+def reference_build(path, rows, names, label_idx, missing, label_chars=_BLANKS):
     """The loader before the bulk pass: every cell of the ``(file row,
     cells)`` pairs through ``_parse_cell`` and every label through
     ``_parse_label``, row-major, then the missing-value policy."""
@@ -558,10 +640,11 @@ def reference_build(path, rows, names, label_idx, missing, label_chars=None):
 def reference_csv(path, label_idx, missing):
     """``reference_build`` over ``csv.reader``; the header is never blank."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = [(i, r) for i, r in enumerate(csv.reader(fh), 1) if any(c.strip() for c in r)]
+        records = [(i, r) for i, r in enumerate(csv.reader(fh), 1)
+                   if any(c.strip(_BLANKS) for c in r)]
     if len(records) < 2:
         raise EmptyFileError(f"only a header row in {path}")
-    names = [c.strip() for c in records[0][1]]
+    names = [c.strip(_BLANKS) for c in records[0][1]]
     return reference_build(path, records[1:], names, label_idx, missing)
 
 
@@ -569,9 +652,9 @@ def reference_arff(path, names, label_idx, missing):
     """``reference_build`` over the lines after ``@data``."""
     with open(path, encoding="utf-8") as fh:
         lines = list(enumerate(fh, 1))
-    start = next(k for k, (_, line) in enumerate(lines) if line.strip() == "@data") + 1
-    rows = [(i, [c.strip() for c in _split_arff_row(line.strip())])
-            for i, line in lines[start:] if line.strip()]
+    start = next(k for k, (_, line) in enumerate(lines) if line.strip(_BLANKS) == "@data") + 1
+    rows = [(i, [c.strip(_BLANKS) for c in _split_arff_row(line.strip(_BLANKS))])
+            for i, line in lines[start:] if line.strip(_BLANKS)]
     if not rows:
         raise EmptyFileError(f"no data in {path}")
     return reference_build(path, rows, names, label_idx, missing, label_chars="'\"")
@@ -1056,6 +1139,12 @@ def test_project_diabetes_usqr_subset(diabetes):
     # the published USQR selection for diabetes: attributes 2,7,8 (1-based)
     p = project(diabetes, FeatureSubset.from_one_based("2,7,8"))
     assert (p.n_objects, p.n_attrs) == (768, 3)
+
+
+def test_project_keeps_at_least_one_column():
+    # a 2x0 table is one DataTable itself refuses
+    with pytest.raises(ValueError, match="empty subset"):
+        project(table([[1, 2], [3, 4]]), FeatureSubset(()))
 
 
 def test_project_out_of_range_names_index():

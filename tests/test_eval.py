@@ -32,7 +32,7 @@ from unselect.eval import (
     render_text_tables,
     run_benchmark,
 )
-from unselect.selectors import select
+from unselect.selectors import SelectorConfig, select
 
 
 def table(rows, labels, names=None):
@@ -67,6 +67,24 @@ def test_cross_validate_checks_the_binning_for_every_classifier(diabetes, classi
     with pytest.raises(ValueError, match=message):
         cross_validate(diabetes, FeatureSubset((0, 1)), classifier, plan,
                        strategy=strategy, bins=bins)
+
+
+@pytest.mark.parametrize("bins", [3.5, 3.0, np.float64(3.0)])
+def test_a_float_bin_count_is_refused_not_used(diabetes, bins):
+    # 3.5 failed inside range(), and an eqwidth 3.0 was used as 3
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        SelectorConfig(bins=bins)
+    plan = make_fold_plan(diabetes.y, 5, seed=1)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        cross_validate(diabetes, FeatureSubset((0, 1)), "dtable", plan, strategy="eqwidth",
+                       bins=bins)
+
+
+def test_cross_validate_refuses_an_empty_subset(diabetes):
+    # it scored the class priors alone, without a word
+    plan = make_fold_plan(diabetes.y, 5, seed=1)
+    with pytest.raises(ValueError, match="empty subset"):
+        cross_validate(diabetes, FeatureSubset(()), "nb", plan)
 
 
 def test_fold_plan_is_deterministic():
@@ -1024,6 +1042,21 @@ def test_benchmark_rejects_bad_folds_or_seed_before_any_load(tmp_path, monkeypat
     monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
     with pytest.raises(ValueError, match="fold"):
         run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=folds, seed=seed)
+
+
+@pytest.mark.parametrize("folds, seed", [(2.5, 1), (4, 1.5), (np.float64(4.0), 1)],
+                         ids=["folds", "seed", "numpy-float-folds"])
+def test_benchmark_refuses_a_float_count_before_any_load(tmp_path, monkeypatch, folds, seed):
+    registry = small_registry(tmp_path, {"toy": toy_dataset()})
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded")
+
+    monkeypatch.setattr("unselect.dataset.Registry.load", no_load)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        run_benchmark(registry, methods=("edr",), classifiers=("nb",), folds=folds, seed=seed)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        FoldPlan(seed=seed, k=folds, assignments=(0, 1, 2, 3))
 
 
 @pytest.mark.parametrize("ids, message", [
