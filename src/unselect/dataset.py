@@ -335,10 +335,14 @@ def _parse_cell(text, row, col):
     )
 
 
-def _parse_label(text, missing, row, col, path):
-    """A class cell; None marks a missing label that the drop policy removes."""
+def _parse_label(text, missing, row, col, path, classes):
+    """A class cell; None marks a missing label that the drop policy removes.
+    Any other label must be one of ``classes``, unless that is None."""
     if text.lower() not in _MISSING_TOKENS:
-        return text
+        if classes is None or text in classes:
+            return text
+        raise ParseError(f"label {text!r} at row {row}, column {col} of {path} is not one of "
+                         "its attribute's declared values", row=row, column=col)
     if missing == "drop":
         return None
     raise ParseError(
@@ -349,11 +353,11 @@ def _parse_label(text, missing, row, col, path):
     )
 
 
-def _bulk_parse(lines, width, label_idx):
+def _bulk_parse(lines, width, label_idx, classes):
     """The value matrix and labels of a table's data lines in one pass of
     numpy's C text reader, or None when a line has other than ``width``
     comma-separated cells, a cell is not a finite number, or a label is
-    missing.
+    missing or, given ``classes``, not one of them.
 
     The lines are ``_plain`` and hold no quote, so their cells are their
     comma-separated fields, as ``csv`` and the ARFF split read them, and a
@@ -381,12 +385,13 @@ def _bulk_parse(lines, width, label_idx):
     labels = None
     if label_idx is not None:
         labels = [line.split(",")[label_idx].strip(_BLANKS) for line in lines]
-        if not _MISSING_TOKENS.isdisjoint(map(str.lower, labels)):
+        if not _MISSING_TOKENS.isdisjoint(map(str.lower, labels)) or (
+                classes is not None and not classes.issuperset(labels)):
             return None
     return data, labels
 
 
-def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
+def _parse_rows(path, rows, columns, label_idx, missing, classes):
     """The value matrix and labels of ``_build_table``'s rows, read row-major
     one cell at a time, so the first fault in the file is the one raised;
     holes and missing labels then follow the missing-value policy."""
@@ -400,7 +405,8 @@ def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
         parsed = []
         for j, cell in enumerate(cells):
             if j == label_idx:
-                labels.append(_parse_label(cell.strip(label_chars), missing, row, j + 1, path))
+                labels.append(_parse_label(cell.strip(_BLANKS), missing, row, j + 1, path,
+                                           classes))
             else:
                 parsed.append(_parse_cell(cell, row, j + 1))
         values.append(parsed)
@@ -436,17 +442,17 @@ def _parse_rows(path, rows, columns, label_idx, missing, label_chars):
     return data, labels
 
 
-def _build_table(path, lines, rows, names, label_idx, missing, name, label_chars=_BLANKS):
+def _build_table(path, lines, rows, names, label_idx, missing, name, classes=None):
     """The DataTable of a file's data.
 
     ``lines`` are the data lines the bulk pass may read, else None;
     ``rows`` are the same data as ``(file row, cells)`` pairs, read only if
     that pass declines.  ``names`` has one entry per file column and sets
     the row width.  ``label_idx`` is the 0-based label column or None; a
-    label cell is stripped of ``label_chars``, the ``_BLANKS`` unless an
-    ARFF label's quotes are given.  Holes follow the missing-value policy,
-    and a missing label, which only ``drop`` lets through, drops its row.
-    Every error names its file row and column.
+    label cell sheds its ``_BLANKS`` and, if ``classes`` is given, must be
+    one of them.  Holes follow the missing-value policy, and a missing
+    label, which only ``drop`` lets through, drops its row.  Every error
+    names its file row and column.
     """
     width = len(names)
     columns = [j + 1 for j in range(width) if j != label_idx]
@@ -458,9 +464,9 @@ def _build_table(path, lines, rows, names, label_idx, missing, name, label_chars
         if first.setdefault(names[c - 1], c) != c:
             raise ParseError(f"column {c} of {path} repeats the name {names[c - 1]!r} "
                              f"of column {first[names[c - 1]]}", column=c)
-    parsed = None if lines is None else _bulk_parse(lines, width, label_idx)
+    parsed = None if lines is None else _bulk_parse(lines, width, label_idx, classes)
     if parsed is None:
-        parsed = _parse_rows(path, list(rows), columns, label_idx, missing, label_chars)
+        parsed = _parse_rows(path, list(rows), columns, label_idx, missing, classes)
     data, labels = parsed
     return DataTable(
         values=_freeze(data),
@@ -486,9 +492,14 @@ def _csv_records(path):
 
 
 def _numbered_records(reader, path):
-    # a blank line is an empty record, so record i is file row i (no cell spans lines)
+    # a record, blank or not, starts on the line after the one the record
+    # before it ended on, as a quoted cell may span lines
+    end = 0
     try:
-        yield from ((i, row) for i, row in enumerate(reader, 1) if "".join(row).strip(_BLANKS))
+        for cells in reader:
+            row, end = end + 1, reader.line_num
+            if "".join(cells).strip(_BLANKS):
+                yield row, cells
     except csv.Error as exc:
         raise ParseError(f"cannot read row {reader.line_num} of {path}: {exc}",
                          row=reader.line_num) from None
@@ -531,7 +542,14 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
                         chain([first], records), header, label_idx, missing, name)
 
 
-_ARFF_ATTR = re.compile(rf"@attribute[{_B}]+('[^']*'|\"[^\"]*\"|[^{_B}]+)[{_B}]+(.+)", re.I)
+# The ARFF header grammar, matched whole against a line shorn of its
+# blanks, keywords and types in any case: ``@relation`` and an optional
+# name; ``@data``; or ``@attribute``, a name (bare, or quoted with ' or ")
+# and a numeric type or a ``{...}`` set of nominal values.
+_ARFF_HEADER = re.compile(
+    rf"""@relation(?:[{_B}].*)?|(?P<data>@data)|@attribute[{_B}]+"""
+    rf"""(?P<name>'[^']*'|"[^"]*"|[^'"{_B}][^{_B}]*)[{_B}]+"""
+    r"""(?:real|numeric|integer|\{(?P<values>.*)\})""", re.I)
 
 
 # One ARFF data cell: a value quoted with ' or " (it may hold commas and
@@ -540,7 +558,8 @@ _ARFF_CELL = re.compile(rf"""[{_B}]*(['"]?)(.*?)\1[{_B}]*,""")
 
 
 def _split_arff_row(line):
-    """Split a data line on the commas outside quotes, unquoting each cell.
+    """Split a data line, or the inside of a ``{...}`` value set, on the
+    commas outside quotes, unquoting each cell.
 
     ARFF quotes a value holding a comma or a space with ' or ", and one
     line may use both.
@@ -551,55 +570,50 @@ def _split_arff_row(line):
 def load_arff(path, missing="reject", name=None) -> DataTable:
     """Load the numeric-attribute subset of an ARFF file.
 
-    Numeric (``real``/``integer``/``numeric``) attributes become table
-    columns.  A trailing nominal attribute is taken as the class label
-    (the usual position in UCI files); earlier nominal attributes are
+    Before ``@data``, a line that is neither blank nor a ``%`` comment must
+    match one header form whole, keywords and types in any case:
+    ``@relation`` with an optional name, ``@data``, or ``@attribute``, a
+    name (bare, or quoted with ' or ") and a type, which is ``real``,
+    ``numeric``, ``integer`` or a ``{...}`` set of nominal values.  Any
+    other line is a ParseError naming it; so are strings and dates.
+    Numeric attributes become table columns.  A trailing nominal attribute
+    is taken as the class label (the usual position in UCI files), and a
+    label that is neither missing nor one of its declared values is a
+    ParseError naming its row and column.  Earlier nominal attributes are
     accepted as integer-coded feature columns when their values parse as
-    numbers.  Anything fancier (strings, dates, sparse data) is out of
+    numbers; their declared values are not checked.  Sparse data is out of
     scope.
     """
     _check_missing(missing)
-    attrs = []          # (name, kind) with kind 'num' | 'nominal'
-    data = []           # (file line, stripped line)
-    in_data = False
-    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), 1):
-        line = line.strip(_BLANKS)
-        if not line or line.startswith("%"):
-            continue
-        low = line.lower()
-        if in_data:         # every other line after @data is a data row
-            data.append((lineno, line))
-        elif low.startswith("@attribute"):
-            m = _ARFF_ATTR.match(line)
-            if not m:
-                raise ParseError(f"bad @attribute line {lineno}", row=lineno)
-            attr_name = m.group(1).strip("'\"")
-            spec = m.group(2)
-            if spec.lower().startswith(("real", "numeric", "integer")):
-                attrs.append((attr_name, "num"))
-            elif spec.startswith("{"):
-                attrs.append((attr_name, "nominal"))
-            else:
-                raise ParseError(
-                    f"unsupported attribute type {spec!r} on line {lineno}",
-                    row=lineno,
-                )
-        elif low.startswith("@data"):
-            in_data = True
-        elif not low.startswith("@relation"):
-            raise ParseError(f"line {lineno} of {path} is neither a % comment nor an "
-                             "@relation, @attribute or @data line", row=lineno)
+    # (file line, line shorn of blanks) for each line that is not blank or a % comment
+    numbered = ((i, s) for i, line in enumerate(io.StringIO(_read_text(path), newline=None), 1)
+                if (s := line.strip(_BLANKS)) and s[0] != "%")
+    attrs = []          # (name, nominal values text, or None for a numeric type)
+    for lineno, line in numbered:
+        head = _ARFF_HEADER.fullmatch(line)
+        if head is None:
+            raise ParseError(f"line {lineno} of {path} is neither a % comment nor an @relation, "
+                             "@data or @attribute line (of type real, numeric, integer or {...})",
+                             row=lineno)
+        if head["data"]:
+            break
+        if attr := head["name"]:
+            attrs.append((attr[1:-1] if attr[0] in "'\"" else attr, head["values"]))
+    data = list(numbered)       # every line after @data is a data row
     if not attrs or not data:
         raise EmptyFileError(f"no data in {path}")
 
     # Weka convention: the class attribute comes last.  A trailing nominal
-    # attribute is the label; earlier nominal attributes are accepted only
-    # when their values are all numbers (integer-coded features).
-    label_idx = len(attrs) - 1 if attrs[-1][1] == "nominal" else None
+    # attribute is the label, which takes only its declared values; earlier
+    # nominal attributes are accepted only when their values are all numbers
+    # (integer-coded features).
+    values = attrs[-1][1]
+    label_idx = None if values is None else len(attrs) - 1
+    classes = None if values is None else {v.strip(_BLANKS) for v in _split_arff_row(values)}
     lines = [line for _, line in data]
     rows = ((row, [c.strip(_BLANKS) for c in _split_arff_row(line)]) for row, line in data)
     return _build_table(path, lines if _plain("\n".join(lines), "'\"") else None, rows,
-                        [a for a, _ in attrs], label_idx, missing, name, label_chars="'\"")
+                        [a for a, _ in attrs], label_idx, missing, name, classes)
 
 
 def load_table(path, label_column=None, missing="reject", name=None) -> DataTable:

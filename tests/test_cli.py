@@ -130,7 +130,9 @@ ARFF_AB = "@relation r\n@attribute a real\n@attribute b real\n@data\n"
 
 
 # \x1c-\x1f is no blank to float, so no reader takes it for one; an ARFF line
-# before @data is a header line, and every line after it is a data row
+# before @data is a whole header line, and every line after it is a data row;
+# an ARFF label is a declared value; a CSV row is a file line, even after a
+# quoted cell that spans lines
 @pytest.mark.parametrize("name, text, where", [
     ("t.arff", ARFF_AB + "1,2\n1.5\x1c,3\n4,5\n", "row 6, column 1"),
     ("t.arff", ARFF_AB + "1,2\n\x1c1.5,3\n4,5\n", "row 6, column 1"),
@@ -140,8 +142,14 @@ ARFF_AB = "@relation r\n@attribute a real\n@attribute b real\n@data\n"
     ("t.arff", "@relation r\n@attribute a real\nstray,junk\n@data\n3\n4\n", "line 3 of"),
     ("t.arff", "@relation r\n@attribute a real\n@data\n3\n@attribute b real\n4\n",
      "row 5, column 1"),
+    ("t.arff", "@relation r\n@attribute a realistic\n@attribute b integers\n@datafoo\n"
+     "1,2\n3,4\n", "line 2 of"),
+    ("t.arff", "@relation r\n@attribute a real\n@attribute cls {yes,no}\n@data\n1,yes\n"
+     "2,maybe\n", "row 6, column 2"),
+    ("t.csv", 'a,b\n1,"2\n"\n3,4\nzz,5\n', "row 5, column 1"),
 ], ids=["arff-cell-after", "arff-cell-before", "csv-separator-cells", "csv-separator-row",
-        "arff-separator-row", "arff-stray-header-line", "arff-attribute-after-data"])
+        "arff-separator-row", "arff-stray-header-line", "arff-attribute-after-data",
+        "arff-type-prefix", "arff-undeclared-label", "csv-multi-line-cell"])
 def test_select_on_a_misread_file_exits_3_naming_its_row(capsys, tmp_path, name, text, where):
     p = tmp_path / name
     p.write_text(text)

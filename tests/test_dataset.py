@@ -78,6 +78,21 @@ def test_load_csv_blank_lines_keep_file_row_numbers(tmp_path):
     assert err.value.row == 5
 
 
+# a quoted cell may span lines; the records after it keep their file lines
+@pytest.mark.parametrize("text, label, row, column", [
+    ('x,cls\n1,"a\nb"\n2,c\nzz,d\n', "cls", 5, 1),
+    ('x,y\n1,"2\n\n"\n\n3,oops\n', None, 6, 2),
+    ('x,y\r\n1,"2\r\n"\r\n3,oops\r\n', None, 4, 2),
+], ids=["label", "blank-lines", "crlf"])
+def test_load_csv_rows_stay_file_lines_after_a_multi_line_cell(tmp_path, text, label, row,
+                                                               column):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(ParseError, match=f"row {row}, column {column}") as err:
+        load_csv(p, label_column=label)
+    assert (err.value.row, err.value.column) == (row, column)
+
+
 @pytest.mark.parametrize("suffix, text", [
     ("csv", "x,y\n1,2\n3,4\n"),
     ("arff", "@relation t\n@attribute x real\n@attribute y real\n@data\n1,2\n3,4\n"),
@@ -283,11 +298,11 @@ def test_labels_and_header_names_keep_a_separator_at_their_edge(tmp_path):
     assert t.labels == ("y", "y\x1c", "y") and t.classes == ("y", "y\x1c")
     p = tmp_path / "t.arff"
     p.write_text("@relation r\n@attribute a\x1c real\n@attribute\u3000b\treal\n"
-                 "@attribute cls {y}\n@data\n1,2,y\x1c\n3,4,\u2003'y'\n")
+                 "@attribute cls {y,y\x1c}\n@data\n1,2,y\x1c\n3,4,\u2003'y'\n")
     t = load_arff(p)
     assert t.attr_names == ("a\x1c", "b") and t.labels == ("y\x1c", "y")
     p.write_text("@relation r\n@attribute\x1ca real\n@data\n1\n")
-    with pytest.raises(ParseError, match="bad @attribute line 2"):
+    with pytest.raises(ParseError, match="line 2 of .* is neither a % comment nor"):
         load_arff(p)
 
 
@@ -485,16 +500,25 @@ def test_arff_line_may_quote_with_both_quote_characters(tmp_path):
 ARFF_HEADER = "@relation r\n@attribute a real\n"
 
 
-@pytest.mark.parametrize("lines", [["stray,junk"], ["@atribute b real"], ["@end"], ["3"]],
-                         ids=["stray", "misspelled", "unknown-keyword", "data-before-@data"])
+# a header line is matched whole: a keyword or type is not read by its prefix
+@pytest.mark.parametrize("lines", [
+    ["stray,junk"], ["@atribute b real"], ["@end"], ["3"],
+    ["@attribute b realistic"], ["@attribute b integers"], ["@datafoo"],
+    ["@relationship x"], ["@data 1,2"], ["@attribute c {a,b} junk"],
+    ["@attribute s string"], ["@attribute d date 'yyyy-MM-dd'"], ["@attribute d DATE"],
+], ids=["stray", "misspelled", "unknown-keyword", "data-before-@data", "realistic",
+        "integers", "datafoo", "relationship", "data-with-a-row", "values-then-junk",
+        "string", "date-with-format", "date"])
 def test_an_arff_line_before_data_is_a_header_line_or_an_error(tmp_path, lines):
     p = tmp_path / "t.arff"
     p.write_text(ARFF_HEADER + "".join(f"{line}\n" for line in lines) + "@data\n3\n4\n")
     with pytest.raises(ParseError, match="line 3 of .* is neither a % comment nor") as err:
         load_arff(p)
     assert err.value.row == 3
-    p.write_text("% c\n\n@RELATION r\n  @Attribute a real\n%x\n@DATA\n3\n")
-    assert load_arff(p).values.tolist() == [[3.0]]
+    p.write_text("% c\n\n@RELATION r\n  @Attribute a real\n@relation\n"
+                 "@attribute 'b c' INTEGER\n@attribute \"d's\"\tNumeric\n%x\n@DATA\n3,4,5\n")
+    t = load_arff(p)
+    assert t.values.tolist() == [[3.0, 4.0, 5.0]] and t.attr_names == ("a", "b c", "d's")
 
 
 def test_every_arff_line_after_data_is_a_data_row(tmp_path):
@@ -521,6 +545,22 @@ def test_unquoted_arff_rows_split_like_the_quoted_loop(text):
     line = text.strip(_BLANKS)
     assert ([c.strip(_BLANKS) for c in _split_arff_row(line)]
             == [c.strip(_BLANKS) for c in line.split(",")])
+
+
+# a label that is neither declared nor missing fails, in a plain file (the
+# bulk pass declines it) and in a quoted one (read cell by cell)
+@pytest.mark.parametrize("data, row", [
+    ("1,yes\n2,maybe\n", 6), ("1,'yes'\n2,\"maybe\"\n", 6), ("1,yes\n2,'yes'\n\n3,'yes\n", 8),
+], ids=["plain", "quoted", "open-quote"])
+def test_an_arff_label_must_be_one_of_its_declared_values(tmp_path, data, row):
+    p = tmp_path / "t.arff"
+    p.write_text("@relation r\n@attribute a real\n@attribute cls {yes,no}\n@data\n" + data)
+    with pytest.raises(ParseError, match=f"at row {row}, column 2 of .* not one of its") as err:
+        load_arff(p)
+    assert (err.value.row, err.value.column) == (row, 2)
+    p.write_text("@relation r\n@attribute a real\n@attribute cls { 'n o' ,yes,\"x,y\"}\n"
+                 "@data\n1,yes\n2,'n o'\n3, \"x,y\" \n")
+    assert load_arff(p).labels == ("yes", "n o", "x,y")
 
 
 def test_arff_missing_labels_follow_policy(tmp_path):
@@ -598,10 +638,11 @@ def test_arff_fuzz_fails_only_with_located_parse_errors(tmp_path_factory, text,
 # ---------------------------------------------------------------------------
 # the bulk pass against the row-major loader
 
-def reference_build(path, rows, names, label_idx, missing, label_chars=_BLANKS):
+def reference_build(path, rows, names, label_idx, missing, classes=None):
     """The loader before the bulk pass: every cell of the ``(file row,
     cells)`` pairs through ``_parse_cell`` and every label through
-    ``_parse_label``, row-major, then the missing-value policy."""
+    ``_parse_label`` (which takes only ``classes``, if given), row-major,
+    then the missing-value policy."""
     values, labels = [], []
     for row, cells in rows:
         if len(cells) != len(names):
@@ -610,7 +651,8 @@ def reference_build(path, rows, names, label_idx, missing, label_chars=_BLANKS):
         values.append([])
         for j, cell in enumerate(cells):
             if j == label_idx:
-                labels.append(_parse_label(cell.strip(label_chars), missing, row, j + 1, path))
+                labels.append(_parse_label(cell.strip(_BLANKS), missing, row, j + 1, path,
+                                           classes))
             else:
                 values[-1].append(_parse_cell(cell, row, j + 1))
     columns = [j + 1 for j in range(len(names)) if j != label_idx]
@@ -649,7 +691,8 @@ def reference_csv(path, label_idx, missing):
 
 
 def reference_arff(path, names, label_idx, missing):
-    """``reference_build`` over the lines after ``@data``."""
+    """``reference_build`` over the lines after ``@data``; a label must be
+    one of the ``{a,b}`` that ``arff_tables`` declares."""
     with open(path, encoding="utf-8") as fh:
         lines = list(enumerate(fh, 1))
     start = next(k for k, (_, line) in enumerate(lines) if line.strip(_BLANKS) == "@data") + 1
@@ -657,7 +700,8 @@ def reference_arff(path, names, label_idx, missing):
             for i, line in lines[start:] if line.strip(_BLANKS)]
     if not rows:
         raise EmptyFileError(f"no data in {path}")
-    return reference_build(path, rows, names, label_idx, missing, label_chars="'\"")
+    return reference_build(path, rows, names, label_idx, missing,
+                           None if label_idx is None else {"a", "b"})
 
 
 def outcome(load, *args, **kwargs):
@@ -787,6 +831,7 @@ ARFF_DECLINES = [ARFF_HEAD + data for data in [
     "1,2,a\r\n3,4,b\r\n",
     "1,2,a\r3,4,b\r",
     "1,2,\xe9\n3,4,b\n",
+    "1,2,a\n3,4,c\n",          # a label not declared
 ]]
 
 
@@ -846,7 +891,11 @@ def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, count_cal
     assert len(set(load_csv(tmp_path / "mixture.csv", label_column="class").labels)) == 3
     for name in registry.names():
         registry.load(name)
-    assert cells == splits == loops == []
+    assert cells == loops == []
+    # the one ARFF split per bundled file reads its class's declared values
+    assert sorted(values for values, in splits) == sorted([
+        "1,2,3", " tested_negative, tested_positive", " absent, present",
+        "cp,im,pp,imU,om,omL,imL,imS"])
     # one hole sends the whole table through the per-cell loop
     p = tmp_path / "hole.csv"
     p.write_text("x,y\n1,2\n?,4\n5,6\n")
