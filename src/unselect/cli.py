@@ -3,7 +3,8 @@
 For pca and edr, ``select`` also prints the ranking its subset was cut
 from, which the subset carries (``FeatureSubset.ranking``).  For usqr it
 prints the search's rounds (``FeatureSubset.rounds``), each as
-``attribute:total:scorer calls``; the last total is the target n*d.
+``attribute:total:candidates``, the candidates the round needed; the last
+total is the target n*d.
 
 Exit codes: 0 ok, 1 internal error, 2 bad configuration, 3 data error,
 4 benchmark finished with failed datasets.  Results go to stdout,

@@ -15,6 +15,7 @@ import io
 import math
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import index
@@ -66,7 +67,7 @@ class FeatureSubset:
     The order is the selection order, which is meaningful for greedy
     methods.  All user-facing I/O renders indices 1-based.  A subset cut
     from a ranking (pca, edr) carries every ``(index, score)`` pair of it,
-    best first; a usqr subset carries its ``(index, total, scorer calls)``
+    best first; a usqr subset carries its ``(index, total, candidates)``
     rounds (``selectors.usqr``).  Equality, hashing and repr ignore both.
     """
 
@@ -353,11 +354,12 @@ def _parse_label(text, missing, row, col, path, classes):
     )
 
 
-def _bulk_parse(lines, width, label_idx, classes):
+def _bulk_parse(lines, width, label_idx, classes, domains):
     """The value matrix and labels of a table's data lines in one pass of
     numpy's C text reader, or None when a line has other than ``width``
-    comma-separated cells, a cell is not a finite number, or a label is
-    missing or, given ``classes``, not one of them.
+    comma-separated cells, a cell is not a finite number or, in a column of
+    ``domains``, not one of its values, or a label is missing or, given
+    ``classes``, not one of them.
 
     The lines are ``_plain`` and hold no quote, so their cells are their
     comma-separated fields, as ``csv`` and the ARFF split read them, and a
@@ -375,12 +377,15 @@ def _bulk_parse(lines, width, label_idx, classes):
     # numpy checks no row's width beyond the columns it reads
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
         return None
+    usecols = [j for j in range(width) if j != label_idx]
     try:
         data = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2,
-                          usecols=[j for j in range(width) if j != label_idx])
+                          usecols=usecols)
     except ValueError:
         return None
-    if not np.isfinite(data).all():
+    if not np.isfinite(data).all() or not all(
+            np.isin(data[:, usecols.index(j)], list(domain)).all()
+            for j, domain in domains.items()):
         return None
     labels = None
     if label_idx is not None:
@@ -391,7 +396,7 @@ def _bulk_parse(lines, width, label_idx, classes):
     return data, labels
 
 
-def _parse_rows(path, rows, columns, label_idx, missing, classes):
+def _parse_rows(path, rows, columns, label_idx, missing, classes, domains):
     """The value matrix and labels of ``_build_table``'s rows, read row-major
     one cell at a time, so the first fault in the file is the one raised;
     holes and missing labels then follow the missing-value policy."""
@@ -408,7 +413,12 @@ def _parse_rows(path, rows, columns, label_idx, missing, classes):
                 labels.append(_parse_label(cell.strip(_BLANKS), missing, row, j + 1, path,
                                            classes))
             else:
-                parsed.append(_parse_cell(cell, row, j + 1))
+                value = _parse_cell(cell, row, j + 1)
+                if j in domains and value not in domains[j] and not math.isnan(value):
+                    raise ParseError(f"cell {cell.strip(_BLANKS)!r} at row {row}, column "
+                                     f"{j + 1} of {path} is not one of its attribute's "
+                                     "declared values", row=row, column=j + 1)
+                parsed.append(value)
         values.append(parsed)
 
     data = np.array(values, dtype=float)
@@ -442,7 +452,8 @@ def _parse_rows(path, rows, columns, label_idx, missing, classes):
     return data, labels
 
 
-def _build_table(path, lines, rows, names, label_idx, missing, name, classes=None):
+def _build_table(path, lines, rows, names, label_idx, missing, name, classes=None,
+                 domains=None):
     """The DataTable of a file's data.
 
     ``lines`` are the data lines the bulk pass may read, else None;
@@ -450,10 +461,12 @@ def _build_table(path, lines, rows, names, label_idx, missing, name, classes=Non
     that pass declines.  ``names`` has one entry per file column and sets
     the row width.  ``label_idx`` is the 0-based label column or None; a
     label cell sheds its ``_BLANKS`` and, if ``classes`` is given, must be
-    one of them.  Holes follow the missing-value policy, and a missing
-    label, which only ``drop`` lets through, drops its row.  Every error
-    names its file row and column.
+    one of them.  ``domains`` maps a 0-based feature column to the set of
+    numbers its cells may take.  Holes follow the missing-value policy, and
+    a missing label, which only ``drop`` lets through, drops its row.
+    Every error names its file row and column.
     """
+    domains = domains or {}
     width = len(names)
     columns = [j + 1 for j in range(width) if j != label_idx]
     if not columns:
@@ -464,9 +477,9 @@ def _build_table(path, lines, rows, names, label_idx, missing, name, classes=Non
         if first.setdefault(names[c - 1], c) != c:
             raise ParseError(f"column {c} of {path} repeats the name {names[c - 1]!r} "
                              f"of column {first[names[c - 1]]}", column=c)
-    parsed = None if lines is None else _bulk_parse(lines, width, label_idx, classes)
+    parsed = None if lines is None else _bulk_parse(lines, width, label_idx, classes, domains)
     if parsed is None:
-        parsed = _parse_rows(path, list(rows), columns, label_idx, missing, classes)
+        parsed = _parse_rows(path, list(rows), columns, label_idx, missing, classes, domains)
     data, labels = parsed
     return DataTable(
         values=_freeze(data),
@@ -567,6 +580,17 @@ def _split_arff_row(line):
     return [cell for _, cell in _ARFF_CELL.findall(line + ",")]
 
 
+def _numbers(values):
+    """The declared values of a ``{...}`` set that ``float`` reads, as
+    floats.  A cell that is not finite fails before it is compared, so a
+    declared ``inf`` or ``nan`` admits nothing."""
+    numbers = set()
+    for value in values:
+        with suppress(ValueError):
+            numbers.add(float(value))
+    return numbers
+
+
 def load_arff(path, missing="reject", name=None) -> DataTable:
     """Load the numeric-attribute subset of an ARFF file.
 
@@ -580,9 +604,9 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     is taken as the class label (the usual position in UCI files), and a
     label that is neither missing nor one of its declared values is a
     ParseError naming its row and column.  Earlier nominal attributes are
-    accepted as integer-coded feature columns when their values parse as
-    numbers; their declared values are not checked.  Sparse data is out of
-    scope.
+    integer-coded feature columns: a cell that is neither missing nor, as
+    a number, equal to one of the declared values that are numbers is a
+    ParseError naming its row and column.  Sparse data is out of scope.
     """
     _check_missing(missing)
     # (file line, line shorn of blanks) for each line that is not blank or a % comment
@@ -604,16 +628,18 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
         raise EmptyFileError(f"no data in {path}")
 
     # Weka convention: the class attribute comes last.  A trailing nominal
-    # attribute is the label, which takes only its declared values; earlier
-    # nominal attributes are accepted only when their values are all numbers
-    # (integer-coded features).
-    values = attrs[-1][1]
-    label_idx = None if values is None else len(attrs) - 1
-    classes = None if values is None else {v.strip(_BLANKS) for v in _split_arff_row(values)}
+    # attribute is the label; earlier ones are integer-coded features.  Each
+    # takes only its declared values.
+    declared = [None if values is None else [v.strip(_BLANKS) for v in _split_arff_row(values)]
+                for _, values in attrs]
+    label_idx = None if declared[-1] is None else len(attrs) - 1
+    classes = None if label_idx is None else set(declared[-1])
+    domains = {j: _numbers(values) for j, values in enumerate(declared)
+               if values is not None and j != label_idx}
     lines = [line for _, line in data]
     rows = ((row, [c.strip(_BLANKS) for c in _split_arff_row(line)]) for row, line in data)
     return _build_table(path, lines if _plain("\n".join(lines), "'\"") else None, rows,
-                        [a for a, _ in attrs], label_idx, missing, name, classes)
+                        [a for a, _ in attrs], label_idx, missing, name, classes, domains)
 
 
 def load_table(path, label_column=None, missing="reject", name=None) -> DataTable:

@@ -16,16 +16,19 @@ table uses it too): the columns fold into one mixed-radix key, ranked by
 one ``np.unique``.  Each column's radix is its largest code + 1, read from
 the codes by ``key_radixes``, the one guard that keeps every key within
 int64; ``selectors.usqr`` takes its radixes from it too.  Every
-dependency is counted by one scorer, ``positive_total``: the
-decision columns are packed into ``uint64`` words (``pack_codes``),
-``pure_groups`` sorts the condition keys once, and the AND and the OR of
-each group's words mark every column the group's rows disagree on, for
-all decision columns at once.  The columns scored are those marked in the
-packing's ``low`` bits.  Rows carry weights, so a search may score the
-table's ``distinct_rows`` in place of their identical copies.
-``selectors.usqr`` does: it packs them once per search, and between rounds
-it settles weight from the ``pure_groups`` flags of the winner's keys,
-dropping rows from the packing and columns from its ``low`` bits.
+dependency is counted by one scorer, ``positive_total``: the decision
+columns are packed into ``uint64`` words (``pack_codes``), one
+``pure_groups`` sort orders each row of a candidates x rows key matrix,
+and the AND and the OR of each group's words mark every column the
+group's rows disagree on, for all decision columns at once.  The columns
+scored are those marked in the packing's ``low`` bits.  ``gamma`` and
+``mean_dependency_exact`` score a single key row.  Rows carry weights, so
+a search may score the table's ``distinct_rows`` in place of their
+identical copies.  ``selectors.usqr`` does: it packs them once per
+search, scores each round's candidates in batches of at most
+``SCORE_CELLS`` packed words per sort, and between rounds settles weight
+from the winner's slice of its batch's ``pure_groups`` flags, dropping
+rows from the packing and columns from its ``low`` bits.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "pack_codes",
     "positive_total",
     "pure_groups",
+    "SCORE_CELLS",
     "key_radixes",
     "group_ids",
     "distinct_rows",
@@ -58,6 +62,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_ATTRS = 20
+SCORE_CELLS = 2**14     # packed words one pure_groups call of selectors.usqr may gather
 
 
 @dataclass(frozen=True)
@@ -225,10 +230,13 @@ def pack_codes(codes: np.ndarray) -> PackedCodes:
 
 
 def pure_groups(keys: np.ndarray, packed: PackedCodes):
-    """One sort of ``keys``: the row order, the start of each group's run of
-    sorted rows, and a groups x words array with the low bit of a field set
-    where the group's rows disagree on that column.  Only the columns whose
-    bit is set in ``packed.low`` are marked.
+    """One sort of a candidates x rows key matrix, one grouping per row of
+    ``keys``: the row-wise order, the flat start of each group's run of
+    sorted entries, and a groups x words array with the low bit of a field
+    set where the group's rows disagree on that column.  Only the columns
+    whose bit is set in ``packed.low`` are marked.  Groups run row after
+    row, and each row's first entry always starts one, so no group spans
+    two key rows.
 
     Rows sharing a key form one condition group, and grouping does not
     depend on the order inside a group, so the sort need not be stable.
@@ -236,27 +244,32 @@ def pure_groups(keys: np.ndarray, packed: PackedCodes):
     its rows disagree; a field with any such bit is OR-folded onto its low
     bit by adding its lower bits into its top bit.
     """
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    rows = packed.words[order]
+    order = np.argsort(keys, axis=1)
+    sorted_keys = np.take_along_axis(keys, order, axis=1)
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(sorted_keys[:, 1:], sorted_keys[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    rows = packed.words[order.ravel()]
     diff = np.bitwise_and.reduceat(rows, starts) ^ np.bitwise_or.reduceat(rows, starts)
     top = np.uint64(packed.width - 1)
     rest = packed.low * np.uint64((1 << (packed.width - 1)) - 1)
     return order, starts, ((((diff & rest) + rest) | diff) >> top) & packed.low
 
 
-def positive_total(keys: np.ndarray, weights: np.ndarray, packed: PackedCodes) -> int:
-    """Positive-region weight of the grouping ``keys``, summed over every
-    packed column marked in ``packed.low`` taken as the decision.
+def positive_total(groups, weights: np.ndarray, packed: PackedCodes) -> np.ndarray:
+    """Positive-region weight of each grouping of ``pure_groups``' result
+    ``groups``, summed over every packed column marked in ``packed.low``
+    taken as the decision: one ``int64`` total per key row.
 
     A group lies in the positive region of column y iff all its rows agree
     on y, so one sort of the keys serves every column at once.
     ``weights`` counts the objects each row stands for.
     """
-    order, starts, impure = pure_groups(keys, packed)
+    order, starts, impure = groups
     pure = np.bitwise_count(~impure & packed.low).sum(axis=1, dtype=np.int64)
-    return int(pure @ np.add.reduceat(weights[order], starts))
+    group_weight = np.add.reduceat(weights[order].ravel(), starts)
+    firsts = np.searchsorted(starts, np.arange(0, order.size, order.shape[1]))
+    return np.add.reduceat(pure * group_weight, firsts)
 
 
 def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +289,10 @@ def gamma(table: DiscreteTable, p, q) -> Fraction:
     dec = table.codes[:, column_indices(q, table.n_attrs)]
     if not dec.shape[1]:
         raise ValueError("decision attribute set q must be non-empty")
+    packed = pack_codes(group_ids(dec)[:, None])
     ones = np.ones(table.n_objects, dtype=np.int64)
-    pos = positive_total(group_ids(cond), ones, pack_codes(group_ids(dec)[:, None]))
-    return Fraction(pos, table.n_objects)
+    pos = positive_total(pure_groups(group_ids(cond)[None], packed), ones, packed)
+    return Fraction(int(pos[0]), table.n_objects)
 
 
 def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
@@ -290,9 +304,10 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     codes = table.codes[:, column_indices(attrs, table.n_attrs)]
     if not codes.shape[1]:
         raise ValueError("attribute subset must be non-empty")
+    packed = pack_codes(table.codes)
     ones = np.ones(table.n_objects, dtype=np.int64)
-    total = positive_total(group_ids(codes), ones, pack_codes(table.codes))
-    return Fraction(total, table.n_objects * table.n_attrs)
+    total = positive_total(pure_groups(group_ids(codes)[None], packed), ones, packed)
+    return Fraction(int(total[0]), table.n_objects * table.n_attrs)
 
 
 def is_superreduct(table: DiscreteTable, subset) -> bool:

@@ -136,13 +136,19 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     The rows are packed into words once per search (``roughset.pack_codes``),
     and the set low bits of ``packed.low`` mark the live columns: the
     pseudo-decisions every candidate is scored on, and the candidates.
-    After each round one ``roughset.pure_groups`` sort of the winner's keys
-    gives the new dense group ids and marks, per group, the live columns
-    its rows disagree on, which settles the weight no refinement can
-    change and takes it out of every later round:
+    A round scores its candidates in ascending index order, in batches of
+    ``roughset.SCORE_CELLS // packed.words.size`` (at least one): one
+    ``roughset.pure_groups`` sort of a batch's candidates x rows key matrix
+    and one ``roughset.positive_total`` give each candidate's total.  The
+    first of a batch's ties wins it, and a later batch must beat the best
+    so far, so ties go to the lowest index; a batch that reaches n*d ends
+    the round.  The winner's slice of its batch's sort then gives the new
+    dense group ids and marks, per group, the live columns its rows
+    disagree on, which settles the weight no refinement can change and
+    takes it out of every later round:
 
     - a group with no such column settles its rows, with ``len(live)``
-      times their weight, and they leave the ids, codes, weights and
+      times their weight, and they leave the ids, code columns, weights and
       packed words.  It holds exactly one row (the positive-approximation
       accelerator): rows are distinct, and rows of one group already agree
       on every chosen and settled column;
@@ -157,38 +163,50 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     candidates left.
 
     The subset carries its ``rounds``: per round the attribute added, the
-    total after it and the number of candidates scored.  The last total is
+    total after it and the number of candidates the round needed: every
+    live one or, in the round that reaches n*d, those up to and including
+    the winner.  It does not depend on the batch width.  The last total is
     n*d.
     """
     codes, weights = roughset.distinct_rows(table)
     codes, radixes = roughset.key_radixes(codes)
     packed = roughset.pack_codes(codes)
+    columns, radixes = codes.T.copy(), np.array(radixes)[:, None]
     target = table.n_objects * table.n_attrs
     ids = np.zeros(len(weights), dtype=np.int64)
     settled = 0
     chosen: list[int] = []
     rounds: list[tuple[int, int, int]] = []
     while True:
-        live = np.flatnonzero(packed.columns(packed.low)).tolist()
-        best_total = -1
-        for i, x in enumerate(live):
-            keys = ids * radixes[x] + codes[:, x]
-            total = settled + roughset.positive_total(keys, weights, packed)
-            if total > best_total:
-                best, best_total, best_keys = x, total, keys
-                if total == target:     # no later candidate can exceed it
-                    break
+        live = np.flatnonzero(packed.columns(packed.low))
+        width = max(1, roughset.SCORE_CELLS // packed.words.size)
+        best_total, needed = -1, len(live)
+        for lo in range(0, len(live), width):
+            batch = live[lo:lo + width]
+            groups = roughset.pure_groups(ids * radixes[batch] + columns[batch], packed)
+            totals = settled + roughset.positive_total(groups, weights, packed)
+            i = int(np.argmax(totals))      # the first of a batch's ties
+            if totals[i] > best_total:      # a later batch must beat it
+                best, best_total, best_row, best_groups = int(batch[i]), int(totals[i]), i, groups
+            if best_total == target:        # no later candidate can exceed it
+                needed = lo + i + 1
+                break
         chosen.append(best)
-        rounds.append((best, best_total, i + 1))      # i + 1 candidates scored
+        rounds.append((best, best_total, needed))
         if best_total == target:
             return FeatureSubset(tuple(chosen), rounds=tuple(rounds))
-        order, starts, impure = roughset.pure_groups(best_keys, packed)
+        # the winner's slice of its batch's sort: its groups start at row
+        # best_row * n of the flat starts
+        n = len(ids)
+        order, starts, impure = best_groups
+        lo, hi = np.searchsorted(starts, [best_row * n, best_row * n + n])
+        order, starts, impure = order[best_row], starts[lo:hi] - best_row * n, impure[lo:hi]
         # dense ids ranked like the keys, so row g of the flags is group g
         ids = np.empty_like(ids)
-        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ids)))
+        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
         keep = impure.any(axis=1)[ids]
         settled += len(live) * int(weights[~keep].sum())
-        ids, codes, weights = ids[keep], codes[keep], weights[keep]
+        ids, columns, weights = ids[keep], columns[:, keep], weights[keep]
         packed = replace(packed, words=packed.words[keep], low=np.bitwise_or.reduce(impure))
         settled += (len(live) - int(np.bitwise_count(packed.low).sum())) * int(weights.sum())
 

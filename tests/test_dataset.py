@@ -563,6 +563,24 @@ def test_an_arff_label_must_be_one_of_its_declared_values(tmp_path, data, row):
     assert load_arff(p).labels == ("yes", "n o", "x,y")
 
 
+# a nominal feature takes only its declared values, compared as numbers,
+# in a plain file (the bulk pass declines it) and in a quoted one (read
+# cell by cell)
+@pytest.mark.parametrize("data, row", [
+    ("1,1,a\n1,5,a\n", 7), ("1,'1',a\n1,\"5\",a\n", 7), ("1,2,b\n3,1.5,a\n", 7),
+], ids=["plain", "quoted", "between"])
+def test_an_arff_nominal_feature_takes_only_its_declared_values(tmp_path, data, row):
+    p = tmp_path / "t.arff"
+    p.write_text("@relation r\n@attribute x real\n@attribute g {1,2}\n@attribute cls {a,b}\n"
+                 "@data\n" + data)
+    with pytest.raises(ParseError, match=f"at row {row}, column 2 of .* not one of its") as err:
+        load_arff(p)
+    assert (err.value.row, err.value.column) == (row, 2)
+    p.write_text("@relation r\n@attribute x real\n@attribute g { '1', 2e0}\n"
+                 "@attribute cls {a,b}\n@data\n1,1.0,a\n2,2,b\n3,?,a\n4,'01',b\n")
+    assert load_arff(p, missing="drop").values.tolist() == [[1, 1], [2, 2], [4, 1]]
+
+
 def test_arff_missing_labels_follow_policy(tmp_path):
     p = tmp_path / "t.arff"
     p.write_text(
@@ -892,9 +910,10 @@ def test_a_table_without_holes_never_takes_the_per_cell_path(tmp_path, count_cal
     for name in registry.names():
         registry.load(name)
     assert cells == loops == []
-    # the one ARFF split per bundled file reads its class's declared values
+    # the ARFF splits read the declared values of each nominal attribute:
+    # the class of every bundled file, and lung's V4 and V38
     assert sorted(values for values, in splits) == sorted([
-        "1,2,3", " tested_negative, tested_positive", " absent, present",
+        "1,2,3,4", "1,2,3,4", "1,2,3", " tested_negative, tested_positive", " absent, present",
         "cp,im,pp,imU,om,omL,imL,imS"])
     # one hole sends the whole table through the per-cell loop
     p = tmp_path / "hole.csv"

@@ -20,6 +20,7 @@ from unselect.roughset import (
     pack_codes,
     positive_region,
     positive_total,
+    pure_groups,
     upper_approximation,
 )
 
@@ -180,20 +181,28 @@ def ones(n):
     return np.ones(n, dtype=np.int64)
 
 
+def scores(keys, weights, packed):
+    """The totals of a key matrix (a single key row may be 1-D), scored by
+    one pure_groups sort."""
+    totals = positive_total(pure_groups(np.atleast_2d(keys), packed), weights, packed)
+    assert totals.dtype == np.int64
+    return totals.tolist()
+
+
 def test_positive_total_reflexive_is_every_object():
     col = np.array([0, 1, 0, 2])
-    assert positive_total(col, ones(4), pack_codes(col[:, None])) == 4
+    assert scores(col, ones(4), pack_codes(col[:, None])) == [4]
 
 
 def test_positive_total_one_group_two_classes_is_zero():
-    assert positive_total(np.zeros(4, dtype=np.int64), ones(4),
-                          pack_codes(np.array([[0], [1], [0], [1]]))) == 0
+    assert scores(np.zeros(4, dtype=np.int64), ones(4),
+                  pack_codes(np.array([[0], [1], [0], [1]]))) == [0]
 
 
 def test_positive_total_hand_verified_half():
     # groups {0,1} and {2,3}; only the first agrees on the decision
     keys = np.array([1, 1, 2, 2])
-    assert positive_total(keys, ones(4), pack_codes(np.array([[1], [1], [1], [2]]))) == 2
+    assert scores(keys, ones(4), pack_codes(np.array([[1], [1], [1], [2]]))) == [2]
 
 
 def test_positive_total_sums_columns_and_weights():
@@ -201,13 +210,22 @@ def test_positive_total_sums_columns_and_weights():
     # (weight 4), column 1 only in the singleton (weight 2)
     keys = np.array([7, 7, 3])
     decisions = np.array([[0, 0], [0, 1], [1, 1]])
-    assert positive_total(keys, np.array([1, 1, 2]), pack_codes(decisions)) == 4 + 2
+    assert scores(keys, np.array([1, 1, 2]), pack_codes(decisions)) == [4 + 2]
 
 
 def test_positive_total_ignores_key_order_and_gaps():
     keys = np.array([9, 2, 9, 2, 40])
     decisions = np.array([[1], [0], [1], [1], [5]])
-    assert positive_total(keys, ones(5), pack_codes(decisions)) == 3
+    assert scores(keys, ones(5), pack_codes(decisions)) == [3]
+
+
+def test_positive_total_scores_each_key_row_alone():
+    # each sorted row ends on the key the next one starts with, yet every
+    # row's first entry starts a group: row 0 splits {0,1} from {2}, row 1
+    # puts every object in one group, and row 2 gives each its own
+    keys = np.array([[5, 5, 6], [6, 6, 6], [8, 7, 6]])
+    decisions = np.array([[0], [0], [1]])
+    assert scores(keys, np.array([1, 2, 4]), pack_codes(decisions)) == [7, 0, 7]
 
 
 def test_distinct_rows_weighted_score_like_their_copies():
@@ -225,7 +243,7 @@ def test_distinct_rows_weighted_score_like_their_copies():
         keys = np.unique(np.asarray(cond).reshape(len(rows), -1), axis=0,
                          return_inverse=True)[1].ravel()
         want = sum(naive_gamma(t.codes.tolist(), attrs, [y]) for y in range(t.n_attrs))
-        assert positive_total(keys, weights, pack_codes(rows)) == want * t.n_objects
+        assert scores(keys, weights, pack_codes(rows)) == [want * t.n_objects]
 
 
 def pooled_rows(draw, n, tops):
@@ -243,17 +261,21 @@ def pooled_rows(draw, n, tops):
 
 @st.composite
 def scored_groupings(draw):
-    """Unsorted condition keys with gaps, row weights and a decision matrix
-    whose largest code has bit length ``width``; the column count may fill
-    a word exactly or cross into the next one.  Or, with ``as_ids``, the
-    decision is one column of the rows' group ids over all those columns,
-    as ``gamma`` scores a decision set."""
+    """1-4 rows of unsorted condition keys with gaps, each row drawn from
+    its own pool, row weights and a decision matrix whose largest code has
+    bit length ``width``; the column count may fill a word exactly or cross
+    into the next one.  Or, with ``as_ids``, the decision is one column of
+    the rows' group ids over all those columns, as ``gamma`` scores a
+    decision set."""
     width = draw(st.sampled_from([*range(1, 11), 62, 63]))
     per = 64 // width
     d = draw(st.sampled_from([per, per + 1]) | st.integers(1, min(40, 2 * per + 1)))
     n = draw(st.integers(1, 30))
-    key_pool = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=4, unique=True))
-    keys = np.array([draw(st.sampled_from(key_pool)) for _ in range(n)], dtype=np.int64)
+    key_rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=4, unique=True))
+        key_rows.append([draw(st.sampled_from(pool)) for _ in range(n)])
+    keys = np.array(key_rows, dtype=np.int64)
     weights = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     decisions = pooled_rows(draw, n, [2**width - 1] * d)
     return keys, weights, decisions, width, draw(st.booleans())
@@ -264,18 +286,22 @@ def scored_groupings(draw):
 def test_positive_total_of_packed_codes_counts_like_the_oracle(case):
     keys, weights, decisions, width, as_ids = case
     n, d = decisions.shape
-    objects = [[int(k)] + row for k, row, w in zip(keys, decisions.tolist(), weights)
-               for _ in range(w)]
     if as_ids:
         ids = np.unique(decisions, axis=0, return_inverse=True)[1]
         packed = pack_codes(ids.reshape(n, 1))
-        want = naive_gamma(objects, [0], range(1, d + 1))
     else:
         packed = pack_codes(decisions)
         assert packed.width == width and packed.n_cols == d
         assert packed.words.shape == (n, -(-d // (64 // width)))
-        want = sum(naive_gamma(objects, [0], [1 + y]) for y in range(d))
-    assert positive_total(keys, weights, packed) == want * len(objects)
+    want = []
+    for row in keys.tolist():
+        objects = [[k] + r for k, r, w in zip(row, decisions.tolist(), weights)
+                   for _ in range(w)]
+        if as_ids:
+            want.append(naive_gamma(objects, [0], range(1, d + 1)) * len(objects))
+        else:
+            want.append(sum(naive_gamma(objects, [0], [1 + y]) for y in range(d)) * len(objects))
+    assert scores(keys, weights, packed) == want
 
 
 @pytest.mark.parametrize("bins", [(3, 2**62), (2**62, 2**62, 2), (2**40, 2**40)])

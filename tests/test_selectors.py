@@ -237,6 +237,20 @@ def test_usqr_on_words_spanning_two_words_equals_reference_search(t):
     assert usqr(t).indices == reference_usqr(t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(discrete_tables() | wide_tables())
+def test_usqr_does_not_depend_on_the_batch_width(t):
+    # one candidate per batch, a few (ties may fall across a batch
+    # boundary), and the default
+    searches = []
+    for cells in (1, 64, roughset.SCORE_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(roughset, "SCORE_CELLS", cells)
+            s = usqr(t)
+        searches.append((s.indices, s.rounds))
+    assert searches[0] == searches[1] == searches[2]
+
+
 def test_usqr_non_contiguous_codes_with_duplicates():
     # with one attribute the full-set group ids are the raw codes 2, 1, 1,
     # which are not compact: row weights must come from the distinct ids
@@ -261,17 +275,17 @@ def test_usqr_keeps_a_column_impure_in_one_group_live(a):
 
 def test_usqr_never_scores_a_settled_copy(count_calls):
     # a2 relabels a0 cyclically; once a0 is chosen, a2 is constant in every
-    # group, so round two scores b alone: 3 + 1 scorer calls, not 3 + 2
+    # group, so round two scores b alone: key rows 3 + 1, not 3 + 2
     a = [0, 0, 1, 1, 2, 2]
     t = dtable([a, [0, 1, 0, 1, 0, 1], [(x + 1) % 3 for x in a]])
-    calls = count_calls(roughset.positive_total)
+    calls = count_calls(roughset.pure_groups)
     s = usqr(t)
     assert s.indices == (0, 1)
-    assert len(calls) == 3 + 1
+    assert [len(keys) for keys, _ in calls] == [3, 1]
     assert s.rounds == ((0, 12, 3), (1, 18, 1))
     # the round-two call scores the one live pseudo-decision, b: the low
     # bits of the packed table mark it alone
-    _, _, packed = calls[-1]
+    _, packed = calls[-1]
     assert packed.columns(packed.low).tolist() == [False, True, False]
     assert reference_usqr(t) == (0, 1)
 
@@ -323,14 +337,19 @@ def test_rough_pca_subsets_of_the_bundled_tables_are_pinned(request, name):
         == PINNED_ROUGH_PCA[name]
 
 
-def test_usqr_rounds_record_each_choice_its_total_and_its_scorer_calls(lung, count_calls):
+def test_usqr_rounds_record_each_choice_its_total_and_the_candidates_it_needed(
+        lung, count_calls, monkeypatch):
+    # one candidate per batch: the key rows scored are the candidates each
+    # round needed, every live one but in the last round, which stops at
+    # the winner
+    monkeypatch.setattr(roughset, "SCORE_CELLS", 1)
     calls = count_calls(roughset.positive_total)
     s = usqr(discretize(lung, "eqfreq", 3))
-    assert [(a + 1, total, scored) for a, total, scored in s.rounds] == [
+    assert [(a + 1, total, needed) for a, total, needed in s.rounds] == [
         (31, 560, 56), (14, 894, 44), (3, 1363, 43), (6, 1598, 40), (54, 1738, 39),
         (2, 1768, 18), (10, 1792, 1)]
     assert s.rounds[-1][1] == lung.n_objects * lung.n_attrs
-    assert len(calls) == sum(scored for _, _, scored in s.rounds)
+    assert len(calls) == sum(needed for _, _, needed in s.rounds)
     assert s == FeatureSubset(s.indices) and repr(s) == repr(FeatureSubset(s.indices))
 
 
@@ -346,14 +365,19 @@ def test_usqr_rounds_of_breast_are_pinned(breast):
     assert s.rounds[-1][1] == breast.n_objects * breast.n_attrs
 
 
-def test_usqr_packs_the_distinct_rows_once_per_search(lung, count_calls):
+def test_usqr_packs_the_distinct_rows_once_per_search(lung, count_calls, monkeypatch):
     # the live columns are the packed table's low bits, so no round repacks
     packs = count_calls(roughset.pack_codes)
-    regroups = count_calls(roughset.pure_groups)
+    sorts = count_calls(roughset.pure_groups)
     s = usqr(discretize(lung, "eqfreq", 3))
     assert len(packs) == 1
-    # one sort per scored candidate, and one regroup per round but the last
-    assert len(regroups) == sum(scored for _, _, scored in s.rounds) + len(s.rounds) - 1
+    # lung's 32 distinct rows pack into 2 words, so one batch holds all 56
+    # candidates: one sort per round, and none to settle the winner
+    assert [len(keys) for keys, _ in sorts] == [56, 44, 43, 40, 39, 18, 12]
+    monkeypatch.setattr(roughset, "SCORE_CELLS", 1)
+    sorts.clear()
+    s = usqr(discretize(lung, "eqfreq", 3))
+    assert len(sorts) == sum(needed for _, _, needed in s.rounds)
 
 
 @st.composite
