@@ -79,6 +79,7 @@ PCA_K = {"lung": 17, "breast": 6, "diabetes": 3, "heart": 5, "ecoli": 3}
 VARIANCE_FLOOR = 1e-9
 
 KNN_K = 3           # neighbours voting in k-NN; only knn_fit itself takes another k
+KNN_GROUP = 8       # training rows per group whose minimum bounds k-NN's k-th distance
 
 
 @dataclass(frozen=True)
@@ -328,14 +329,15 @@ class KnnModel(_Model):
         rows as fit (one when a single row exceeds the cap), and then as
         many folds as fit, so each fold's matrix product covers as many
         rows as it can.  The filter (``_candidates``) keeps, for each test
-        row, the training rows within a rounding bound of its approximate
-        k-th distance, which one batched matrix product gives.  The refine
-        step (``_refine_batch``) then decides by the exact distances of the
-        candidates alone, as they would over every training row of the
-        fold.  It takes the candidates of consecutive blocks together, up
-        to ``BLOCK_CELLS`` rows x most candidates x attributes, and splits
-        a block that alone passes the cap into sub-blocks of at most that
-        many cells, or one row.
+        row, the training rows within a rounding bound of an upper bound on
+        its approximate k-th distance: the k-th smallest of its minima over
+        groups of about ``KNN_GROUP`` training rows, all from one batched
+        matrix product.  The refine step (``_refine_batch``) then decides by
+        the exact distances of the candidates alone, as they would over
+        every training row of the fold.  It takes the candidates of
+        consecutive blocks together, up to ``BLOCK_CELLS`` rows x most
+        candidates x attributes, and splits a block that alone passes the
+        cap into sub-blocks of at most that many cells, or one row.
         """
         folds, t, d = rows.shape
         scaled_rows = (rows - self.mean[:, None]) / self.std[:, None]
@@ -350,23 +352,24 @@ class KnnModel(_Model):
         n = len(self.augmented) // folds
         step = max(1, min(t, BLOCK_CELLS // n))             # rows of one fold
         fold_step = max(1, BLOCK_CELLS // (step * n))
-        # Every block reuses two folds x block rows x training rows arrays:
-        # fresh ones would cost page faults each time malloc hands them back.
-        work = np.empty((2, min(fold_step, folds), step, n))
+        # Every block reuses one folds x block rows x training rows array: a
+        # fresh one would cost page faults each time malloc hands it back.
+        work = np.empty((min(fold_step, folds), step, n))
         # A block is whole folds or rows of one fold (fold_step is 1 when
         # step < t), so the blocks come in the row order of the flat stack.
         flat = scaled_rows.reshape(-1, d)
         predicted = np.empty(folds * t, dtype=np.intp)
-        done, batch, most = 0, [], 0        # rows refined; blocks pending, their most candidates
+        # rows refined; blocks pending, their rows and most candidates
+        done, batch, held, most = 0, [], 0, 0
         for first in range(0, folds, fold_step):
             for start in range(0, t, step):
                 counts, cols = self._candidates(
                     queries[first:first + fold_step, start:start + step], first, train_sq, work)
-                held = sum(len(c) for c, _ in batch)
                 if batch and (held + len(counts)) * max(most, counts.max()) * d > BLOCK_CELLS:
                     predicted[done:done + held] = self._refine_batch(flat[done:done + held], batch)
-                    done, batch, most = done + held, [], 0
+                    done, batch, held, most = done + held, [], 0, 0
                 batch.append((counts, cols))
+                held += len(counts)
                 most = max(most, counts.max())
         if batch:
             predicted[done:] = self._refine_batch(flat[done:], batch)
@@ -380,8 +383,16 @@ class KnnModel(_Model):
         the candidates' training indices, row after row, each row's in
         training-index order.  A training index runs over the rows of every
         fold, fold after fold.  ``train_sq`` holds each fold's largest
-        training norm and ``work`` two arrays of at least folds x block
+        training norm and ``work`` is an array of at least folds x block
         rows x training rows.
+
+        A row's candidates are the training rows within a rounding bound
+        of its group bound g, the k-th smallest of its group minima.  The
+        fold's n training rows fall into m = max(k, n // ``KNN_GROUP``)
+        groups: group j holds rows j, j + m, j + 2m, ... below n // m * m,
+        and row n // m * m + j if that is below n.  A group's minimum is
+        its least G (below), so each row partitions m minima, not n
+        distances.
 
         Why the candidates hold every row the exact search can pick.  Let
         u be the unit roundoff and gamma_n = nu/(1 - nu); a dot product of
@@ -406,11 +417,14 @@ class KnnModel(_Model):
 
         Let S = max|a|^2 + max|b|^2 over one fold of the block, so T <= S
         for every pair of that fold up to the rounding of S, and let g be
-        the k-th smallest G of a test row.  The k rows with the smallest G
-        have Q <= g + |G - Q|, so the k-th exact root is at most the root of
-        that.  A row among the k nearest by the exact roots has a root at
-        most the k-th one, so its Q exceeds that bound by at most the root
-        term, and its G is at most g + 2(|G - D| + |Q - D|) + 8uS.
+        the group bound of a test row.  The k groups whose minima are at
+        most g are disjoint, so k distinct rows have G <= g, and g is at
+        least the k-th smallest G (it is that G when each row is a group of
+        its own).  Those k rows have Q <= g + |G - Q|, so the k-th exact
+        root is at most the root of that.  A row among the k nearest by the
+        exact roots has a root at most the k-th one, so its Q exceeds that
+        bound by at most the root term, and its G is at most
+        g + 2(|G - D| + |Q - D|) + 8uS.
         Rounding g + 2 tol costs up to u(2S + 2 tol) more.  To first order
         that is g + (10d + 26)uS, so tol = gamma_{5d+17} S, taken per fold,
         covers it; the spare 8uS absorbs the second-order terms and the
@@ -423,18 +437,22 @@ class KnnModel(_Model):
         folds, b, width = block.shape
         n = len(self.augmented) // len(self.mean)
         train = self.augmented[first * n:(first + folds) * n].reshape(folds, n, width)
-        approx, spare = work[:, :folds, :b]
+        approx = work[:folds, :b]
+        m = max(self.k, n // KNN_GROUP)
+        whole = n // m * m
+        tail = n - whole                    # < m: leftover row j joins group j
         # a fold whose values could overflow runs the product too, and
         # ignores it
         with np.errstate(over="ignore", invalid="ignore"):
             scale = block[..., -1].max(axis=1) + train_sq[first:first + folds]
             np.matmul(block, train.transpose(0, 2, 1), out=approx)  # |a|^2 + |b|^2 - 2a.b
-            spare[...] = approx
-            spare.partition(self.k - 1, axis=2)
-            kth = spare[:, :, self.k - 1:self.k]
+            lows = approx[..., :whole].reshape(folds, b, -1, m).min(axis=2)
+            np.minimum(lows[..., :tail], approx[..., whole:], out=lows[..., :tail])
+            lows.partition(self.k - 1, axis=2)
+            bound = lows[:, :, self.k - 1:self.k]
             nu = (5 * (width - 2) + 17) * np.finfo(float).eps / 2
             tol = nu / (1 - nu) * scale                             # gamma_{5d+17} S
-            candidates = approx <= kth + 2.0 * tol[:, None, None]
+            candidates = approx <= bound + 2.0 * tol[:, None, None]
         candidates[~(scale < np.finfo(float).max / 4)] = True
         row, col = np.divmod(np.flatnonzero(candidates), n)
         col += (row // b + first) * n

@@ -278,15 +278,55 @@ def knn_cases(draw):
 
 
 # a column of tiny spread scales far test rows to infinite distances, on
-# both sides alike
+# both sides alike; the filter's group width is 1 (each training row a
+# group, so the bound is the k-th distance itself), the module's or past
+# every n (k groups, the loosest bound)
 @pytest.mark.filterwarnings("ignore:overflow encountered in square")
 @settings(max_examples=300, deadline=None)
-@given(knn_cases())
-def test_knn_predict_equals_reference_loop(case):
+@given(knn_cases(), st.sampled_from([1, unselect.eval.KNN_GROUP, 2 ** 31]))
+def test_knn_predict_equals_reference_loop(case, group):
     train, rows, k, block_cells = case
     model = knn_fit(train, knn_k=k)
-    with mock.patch.object(unselect.eval, "BLOCK_CELLS", block_cells):
+    with mock.patch.object(unselect.eval, "BLOCK_CELLS", block_cells), \
+            mock.patch.object(unselect.eval, "KNN_GROUP", group):
         assert model.predict(rows) == reference_knn_predict(model, rows)
+
+
+def filter_sets(model, rows, group):
+    """Each test row's candidate set, fold after fold, as ``_candidates``
+    gives it while ``predict_codes`` runs under the group width ``group``."""
+    sets = []
+    candidates = KnnModel._candidates
+
+    def recorded(self, *args):
+        counts, cols = candidates(self, *args)
+        sets.extend(map(set, np.split(cols, np.cumsum(counts)[:-1])))
+        return counts, cols
+
+    with mock.patch.object(KnnModel, "_candidates", recorded), \
+            mock.patch.object(unselect.eval, "KNN_GROUP", group):
+        model.predict_codes(rows)
+    return sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 200), st.integers(1, 4), st.integers(1, 20),
+       st.booleans(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_knn_group_bound_keeps_every_candidate_of_the_kth_distance(folds, n, d, t, ties,
+                                                                   seed, data):
+    # integers 0-2 tie across the k-th distance, normal draws do not
+    rng = np.random.default_rng(seed)
+    values, rows = (rng.integers(0, 3, size=(folds, m, d)) if ties
+                    else rng.normal(size=(folds, m, d)) for m in (n, t))
+    k = data.draw(st.one_of(st.integers(1, min(n, 5)), st.integers(1, n)))
+    model = knn_fit(FoldStack(values=values, y=rng.integers(0, 3, size=(folds, n)),
+                              classes=("p", "q", "r")), knn_k=k)
+    with mock.patch.object(unselect.eval, "BLOCK_CELLS",
+                           data.draw(st.integers(1, folds * t * n))):
+        exact = filter_sets(model, rows, 1)
+        grouped = filter_sets(model, rows, unselect.eval.KNN_GROUP)
+    assert len(exact) == len(grouped) == folds * t
+    assert all(e <= g for e, g in zip(exact, grouped))
 
 
 def test_knn_predict_spans_several_blocks_like_the_reference_loop():
@@ -401,6 +441,37 @@ def test_knn_offset_columns_match_the_reference_loop(refined):
         model = knn_fit(train, knn_k=k)
         assert model.predict(rows) == reference_knn_predict(model, rows), k
     assert max(m for _, m in refined) < 300
+
+
+@pytest.mark.parametrize("n", [80, 85])
+def test_knn_nearest_rows_in_one_filter_group_match_the_reference_loop(n):
+    # the filter bounds each row's k-th distance by the k-th smallest
+    # minimum over groups of training rows m = n // 8 = 10 apart (k <= m
+    # here), and the n % m leftover rows join the first groups; the near
+    # copies of the test rows sit at 0, m, 2m, ... and, with 85 rows, at
+    # 80, all in group 0, so every other group's minimum is a far row and
+    # the bound is loose; a stack of two such folds covers the fold axis
+    # of the bound
+    assert n // unselect.eval.KNN_GROUP == 10
+    rng = np.random.default_rng(42)
+    near = np.arange(0, n, 10)
+
+    def fold_values():
+        values = rng.normal(5.0, 1.0, size=(n, 4))
+        values[near] = rng.normal(0.0, 0.01, size=(len(near), 4))
+        return values
+
+    rows = rng.normal(0.0, 0.01, size=(12, 4))
+    for k in (1, 2, 3, 5, len(near)):
+        model = knn_fit(table(fold_values(), rng.choice(["p", "q", "r"], size=n)), knn_k=k)
+        assert model.predict(rows) == reference_knn_predict(model, rows), k
+        values = np.stack([fold_values(), fold_values()])
+        y = rng.integers(0, 3, size=(2, n))
+        stack = knn_fit(FoldStack(values=values, y=y, classes=("p", "q", "r")), knn_k=k)
+        got = stack.predict_codes(np.stack([rows, rows]))
+        for fold in range(2):
+            alone = knn_fit(table(values[fold], np.array(["p", "q", "r"])[y[fold]]), knn_k=k)
+            assert [stack.classes[c] for c in got[fold]] == reference_knn_predict(alone, rows), k
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in square")
