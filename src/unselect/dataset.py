@@ -654,7 +654,7 @@ def label_column_from_text(text):
     None for ``auto`` or None, 0-based for a 1-based number, else a name."""
     if text is None or text == "auto":
         return None
-    if text.isdigit():
+    if text.isdecimal():
         return int(text) - 1
     return text
 

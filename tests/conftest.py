@@ -1,12 +1,56 @@
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from unselect.cli import main
 from unselect.dataset import load_registry
 
-DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA_DIR = os.path.join(REPO_ROOT, "data")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--console-script", metavar="PATH",
+                     help="run the CLI_CASES rows of tests/test_cli.py as subprocesses of "
+                          "this unselect script rather than through cli.main in-process")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "cli_case: a row of CLI_CASES in tests/test_cli.py")
+
+
+@pytest.fixture
+def console(request, monkeypatch, capsys):
+    """``console(argv, env)`` runs one ``unselect`` command from the repo
+    root, with UNSELECT_DATA_DIR unset unless ``env`` sets it, and returns
+    ``(exit code, stdout, stderr)``: in-process through ``cli.main``, or,
+    under ``--console-script PATH``, as a subprocess of PATH.  A PATH that
+    is missing or cannot run fails the test."""
+    script = request.config.getoption("--console-script")
+    if script is not None:
+        child_env = {k: v for k, v in os.environ.items() if k != "UNSELECT_DATA_DIR"}
+        script = os.path.abspath(script)
+
+        def run(argv, env):
+            done = subprocess.run([script, *argv], cwd=REPO_ROOT, env={**child_env, **env},
+                                  capture_output=True, encoding="utf-8", timeout=600)
+            return done.returncode, done.stdout, done.stderr
+        return run
+
+    monkeypatch.chdir(REPO_ROOT)
+
+    def run(argv, env):
+        with monkeypatch.context() as m:
+            m.delenv("UNSELECT_DATA_DIR", raising=False)
+            for key, value in env.items():
+                m.setenv(key, value)
+            code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    return run
 
 
 @pytest.fixture(scope="session")
