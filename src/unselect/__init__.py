@@ -33,6 +33,7 @@ from .roughset import (
     lower_approximation,
     positive_region,
     upper_approximation,
+    usqr,
 )
 from .selectors import (
     SelectorConfig,
@@ -41,7 +42,6 @@ from .selectors import (
     pca_scores,
     pca_select,
     rough_pca_select,
-    usqr,
 )
 
 __version__ = "0.1.0"

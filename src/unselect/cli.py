@@ -71,11 +71,9 @@ def _id_list(text):
 
 def _load_dataset(args):
     """--data is a file path or a registry name; --label-col applies to a
-    CSV file only.  The registry is read only for a name."""
+    CSV file only (``load_table`` refuses it for an ARFF file, and this for
+    a name).  The registry is read only for a name."""
     if os.path.exists(args.data):
-        if args.label_col is not None and args.data.lower().endswith(".arff"):
-            raise CliError("--label-col applies only to a CSV file; an ARFF file's "
-                           "label is its trailing nominal attribute", EXIT_CONFIG)
         return load_table(
             args.data,
             label_column=label_column_from_text(args.label_col),

@@ -68,7 +68,7 @@ class FeatureSubset:
     methods.  All user-facing I/O renders indices 1-based.  A subset cut
     from a ranking (pca, edr) carries every ``(index, score)`` pair of it,
     best first; a usqr subset carries its ``(index, total, candidates)``
-    rounds (``selectors.usqr``).  Equality, hashing and repr ignore both.
+    rounds (``roughset.usqr``).  Equality, hashing and repr ignore both.
     """
 
     indices: tuple[int, ...]
@@ -643,8 +643,12 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
 
 
 def load_table(path, label_column=None, missing="reject", name=None) -> DataTable:
-    """Dispatch on extension: .arff via load_arff, anything else as CSV."""
+    """Dispatch on extension: .arff via load_arff, anything else as CSV.
+    An ARFF file takes no ``label_column``: that is a ``ValueError``."""
     if str(path).lower().endswith(".arff"):
+        if label_column is not None:
+            raise ValueError(f"a label column applies only to a CSV file; the label of the "
+                             f"ARFF file {path} is its trailing nominal attribute")
         return load_arff(path, missing=missing, name=name)
     return load_csv(path, label_column=label_column, missing=missing, name=name)
 

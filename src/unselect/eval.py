@@ -604,10 +604,7 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
     """
     if table.labels is None:
         raise ValueError("cross-validation needs labeled data")
-    if classifier not in CLASSIFIERS:
-        raise ValueError(
-            f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIER_IDS)}"
-        )
+    check_ids([classifier], CLASSIFIER_IDS)
     if len(plan.assignments) != table.n_objects:
         raise ValueError(
             f"fold plan assigns {len(plan.assignments)} objects, "
@@ -666,15 +663,29 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         """The report of ``to_json`` text.  Its config must name the methods
-        and classifiers the run covered, and each row and error must hold
-        the fields the renderers show; a ``ValueError`` names the first
-        entry that does not."""
+        and classifiers the run covered, as ``check_ids`` takes them, and
+        each row and error must hold the fields the renderers show.  A
+        row's accuracy is a finite number in [0, 100], its method and
+        classifier are listed in the config, and no two rows share a
+        (dataset, method, classifier) cell.  A ``ValueError`` names the
+        first entry that breaks a rule."""
         d = json.loads(text)
         _check_fields("report", d, {"config": dict, "rows": list, "errors": list})
         _check_fields("report config", d["config"], {"methods": list, "classifiers": list})
+        check_ids(d["config"]["methods"], METHOD_IDS)
+        check_ids(d["config"]["classifiers"], CLASSIFIER_IDS)
         for name, fields in _ENTRY_FIELDS.items():
             for i, entry in enumerate(d[name]):
                 _check_fields(f"report {name}[{i}]", entry, fields)
+        cells = {}
+        for i, row in enumerate(d["rows"]):
+            cell = (row["dataset"], row["method"], row["classifier"])
+            if isinstance(row["accuracy"], bool) or not 0 <= row["accuracy"] <= 100:
+                raise ValueError(f"report rows[{i}] lacks a valid 'accuracy' in [0, 100]")
+            if cell[1] not in d["config"]["methods"] or cell[2] not in d["config"]["classifiers"]:
+                raise ValueError(f"report rows[{i}] has a method or classifier its config lacks")
+            if cells.setdefault(cell, i) != i:
+                raise ValueError(f"report rows[{i}] repeats the cell of rows[{cells[cell]}]")
         return cls(rows=d["rows"], errors=d["errors"], config=d["config"])
 
     def datasets(self):

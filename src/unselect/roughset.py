@@ -2,9 +2,9 @@
 
 Equivalence partitions over discrete attribute values, lower/upper
 approximations, positive regions and dependency degrees, plus reduct
-verification and an exhaustive minimal-reduct oracle.  Dependency values
-are exact rationals (counts over the universe size), so reduct checks
-compare integers, never floats.
+verification, an exhaustive minimal-reduct oracle and the greedy reduct
+search USQR.  Dependency values are exact rationals (counts over the
+universe size), so reduct checks compare integers, never floats.
 
 Every code matrix the kernel takes passes ``dataset.check_codes``, the
 rule ``DiscreteTable`` holds its codes to as well: 2-D, integers that
@@ -14,26 +14,19 @@ picks are checked by ``dataset.column_indices``, the rule ``project``
 uses.  Objects are grouped by one rule, ``group_ids`` (``eval``'s decision
 table uses it too): the columns fold into one mixed-radix key, ranked by
 one ``np.unique``.  Each column's radix is its largest code + 1, read from
-the codes by ``key_radixes``, the one guard that keeps every key within
-int64; ``selectors.usqr`` takes its radixes from it too.  Every
-dependency is counted by one scorer, ``positive_total``: the decision
-columns are packed into ``uint64`` words (``pack_codes``), one
-``pure_groups`` sort orders each row of a candidates x rows key matrix,
-and the AND and the OR of each group's words mark every column the
-group's rows disagree on, for all decision columns at once.  The columns
-scored are those marked in the packing's ``low`` bits.  ``gamma`` and
-``mean_dependency_exact`` score a single key row.  Rows carry weights, so
-a search may score the table's ``distinct_rows`` in place of their
-identical copies.  ``selectors.usqr`` does: it packs them once per
-search, scores each round's candidates in batches of at most
-``SCORE_CELLS`` packed words per sort, and between rounds settles weight
-from the winner's slice of its batch's ``pure_groups`` flags, dropping
-rows from the packing and columns from its ``low`` bits.
+the codes by ``_key_radixes``, the one guard that keeps every key within
+int64.  Every dependency is counted by one scorer, ``_score``: the
+decision columns are packed into ``uint64`` words (``_pack_codes``), one
+sort orders each row of a candidates x rows key matrix, and the AND and
+the OR of each group's words mark every column the group's rows disagree
+on, for all decision columns at once.  ``gamma`` and
+``mean_dependency_exact`` score a single key row; ``usqr`` scores batches
+of candidates, on the table's ``distinct_rows`` weighted by their copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -49,20 +42,15 @@ __all__ = [
     "positive_region",
     "gamma",
     "mean_dependency_exact",
-    "PackedCodes",
-    "pack_codes",
-    "positive_total",
-    "pure_groups",
-    "SCORE_CELLS",
-    "key_radixes",
     "group_ids",
     "distinct_rows",
     "is_superreduct",
     "brute_force_min_reducts",
+    "usqr",
 ]
 
 BRUTE_FORCE_MAX_ATTRS = 20
-SCORE_CELLS = 2**14     # packed words one pure_groups call of selectors.usqr may gather
+_SCORE_CELLS = 2**14    # packed words one _score call of usqr may gather
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ class Partition:
 _KEY_LIMIT = 2**62      # every mixed-radix key stays below it, so int64 never wraps
 
 
-def key_radixes(codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _key_radixes(codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """A code matrix (``check_codes``) and each column's radix, its largest
     code + 1: the one guard on mixed-radix key size.  Dense ids below the
     row count n take a column as ``ids * radix + code`` < n * radix, so a
@@ -132,11 +120,11 @@ def _row_keys(codes) -> np.ndarray:
     tuples, so rows share a key iff they agree on every column.
 
     The columns fold into one mixed-radix key, ``key * radix + codes[:, j]``
-    with the radixes of ``key_radixes``; before the key could pass
+    with the radixes of ``_key_radixes``; before the key could pass
     ``_KEY_LIMIT`` it is compressed to its dense rank, which lies below the
     row count.
     """
-    codes, radixes = key_radixes(codes)
+    codes, radixes = _key_radixes(codes)
     keys = np.zeros(len(codes), dtype=np.int64)
     size = 1        # every key lies in [0, size)
     for j, r in enumerate(radixes):
@@ -189,14 +177,14 @@ def positive_region(cond: Partition, dec: Partition) -> set:
 
 
 @dataclass(frozen=True)
-class PackedCodes:
-    """A code matrix packed into ``uint64`` words, ``pack_codes``'s result.
+class _PackedCodes:
+    """A code matrix packed into ``uint64`` words, ``_pack_codes``'s result.
 
     Every field is ``width`` bits wide; each word holds ``64 // width``
     fields, column j in word ``j // (64 // width)``, and no field crosses a
     word boundary.  ``low`` has the low bit set of each field that counts:
-    ``pack_codes`` marks every column, and a search may clear the bits of
-    columns it no longer scores (``selectors.usqr`` does).
+    ``_pack_codes`` marks every column, and a search may clear the bits of
+    columns it no longer scores (``usqr`` does).
     """
 
     words: np.ndarray       # rows x words, uint64
@@ -212,7 +200,7 @@ class PackedCodes:
         return ((flags[j // per] >> shifts) & np.uint64(1)).astype(bool)
 
 
-def pack_codes(codes: np.ndarray) -> PackedCodes:
+def _pack_codes(codes: np.ndarray) -> _PackedCodes:
     """Pack each row of a code matrix (``check_codes``) into ``uint64``
     words, one field per column, all as wide as the bit length of the
     largest code."""
@@ -226,23 +214,29 @@ def pack_codes(codes: np.ndarray) -> PackedCodes:
         shift = np.uint64(j % per * width)
         words[:, j // per] |= codes[:, j].astype(np.uint64) << shift
         low[j // per] |= np.uint64(1) << shift
-    return PackedCodes(words, low, width, d)
+    return _PackedCodes(words, low, width, d)
 
 
-def pure_groups(keys: np.ndarray, packed: PackedCodes):
-    """One sort of a candidates x rows key matrix, one grouping per row of
-    ``keys``: the row-wise order, the flat start of each group's run of
-    sorted entries, and a groups x words array with the low bit of a field
-    set where the group's rows disagree on that column.  Only the columns
-    whose bit is set in ``packed.low`` are marked.  Groups run row after
-    row, and each row's first entry always starts one, so no group spans
-    two key rows.
+def _score(keys: np.ndarray, weights: np.ndarray, packed: _PackedCodes):
+    """Positive-region weight of each row of a candidates x rows key
+    matrix, summed over every packed column marked in ``packed.low`` taken
+    as the decision: one ``int64`` total per key row, and the grouping
+    that gave it.  ``weights`` counts the objects each row stands for.
+
+    The grouping is one sort of the keys: the row-wise order, the flat
+    start of each group's run of sorted entries, and a groups x words
+    array with the low bit of a field set where the group's rows disagree
+    on that column.  Only the columns whose bit is set in ``packed.low``
+    are marked.  Groups run row after row, and each row's first entry
+    always starts one, so no group spans two key rows.
 
     Rows sharing a key form one condition group, and grouping does not
     depend on the order inside a group, so the sort need not be stable.
     The AND and the OR of a group's words differ exactly in the bits where
     its rows disagree; a field with any such bit is OR-folded onto its low
-    bit by adding its lower bits into its top bit.
+    bit by adding its lower bits into its top bit.  A group lies in the
+    positive region of column y iff all its rows agree on y, so one sort
+    of the keys serves every column at once.
     """
     order = np.argsort(keys, axis=1)
     sorted_keys = np.take_along_axis(keys, order, axis=1)
@@ -253,23 +247,11 @@ def pure_groups(keys: np.ndarray, packed: PackedCodes):
     diff = np.bitwise_and.reduceat(rows, starts) ^ np.bitwise_or.reduceat(rows, starts)
     top = np.uint64(packed.width - 1)
     rest = packed.low * np.uint64((1 << (packed.width - 1)) - 1)
-    return order, starts, ((((diff & rest) + rest) | diff) >> top) & packed.low
-
-
-def positive_total(groups, weights: np.ndarray, packed: PackedCodes) -> np.ndarray:
-    """Positive-region weight of each grouping of ``pure_groups``' result
-    ``groups``, summed over every packed column marked in ``packed.low``
-    taken as the decision: one ``int64`` total per key row.
-
-    A group lies in the positive region of column y iff all its rows agree
-    on y, so one sort of the keys serves every column at once.
-    ``weights`` counts the objects each row stands for.
-    """
-    order, starts, impure = groups
+    impure = ((((diff & rest) + rest) | diff) >> top) & packed.low
     pure = np.bitwise_count(~impure & packed.low).sum(axis=1, dtype=np.int64)
     group_weight = np.add.reduceat(weights[order].ravel(), starts)
     firsts = np.searchsorted(starts, np.arange(0, order.size, order.shape[1]))
-    return np.add.reduceat(pure * group_weight, firsts)
+    return np.add.reduceat(pure * group_weight, firsts), (order, starts, impure)
 
 
 def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
@@ -283,16 +265,22 @@ def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
     return table.codes[first], counts
 
 
+def _dependency(cond: np.ndarray, dec: np.ndarray) -> Fraction:
+    """The positive region of the ``cond`` columns' groups, summed over
+    every column of ``dec`` taken as the decision, over the universe size
+    times the decision columns: an exact rational."""
+    n = len(dec)
+    totals, _ = _score(group_ids(cond)[None], np.ones(n, dtype=np.int64), _pack_codes(dec))
+    return Fraction(int(totals[0]), n * dec.shape[1])
+
+
 def gamma(table: DiscreteTable, p, q) -> Fraction:
     """Degree of dependency of q on p: |POS_p(q)| / |U|, as an exact rational."""
     cond = table.codes[:, column_indices(p, table.n_attrs)]
     dec = table.codes[:, column_indices(q, table.n_attrs)]
     if not dec.shape[1]:
         raise ValueError("decision attribute set q must be non-empty")
-    packed = pack_codes(group_ids(dec)[:, None])
-    ones = np.ones(table.n_objects, dtype=np.int64)
-    pos = positive_total(pure_groups(group_ids(cond)[None], packed), ones, packed)
-    return Fraction(int(pos[0]), table.n_objects)
+    return _dependency(cond, group_ids(dec)[:, None])
 
 
 def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
@@ -304,10 +292,7 @@ def mean_dependency_exact(table: DiscreteTable, attrs) -> Fraction:
     codes = table.codes[:, column_indices(attrs, table.n_attrs)]
     if not codes.shape[1]:
         raise ValueError("attribute subset must be non-empty")
-    packed = pack_codes(table.codes)
-    ones = np.ones(table.n_objects, dtype=np.int64)
-    total = positive_total(pure_groups(group_ids(codes)[None], packed), ones, packed)
-    return Fraction(int(total[0]), table.n_objects * table.n_attrs)
+    return _dependency(codes, table.codes)
 
 
 def is_superreduct(table: DiscreteTable, subset) -> bool:
@@ -340,3 +325,96 @@ def brute_force_min_reducts(table: DiscreteTable) -> list[FeatureSubset]:
         if found:
             return sorted(found, key=lambda s: s.indices)
     raise AssertionError("full attribute set always preserves itself")
+
+
+def usqr(table: DiscreteTable) -> FeatureSubset:
+    """Unsupervised QuickReduct: greedy forward search on mean dependency.
+
+    Starting from the empty set, each round adds the attribute whose
+    addition gives the greatest mean dependency over all attributes as
+    pseudo-decisions (ties to the lowest index; when no candidate strictly
+    improves, the best one is still added so the search always reaches the
+    stopping condition).  Stops when the subset's mean dependency equals
+    the full set's, which is always 1.
+
+    Every mean dependency shares the denominator n*d, so the search
+    compares integer positive-region totals and stops at total n*d.  It
+    works on the distinct rows weighted by their counts, and on the group
+    ids of the chosen subset: a candidate x only refines those groups, by
+    the key ``ids * radix + code`` of x, with the radixes read from the
+    codes once per search (``_key_radixes``), so no key wraps.
+    The rows are packed into words once per search (``_pack_codes``),
+    and the set low bits of ``packed.low`` mark the live columns: the
+    pseudo-decisions every candidate is scored on, and the candidates.
+    A round scores its candidates in ascending index order, in batches of
+    ``_SCORE_CELLS // packed.words.size`` (at least one): one ``_score``
+    sort of a batch's candidates x rows key matrix gives each candidate's
+    total.  The first of a batch's ties wins it, and a later batch must
+    beat the best so far, so ties go to the lowest index; a batch that
+    reaches n*d ends the round.  The winner's slice of its batch's sort
+    then gives the new dense group ids and marks, per group, the live
+    columns its rows disagree on, which settles the weight no refinement
+    can change and takes it out of every later round:
+
+    - a group with no such column settles its rows, with ``len(live)``
+      times their weight, and they leave the ids, code columns, weights and
+      packed words.  It holds exactly one row (the positive-approximation
+      accelerator): rows are distinct, and rows of one group already agree
+      on every chosen and settled column;
+    - a column no group disagrees on settles on the rows left: the OR of
+      every group's flags, the new ``packed.low``, drops its bit.
+
+    A settled column also stops being a candidate.  Adding it would leave
+    the groups, and so the total, as they are, while adding any column
+    that is still live splits a group it varies in and raises the total,
+    so a settled column could never win a round.  The chosen attribute
+    settles in the round that adds it, so the live columns are exactly the
+    candidates left.
+
+    The subset carries its ``rounds``: per round the attribute added, the
+    total after it and the number of candidates the round needed: every
+    live one or, in the round that reaches n*d, those up to and including
+    the winner.  It does not depend on the batch width.  The last total is
+    n*d.
+    """
+    codes, weights = distinct_rows(table)
+    codes, radixes = _key_radixes(codes)
+    packed = _pack_codes(codes)
+    columns, radixes = codes.T.copy(), np.array(radixes)[:, None]
+    target = table.n_objects * table.n_attrs
+    ids = np.zeros(len(weights), dtype=np.int64)
+    settled = 0
+    chosen: list[int] = []
+    rounds: list[tuple[int, int, int]] = []
+    while True:
+        live = np.flatnonzero(packed.columns(packed.low))
+        width = max(1, _SCORE_CELLS // packed.words.size)
+        best_total, needed = -1, len(live)
+        for lo in range(0, len(live), width):
+            batch = live[lo:lo + width]
+            totals, groups = _score(ids * radixes[batch] + columns[batch], weights, packed)
+            totals += settled
+            i = int(np.argmax(totals))      # the first of a batch's ties
+            if totals[i] > best_total:      # a later batch must beat it
+                best, best_total, best_row, best_groups = int(batch[i]), int(totals[i]), i, groups
+            if best_total == target:        # no later candidate can exceed it
+                needed = lo + i + 1
+                break
+        chosen.append(best)
+        rounds.append((best, best_total, needed))
+        if best_total == target:
+            return FeatureSubset(tuple(chosen), rounds=tuple(rounds))
+        # the winner's slice of its batch's sort: its groups start at row
+        # best_row * n of the flat starts
+        n = len(ids)
+        order, starts, impure = best_groups
+        lo, hi = np.searchsorted(starts, [best_row * n, best_row * n + n])
+        order, starts, impure = order[best_row], starts[lo:hi] - best_row * n, impure[lo:hi]
+        # dense ids ranked like the keys, so row g of the flags is group g
+        ids = np.empty_like(ids)
+        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+        keep = impure.any(axis=1)[ids]
+        settled += len(live) * int(weights[~keep].sum())
+        ids, columns, weights = ids[keep], columns[:, keep], weights[keep]
+        packed = replace(packed, words=packed.words[keep], low=np.bitwise_or.reduce(impure))
+        settled += (len(live) - int(np.bitwise_count(packed.low).sum())) * int(weights.sum())

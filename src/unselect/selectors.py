@@ -2,20 +2,21 @@
 
 Each maps a dataset to an ordered FeatureSubset: PCA loading selection,
 the Rough-PCA pipeline, empirical-distribution ranking (EDR), and the
-unsupervised QuickReduct greedy search (USQR).  A pca or edr subset
-carries the ranking it was cut from.  Every tie anywhere is broken toward
-the lowest attribute index so results are deterministic.
+unsupervised QuickReduct greedy search (USQR, ``roughset.usqr``).  A pca
+or edr subset carries the ranking it was cut from.  Every tie anywhere is
+broken toward the lowest attribute index so results are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import pca, roughset
-from .dataset import (DataTable, DiscreteTable, FeatureSubset, check_binning, discretize,
-                      project, zscore_normalize)
+from . import pca
+from .dataset import (DataTable, FeatureSubset, check_binning, discretize, project,
+                      zscore_normalize)
+from .roughset import usqr
 
 __all__ = [
     "SelectorConfig",
@@ -24,7 +25,6 @@ __all__ = [
     "rough_pca_select",
     "edr_scores",
     "edr_select",
-    "usqr",
     "select",
     "METHOD_IDS",
 ]
@@ -115,100 +115,6 @@ def edr_scores(table: DataTable) -> Ranking:
 def edr_select(table: DataTable, k: int) -> FeatureSubset:
     """First k attributes of the EDR ranking."""
     return _top(edr_scores(table), k)
-
-
-def usqr(table: DiscreteTable) -> FeatureSubset:
-    """Unsupervised QuickReduct: greedy forward search on mean dependency.
-
-    Starting from the empty set, each round adds the attribute whose
-    addition gives the greatest mean dependency over all attributes as
-    pseudo-decisions (ties to the lowest index; when no candidate strictly
-    improves, the best one is still added so the search always reaches the
-    stopping condition).  Stops when the subset's mean dependency equals
-    the full set's, which is always 1.
-
-    Every mean dependency shares the denominator n*d, so the search
-    compares integer positive-region totals and stops at total n*d.  It
-    works on the distinct rows weighted by their counts, and on the group
-    ids of the chosen subset: a candidate x only refines those groups, by
-    the key ``ids * radix + code`` of x, with the radixes read from the
-    codes once per search (``roughset.key_radixes``), so no key wraps.
-    The rows are packed into words once per search (``roughset.pack_codes``),
-    and the set low bits of ``packed.low`` mark the live columns: the
-    pseudo-decisions every candidate is scored on, and the candidates.
-    A round scores its candidates in ascending index order, in batches of
-    ``roughset.SCORE_CELLS // packed.words.size`` (at least one): one
-    ``roughset.pure_groups`` sort of a batch's candidates x rows key matrix
-    and one ``roughset.positive_total`` give each candidate's total.  The
-    first of a batch's ties wins it, and a later batch must beat the best
-    so far, so ties go to the lowest index; a batch that reaches n*d ends
-    the round.  The winner's slice of its batch's sort then gives the new
-    dense group ids and marks, per group, the live columns its rows
-    disagree on, which settles the weight no refinement can change and
-    takes it out of every later round:
-
-    - a group with no such column settles its rows, with ``len(live)``
-      times their weight, and they leave the ids, code columns, weights and
-      packed words.  It holds exactly one row (the positive-approximation
-      accelerator): rows are distinct, and rows of one group already agree
-      on every chosen and settled column;
-    - a column no group disagrees on settles on the rows left: the OR of
-      every group's flags, the new ``packed.low``, drops its bit.
-
-    A settled column also stops being a candidate.  Adding it would leave
-    the groups, and so the total, as they are, while adding any column
-    that is still live splits a group it varies in and raises the total,
-    so a settled column could never win a round.  The chosen attribute
-    settles in the round that adds it, so the live columns are exactly the
-    candidates left.
-
-    The subset carries its ``rounds``: per round the attribute added, the
-    total after it and the number of candidates the round needed: every
-    live one or, in the round that reaches n*d, those up to and including
-    the winner.  It does not depend on the batch width.  The last total is
-    n*d.
-    """
-    codes, weights = roughset.distinct_rows(table)
-    codes, radixes = roughset.key_radixes(codes)
-    packed = roughset.pack_codes(codes)
-    columns, radixes = codes.T.copy(), np.array(radixes)[:, None]
-    target = table.n_objects * table.n_attrs
-    ids = np.zeros(len(weights), dtype=np.int64)
-    settled = 0
-    chosen: list[int] = []
-    rounds: list[tuple[int, int, int]] = []
-    while True:
-        live = np.flatnonzero(packed.columns(packed.low))
-        width = max(1, roughset.SCORE_CELLS // packed.words.size)
-        best_total, needed = -1, len(live)
-        for lo in range(0, len(live), width):
-            batch = live[lo:lo + width]
-            groups = roughset.pure_groups(ids * radixes[batch] + columns[batch], packed)
-            totals = settled + roughset.positive_total(groups, weights, packed)
-            i = int(np.argmax(totals))      # the first of a batch's ties
-            if totals[i] > best_total:      # a later batch must beat it
-                best, best_total, best_row, best_groups = int(batch[i]), int(totals[i]), i, groups
-            if best_total == target:        # no later candidate can exceed it
-                needed = lo + i + 1
-                break
-        chosen.append(best)
-        rounds.append((best, best_total, needed))
-        if best_total == target:
-            return FeatureSubset(tuple(chosen), rounds=tuple(rounds))
-        # the winner's slice of its batch's sort: its groups start at row
-        # best_row * n of the flat starts
-        n = len(ids)
-        order, starts, impure = best_groups
-        lo, hi = np.searchsorted(starts, [best_row * n, best_row * n + n])
-        order, starts, impure = order[best_row], starts[lo:hi] - best_row * n, impure[lo:hi]
-        # dense ids ranked like the keys, so row g of the flags is group g
-        ids = np.empty_like(ids)
-        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
-        keep = impure.any(axis=1)[ids]
-        settled += len(live) * int(weights[~keep].sum())
-        ids, columns, weights = ids[keep], columns[:, keep], weights[keep]
-        packed = replace(packed, words=packed.words[keep], low=np.bitwise_or.reduce(impure))
-        settled += (len(live) - int(np.bitwise_count(packed.low).sum())) * int(weights.sum())
 
 
 def select(table: DataTable, method: str, cfg: SelectorConfig, k: int | None = None) -> FeatureSubset:

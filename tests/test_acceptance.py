@@ -28,6 +28,7 @@ from unselect.roughset import (
     lower_approximation,
     mean_dependency_exact,
     upper_approximation,
+    usqr,
 )
 from unselect.selectors import (
     SelectorConfig,
@@ -36,7 +37,6 @@ from unselect.selectors import (
     edr_select,
     pca_select,
     rough_pca_select,
-    usqr,
 )
 
 from rough_oracle import naive_min_reducts

@@ -47,7 +47,7 @@ class Case:
     files: dict = field(default_factory=dict)   # name: bytes, written into {tmp} first
     env: dict = field(default_factory=dict)
     written: dict | None = None  # --out rows: name: all the text of every other file in {tmp}
-    id: str | None = None       # rows with ids are one test each; rows without run in turn
+    id: str | None = None       # a test's rows all carry ids, or it is the one row of its test
 
 
 def run_case(console, case, tmp):
@@ -75,12 +75,12 @@ def run_case(console, case, tmp):
 
 def table_test(cases):
     """The pytest function for the rows of one test name: one test per row
-    id, or, for rows without ids, one test that runs them in turn."""
+    id, or a plain test for a name's one row without an id."""
     if cases[0].id is None:
+        [case] = cases
+
         def test(console, tmp_path):
-            for i, case in enumerate(cases):
-                (tmp_path / str(i)).mkdir()
-                run_case(console, case, tmp_path / str(i))
+            run_case(console, case, tmp_path)
     else:
         @pytest.mark.parametrize("case", cases, ids=[case.id for case in cases])
         def test(console, tmp_path, case):
@@ -100,10 +100,22 @@ def _without(part, key):
     return payload
 
 
+def _changed(part, key, value):
+    payload = _report_payload()
+    payload[part][0][key] = value
+    return payload
+
+
 ARFF_AB = b"@relation r\n@attribute a real\n@attribute b real\n@data\n"
 SMALL_CSV = b"c,x,cls\n0.1,0,a\n0.1,1,b\n0.1,2,a\n0.1,3,b\n0.1,4,a\n0.1,5,b\n0.1,6,a\n"
 SQUARED_CSV = "x,y,²\n1,2,a\n2,1,b\n3,9,a\n4,4,b\n8,7,a\n6,5,b\n".encode()
 SQUARED_OUT = "subset: 2\nranking: 2:0.5000 1:0.6667\nfingerprint: d3f48cb9ce8a\n"
+ARFF_LABEL_REFUSED = ("a label column applies only to a CSV file; the label of the ARFF file "
+                      "{path} is its trailing nominal attribute")
+REGISTRY_ARFF_LABEL = {"registry.txt": b"d, d.arff, 3\n",
+                       "d.arff": b"@relation d\n@attribute x real\n@attribute y real\n"
+                                 b"@attribute cls {a,b}\n@data\n"
+                                 + b"1,2,a\n2,1,b\n3,9,a\n4,4,b\n" * 2}
 LUNG_USQR = ("subset: 31,14,3,6,54,2,10\n"
              "rounds: 31:560:56 14:894:44 3:1363:43 6:1598:40 54:1738:39 2:1768:18 10:1792:1\n"
              "fingerprint: 8ee325f2c1e7\n")
@@ -129,10 +141,10 @@ CLI_CASES = [
          out='{"fingerprint": "cce8db9812c4", "subset": "3,4,6,2"}\n'),
     # lung (56 attributes): the search settles whole columns
     Case("test_select_usqr_prints_its_rounds_and_keeps_json_to_the_subset",
-         "select --data lung --method usqr", out=LUNG_USQR),
+         "select --data lung --method usqr", out=LUNG_USQR, id="table"),
     Case("test_select_usqr_prints_its_rounds_and_keeps_json_to_the_subset",
          "select --data lung --method usqr --format json",
-         out='{"fingerprint": "8ee325f2c1e7", "subset": "31,14,3,6,54,2,10"}\n'),
+         out='{"fingerprint": "8ee325f2c1e7", "subset": "31,14,3,6,54,2,10"}\n', id="json"),
     Case("test_select_usqr_pins_subset_and_rounds", "select --data breast --method usqr",
          out="subset: 1,30,5,11,22,15,16,12,29,19,18,10,23,20,14,9,25,2\n"
              "rounds: 1:758:30 30:1854:29 5:3236:28 11:5619:27 22:9091:26 15:12457:25 "
@@ -261,6 +273,32 @@ CLI_CASES = [
           ([_report_payload()], "report lacks", "top-level-list"),
           ({**_report_payload(), "rows": [{**_report_payload()["rows"][0], "accuracy": "50"}]},
            "rows[0]", "string-accuracy"))],
+    # an accuracy the renderers would show, a row or config id the table
+    # would drop, or a cell two rows fill: each refused, naming its entry
+    *[Case("test_report_malformed_entries_exit_3", "report --input {tmp}/r.json", code=3,
+           err=f"error: cannot read report '{{tmp}}/r.json': {message}\n",
+           files={"r.json": text.encode()}, id=id)
+      for text, message, id in (
+          *[(json.dumps(_report_payload()).replace("50.0", token),
+             "report rows[0] lacks a valid 'accuracy' in [0, 100]", id)
+            for token, id in (("true", "bool-accuracy"), ("NaN", "nan-accuracy"),
+                              ("1e400", "overflowing-accuracy"), ("-20", "negative-accuracy"),
+                              ("100.5", "accuracy-over-100"))],
+          *[(json.dumps(_changed("rows", key, value)),
+             "report rows[0] has a method or classifier its config lacks",
+             f"row-{key}-not-in-config")
+            for key, value in (("method", "pca"), ("classifier", "knn"))],
+          *[(json.dumps({**_report_payload(), "config": {**_report_payload()["config"],
+                                                         key: ids}}),
+             message, f"config-{key}-{bad}")
+            for key, ids, bad, message in (
+                ("methods", ["edr", "usqr", "magic"], "magic",
+                 "unknown id 'magic'; valid: pca, roughpca, edr, usqr"),
+                ("methods", ["edr", "usqr", "edr"], "edr", "duplicate id 'edr'"),
+                ("classifiers", ["nb", "svm"], "svm", "unknown id 'svm'; valid: nb, knn, dtable"))],
+          (json.dumps({**_report_payload(),
+                       "rows": _report_payload()["rows"] * 2}),
+           "report rows[1] repeats the cell of rows[0]", "two-rows-of-one-cell"))],
     Case("test_report_bad_input_exits_3", "report --input {tmp}/bad.json", code=3,
          files={"bad.json": b"{not json"}),
     # settings refused with exit 2
@@ -273,11 +311,25 @@ CLI_CASES = [
            err=("k applies only to pca and edr",), id=f"{method}-{command}")
       for method in ("usqr", "roughpca") for command in ("select", "evaluate")],
     *[Case("test_label_col_on_a_registry_name_or_arff_file_exits_2",
-           f"{command} --data {shlex.quote(data)} --label-col 3 --method edr --k 2", code=2,
-           err=("--label-col applies only to a CSV file", reason),
-           id=f"{data}-{reason}-{command}")
-      for data, reason in (("heart", "from the registry"), (DIABETES, "trailing nominal attribute"))
+           f"{command} --data heart --label-col 3 --method edr --k 2", code=2,
+           err=("--label-col applies only to a CSV file", "from the registry"),
+           id=f"heart-from the registry-{command}") for command in ("select", "evaluate")],
+    # load_table refuses a label column for an ARFF file, whether it comes
+    # from --label-col or a registry line
+    *[Case("test_label_col_on_a_registry_name_or_arff_file_exits_2",
+           f"{command} --data {shlex.quote(DIABETES)} --label-col 3 --method edr --k 2", code=2,
+           err=f"error: {ARFF_LABEL_REFUSED.format(path=DIABETES)}\n",
+           id=f"{DIABETES}-trailing nominal attribute-{command}")
       for command in ("select", "evaluate")],
+    Case("test_a_registry_label_column_on_an_arff_file_is_refused",
+         "select --data d --method edr --k 1", code=2,
+         err=f"error: {ARFF_LABEL_REFUSED.format(path='{tmp}/d.arff')}\n",
+         files=REGISTRY_ARFF_LABEL, env={"UNSELECT_DATA_DIR": "{tmp}"}, id="select"),
+    Case("test_a_registry_label_column_on_an_arff_file_is_refused",
+         "bench --methods edr --classifiers nb --folds 2", code=4,
+         out=f"ERROR d: {ARFF_LABEL_REFUSED.format(path='{tmp}/d.arff')}\n",
+         err=f"ERROR d: {ARFF_LABEL_REFUSED.format(path='{tmp}/d.arff')}\n",
+         files=REGISTRY_ARFF_LABEL, env={"UNSELECT_DATA_DIR": "{tmp}"}, id="bench-error-row"),
     Case("test_a_bad_setting_exits_2_with_no_output",
          "select --data ecoli --method edr --k 2 --pc-policy var:1.5", code=2,
          id="pc-policy-out-of-range-for-a-method-that-fits-no-pca"),
@@ -327,13 +379,13 @@ CLI_CASES = [
     *[Case("test_a_file_not_in_utf8_exits_3",
            f"select --data {{tmp}}/{name} {label}--method edr --k 1", code=3,
            err=f"data error: byte 0xe9 at line {line} of {{tmp}}/{name} is not UTF-8\n",
-           files={name: text})
-      for name, label, text, line in (
-          ("t.csv", "--label-col cls ", b"x,y,cls\n1,2,\xe9\n3,4,b\n", 2),
+           files={name: text}, id=id)
+      for name, label, text, line, id in (
+          ("t.csv", "--label-col cls ", b"x,y,cls\n1,2,\xe9\n3,4,b\n", 2, "csv"),
           ("t.arff", "", b"@relation t\n@attribute x real\n@attribute cls {a,b}\n"
-                         b"@data\n1,a\n2,b\n3,\xe9\n", 7),
+                         b"@data\n1,a\n2,b\n3,\xe9\n", 7, "arff"),
           ("long.csv", "--label-col cls ", b"x,y,cls\n" + b"1,2,a\n" * 3000 + b"3,4,\xe9\n",
-           3002))],
+           3002, "csv-past-the-first-chunks"))],
     *[Case("test_a_label_column_the_file_lacks_exits_3_naming_it_1_based",
            f"select --data {{tmp}}/d.csv --label-col {label_col} --method usqr", code=3,
            err=f"data error: {message}\n", files={"d.csv": b"x,y,cls\n1,2,a\n3,4,b\n"}, id=id)

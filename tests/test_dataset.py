@@ -159,6 +159,20 @@ def test_a_file_the_table_rejects_is_a_parse_error_naming_file_and_column(
     assert str(p) in str(err.value) and err.value.column == column
 
 
+@pytest.mark.parametrize("label_column", [0, 1, "cls"])
+@pytest.mark.parametrize("suffix", [".arff", ".ARFF"])
+def test_a_label_column_for_an_arff_file_is_refused_naming_the_file(tmp_path, suffix,
+                                                                   label_column):
+    # an ARFF file's label is its trailing nominal attribute, whatever column is named
+    p = tmp_path / f"t{suffix}"
+    p.write_text("@relation t\n@attribute x real\n@attribute cls {A,B}\n@data\n1,A\n2,B\n")
+    with pytest.raises(ValueError) as err:
+        load_table(str(p), label_column=label_column)
+    assert str(err.value) == (f"a label column applies only to a CSV file; the label of the "
+                              f"ARFF file {p} is its trailing nominal attribute")
+    assert load_table(str(p)).labels == ("A", "B")
+
+
 def test_load_csv_missing_policies(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x,y\n1,2\n?,6\n3,4\n")

@@ -14,15 +14,12 @@ from unselect.roughset import (
     group_ids,
     indiscernibility_partition,
     is_superreduct,
-    key_radixes,
     lower_approximation,
     mean_dependency_exact,
-    pack_codes,
     positive_region,
-    positive_total,
-    pure_groups,
     upper_approximation,
 )
+from unselect.roughset import _key_radixes, _pack_codes, _score
 
 from rough_oracle import dtable, naive_blocks, naive_gamma
 
@@ -183,26 +180,26 @@ def ones(n):
 
 def scores(keys, weights, packed):
     """The totals of a key matrix (a single key row may be 1-D), scored by
-    one pure_groups sort."""
-    totals = positive_total(pure_groups(np.atleast_2d(keys), packed), weights, packed)
+    one _score sort."""
+    totals, _ = _score(np.atleast_2d(keys), weights, packed)
     assert totals.dtype == np.int64
     return totals.tolist()
 
 
 def test_positive_total_reflexive_is_every_object():
     col = np.array([0, 1, 0, 2])
-    assert scores(col, ones(4), pack_codes(col[:, None])) == [4]
+    assert scores(col, ones(4), _pack_codes(col[:, None])) == [4]
 
 
 def test_positive_total_one_group_two_classes_is_zero():
     assert scores(np.zeros(4, dtype=np.int64), ones(4),
-                  pack_codes(np.array([[0], [1], [0], [1]]))) == [0]
+                  _pack_codes(np.array([[0], [1], [0], [1]]))) == [0]
 
 
 def test_positive_total_hand_verified_half():
     # groups {0,1} and {2,3}; only the first agrees on the decision
     keys = np.array([1, 1, 2, 2])
-    assert scores(keys, ones(4), pack_codes(np.array([[1], [1], [1], [2]]))) == [2]
+    assert scores(keys, ones(4), _pack_codes(np.array([[1], [1], [1], [2]]))) == [2]
 
 
 def test_positive_total_sums_columns_and_weights():
@@ -210,13 +207,13 @@ def test_positive_total_sums_columns_and_weights():
     # (weight 4), column 1 only in the singleton (weight 2)
     keys = np.array([7, 7, 3])
     decisions = np.array([[0, 0], [0, 1], [1, 1]])
-    assert scores(keys, np.array([1, 1, 2]), pack_codes(decisions)) == [4 + 2]
+    assert scores(keys, np.array([1, 1, 2]), _pack_codes(decisions)) == [4 + 2]
 
 
 def test_positive_total_ignores_key_order_and_gaps():
     keys = np.array([9, 2, 9, 2, 40])
     decisions = np.array([[1], [0], [1], [1], [5]])
-    assert scores(keys, ones(5), pack_codes(decisions)) == [3]
+    assert scores(keys, ones(5), _pack_codes(decisions)) == [3]
 
 
 def test_positive_total_scores_each_key_row_alone():
@@ -225,7 +222,7 @@ def test_positive_total_scores_each_key_row_alone():
     # puts every object in one group, and row 2 gives each its own
     keys = np.array([[5, 5, 6], [6, 6, 6], [8, 7, 6]])
     decisions = np.array([[0], [0], [1]])
-    assert scores(keys, np.array([1, 2, 4]), pack_codes(decisions)) == [7, 0, 7]
+    assert scores(keys, np.array([1, 2, 4]), _pack_codes(decisions)) == [7, 0, 7]
 
 
 def test_distinct_rows_weighted_score_like_their_copies():
@@ -243,7 +240,7 @@ def test_distinct_rows_weighted_score_like_their_copies():
         keys = np.unique(np.asarray(cond).reshape(len(rows), -1), axis=0,
                          return_inverse=True)[1].ravel()
         want = sum(naive_gamma(t.codes.tolist(), attrs, [y]) for y in range(t.n_attrs))
-        assert scores(keys, weights, pack_codes(rows)) == [want * t.n_objects]
+        assert scores(keys, weights, _pack_codes(rows)) == [want * t.n_objects]
 
 
 def pooled_rows(draw, n, tops):
@@ -288,9 +285,9 @@ def test_positive_total_of_packed_codes_counts_like_the_oracle(case):
     n, d = decisions.shape
     if as_ids:
         ids = np.unique(decisions, axis=0, return_inverse=True)[1]
-        packed = pack_codes(ids.reshape(n, 1))
+        packed = _pack_codes(ids.reshape(n, 1))
     else:
-        packed = pack_codes(decisions)
+        packed = _pack_codes(decisions)
         assert packed.width == width and packed.n_cols == d
         assert packed.words.shape == (n, -(-d // (64 // width)))
     want = []
@@ -326,12 +323,18 @@ def test_key_radixes_are_each_columns_largest_code_plus_one(n, d, seed):
     codes = rng.integers(0, 4, size=(n, d))
     if n and d:
         codes[rng.integers(0, n, size=d), np.arange(d)] = rng.integers(4, 9, size=d)
-    ranked, radixes = key_radixes(codes)
+    ranked, radixes = _key_radixes(codes)
     assert radixes == [int(codes[:, j].max(initial=0)) + 1 for j in range(d)]
     assert ranked is codes
 
 
-@pytest.mark.parametrize("fn", [key_radixes, group_ids, pack_codes])
+# the three readers of a code matrix, each test id its name without a
+# leading underscore
+code_readers = pytest.mark.parametrize("fn", [_key_radixes, group_ids, _pack_codes],
+                                       ids=["key_radixes", "group_ids", "pack_codes"])
+
+
+@code_readers
 def test_a_negative_code_is_refused_naming_its_cell(fn):
     # a negative code folds into a colliding key (the two rows of the first
     # matrix would share a group), and a packed -1 sets every bit of its word
@@ -342,7 +345,7 @@ def test_a_negative_code_is_refused_naming_its_cell(fn):
         fn(np.array([[-1, 0], [0, 0]]))
 
 
-@pytest.mark.parametrize("fn", [key_radixes, group_ids, pack_codes])
+@code_readers
 def test_a_code_dtype_int64_cannot_hold_is_refused_by_name(fn):
     # folded, both rows would key to 1.5 and share a group; packed, every
     # cell would be truncated to an integer
@@ -353,7 +356,7 @@ def test_a_code_dtype_int64_cannot_hold_is_refused_by_name(fn):
         fn(np.array([[0, 1], [1, 0]], dtype=np.uint64))
 
 
-@pytest.mark.parametrize("fn", [key_radixes, group_ids, pack_codes])
+@code_readers
 def test_a_code_vector_is_refused_naming_its_shape(fn):
     with pytest.raises(ValueError, match=r"2-D.*\(3,\)"):
         fn(np.array([0, 1, 2]))
@@ -370,7 +373,7 @@ def test_key_radixes_names_the_first_negative_cell_of_a_tall_matrix(cells, named
     for r, c in cells:
         codes[r, c] = -3
     with pytest.raises(ValueError, match=f"-3 at {named}"):
-        key_radixes(codes)
+        _key_radixes(codes)
 
 
 def one_unique_per_column(codes, bins):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from unselect import roughset
 from unselect.dataset import DataTable, DiscreteTable, FeatureSubset, discretize, project, zscore_normalize
 from unselect.pca import fit_pca, retain_count
-from unselect.roughset import brute_force_min_reducts, is_superreduct, pack_codes
+from unselect.roughset import _pack_codes, brute_force_min_reducts, is_superreduct, usqr
 from unselect.selectors import (
     SelectorConfig,
     _preselect_covered,
@@ -18,7 +18,6 @@ from unselect.selectors import (
     pca_select,
     rough_pca_select,
     select,
-    usqr,
 )
 
 from rough_oracle import dtable, naive_mean_dependency
@@ -233,7 +232,7 @@ def wide_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(wide_tables())
 def test_usqr_on_words_spanning_two_words_equals_reference_search(t):
-    assert pack_codes(t.codes).words.shape[1] >= 2
+    assert _pack_codes(t.codes).words.shape[1] >= 2
     assert usqr(t).indices == reference_usqr(t)
 
 
@@ -243,9 +242,9 @@ def test_usqr_does_not_depend_on_the_batch_width(t):
     # one candidate per batch, a few (ties may fall across a batch
     # boundary), and the default
     searches = []
-    for cells in (1, 64, roughset.SCORE_CELLS):
+    for cells in (1, 64, roughset._SCORE_CELLS):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(roughset, "SCORE_CELLS", cells)
+            patch.setattr(roughset, "_SCORE_CELLS", cells)
             s = usqr(t)
         searches.append((s.indices, s.rounds))
     assert searches[0] == searches[1] == searches[2]
@@ -278,14 +277,14 @@ def test_usqr_never_scores_a_settled_copy(count_calls):
     # group, so round two scores b alone: key rows 3 + 1, not 3 + 2
     a = [0, 0, 1, 1, 2, 2]
     t = dtable([a, [0, 1, 0, 1, 0, 1], [(x + 1) % 3 for x in a]])
-    calls = count_calls(roughset.pure_groups)
+    calls = count_calls(roughset._score)
     s = usqr(t)
     assert s.indices == (0, 1)
-    assert [len(keys) for keys, _ in calls] == [3, 1]
+    assert [len(keys) for keys, _, _ in calls] == [3, 1]
     assert s.rounds == ((0, 12, 3), (1, 18, 1))
     # the round-two call scores the one live pseudo-decision, b: the low
     # bits of the packed table mark it alone
-    _, packed = calls[-1]
+    _, _, packed = calls[-1]
     assert packed.columns(packed.low).tolist() == [False, True, False]
     assert reference_usqr(t) == (0, 1)
 
@@ -342,8 +341,8 @@ def test_usqr_rounds_record_each_choice_its_total_and_the_candidates_it_needed(
     # one candidate per batch: the key rows scored are the candidates each
     # round needed, every live one but in the last round, which stops at
     # the winner
-    monkeypatch.setattr(roughset, "SCORE_CELLS", 1)
-    calls = count_calls(roughset.positive_total)
+    monkeypatch.setattr(roughset, "_SCORE_CELLS", 1)
+    calls = count_calls(roughset._score)
     s = usqr(discretize(lung, "eqfreq", 3))
     assert [(a + 1, total, needed) for a, total, needed in s.rounds] == [
         (31, 560, 56), (14, 894, 44), (3, 1363, 43), (6, 1598, 40), (54, 1738, 39),
@@ -367,14 +366,14 @@ def test_usqr_rounds_of_breast_are_pinned(breast):
 
 def test_usqr_packs_the_distinct_rows_once_per_search(lung, count_calls, monkeypatch):
     # the live columns are the packed table's low bits, so no round repacks
-    packs = count_calls(roughset.pack_codes)
-    sorts = count_calls(roughset.pure_groups)
+    packs = count_calls(roughset._pack_codes)
+    sorts = count_calls(roughset._score)
     s = usqr(discretize(lung, "eqfreq", 3))
     assert len(packs) == 1
     # lung's 32 distinct rows pack into 2 words, so one batch holds all 56
     # candidates: one sort per round, and none to settle the winner
-    assert [len(keys) for keys, _ in sorts] == [56, 44, 43, 40, 39, 18, 12]
-    monkeypatch.setattr(roughset, "SCORE_CELLS", 1)
+    assert [len(keys) for keys, _, _ in sorts] == [56, 44, 43, 40, 39, 18, 12]
+    monkeypatch.setattr(roughset, "_SCORE_CELLS", 1)
     sorts.clear()
     s = usqr(discretize(lung, "eqfreq", 3))
     assert len(sorts) == sum(needed for _, _, needed in s.rounds)
