@@ -372,8 +372,6 @@ def _bulk_parse(lines, width, label_idx, classes, domains):
     cells, and numpy refuses it as the one value cell of a one-cell row.
     """
     lines = list(filter(None, lines))
-    if not lines:
-        return None
     # numpy checks no row's width beyond the columns it reads
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
         return None
@@ -398,58 +396,48 @@ def _bulk_parse(lines, width, label_idx, classes, domains):
 
 def _parse_rows(path, rows, columns, label_idx, missing, classes, domains):
     """The value matrix and labels of ``_build_table``'s rows, read row-major
-    one cell at a time, so the first fault in the file is the one raised;
-    holes and missing labels then follow the missing-value policy."""
+    one cell at a time, each cell decided as it is read, so the first fault
+    in the file is the one raised; under ``reject`` a hole is such a fault.
+    ``drop`` skips a row once it is read if it has a hole or a missing
+    label; ``impute`` fills each column's holes with its mean after the
+    last row."""
     width = len(columns) + (label_idx is not None)
-    values, labels = [], None if label_idx is None else []
+    values, labels = [], []
     for row, cells in rows:
         if len(cells) != width:
             raise ParseError(
                 f"ragged row {row}: expected {width} cells, got {len(cells)}", row=row
             )
-        parsed = []
+        parsed, label = [], ""
         for j, cell in enumerate(cells):
             if j == label_idx:
-                labels.append(_parse_label(cell.strip(_BLANKS), missing, row, j + 1, path,
-                                           classes))
-            else:
-                value = _parse_cell(cell, row, j + 1)
-                if j in domains and value not in domains[j] and not math.isnan(value):
-                    raise ParseError(f"cell {cell.strip(_BLANKS)!r} at row {row}, column "
-                                     f"{j + 1} of {path} is not one of its attribute's "
-                                     "declared values", row=row, column=j + 1)
-                parsed.append(value)
-        values.append(parsed)
-
+                label = _parse_label(cell.strip(_BLANKS), missing, row, j + 1, path, classes)
+                continue
+            value = _parse_cell(cell, row, j + 1)
+            if math.isnan(value) and missing == "reject":
+                raise ParseError(
+                    f"missing value at row {row}, column {j + 1} of {path} "
+                    "(pass missing='impute' or missing='drop' to handle it)",
+                    row=row,
+                    column=j + 1,
+                )
+            if j in domains and value not in domains[j] and not math.isnan(value):
+                raise ParseError(f"cell {cell.strip(_BLANKS)!r} at row {row}, column "
+                                 f"{j + 1} of {path} is not one of its attribute's "
+                                 "declared values", row=row, column=j + 1)
+            parsed.append(value)
+        if missing != "drop" or (label is not None and not any(map(math.isnan, parsed))):
+            values.append(parsed)
+            labels.append(label)
+    if not values:
+        raise EmptyFileError(f"every row of {path} has missing values")
     data = np.array(values, dtype=float)
-    holes = np.isnan(data)
-    keep = ~holes.any(axis=1)
-    if labels is not None:
-        keep &= np.array([y is not None for y in labels], dtype=bool)
-    if not keep.all():
-        if missing == "reject":
-            r, c = np.argwhere(holes)[0]
-            row, column = rows[r][0], columns[c]
-            raise ParseError(
-                f"missing value at row {row}, column {column} of {path} "
-                "(pass missing='impute' or missing='drop' to handle it)",
-                row=row,
-                column=column,
-            )
-        elif missing == "impute":
-            for j in range(data.shape[1]):
-                col = data[:, j]
-                if np.isnan(col).all():
-                    raise ParseError(f"column {columns[j]} of {path} has no observed "
-                                     "values", column=columns[j])
-                col[np.isnan(col)] = np.nanmean(col)
-        else:       # drop
-            if not keep.any():
-                raise EmptyFileError(f"every row of {path} has missing values")
-            data = data[keep]
-            if labels is not None:
-                labels = [y for y, k in zip(labels, keep) if k]
-    return data, labels
+    if missing == "impute":
+        for j, col in zip(columns, data.T):
+            if np.isnan(col).all():
+                raise ParseError(f"column {j} of {path} has no observed values", column=j)
+            col[np.isnan(col)] = np.nanmean(col)
+    return data, None if label_idx is None else labels
 
 
 def _build_table(path, lines, rows, names, label_idx, missing, name, classes=None,
@@ -479,7 +467,7 @@ def _build_table(path, lines, rows, names, label_idx, missing, name, classes=Non
                              f"of column {first[names[c - 1]]}", column=c)
     parsed = None if lines is None else _bulk_parse(lines, width, label_idx, classes, domains)
     if parsed is None:
-        parsed = _parse_rows(path, list(rows), columns, label_idx, missing, classes, domains)
+        parsed = _parse_rows(path, rows, columns, label_idx, missing, classes, domains)
     data, labels = parsed
     return DataTable(
         values=_freeze(data),

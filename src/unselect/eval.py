@@ -667,8 +667,9 @@ class EvalReport:
         each row and error must hold the fields the renderers show.  A
         row's accuracy is a finite number in [0, 100], its method and
         classifier are listed in the config, and no two rows share a
-        (dataset, method, classifier) cell.  A ``ValueError`` names the
-        first entry that breaks a rule."""
+        (dataset, method, classifier) cell.  An error of a (dataset,
+        method) names a method the config lists.  A ``ValueError`` names
+        the first entry that breaks a rule."""
         d = json.loads(text)
         _check_fields("report", d, {"config": dict, "rows": list, "errors": list})
         _check_fields("report config", d["config"], {"methods": list, "classifiers": list})
@@ -686,6 +687,9 @@ class EvalReport:
                 raise ValueError(f"report rows[{i}] has a method or classifier its config lacks")
             if cells.setdefault(cell, i) != i:
                 raise ValueError(f"report rows[{i}] repeats the cell of rows[{cells[cell]}]")
+        for i, err in enumerate(d["errors"]):
+            if "method" in err and err["method"] not in d["config"]["methods"]:
+                raise ValueError(f"report errors[{i}] has a method its config lacks")
         return cls(rows=d["rows"], errors=d["errors"], config=d["config"])
 
     def datasets(self):

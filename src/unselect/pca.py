@@ -47,12 +47,8 @@ def _canonicalize_signs(loadings: np.ndarray) -> np.ndarray:
     SVD is only defined up to per-column sign; pinning it makes outputs
     deterministic and golden-testable.
     """
-    out = loadings.copy()
-    for c in range(out.shape[1]):
-        pivot = int(np.argmax(np.abs(out[:, c])))
-        if out[pivot, c] < 0:
-            out[:, c] = -out[:, c]
-    return out
+    pivots = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(loadings.shape[1])]
+    return np.where(pivots < 0, -loadings, loadings)
 
 
 def fit_pca(table: DataTable) -> PCModel:

@@ -288,6 +288,9 @@ CLI_CASES = [
              "report rows[0] has a method or classifier its config lacks",
              f"row-{key}-not-in-config")
             for key, value in (("method", "pca"), ("classifier", "knn"))],
+          *[(json.dumps(_changed("errors", "method", value)),
+             "report errors[0] has a method its config lacks", f"error-method-{id}")
+            for value, id in (("magic", "magic"), (7, "a-number"))],
           *[(json.dumps({**_report_payload(), "config": {**_report_payload()["config"],
                                                          key: ids}}),
              message, f"config-{key}-{bad}")
@@ -319,7 +322,7 @@ CLI_CASES = [
     *[Case("test_label_col_on_a_registry_name_or_arff_file_exits_2",
            f"{command} --data {shlex.quote(DIABETES)} --label-col 3 --method edr --k 2", code=2,
            err=f"error: {ARFF_LABEL_REFUSED.format(path=DIABETES)}\n",
-           id=f"{DIABETES}-trailing nominal attribute-{command}")
+           id=f"diabetes.arff-trailing nominal attribute-{command}")
       for command in ("select", "evaluate")],
     Case("test_a_registry_label_column_on_an_arff_file_is_refused",
          "select --data d --method edr --k 1", code=2,

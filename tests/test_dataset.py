@@ -257,6 +257,57 @@ def test_a_bad_cell_is_reported_before_a_later_missing_label(tmp_path):
         assert (err.value.row, err.value.column) == (2, 1)
 
 
+HOLE_THEN_BAD_CELL = [
+    (".csv", "x,y,c\n1,?,x\n2,3,y\n4,zz,x\n", 2, 4),
+    (".arff", "@relation r\n@attribute x real\n@attribute y real\n@attribute c {x,y}\n@data\n"
+              "1,?,x\n2,3,y\n4,zz,x\n", 6, 8),
+]
+
+
+@pytest.mark.parametrize("suffix, text, hole_row, bad_row", HOLE_THEN_BAD_CELL,
+                         ids=["csv", "arff"])
+def test_a_hole_under_reject_is_reported_before_a_later_bad_cell(tmp_path, suffix, text,
+                                                                 hole_row, bad_row):
+    p = tmp_path / f"t{suffix}"
+    p.write_text(text)
+    label = {"label_column": "c"} if suffix == ".csv" else {}
+    with pytest.raises(ParseError) as err:
+        load_table(p, missing="reject", **label)
+    assert str(err.value) == (f"missing value at row {hole_row}, column 2 of {p} "
+                              "(pass missing='impute' or missing='drop' to handle it)")
+    assert (err.value.row, err.value.column) == (hole_row, 2)
+    for missing in ("impute", "drop"):
+        with pytest.raises(ParseError, match=f"^cell 'zz' at row {bad_row}, column 2 ") as err:
+            load_table(p, missing=missing, **label)
+        assert (err.value.row, err.value.column) == (bad_row, 2)
+
+
+@pytest.mark.parametrize("suffix, text", [
+    (".csv", "x,y\n?,1\nnan,2\n"),
+    (".arff", "@relation r\n@attribute x real\n@attribute y real\n@data\n?,1\nnan,2\n"),
+], ids=["csv", "arff"])
+def test_impute_refuses_a_column_with_no_observed_value(tmp_path, suffix, text):
+    p = tmp_path / f"t{suffix}"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_table(p, missing="impute")
+    assert str(err.value) == f"column 1 of {p} has no observed values"
+    assert (err.value.row, err.value.column) == (None, 1)
+
+
+@pytest.mark.parametrize("suffix, text", [
+    (".csv", "x,cls\n?,a\n2,?\n"),
+    (".arff", "@relation r\n@attribute x real\n@attribute cls {a,b}\n@data\n?,a\n2,?\n"),
+], ids=["csv", "arff"])
+def test_drop_refuses_a_file_whose_every_row_has_a_hole(tmp_path, suffix, text):
+    p = tmp_path / f"t{suffix}"
+    p.write_text(text)
+    label = {"label_column": "cls"} if suffix == ".csv" else {}
+    with pytest.raises(EmptyFileError) as err:
+        load_table(p, missing="drop", **label)
+    assert str(err.value) == f"every row of {p} has missing values"
+
+
 def test_a_bad_cell_in_the_last_of_many_rows_names_its_row_and_column(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x,y,z\n" + "1.5,2,-3e-2\n" * 19999 + "4,5,x\n")
@@ -674,7 +725,8 @@ def reference_build(path, rows, names, label_idx, missing, classes=None):
     """The loader before the bulk pass: every cell of the ``(file row,
     cells)`` pairs through ``_parse_cell`` and every label through
     ``_parse_label`` (which takes only ``classes``, if given), row-major,
-    then the missing-value policy."""
+    a hole under ``reject`` raised where it is read, then the other
+    missing-value policies."""
     values, labels = [], []
     for row, cells in rows:
         if len(cells) != len(names):
@@ -687,15 +739,14 @@ def reference_build(path, rows, names, label_idx, missing, classes=None):
                                            classes))
             else:
                 values[-1].append(_parse_cell(cell, row, j + 1))
+                if missing == "reject" and math.isnan(values[-1][-1]):
+                    raise ParseError(f"missing value at row {row}, column {j + 1} of {path} "
+                                     "(pass missing='impute' or missing='drop' to handle it)",
+                                     row=row, column=j + 1)
     columns = [j + 1 for j in range(len(names)) if j != label_idx]
     data = np.array(values, dtype=float).reshape(len(rows), len(columns))
     holes = [(row, c) for (row, _), v in zip(rows, values)
              for c, x in zip(columns, v) if math.isnan(x)]
-    if holes and missing == "reject":
-        row, column = holes[0]
-        raise ParseError(f"missing value at row {row}, column {column} of {path} "
-                         "(pass missing='impute' or missing='drop' to handle it)",
-                         row=row, column=column)
     if holes and missing == "impute":
         for j, c in enumerate(columns):
             if np.isnan(data[:, j]).all():
@@ -1268,6 +1319,12 @@ def test_feature_subset_rejects_duplicates():
         FeatureSubset((1, 1))
 
 
+def test_feature_subset_refuses_a_negative_index():
+    with pytest.raises(ValueError) as err:
+        FeatureSubset((0, -1))
+    assert str(err.value) == "negative attribute index in subset: (0, -1)"
+
+
 def test_feature_subset_refuses_a_non_integral_index():
     # truncated, 1.5 and 2.9 would silently name attributes 1 and 2
     with pytest.raises(ValueError, match=r"1\.5"):
@@ -1305,6 +1362,31 @@ def test_classes_are_the_sorted_distinct_labels(labels):
     assert t.classes == tuple(sorted(set(labels)))
     assert [t.classes[c] for c in t.y] == list(labels)
     assert not t.y.flags.writeable
+
+
+@pytest.mark.parametrize("parts, message", [
+    (dict(values=np.ones(3), attr_names=("a",)), "values must be 2-D, got shape (3,)"),
+    (dict(values=np.ones((0, 2)), attr_names=("a", "b")), "table must be at least 1x1, got 0x2"),
+    (dict(values=np.ones((2, 2)), attr_names=("a",)), "1 attribute names for 2 columns"),
+    (dict(values=np.ones((2, 1)), attr_names=("a",), labels=("x",)), "1 labels for 2 objects"),
+], ids=["not-2-d", "empty", "too-few-names", "too-few-labels"])
+def test_a_data_table_refuses_a_part_that_does_not_fit(parts, message):
+    with pytest.raises(ValueError) as err:
+        DataTable(**parts)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("codes, bins, names, message", [
+    (np.zeros((0, 2), int), (2, 2), ("a", "b"), "table must be at least 1x1, got 0x2"),
+    (np.zeros((1, 2), int), (2,), ("a", "b"), "1 bin counts for 2 columns"),
+    (np.zeros((1, 2), int), (2, 0), ("a", "b"), "bins_per_attr entries must be positive"),
+    *[(np.zeros((1, 2), int), (2, 2), names, "attribute names must be unique and match columns")
+      for names in (("a", "a"), ("a",))],
+], ids=["empty", "too-few-bin-counts", "zero-bins", "repeated-names", "too-few-names"])
+def test_a_discrete_table_refuses_a_part_that_does_not_fit(codes, bins, names, message):
+    with pytest.raises(ValueError) as err:
+        DiscreteTable(codes=codes, bins_per_attr=bins, attr_names=names)
+    assert str(err.value) == message
 
 
 def test_table_rejects_non_finite():

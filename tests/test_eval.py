@@ -1059,6 +1059,7 @@ def test_benchmark_records_failures_and_continues(tmp_path):
     )
     assert [e["dataset"] for e in report.errors] == ["ghost", "lost"]
     assert len(report.rows) == 1
+    assert EvalReport.from_json(report.to_json()).to_json() == report.to_json()
 
 
 def test_benchmark_records_errors_per_dataset_and_method(tmp_path, monkeypatch):
@@ -1075,6 +1076,7 @@ def test_benchmark_records_errors_per_dataset_and_method(tmp_path, monkeypatch):
     assert report.errors == [{"dataset": "toy", "method": "usqr", "error": "usqr broke"}]
     assert [r["method"] for r in report.rows] == ["edr", "pca"]
     assert "ERROR toy/usqr: usqr broke" in render_text_tables(report)
+    assert EvalReport.from_json(report.to_json()).to_json() == report.to_json()
 
 
 def test_benchmark_keeps_no_rows_of_a_method_that_fails_partway(tmp_path, monkeypatch):

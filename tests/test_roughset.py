@@ -81,6 +81,8 @@ def test_partition_rejects_overlap_and_gaps():
         Partition(blocks=((0, 1), (1, 2)), universe_size=3)
     with pytest.raises(ValueError):
         Partition(blocks=((0,),), universe_size=2)
+    with pytest.raises(ValueError, match=r"^empty block in partition$"):
+        Partition(blocks=((0,), ()), universe_size=1)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,12 @@ def test_lower_approximation_universe_and_empty():
 def test_upper_approximation_direct():
     assert upper_approximation(P22, {0}) == {0, 1}
     assert upper_approximation(P22, set()) == set()
+
+
+@pytest.mark.parametrize("approximation", [lower_approximation, upper_approximation])
+def test_an_approximation_refuses_a_set_outside_the_universe(approximation):
+    with pytest.raises(ValueError, match=r"^x must be a subset of the universe$"):
+        approximation(P22, {0, 4})
 
 
 def test_upper_approximation_discrete_partition_is_identity():

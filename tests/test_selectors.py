@@ -76,6 +76,12 @@ def test_select_carries_the_ranking_of_pca_and_edr_only(diabetes, method, k):
     assert select(diabetes, method, CFG, k).ranking == ranking
 
 
+def test_select_refuses_an_unknown_method_naming_the_valid_ones(diabetes):
+    with pytest.raises(ValueError) as err:
+        select(diabetes, "magic", CFG)
+    assert str(err.value) == "unknown method 'magic'; valid: pca, roughpca, edr, usqr"
+
+
 def test_edr_select_rejects_bad_k(diabetes):
     with pytest.raises(ValueError):
         edr_select(diabetes, 0)
