@@ -6,8 +6,12 @@ prints the search's rounds (``FeatureSubset.rounds``), each as
 ``attribute:total:candidates``, the candidates the round needed; the last
 total is the target n*d.
 
-Exit codes: 0 ok, 1 internal error, 2 bad configuration, 3 data error,
-4 benchmark finished with failed datasets.  Results go to stdout,
+The exception type alone decides the exit code: 0 ok; 2 for a bad
+setting, a ``ValueError`` or a usage error, its message after ``error:``;
+3 for a data fault, a ``DatasetError`` (every input file is read through
+``dataset.read_text``) or an ``OSError`` writing ``--out``, after ``data
+error:``; 4 for a benchmark that finished with failed datasets; 1 for
+anything else, after ``internal error:``.  Results go to stdout,
 diagnostics to stderr.
 """
 
@@ -26,6 +30,7 @@ from .dataset import (
     default_registry,
     label_column_from_text,
     load_table,
+    read_text,
 )
 from .eval import (
     CLASSIFIER_IDS,
@@ -49,12 +54,6 @@ EXIT_DATA = 3
 EXIT_BENCH_PARTIAL = 4
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_pc_policy(text):
     """``kind[:arg]`` as a policy tuple; ``pca.check_policy`` judges it."""
     kind, sep, arg = text.partition(":")
@@ -72,8 +71,9 @@ def _id_list(text):
 def _load_dataset(args):
     """--data is a file path or a registry name; --label-col applies to a
     CSV file only (``load_table`` refuses it for an ARFF file, and this for
-    a name).  The registry is read only for a name."""
-    if os.path.exists(args.data):
+    a name).  The registry is read only for a name: any --data that is
+    not an existing file, a directory included."""
+    if os.path.exists(args.data) and not os.path.isdir(args.data):
         return load_table(
             args.data,
             label_column=label_column_from_text(args.label_col),
@@ -82,18 +82,14 @@ def _load_dataset(args):
     try:
         registry = default_registry()
     except DatasetError as exc:
-        raise CliError(f"dataset {args.data!r} is not a file, and {exc}", EXIT_DATA) from None
+        raise DatasetError(f"dataset {args.data!r} is not a file, and {exc}") from None
     if args.data in registry.entries:
         if args.label_col is not None:
-            raise CliError(f"--label-col applies only to a CSV file; registry dataset "
-                           f"{args.data!r} takes its label column from the registry",
-                           EXIT_CONFIG)
+            raise ValueError(f"--label-col applies only to a CSV file; registry dataset "
+                             f"{args.data!r} takes its label column from the registry")
         return registry.load(args.data, missing=args.missing)
-    raise CliError(
-        f"dataset {args.data!r} is neither a file nor a registry name "
-        f"(registry: {sorted(registry.entries)})",
-        EXIT_DATA,
-    )
+    raise DatasetError(f"dataset {args.data!r} is neither a file nor a registry name "
+                       f"(registry: {sorted(registry.entries)})")
 
 
 def _selector_config(args):
@@ -150,7 +146,7 @@ def cmd_evaluate(args):
     check_ids(args.classifiers, CLASSIFIER_IDS)
     table = _load_dataset(args)
     if table.labels is None:
-        raise CliError("evaluation needs a labeled dataset", EXIT_DATA)
+        raise DatasetError("evaluation needs a labeled dataset")
     subset = select(table, args.method, cfg, args.k)
     plan = make_fold_plan(table.labels, args.folds, args.seed)
     lines = []
@@ -188,11 +184,10 @@ def cmd_bench(args):
 
 
 def cmd_report(args):
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            report = EvalReport.from_json(fh.read())
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read report {args.input!r}: {exc}", EXIT_DATA)
+    try:    # read_text's faults are DatasetErrors already
+        report = EvalReport.from_json(read_text(args.input))
+    except ValueError as exc:
+        raise DatasetError(f"cannot read report {args.input!r}: {exc}") from None
     _emit(_render(report, args.format), args.out)
     return EXIT_OK
 
@@ -274,15 +269,12 @@ def main(argv=None):
     try:
         parent = os.path.dirname(os.path.abspath(args.out)) if args.out else None
         if parent and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-            raise CliError(f"--out {args.out!r}: directory {parent!r} is missing or not "
-                           "writable", EXIT_CONFIG)
+            raise ValueError(f"--out {args.out!r}: directory {parent!r} is missing or not "
+                             "writable")
         if args.out and os.path.isdir(args.out):
-            raise CliError(f"--out {args.out!r} is a directory", EXIT_CONFIG)
+            raise ValueError(f"--out {args.out!r} is a directory")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (DatasetError, OSError, UnicodeError) as exc:    # UnicodeError: not UTF-8
+    except (DatasetError, OSError) as exc:      # OSError: an --out write
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:      # a setting the library rejects

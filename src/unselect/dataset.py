@@ -148,6 +148,26 @@ def class_codes(labels) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
                                                 len(labels)))
 
 
+def read_text(path):
+    """The one rule for reading an input file: a UTF-8 file's text, its
+    line ends as they are and a leading byte order mark dropped.  A file
+    that cannot be opened or read is a DatasetError naming it, and a byte
+    that is not UTF-8 a ParseError at its file line."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the decoder counts from after a byte order mark
+        start = exc.start + len(codecs.BOM_UTF8) * raw.startswith(codecs.BOM_UTF8)
+        line = raw.count(b"\n", 0, start) + 1
+        raise ParseError(f"byte 0x{raw[start]:02x} at line {line} of {path} is not UTF-8",
+                         row=line) from None
+
+
 def column_indices(subset, n_attrs: int) -> list[int]:
     """The one rule for a column pick: the subset's indices, each naming
     one of ``n_attrs`` columns, else an ``IndexError`` naming the first
@@ -274,22 +294,6 @@ MISSING_POLICIES = ("reject", "impute", "drop")
 def _check_missing(missing):
     if missing not in MISSING_POLICIES:
         raise ValueError(f"unknown missing-value policy {missing!r}")
-
-
-def _read_text(path):
-    """A UTF-8 file's text, its line ends as they are and a leading byte
-    order mark dropped.  A byte that is not UTF-8 is a ParseError at its
-    file line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # the decoder counts from after a byte order mark
-        start = exc.start + len(codecs.BOM_UTF8) * raw.startswith(codecs.BOM_UTF8)
-        line = raw.count(b"\n", 0, start) + 1
-        raise ParseError(f"byte 0x{raw[start]:02x} at line {line} of {path} is not UTF-8",
-                         row=line) from None
 
 
 # Printable ASCII, tab, CR and LF.  On text of these alone, numpy's reader
@@ -482,7 +486,7 @@ def _csv_records(path):
     its non-blank records as ``(file row, cells)`` pairs, read by ``csv``
     as they are consumed.  A record ``csv`` refuses is a ParseError at the
     file row it was reading."""
-    text = _read_text(path)
+    text = read_text(path)
     lines = text.splitlines() if _plain(text, '"') else None
     reader = csv.reader(io.StringIO(text, newline="") if lines is None else lines)
     # csv refuses a cell past its field limit, so the bulk pass takes no
@@ -512,7 +516,8 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     Parameters
     ----------
     path : file path
-    label_column : optional class column, as a 0-based index or header name
+    label_column : optional class column, as a 0-based index or a name the
+        header holds once
     missing : one of ``reject`` (default), ``impute`` (column mean), ``drop``
         (remove incomplete rows); a missing label fails under ``impute``
     name : table name; defaults to the file stem
@@ -530,9 +535,13 @@ def load_csv(path, label_column=None, missing="reject", name=None) -> DataTable:
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
-            if label_column not in header:
+            named = [i for i, c in enumerate(header) if c == label_column]
+            if not named:
                 raise ParseError(f"label column {label_column!r} not in the header of {path}")
-            label_idx = header.index(label_column)
+            if len(named) > 1:
+                raise ParseError(f"label column {label_column!r} names both column "
+                                 f"{named[0] + 1} and column {named[1] + 1} of {path}")
+            label_idx = named[0]
         else:
             label_idx = index(label_column)     # a float is refused, never truncated
             if not 0 <= label_idx < len(header):
@@ -598,7 +607,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     """
     _check_missing(missing)
     # (file line, line shorn of blanks) for each line that is not blank or a % comment
-    numbered = ((i, s) for i, line in enumerate(io.StringIO(_read_text(path), newline=None), 1)
+    numbered = ((i, s) for i, line in enumerate(io.StringIO(read_text(path), newline=None), 1)
                 if (s := line.strip(_BLANKS)) and s[0] != "%")
     attrs = []          # (name, nominal values text, or None for a numeric type)
     for lineno, line in numbered:
@@ -831,25 +840,23 @@ class Registry:
                 f"{sorted(self.entries)}"
             )
         rel_path, label = self.entries[dataset_name]
-        path = os.path.join(self.root, rel_path)
-        if not os.path.exists(path):
-            raise DatasetError(f"dataset {dataset_name!r}: no file at {path}")
-        return load_table(path, label_column=label_column_from_text(label),
-                          missing=missing, name=dataset_name)
+        return load_table(os.path.join(self.root, rel_path),
+                          label_column=label_column_from_text(label), missing=missing,
+                          name=dataset_name)
 
 
 def load_registry(path) -> Registry:
-    """Parse the plain-text registry: ``name, path, label`` per line; a
-    name may appear once."""
+    """Parse the plain-text registry: ``name, path, label`` per line, no
+    field empty; a name may appear once."""
     entries, first = {}, {}
-    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), 1):
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), 1):
         line = line.strip(_BLANKS)
         if not line or line.startswith("#"):
             continue
         parts = [p.strip(_BLANKS) for p in line.split(",")]
         if len(parts) == 2:
             parts.append("auto")
-        if len(parts) != 3:
+        if len(parts) != 3 or "" in parts:
             raise ParseError(
                 f"registry line {lineno} needs 'name, path, label'",
                 row=lineno,

@@ -662,22 +662,27 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        """The report of ``to_json`` text.  Its config must name the methods
-        and classifiers the run covered, as ``check_ids`` takes them, and
-        each row and error must hold the fields the renderers show.  A
-        row's accuracy is a finite number in [0, 100], its method and
-        classifier are listed in the config, and no two rows share a
-        (dataset, method, classifier) cell.  An error of a (dataset,
-        method) names a method the config lists.  A ``ValueError`` names
-        the first entry that breaks a rule."""
+        """The report of ``to_json`` text.  Its config must name the
+        datasets, methods and classifiers the run covered, as ``check_ids``
+        takes them, and each row and error must hold the fields the
+        renderers show and name a dataset the config lists.  A row's
+        accuracy is a finite number in [0, 100], its method and classifier
+        are listed in the config, and no two rows share a (dataset, method,
+        classifier) cell.  An error of a (dataset, method) names a method
+        the config lists.  A ``ValueError`` names the first entry that
+        breaks a rule."""
         d = json.loads(text)
         _check_fields("report", d, {"config": dict, "rows": list, "errors": list})
-        _check_fields("report config", d["config"], {"methods": list, "classifiers": list})
+        _check_fields("report config", d["config"],
+                      {"datasets": list, "methods": list, "classifiers": list})
+        check_ids(d["config"]["datasets"])
         check_ids(d["config"]["methods"], METHOD_IDS)
         check_ids(d["config"]["classifiers"], CLASSIFIER_IDS)
         for name, fields in _ENTRY_FIELDS.items():
             for i, entry in enumerate(d[name]):
                 _check_fields(f"report {name}[{i}]", entry, fields)
+                if entry["dataset"] not in d["config"]["datasets"]:
+                    raise ValueError(f"report {name}[{i}] has a dataset its config lacks")
         cells = {}
         for i, row in enumerate(d["rows"]):
             cell = (row["dataset"], row["method"], row["classifier"])
@@ -715,11 +720,13 @@ def run_benchmark(registry: Registry, datasets=None, methods=METHOD_IDS,
 
     Subsets are selected once per dataset on the full unlabeled data (the
     selectors never see labels), then scored with one shared fold plan.
-    A dataset that cannot be loaded is recorded as an error of that
-    dataset; a method that fails on it, in selection or in any classifier,
-    as an error of that (dataset, method) with none of its rows kept.  The
-    rest of the run continues either way.  Settings that ``check_cv_settings``
-    or ``check_ids`` reject raise ``ValueError`` before any dataset loads.
+    A dataset whose load raises a ``DatasetError`` or ``ValueError`` (a
+    file that cannot be read, a cell the loader refuses, no labels) is
+    recorded as an error of that dataset; a method that fails on it, in
+    selection or in any classifier, as an error of that (dataset, method)
+    with none of its rows kept.  The rest of the run continues either way.
+    Settings that ``check_cv_settings`` or ``check_ids`` reject raise
+    ``ValueError`` before any dataset loads.
     """
     check_cv_settings(folds, seed)
     names = list(datasets) if datasets is not None else registry.names()

@@ -62,6 +62,8 @@ def run_case(console, case, tmp):
                              {key: fill(value) for key, value in case.env.items()})
     shown = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     assert code == case.code, shown
+    # the exit code and the prefix of stderr tell the same kind of fault
+    assert err.startswith({2: ("error: ", "usage: "), 3: "data error: "}.get(code, "")), shown
     assert out == fill(case.out), shown
     if isinstance(case.err, str):
         assert err == fill(case.err), shown
@@ -89,7 +91,7 @@ def table_test(cases):
 
 
 def _report_payload():
-    return {"config": {"methods": ["edr", "usqr"], "classifiers": ["nb"]},
+    return {"config": {"datasets": ["d"], "methods": ["edr", "usqr"], "classifiers": ["nb"]},
             "rows": [{"dataset": "d", "method": "edr", "classifier": "nb", "accuracy": 50.0}],
             "errors": [{"dataset": "d", "method": "usqr", "error": "no subset"}]}
 
@@ -116,6 +118,8 @@ REGISTRY_ARFF_LABEL = {"registry.txt": b"d, d.arff, 3\n",
                        "d.arff": b"@relation d\n@attribute x real\n@attribute y real\n"
                                  b"@attribute cls {a,b}\n@data\n"
                                  + b"1,2,a\n2,1,b\n3,9,a\n4,4,b\n" * 2}
+REPORT_TABLE = ("Classification accuracy for d\nClassifier   EDR      USQR\n"
+                "Naive Bayes  50.0000      \n\nERROR d/usqr: no subset\n")
 LUNG_USQR = ("subset: 31,14,3,6,54,2,10\n"
              "rounds: 31:560:56 14:894:44 3:1363:43 6:1598:40 54:1738:39 2:1768:18 10:1792:1\n"
              "fingerprint: 8ee325f2c1e7\n")
@@ -258,13 +262,40 @@ CLI_CASES = [
          code=3, err=("byte 0xe9 at line 3 of {tmp}/registry.txt is not UTF-8",),
          files={"registry.txt": b"# datasets\nplain, plain.csv\n\xe9cole, e.csv\n"},
          env={"UNSELECT_DATA_DIR": "{tmp}"}),
+    *[Case("test_a_registry_line_with_an_empty_field_exits_3_naming_it", "bench", code=3,
+           err="data error: registry line 2 needs 'name, path, label'\n",
+           files={"registry.txt": b"d, d.csv, cls\n%s\n" % line},
+           env={"UNSELECT_DATA_DIR": "{tmp}"}, id=id)
+      for line, id in ((b"bad, , auto", "path"), (b", d.csv, cls", "name"),
+                       (b"bad, d.csv,", "label"))],
+    # the registry's own directory is a path no file can be read from
+    Case("test_bench_records_a_dataset_it_cannot_read_and_renders_the_rest",
+         "bench --methods edr --classifiers nb --folds 2", code=4,
+         out="Classification accuracy for d\nClassifier   EDR    \nNaive Bayes  42.8571\n\n"
+             "ERROR here: cannot read {tmp}/.: Is a directory\n",
+         err="ERROR here: cannot read {tmp}/.: Is a directory\n",
+         files={"d.csv": SMALL_CSV, "registry.txt": b"d, d.csv, cls\nhere, .\n"},
+         env={"UNSELECT_DATA_DIR": "{tmp}"}),
+    # the repo root, where rows run, holds a directory named data
+    Case("test_a_directory_does_not_hide_a_registry_name", "select --data data --method edr --k 1",
+         files={"d.csv": SMALL_CSV, "registry.txt": b"data, d.csv, cls\n"},
+         env={"UNSELECT_DATA_DIR": "{tmp}"},
+         out="subset: 2\nranking: 2:0.5714 1:1.0000\nfingerprint: 6ab9274dd69d\n"),
     Case("test_a_name_without_a_registry_exits_3_naming_both",
          "select --data no-such-file.csv --method usqr", code=3,
          err=("no-such-file.csv", "{tmp}/registry.txt"), env={"UNSELECT_DATA_DIR": "{tmp}"}),
     Case("test_report_reads_the_payload_the_malformed_rows_alter", "report --input {tmp}/r.json",
-         files={"r.json": json.dumps(_report_payload()).encode()},
-         out="Classification accuracy for d\nClassifier   EDR      USQR\n"
-             "Naive Bayes  50.0000      \n\nERROR d/usqr: no subset\n"),
+         files={"r.json": json.dumps(_report_payload()).encode()}, out=REPORT_TABLE),
+    # a report file is read as the loaders read a data file
+    *[Case("test_report_reads_its_file_as_the_loaders_do", "report --input {tmp}/r.json",
+           code=code, out=out, err=err, files=files, id=id)
+      for files, code, out, err, id in (
+          ({"r.json": b"\xef\xbb\xbf" + json.dumps(_report_payload()).encode()}, 0,
+           REPORT_TABLE, "", "byte-order-mark"),
+          ({"r.json": b'{"config": "\xe9"}'}, 3, "",
+           "data error: byte 0xe9 at line 1 of {tmp}/r.json is not UTF-8\n", "not-utf8"),
+          ({}, 3, "", "data error: cannot read {tmp}/r.json: No such file or directory\n",
+           "missing"))],
     *[Case("test_report_malformed_entries_exit_3", "report --input {tmp}/r.json", code=3,
            err=(where,), files={"r.json": json.dumps(payload).encode()}, id=id)
       for payload, where, id in (
@@ -272,11 +303,13 @@ CLI_CASES = [
           (_without("errors", "dataset"), "errors[0]", "error-without-dataset"),
           ([_report_payload()], "report lacks", "top-level-list"),
           ({**_report_payload(), "rows": [{**_report_payload()["rows"][0], "accuracy": "50"}]},
-           "rows[0]", "string-accuracy"))],
+           "rows[0]", "string-accuracy"),
+          ({**_report_payload(), "config": {**_report_payload()["config"], "datasets": "d"}},
+           "report config lacks a valid 'datasets'", "config-datasets-not-a-list"))],
     # an accuracy the renderers would show, a row or config id the table
     # would drop, or a cell two rows fill: each refused, naming its entry
     *[Case("test_report_malformed_entries_exit_3", "report --input {tmp}/r.json", code=3,
-           err=f"error: cannot read report '{{tmp}}/r.json': {message}\n",
+           err=f"data error: cannot read report '{{tmp}}/r.json': {message}\n",
            files={"r.json": text.encode()}, id=id)
       for text, message, id in (
           *[(json.dumps(_report_payload()).replace("50.0", token),
@@ -291,10 +324,14 @@ CLI_CASES = [
           *[(json.dumps(_changed("errors", "method", value)),
              "report errors[0] has a method its config lacks", f"error-method-{id}")
             for value, id in (("magic", "magic"), (7, "a-number"))],
+          *[(json.dumps(_changed(part, "dataset", "zzz")),
+             f"report {part}[0] has a dataset its config lacks",
+             f"{part[:-1]}-dataset-not-in-config") for part in ("rows", "errors")],
           *[(json.dumps({**_report_payload(), "config": {**_report_payload()["config"],
                                                          key: ids}}),
              message, f"config-{key}-{bad}")
             for key, ids, bad, message in (
+                ("datasets", ["d", "d"], "d", "duplicate id 'd'"),
                 ("methods", ["edr", "usqr", "magic"], "magic",
                  "unknown id 'magic'; valid: pca, roughpca, edr, usqr"),
                 ("methods", ["edr", "usqr", "edr"], "edr", "duplicate id 'edr'"),

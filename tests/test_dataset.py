@@ -120,6 +120,17 @@ def test_load_csv_label_by_name_and_index(tmp_path):
     assert by_name.attr_names == ("x", "y")
 
 
+def test_a_label_name_the_header_holds_twice_is_refused_naming_both_columns(tmp_path):
+    # write_csv writes such a header for a labeled table with an attribute named class
+    p = tmp_path / "t.csv"
+    write_csv(table([[1, 2], [3, 4]], labels=("A", "B"), names=("class", "x")), p)
+    assert p.read_text().splitlines()[0] == "class,x,class"
+    with pytest.raises(ParseError) as err:
+        load_csv(str(p), label_column="class")
+    assert str(err.value) == f"label column 'class' names both column 1 and column 3 of {p}"
+    assert load_csv(p, label_column=2).attr_names == ("class", "x")
+
+
 def test_a_non_integral_label_column_is_refused_not_truncated(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x,y,cls\n1,2,A\n3,4,B\n")
@@ -425,6 +436,26 @@ def test_registry_repeating_a_name_is_a_parse_error_naming_both_lines(tmp_path):
         load_registry(path)
     assert str(err.value) == f"registry line 4 of {path} repeats the name 'd' of line 2"
     assert err.value.row == 4
+
+
+@pytest.mark.parametrize("line", ["bad, , auto", ", d.csv, cls", "bad, d.csv,", "bad,"],
+                         ids=["path", "name", "label", "path-of-two-fields"])
+def test_a_registry_line_with_an_empty_field_is_a_parse_error_naming_it(tmp_path, line):
+    path = tmp_path / "registry.txt"
+    path.write_text(f"d, d.csv, cls\n{line}\n")
+    with pytest.raises(ParseError) as err:
+        load_registry(path)
+    assert str(err.value) == "registry line 2 needs 'name, path, label'"
+    assert err.value.row == 2
+
+
+@pytest.mark.parametrize("loader", [load_csv, load_arff, load_table, load_registry])
+def test_a_file_that_cannot_be_read_is_a_dataset_error_naming_it(tmp_path, loader):
+    for path, why in ((tmp_path / "missing.arff", "No such file or directory"),
+                      (tmp_path, "Is a directory")):
+        with pytest.raises(DatasetError) as err:
+            loader(str(path))
+        assert str(err.value) == f"cannot read {path}: {why}"
 
 
 def test_registry_ignores_a_byte_order_mark(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import warnings
 from functools import partial
 from unittest import mock
@@ -1058,6 +1059,8 @@ def test_benchmark_records_failures_and_continues(tmp_path):
         classifiers=("nb",), folds=4,
     )
     assert [e["dataset"] for e in report.errors] == ["ghost", "lost"]
+    lost = os.path.join(registry.root, "lost.csv")
+    assert report.errors[1]["error"] == f"cannot read {lost}: No such file or directory"
     assert len(report.rows) == 1
     assert EvalReport.from_json(report.to_json()).to_json() == report.to_json()
 
@@ -1191,7 +1194,7 @@ def test_renderers_show_the_run_in_id_order(tmp_path):
     assert render_csv_tables(report).splitlines()[0] == "dataset,classifier,edr,usqr"
 
 
-@pytest.mark.parametrize("key", ["methods", "classifiers"])
+@pytest.mark.parametrize("key", ["datasets", "methods", "classifiers"])
 def test_report_from_json_needs_the_shown_ids(tmp_path, key):
     registry = small_registry(tmp_path, {"toy": toy_dataset()})
     payload = json.loads(run_benchmark(registry, methods=("edr",), classifiers=("nb",),
