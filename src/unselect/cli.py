@@ -9,10 +9,11 @@ total is the target n*d.
 The exception type alone decides the exit code: 0 ok; 2 for a bad
 setting, a ``ValueError`` or a usage error, its message after ``error:``;
 3 for a data fault, a ``DatasetError`` (every input file is read through
-``dataset.read_text``) or an ``OSError`` writing ``--out``, after ``data
-error:``; 4 for a benchmark that finished with failed datasets; 1 for
-anything else, after ``internal error:``.  Results go to stdout,
-diagnostics to stderr.
+``dataset.read_text``), or for a result that cannot be written, an
+``OSError`` writing ``--out`` or a ``UnicodeEncodeError`` writing stdout,
+after ``data error:``; 4 for a benchmark that finished with failed
+datasets; 1 for anything else, after ``internal error:``.  Results go to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -274,7 +275,8 @@ def main(argv=None):
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"--out {args.out!r} is a directory")
         return args.func(args)
-    except (DatasetError, OSError) as exc:      # OSError: an --out write
+    # OSError: an --out write; UnicodeEncodeError: a result stdout cannot encode
+    except (DatasetError, OSError, UnicodeEncodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:      # a setting the library rejects

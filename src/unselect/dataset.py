@@ -320,29 +320,35 @@ _BLANKS = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2
 _B = re.escape(_BLANKS)
 
 
-def _parse_cell(text, row, col):
-    """A feature cell as a finite float; NaN marks a missing value (a
-    non-finite literal is rejected, so NaN means nothing else).  The cell
-    loses the ``_BLANKS`` around it, as ``float`` would strip them."""
+def _parse_cell(text, missing, row, col, path, domain):
+    """A feature cell, shorn of its ``_BLANKS`` as ``float`` would strip
+    them, as a finite float; NaN marks a hole, which ``reject`` refuses
+    (a non-finite literal is refused too, so NaN means nothing else).  A
+    number must be one of ``domain``, unless that is None."""
     token = text.strip(_BLANKS)
     if token.lower() in _MISSING_TOKENS:
-        return math.nan
+        if missing != "reject":
+            return math.nan
+        raise ParseError(f"missing value at row {row}, column {col} of {path} (pass "
+                         "missing='impute' or missing='drop' to handle it)", row=row, column=col)
     try:
         value = float(token)
     except ValueError:
         value = math.nan
-    if math.isfinite(value):        # rejects inf and overflowing literals too
+    if not math.isfinite(value):        # inf and overflowing literals too
+        raise ParseError(f"cell {token!r} at row {row}, column {col} of {path} is not a finite "
+                         "number", row=row, column=col)
+    if domain is None or value in domain:
         return value
-    raise ParseError(
-        f"cell {token!r} at row {row}, column {col} is not a finite number",
-        row=row,
-        column=col,
-    )
+    raise ParseError(f"cell {token!r} at row {row}, column {col} of {path} is not one of its "
+                     "attribute's declared values", row=row, column=col)
 
 
 def _parse_label(text, missing, row, col, path, classes):
-    """A class cell; None marks a missing label that the drop policy removes.
-    Any other label must be one of ``classes``, unless that is None."""
+    """A class cell, shorn of its ``_BLANKS``; None marks a missing label
+    that the drop policy removes.  Any other label must be one of
+    ``classes``, unless that is None."""
+    text = text.strip(_BLANKS)
     if text.lower() not in _MISSING_TOKENS:
         if classes is None or text in classes:
             return text
@@ -370,7 +376,8 @@ def _bulk_parse(lines, width, label_idx, classes, domains):
     cell's blanks are spaces and tabs, the ``_BLANKS`` of plain text, which
     numpy strips too.  numpy then parses a number as ``float`` does, and
     every missing token either fails in it or gives NaN, so a finite cell
-    here is one ``_parse_cell`` accepts, with the same value.  An empty
+    here, in a column of ``domains`` one of its values, is one that
+    ``_parse_cell`` accepts under any policy, with the same value.  An empty
     line is no row to either loader.  A line of blanks alone, which the
     loaders skip, is declined: it has too few commas for two or more
     cells, and numpy refuses it as the one value cell of a one-cell row.
@@ -400,8 +407,8 @@ def _bulk_parse(lines, width, label_idx, classes, domains):
 
 def _parse_rows(path, rows, columns, label_idx, missing, classes, domains):
     """The value matrix and labels of ``_build_table``'s rows, read row-major
-    one cell at a time, each cell decided as it is read, so the first fault
-    in the file is the one raised; under ``reject`` a hole is such a fault.
+    one cell at a time, each cell decided as it is read by ``_parse_cell``
+    or ``_parse_label``, so the first fault in the file is the one raised.
     ``drop`` skips a row once it is read if it has a hole or a missing
     label; ``impute`` fills each column's holes with its mean after the
     last row."""
@@ -409,27 +416,14 @@ def _parse_rows(path, rows, columns, label_idx, missing, classes, domains):
     values, labels = [], []
     for row, cells in rows:
         if len(cells) != width:
-            raise ParseError(
-                f"ragged row {row}: expected {width} cells, got {len(cells)}", row=row
-            )
+            raise ParseError(f"ragged row {row} of {path}: expected {width} cells, got "
+                             f"{len(cells)}", row=row)
         parsed, label = [], ""
         for j, cell in enumerate(cells):
             if j == label_idx:
-                label = _parse_label(cell.strip(_BLANKS), missing, row, j + 1, path, classes)
-                continue
-            value = _parse_cell(cell, row, j + 1)
-            if math.isnan(value) and missing == "reject":
-                raise ParseError(
-                    f"missing value at row {row}, column {j + 1} of {path} "
-                    "(pass missing='impute' or missing='drop' to handle it)",
-                    row=row,
-                    column=j + 1,
-                )
-            if j in domains and value not in domains[j] and not math.isnan(value):
-                raise ParseError(f"cell {cell.strip(_BLANKS)!r} at row {row}, column "
-                                 f"{j + 1} of {path} is not one of its attribute's "
-                                 "declared values", row=row, column=j + 1)
-            parsed.append(value)
+                label = _parse_label(cell, missing, row, j + 1, path, classes)
+            else:
+                parsed.append(_parse_cell(cell, missing, row, j + 1, path, domains.get(j)))
         if missing != "drop" or (label is not None and not any(map(math.isnan, parsed))):
             values.append(parsed)
             labels.append(label)
@@ -456,7 +450,7 @@ def _build_table(path, lines, rows, names, label_idx, missing, name, classes=Non
     one of them.  ``domains`` maps a 0-based feature column to the set of
     numbers its cells may take.  Holes follow the missing-value policy, and
     a missing label, which only ``drop`` lets through, drops its row.
-    Every error names its file row and column.
+    Every error names the file and its file row or column.
     """
     domains = domains or {}
     width = len(names)
@@ -634,7 +628,7 @@ def load_arff(path, missing="reject", name=None) -> DataTable:
     domains = {j: _numbers(values) for j, values in enumerate(declared)
                if values is not None and j != label_idx}
     lines = [line for _, line in data]
-    rows = ((row, [c.strip(_BLANKS) for c in _split_arff_row(line)]) for row, line in data)
+    rows = ((row, _split_arff_row(line)) for row, line in data)
     return _build_table(path, lines if _plain("\n".join(lines), "'\"") else None, rows,
                         [a for a, _ in attrs], label_idx, missing, name, classes, domains)
 
@@ -857,10 +851,8 @@ def load_registry(path) -> Registry:
         if len(parts) == 2:
             parts.append("auto")
         if len(parts) != 3 or "" in parts:
-            raise ParseError(
-                f"registry line {lineno} needs 'name, path, label'",
-                row=lineno,
-            )
+            raise ParseError(f"registry line {lineno} of {path} needs 'name, path, label'",
+                             row=lineno)
         if first.setdefault(parts[0], lineno) != lineno:
             raise ParseError(f"registry line {lineno} of {path} repeats the name "
                              f"{parts[0]!r} of line {first[parts[0]]}", row=lineno)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -263,7 +264,7 @@ CLI_CASES = [
          files={"registry.txt": b"# datasets\nplain, plain.csv\n\xe9cole, e.csv\n"},
          env={"UNSELECT_DATA_DIR": "{tmp}"}),
     *[Case("test_a_registry_line_with_an_empty_field_exits_3_naming_it", "bench", code=3,
-           err="data error: registry line 2 needs 'name, path, label'\n",
+           err="data error: registry line 2 of {tmp}/registry.txt needs 'name, path, label'\n",
            files={"registry.txt": b"d, d.csv, cls\n%s\n" % line},
            env={"UNSELECT_DATA_DIR": "{tmp}"}, id=id)
       for line, id in ((b"bad, , auto", "path"), (b", d.csv, cls", "name"),
@@ -608,6 +609,18 @@ def test_bench_out_holds_what_format_renders_and_nothing_else(capsys, tmp_path, 
     assert code == 0 and out == "" and err == ""
     assert (tmp_path / out_name).read_text() == rendered
     assert os.listdir(tmp_path) == [out_name]
+
+
+def test_a_result_stdout_cannot_encode_exits_3(capsys, tmp_path, monkeypatch):
+    # capsys takes any str, so stdout here is a real ASCII text stream
+    toy_csv(tmp_path, "d.csv")
+    (tmp_path / "registry.txt").write_text("\xe9t\xe9, d.csv, class\n", encoding="utf-8")
+    monkeypatch.setenv("UNSELECT_DATA_DIR", str(tmp_path))
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    code = main(["bench", "--methods", "edr", "--classifiers", "nb", "--folds", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error: 'ascii' codec can't encode character '\\xe9'"), err
 
 
 def test_select_a_file_reads_no_registry(capsys, tmp_path, monkeypatch):

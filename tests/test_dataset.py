@@ -343,10 +343,10 @@ def test_a_number_cell_sheds_only_the_blanks_float_takes():
     assert set(_BLANKS) == {chr(i) for i in range(0x110000) if chr(i).isspace()} - set(
         "\x1c\x1d\x1e\x1f")
     assert all(float(b + "1.5" + b) == 1.5 for b in _BLANKS)
-    assert _parse_cell("\xa0 1.5 \u3000", 2, 1) == 1.5
+    assert _parse_cell("\xa0 1.5 \u3000", "reject", 2, 1, "t.csv", None) == 1.5
     for cell in ["1.5\x1c", "\x1f2", "\x1e"]:
-        with pytest.raises(ParseError, match="row 2, column 1"):
-            _parse_cell(cell, 2, 1)
+        with pytest.raises(ParseError, match="row 2, column 1 of t.csv"):
+            _parse_cell(cell, "reject", 2, 1, "t.csv", None)
 
 
 # A separator \x1c-\x1f is no blank to ``float``, so a line holding one
@@ -445,7 +445,7 @@ def test_a_registry_line_with_an_empty_field_is_a_parse_error_naming_it(tmp_path
     path.write_text(f"d, d.csv, cls\n{line}\n")
     with pytest.raises(ParseError) as err:
         load_registry(path)
-    assert str(err.value) == "registry line 2 needs 'name, path, label'"
+    assert str(err.value) == f"registry line 2 of {path} needs 'name, path, label'"
     assert err.value.row == 2
 
 
@@ -456,6 +456,53 @@ def test_a_file_that_cannot_be_read_is_a_dataset_error_naming_it(tmp_path, loade
         with pytest.raises(DatasetError) as err:
             loader(str(path))
         assert str(err.value) == f"cannot read {path}: {why}"
+
+
+ARFF_XY = b"@relation r\n@attribute x real\n@attribute y real\n@data\n"
+
+
+# One case per kind of loader refusal: the file's name, its bytes, the
+# loader and its keywords.
+@pytest.mark.parametrize("name, data, load, kwargs", [
+    ("t.csv", b"a,b\n1,zz\n", load_csv, {}),
+    ("t.csv", b"a,b\n1,?\n", load_csv, {}),
+    ("t.csv", b"a,b\n1,2\n3\n", load_csv, {}),
+    ("t.csv", b"a,cls\n1,?\n", load_csv, {"label_column": "cls"}),
+    ("t.csv", b"a,b\n1,2\n", load_csv, {"label_column": "cls"}),
+    ("t.csv", b"a,b\n1,2\n", load_csv, {"label_column": 2}),
+    ("t.csv", b"cls,a,cls\nx,1,y\n", load_csv, {"label_column": "cls"}),
+    ("t.csv", b"cls\nx\n", load_csv, {"label_column": "cls"}),
+    ("t.csv", b"a,a\n1,2\n", load_csv, {}),
+    ("t.csv", b"a,b\n", load_csv, {}),
+    ("t.csv", b"", load_csv, {}),
+    ("t.csv", b'a,b\n"%s",2\n' % (b"x" * (csv.field_size_limit() + 1)), load_csv, {}),
+    ("t.csv", b"a,b\n?,1\n?,2\n", load_csv, {"missing": "impute"}),
+    ("t.csv", b"a,b\n?,1\n2,?\n", load_csv, {"missing": "drop"}),
+    ("t.arff", b"@relation r\nstray\n@data\n1\n", load_arff, {}),
+    ("t.arff", b"@relation r\n@attribute x real\n@attribute c {a,b}\n@data\n1,z\n",
+     load_arff, {}),
+    ("t.arff", b"@relation r\n@attribute g {1,2}\n@attribute x real\n@data\n5,1\n",
+     load_arff, {}),
+    ("t.arff", ARFF_XY, load_arff, {}),
+    ("t.arff", ARFF_XY + b"1,2\n", load_table, {"label_column": 1}),
+    ("registry.txt", b"d, , auto\n", load_registry, {}),
+    ("registry.txt", b"d, d.csv\nd, e.csv\n", load_registry, {}),
+    ("registry.txt", b"# none\n", load_registry, {}),
+    ("t.csv", b"a,b\n1,\xe9\n", load_csv, {}),
+], ids=["csv-bad-cell", "csv-hole-under-reject", "csv-ragged-row", "csv-missing-label",
+        "csv-label-not-in-header", "csv-label-out-of-range", "csv-label-named-twice",
+        "csv-label-only-column", "csv-repeated-column-name", "csv-only-a-header",
+        "csv-empty", "csv-record-error", "csv-impute-unobserved-column",
+        "csv-drop-every-row", "arff-bad-header-line", "arff-undeclared-label",
+        "arff-outside-nominal-domain", "arff-no-data", "arff-label-column",
+        "registry-empty-field", "registry-repeated-name", "registry-no-datasets",
+        "not-utf8"])
+def test_every_loader_refusal_names_its_file(tmp_path, name, data, load, kwargs):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises((DatasetError, ValueError)) as err:
+        load(str(path), **kwargs)
+    assert str(path) in str(err.value)
 
 
 def test_registry_ignores_a_byte_order_mark(tmp_path):
@@ -754,22 +801,22 @@ def test_arff_fuzz_fails_only_with_located_parse_errors(tmp_path_factory, text,
 
 def reference_build(path, rows, names, label_idx, missing, classes=None):
     """The loader before the bulk pass: every cell of the ``(file row,
-    cells)`` pairs through ``_parse_cell`` and every label through
-    ``_parse_label`` (which takes only ``classes``, if given), row-major,
-    a hole under ``reject`` raised where it is read, then the other
-    missing-value policies."""
+    cells)`` pairs through ``_parse_cell``, for its number alone, and every
+    label through ``_parse_label`` (which takes only ``classes``, if
+    given), row-major, a hole under ``reject`` raised here where it is
+    read, then the other missing-value policies."""
     values, labels = [], []
     for row, cells in rows:
         if len(cells) != len(names):
-            raise ParseError(f"ragged row {row}: expected {len(names)} cells, "
+            raise ParseError(f"ragged row {row} of {path}: expected {len(names)} cells, "
                              f"got {len(cells)}", row=row)
         values.append([])
         for j, cell in enumerate(cells):
             if j == label_idx:
-                labels.append(_parse_label(cell.strip(_BLANKS), missing, row, j + 1, path,
-                                           classes))
+                labels.append(_parse_label(cell, missing, row, j + 1, path, classes))
             else:
-                values[-1].append(_parse_cell(cell, row, j + 1))
+                # the number alone: this reference keeps its own reject rule
+                values[-1].append(_parse_cell(cell, "impute", row, j + 1, path, None))
                 if missing == "reject" and math.isnan(values[-1][-1]):
                     raise ParseError(f"missing value at row {row}, column {j + 1} of {path} "
                                      "(pass missing='impute' or missing='drop' to handle it)",
