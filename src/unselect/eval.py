@@ -300,20 +300,17 @@ def gaussian_nb_fit(train, prep=None, *, strategy="eqfreq", bins=3) -> NbModel:
 class KnnModel(_Model):
     mean: np.ndarray                # fold x attr
     std: np.ndarray                 # fold x attr
-    augmented: np.ndarray           # every fold's training rows, fold after fold, as
-                                    # [b | fl|b|^2 | 1] for z-scored b
+    scaled: np.ndarray              # every fold's z-scored training rows b, fold after
+                                    # fold, in float64: the refine step's exact distances
+    filter_rows: np.ndarray         # the same rows as [b | fl|b|^2 | 1] in float32, the
+                                    # filter's; fl|b|^2 is b's float64 squared norm
+    train_sq: np.ndarray            # fold -> its largest float64 fl|b|^2
     codes: np.ndarray               # training row -> index into classes
     k: int
 
     @property
     def _fit_shape(self) -> tuple[int, int]:
         return self.mean.shape
-
-    @property
-    def scaled(self) -> np.ndarray:
-        """The z-scored training rows, fold after fold: the first d
-        columns of ``augmented``."""
-        return self.augmented[:, :-2]
 
     def _predict_stack(self, rows: np.ndarray) -> np.ndarray:
         """Majority vote among the k nearest training rows of each test
@@ -332,29 +329,30 @@ class KnnModel(_Model):
         row, the training rows within a rounding bound of an upper bound on
         its approximate k-th distance: the k-th smallest of its minima over
         groups of about ``KNN_GROUP`` training rows, all from one batched
-        matrix product.  The refine step (``_refine_batch``) then decides by
-        the exact distances of the candidates alone, as they would over
-        every training row of the fold.  It takes the candidates of
-        consecutive blocks together, up to ``BLOCK_CELLS`` rows x most
-        candidates x attributes, and splits a block that alone passes the
-        cap into sub-blocks of at most that many cells, or one row.
+        float32 matrix product.  The refine step (``_refine_batch``) then
+        decides by the exact float64 distances of the candidates alone, as
+        they would over every training row of the fold.  It takes the
+        candidates of consecutive blocks together, up to ``BLOCK_CELLS``
+        rows x most candidates x attributes, and splits a block that alone
+        passes the cap into sub-blocks of at most that many cells, or one
+        row.
         """
         folds, t, d = rows.shape
         scaled_rows = (rows - self.mean[:, None]) / self.std[:, None]
-        # [-2a | 1 | fl|a|^2], whose product with [b | fl|b|^2 | 1] is
-        # |a|^2 + |b|^2 - 2a.b
-        queries = np.empty((folds, t, d + 2))
-        np.multiply(scaled_rows, -2.0, out=queries[..., :d])
+        # [-2a | 1 | fl|a|^2] in float32, whose product with [b | fl|b|^2 | 1]
+        # is |a|^2 + |b|^2 - 2a.b
+        queries = np.empty((folds, t, d + 2), dtype=np.float32)
+        with np.errstate(over="ignore"):    # past float32's range every row is a candidate
+            test_sq = np.sum(scaled_rows ** 2, axis=2)
+            np.multiply(scaled_rows, -2.0, out=queries[..., :d])
+            queries[..., d + 1] = test_sq
         queries[..., d] = 1.0
-        with np.errstate(over="ignore"):    # an infinite norm makes every row a candidate
-            np.sum(scaled_rows ** 2, axis=2, out=queries[..., d + 1])
-            train_sq = self.augmented[:, d].reshape(folds, -1).max(axis=1)
-        n = len(self.augmented) // folds
+        n = len(self.scaled) // folds
         step = max(1, min(t, BLOCK_CELLS // n))             # rows of one fold
         fold_step = max(1, BLOCK_CELLS // (step * n))
         # Every block reuses one folds x block rows x training rows array: a
         # fresh one would cost page faults each time malloc hands it back.
-        work = np.empty((min(fold_step, folds), step, n))
+        work = np.empty((min(fold_step, folds), step, n), dtype=np.float32)
         # A block is whole folds or rows of one fold (fold_step is 1 when
         # step < t), so the blocks come in the row order of the flat stack.
         flat = scaled_rows.reshape(-1, d)
@@ -364,7 +362,8 @@ class KnnModel(_Model):
         for first in range(0, folds, fold_step):
             for start in range(0, t, step):
                 counts, cols = self._candidates(
-                    queries[first:first + fold_step, start:start + step], first, train_sq, work)
+                    queries[first:first + fold_step, start:start + step],
+                    test_sq[first:first + fold_step, start:start + step], first, work)
                 if batch and (held + len(counts)) * max(most, counts.max()) * d > BLOCK_CELLS:
                     predicted[done:done + held] = self._refine_batch(flat[done:done + held], batch)
                     done, batch, held, most = done + held, [], 0, 0
@@ -375,16 +374,16 @@ class KnnModel(_Model):
             predicted[done:] = self._refine_batch(flat[done:], batch)
         return predicted.reshape(folds, t)
 
-    def _candidates(self, block: np.ndarray, first: int, train_sq: np.ndarray,
+    def _candidates(self, block: np.ndarray, block_sq: np.ndarray, first: int,
                     work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The filter step of one block of augmented test rows, folds x
-        block rows from fold ``first`` on, after the multi-step k-NN search
-        of Seidl and Kriegel (SIGMOD 1998): each row's candidate count, and
-        the candidates' training indices, row after row, each row's in
-        training-index order.  A training index runs over the rows of every
-        fold, fold after fold.  ``train_sq`` holds each fold's largest
-        training norm and ``work`` is an array of at least folds x block
-        rows x training rows.
+        """The filter step of one block of float32 test rows [-2a | 1 |
+        fl|a|^2], folds x block rows from fold ``first`` on, after the
+        multi-step k-NN search of Seidl and Kriegel (SIGMOD 1998): each
+        row's candidate count, and the candidates' training indices, row
+        after row, each row's in training-index order.  A training index
+        runs over the rows of every fold, fold after fold.  ``block_sq``
+        holds the block rows' float64 squared norms fl|a|^2 and ``work`` is
+        a float32 array of at least folds x block rows x training rows.
 
         A row's candidates are the training rows within a rounding bound
         of its group bound g, the k-th smallest of its group minima.  The
@@ -395,65 +394,82 @@ class KnnModel(_Model):
         distances.
 
         Why the candidates hold every row the exact search can pick.  Let
-        u be the unit roundoff and gamma_n = nu/(1 - nu); a dot product of
-        length n, summed in any order, is off by at most gamma_n sum|x_i y_i|
-        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-        2002, section 3.1).  For a test row a and training row b in d
-        attributes, let T = |a|^2 + |b|^2, D = |a - b|^2 in exact arithmetic,
-        G the computed product of [-2a | 1 | fl|a|^2] and [b | fl|b|^2 | 1]
-        and Q the sum of squares the exact path takes the root of.
+        u = 2^-24, float32's unit roundoff, and gamma_n = nu/(1 - nu); a
+        dot product of length n, summed in any order, is off by at most
+        gamma_n sum|x_i y_i|, and gamma_j + gamma_k + gamma_j gamma_k <=
+        gamma_{j+k} (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., 2002, sections 3.1 and 3.4).  For d < 2^23 - 8,
+        which gamma_{2d+16} needs, float64 roundings of up to d + 2 steps
+        cost at most gamma_1 together, as (d + 2)2^-53 < u.  For a test
+        row a and training row b of d attributes, z-scored in float64, let
+        T = |a|^2 + |b|^2, D = |a - b|^2 in exact arithmetic, G the float32
+        product of [-2a | 1 | fl|a|^2] and [b | fl|b|^2 | 1], every entry
+        rounded to float32 from float64, and Q the float64 sum of squares
+        the exact path takes the root of.
 
-        - Product: the norms fl|a|^2 and fl|b|^2 each carry gamma_d, so
-          they are off by at most gamma_d T together.  The product has
-          length d + 2, and its terms sum in magnitude to at most
-          2 sum|a_i b_i| + (1 + gamma_d)T <= (2 + gamma_d)T, so it adds
-          gamma_{d+2}(2 + gamma_d)T.  To first order |G - D| <= (3d + 4)uT.
-        - Exact path: each term is one difference and one square, and the
-          d terms take d - 1 additions, so |Q - D| <= gamma_{d+2} D <=
-          2 gamma_{d+2} T.
-        - Root: two squares whose roots round to one value differ by at
-          most gamma_4 times the smaller, and no Q exceeds
-          2T(1 + gamma_{d+2}).
+        - Filter: rounding costs each entry of a and b u, and each norm,
+          gamma_1 in float64, gamma_2; the product of length d + 2 adds
+          gamma_{d+2}.  So G sums the terms -2a_i b_i, |a|^2 and |b|^2,
+          each off by a relative gamma_{d+4}, and since 2 sum|a_i b_i| <= T
+          they sum in magnitude to at most 2T: |G - D| <= 2 gamma_{d+4} T.
+        - Exact path: a difference, a square and d - 1 additions per
+          term, so |Q - D| <= gamma_1 D <= 2 gamma_1 T, and with the filter
+          |G - Q| <= 2 gamma_{d+5} T.
+        - Root: two squares whose float64 roots round to one value differ
+          by at most gamma_1 times the smaller, and no Q exceeds
+          2T(1 + gamma_1).
+        - Underflow: a float32 value below the smallest normal, 2^-126, is
+          off by at most that much, whether underflow is gradual or flushes
+          to zero.  G carries at most 4d + 3 such errors, an entry's scaled
+          by the other factor; where (d + 2)2^-126 <= u^2 S (S below), they
+          move G by less than uS/2 together, and float64's own underflow
+          far less.
 
-        Let S = max|a|^2 + max|b|^2 over one fold of the block, so T <= S
-        for every pair of that fold up to the rounding of S, and let g be
-        the group bound of a test row.  The k groups whose minima are at
-        most g are disjoint, so k distinct rows have G <= g, and g is at
-        least the k-th smallest G (it is that G when each row is a group of
-        its own).  Those k rows have Q <= g + |G - Q|, so the k-th exact
-        root is at most the root of that.  A row among the k nearest by the
-        exact roots has a root at most the k-th one, so its Q exceeds that
-        bound by at most the root term, and its G is at most
-        g + 2(|G - D| + |Q - D|) + 8uS.
-        Rounding g + 2 tol costs up to u(2S + 2 tol) more.  To first order
-        that is g + (10d + 26)uS, so tol = gamma_{5d+17} S, taken per fold,
-        covers it; the spare 8uS absorbs the second-order terms and the
-        rounding of S and of tol.  A larger tol only adds candidates, so it
-        never changes a label.  These bounds need every value finite:
-        D <= 2T, so in a fold with 4S past the largest float, which also
-        catches every fold with a non-finite G, every training row is a
-        candidate, whatever its product gave.
+        Let S = max fl|a|^2 + max fl|b|^2 over one fold of the block, in
+        float64, so T <= (1 + gamma_1)S for every pair of that fold, and
+        let g be the group bound of a test row.  The k groups whose minima
+        are at most g are disjoint, so k distinct rows s have G_s <= g, and
+        g is at least the k-th smallest G (it is that G when each row is a
+        group of its own).  A row r among the k nearest by the exact roots
+        has a root at most that of one of them, so Q_r <= (1 + gamma_1)Q_s,
+        and G_r <= g + |G_r - Q_r| + (Q_r - Q_s) + |Q_s - G_s|, which is at
+        most g + 4 gamma_{d+7} S + uS.  So tol = gamma_{2d+16} S, taken per
+        fold, covers it twice over: 2 gamma_{2d+16} >= 4 gamma_{d+8} >=
+        4 gamma_{d+7} + 4u, and the spare 3uS absorbs the float64 rounding
+        of tol and of g + 2 tol.  That float64 limit is cast to the nearest
+        float32 for the compare, which loses nothing: a float32 G is at or
+        under the limit exactly when it is at or under the limit rounded
+        down to float32, and the nearest is that or the next float32 up.  A
+        larger tol only adds candidates, so it never changes a label.
+
+        These bounds need float32's range.  In a fold with 4S past float32's
+        largest finite value, which also catches every fold with a
+        non-finite G (|G| <= 2T(1 + gamma_{d+4}) elsewhere), or with
+        (d + 2)2^-126 > u^2 S, every training row is a candidate, whatever
+        its product gave.
         """
         folds, b, width = block.shape
-        n = len(self.augmented) // len(self.mean)
-        train = self.augmented[first * n:(first + folds) * n].reshape(folds, n, width)
+        n = len(self.scaled) // len(self.mean)
+        train = self.filter_rows[first * n:(first + folds) * n].reshape(folds, n, width)
         approx = work[:folds, :b]
         m = max(self.k, n // KNN_GROUP)
         whole = n // m * m
         tail = n - whole                    # < m: leftover row j joins group j
-        # a fold whose values could overflow runs the product too, and
-        # ignores it
+        u = 2.0 ** -24
+        nu = (2 * (width - 2) + 16) * u
+        gamma = nu / (1 - nu) if nu < 1 else np.inf         # gamma_{2d+16}
+        # a fold out of float32's range runs the product too, and ignores it
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = block[..., -1].max(axis=1) + train_sq[first:first + folds]
+            scale = block_sq.max(axis=1) + self.train_sq[first:first + folds]      # S
             np.matmul(block, train.transpose(0, 2, 1), out=approx)  # |a|^2 + |b|^2 - 2a.b
             lows = approx[..., :whole].reshape(folds, b, -1, m).min(axis=2)
             np.minimum(lows[..., :tail], approx[..., whole:], out=lows[..., :tail])
             lows.partition(self.k - 1, axis=2)
-            bound = lows[:, :, self.k - 1:self.k]
-            nu = (5 * (width - 2) + 17) * np.finfo(float).eps / 2
-            tol = nu / (1 - nu) * scale                             # gamma_{5d+17} S
-            candidates = approx <= bound + 2.0 * tol[:, None, None]
-        candidates[~(scale < np.finfo(float).max / 4)] = True
+            limit = lows[:, :, self.k - 1:self.k] + 2.0 * (gamma * scale)[:, None, None]
+            candidates = approx <= limit.astype(np.float32)
+        in_range = ((scale <= float(np.finfo(np.float32).max) / 4)
+                    & (width * 2.0 ** -126 <= u * u * scale))
+        candidates[~in_range] = True
         row, col = np.divmod(np.flatnonzero(candidates), n)
         col += (row // b + first) * n
         return np.bincount(row, minlength=folds * b), col
@@ -495,10 +511,11 @@ class KnnModel(_Model):
 
 def knn_fit(train, prep=None, *, strategy="eqfreq", bins=3, knn_k=KNN_K) -> KnnModel:
     """Store the training rows z-scored with the mean and std of prep, for
-    a ``DataTable`` or every fold of a ``FoldStack``, each with its squared
-    norm and a one (``KnnModel.augmented``).  A stacked mean and std over
-    the row axis give each fold the bits of its own, and a fault is that of
-    the lowest fold that has one."""
+    a ``DataTable`` or every fold of a ``FoldStack``: in float64 for the
+    refine step (``KnnModel.scaled``), and in float32 with each row's
+    squared norm and a one for the filter (``KnnModel.filter_rows``).  A
+    stacked mean and std over the row axis give each fold the bits of its
+    own, and a fault is that of the lowest fold that has one."""
     stack = _fold_stack(train, "k-NN")
     folds, n, d = stack.values.shape
     if not 1 <= knn_k <= n:
@@ -512,15 +529,18 @@ def knn_fit(train, prep=None, *, strategy="eqfreq", bins=3, knn_k=KNN_K) -> KnnM
         raise ValueError(f"k-NN cannot z-score attribute {np.argmax(overflow) % d + 1}: "
                          "its mean or spread overflows")
     mean, std = np.broadcast_to(mean, (folds, d)), np.broadcast_to(std, (folds, d))
-    augmented = np.empty((folds, n, d + 2))
-    scaled = augmented[..., :d]
-    np.divide(stack.values - mean[:, None], std[:, None], out=scaled)
-    with np.errstate(over="ignore"):    # an infinite norm makes every row a candidate
-        np.sum(scaled ** 2, axis=2, out=augmented[..., d])
-    augmented[..., d + 1] = 1.0
+    scaled = (stack.values - mean[:, None]) / std[:, None]
+    filter_rows = np.empty((folds, n, d + 2), dtype=np.float32)
+    with np.errstate(over="ignore"):    # past float32's range every row is a candidate
+        train_sq = np.sum(scaled ** 2, axis=2)
+        filter_rows[..., :d] = scaled
+        filter_rows[..., d] = train_sq
+    filter_rows[..., d + 1] = 1.0
     # votes come from training rows only, so a class without rows never wins
-    return KnnModel(mean=mean, std=std, augmented=augmented.reshape(folds * n, d + 2),
-                    classes=stack.classes, codes=stack.y.ravel(), k=knn_k)
+    return KnnModel(mean=mean, std=std, scaled=scaled.reshape(folds * n, d),
+                    filter_rows=filter_rows.reshape(folds * n, d + 2),
+                    train_sq=train_sq.max(axis=1), classes=stack.classes,
+                    codes=stack.y.ravel(), k=knn_k)
 
 
 @dataclass(frozen=True)
@@ -539,9 +559,12 @@ class DecisionTableModel(_Model):
         One ``group_ids`` call groups every fold, keyed by fold first."""
         folds, n, d = self.binned.shape
         n_classes = len(self.classes)
-        keys = np.concatenate([self.binned, apply_cut_points(rows, self.cuts)], axis=1)
-        fold = np.broadcast_to(np.arange(folds)[:, None, None], keys.shape[:2] + (1,))
-        ids = group_ids(np.concatenate([fold, keys], axis=2).reshape(-1, d + 1)).reshape(folds, -1)
+        # fold x (training rows, then test rows) x [fold | binned row], in one array
+        keys = np.empty((folds, n + rows.shape[1], d + 1), dtype=self.binned.dtype)
+        keys[..., 0] = np.arange(folds)[:, None]
+        keys[:, :n, 1:] = self.binned
+        keys[:, n:, 1:] = apply_cut_points(rows, self.cuts)
+        ids = group_ids(keys.reshape(-1, d + 1)).reshape(folds, -1)
         votes = np.bincount((ids[:, :n] * n_classes + self.codes).ravel(),
                             minlength=(ids.max() + 1) * n_classes).reshape(-1, n_classes)
         # classes are sorted, so argmax's first maximum is the smallest class;

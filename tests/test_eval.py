@@ -253,44 +253,64 @@ def reference_knn_predict(model, rows):
     return out
 
 
+# the spread s of a prep column [-s, s]: its z-scores are the values over
+# s√2, so a value of 1 scales to about 0.7, 7e17 (squares near float32's
+# largest finite value), 7e44 (past it), 7e-23 (squares below float32's
+# smallest normal), 7e-46 (below it) or 7e-151 (0 in float32)
+PREP_SPREADS = [1.0, 1e-18, 1e-45, 1e22, 1e45, 1e150]
+
+
 @st.composite
 def knn_cases(draw):
-    """Training table, test rows, k in [1, n] and a block cap.
+    """Training table, test rows, prep rows or None, k in [1, n] and a
+    block cap.
 
-    Half the tables hold integers 0-2, so many training rows lie at equal
-    distances and ties cross the k-th boundary; labels come from one, two
-    or three classes.  The cap counts block rows x training rows; it ranges
-    from 1 (one row per block) to m x n (one block).
+    A third of the tables hold integers 0-2, so many training rows lie at
+    equal distances and ties cross the k-th boundary; a third hold those
+    integers plus multiples of 1e-9, so distances near-tie, apart by more
+    than float64's resolution and less than float32's; the rest hold
+    floats in [-100, 100].  Labels come from one, two or three classes.
+    Half the cases z-score by prep rows [-s, s], mean 0, with one spread s
+    from ``PREP_SPREADS`` for every column or one per column.  The cap
+    counts block rows x training rows; it ranges from 1 (one row per
+    block) to m x n (one block).
     """
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 4))
     m = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        cell = st.integers(0, 2).map(float)
-    else:
-        cell = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    cell = draw(st.sampled_from([
+        st.integers(0, 2).map(float),
+        st.builds(lambda i, j: i + j * 1e-9, st.integers(0, 2), st.integers(0, 3)),
+        st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+    ]))
     values = draw(arrays(float, (n, d), elements=cell))
     rows = draw(arrays(float, (m, d), elements=cell))
+    spread = draw(st.one_of(st.sampled_from(PREP_SPREADS).map(lambda s: np.full(d, s)),
+                            arrays(float, d, elements=st.sampled_from(PREP_SPREADS))))
+    prep = draw(st.sampled_from([None, np.array([-spread, spread])]))
     classes = draw(st.sampled_from(["a", "ab", "abc"]))
     labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     block_cells = draw(st.integers(1, m * n))
-    return table(values, labels), rows, k, block_cells
+    return table(values, labels), rows, prep, k, block_cells
 
 
 # a column of tiny spread scales far test rows to infinite distances, on
 # both sides alike; the filter's group width is 1 (each training row a
 # group, so the bound is the k-th distance itself), the module's or past
-# every n (k groups, the loosest bound)
+# every n (k groups, the loosest bound); the model's labels come without a
+# warning, while the reference loop's squares may overflow
 @pytest.mark.filterwarnings("ignore:overflow encountered in square")
 @settings(max_examples=300, deadline=None)
 @given(knn_cases(), st.sampled_from([1, unselect.eval.KNN_GROUP, 2 ** 31]))
 def test_knn_predict_equals_reference_loop(case, group):
-    train, rows, k, block_cells = case
-    model = knn_fit(train, knn_k=k)
+    train, rows, prep, k, block_cells = case
+    model = knn_fit(train, prep, knn_k=k)
     with mock.patch.object(unselect.eval, "BLOCK_CELLS", block_cells), \
-            mock.patch.object(unselect.eval, "KNN_GROUP", group):
-        assert model.predict(rows) == reference_knn_predict(model, rows)
+            mock.patch.object(unselect.eval, "KNN_GROUP", group), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.predict(rows)
+    assert got == reference_knn_predict(model, rows)
 
 
 def filter_sets(model, rows, group):
@@ -328,6 +348,44 @@ def test_knn_group_bound_keeps_every_candidate_of_the_kth_distance(folds, n, d, 
         grouped = filter_sets(model, rows, unselect.eval.KNN_GROUP)
     assert len(exact) == len(grouped) == folds * t
     assert all(e <= g for e, g in zip(exact, grouped))
+
+
+def assert_candidates_hold_the_k_nearest(model, rows, group):
+    """The filter's own promise: each test row's candidates under the group
+    width ``group`` hold every training row at or under its exact k-th
+    distance, in float64 as the reference loop computes it."""
+    sets = filter_sets(model, rows, group)
+    assert len(sets) == len(rows)
+    for row, got in zip((rows - model.mean) / model.std, sets):
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(((model.scaled - row) ** 2).sum(axis=1))
+        assert set(np.flatnonzero(dist <= np.sort(dist)[model.k - 1]).tolist()) <= got
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_cases(), st.sampled_from([1, unselect.eval.KNN_GROUP]))
+def test_knn_candidates_hold_every_row_at_or_under_the_exact_kth_distance(case, group):
+    train, rows, prep, k, block_cells = case
+    model = knn_fit(train, prep, knn_k=k)
+    with mock.patch.object(unselect.eval, "BLOCK_CELLS", block_cells):
+        assert_candidates_hold_the_k_nearest(model, rows, group)
+
+
+def test_knn_squares_below_float32_normals_keep_every_row_at_or_under_the_kth_distance():
+    # prep spreads of 1e17-1e24 scale the rows to z-scores near 1e-20, whose
+    # squares float32 holds with a few bits or none, so rounding, not the
+    # distances, would decide the filter; below its range rule every
+    # training row is a candidate
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        d, n = rng.integers(1, 4), rng.integers(3, 30)
+        k = rng.integers(1, min(n, 4) + 1)
+        spread = 10.0 ** rng.uniform(17, 24, size=d)
+        values, rows = (rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-2, 2) for m in (n, 5))
+        model = knn_fit(table(values, rng.choice(["a", "b"], size=n)),
+                        np.array([-spread, spread]), knn_k=k)
+        assert_candidates_hold_the_k_nearest(model, rows, unselect.eval.KNN_GROUP)
+        assert model.predict(rows) == reference_knn_predict(model, rows)
 
 
 def test_knn_predict_spans_several_blocks_like_the_reference_loop():
