@@ -90,6 +90,7 @@ class FoldPlan:
     k: int
     assignments: tuple[int, ...]
     _folds: np.ndarray = field(init=False, repr=False, compare=False)
+    _tests: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Every fold must hold test rows and leave training rows, so no
@@ -102,14 +103,24 @@ class FoldPlan:
         sizes = np.bincount(folds, minlength=self.k)
         if not sizes.all():
             raise ValueError(f"fold {int(np.argmin(sizes))} has no objects")
-        folds.flags.writeable = False
+        # each fold's test rows, built once: they partition the objects, so
+        # they take n indices in all (the training rows would take k * n)
+        tests = tuple(np.flatnonzero(folds == fold) for fold in range(self.k))
+        for idx in (folds, *tests):
+            idx.flags.writeable = False
         object.__setattr__(self, "_folds", folds)
+        object.__setattr__(self, "_tests", tests)
 
     def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self._folds == fold)
+        return self._tests[self._check_fold(fold)]
 
     def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self._folds != fold)
+        return np.flatnonzero(self._folds != self._check_fold(fold))
+
+    def _check_fold(self, fold: int) -> int:
+        if not 0 <= index(fold) < self.k:
+            raise ValueError(f"fold must lie in [0, {self.k}), got {fold}")
+        return fold
 
 
 def check_cv_settings(folds: int, seed: int) -> None:

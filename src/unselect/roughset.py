@@ -51,6 +51,7 @@ __all__ = [
 
 BRUTE_FORCE_MAX_ATTRS = 20
 _SCORE_CELLS = 2**14    # packed words one _score call of usqr may gather
+_NARROW = 2**16         # a usqr round whose keys all lie below it sorts them as uint16
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,17 @@ def _score(keys: np.ndarray, weights: np.ndarray, packed: _PackedCodes):
     always starts one, so no group spans two key rows.
 
     Rows sharing a key form one condition group, and grouping does not
-    depend on the order inside a group, so the sort need not be stable.
+    depend on the order inside a group, so any sort serves.  ``uint16``
+    keys (``usqr``'s narrow rounds) are sorted with ``kind="stable"``,
+    which is numpy's O(n) radix sort for 16-bit integers; every other
+    dtype takes numpy's default sort.
     The AND and the OR of a group's words differ exactly in the bits where
     its rows disagree; a field with any such bit is OR-folded onto its low
     bit by adding its lower bits into its top bit.  A group lies in the
     positive region of column y iff all its rows agree on y, so one sort
     of the keys serves every column at once.
     """
-    order = np.argsort(keys, axis=1)
+    order = np.argsort(keys, axis=1, kind="stable" if keys.dtype == np.uint16 else None)
     sorted_keys = np.take_along_axis(keys, order, axis=1)
     first = np.ones(keys.shape, dtype=bool)
     np.not_equal(sorted_keys[:, 1:], sorted_keys[:, :-1], out=first[:, 1:])
@@ -259,10 +263,14 @@ def distinct_rows(table: DiscreteTable) -> tuple[np.ndarray, np.ndarray]:
 
     Identical rows fall in the same group under every attribute subset,
     so a weighted distinct row scores exactly like its copies.  One
-    ``np.unique`` of the rows' keys gives each first copy and its count.
+    ``argsort`` of the rows' keys (``_row_keys``) puts the copies of a row
+    in one run; each run gives one of its copies, in key order, and its
+    length.  Which copy does not matter: all copies have the same codes.
     """
-    _, first, counts = np.unique(_row_keys(table.codes), return_index=True, return_counts=True)
-    return table.codes[first], counts
+    keys = _row_keys(table.codes)
+    order = np.argsort(keys)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))     # keys are >= 0
+    return table.codes[order[starts]], np.diff(starts, append=len(keys))
 
 
 def _dependency(cond: np.ndarray, dec: np.ndarray) -> Fraction:
@@ -342,7 +350,13 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     works on the distinct rows weighted by their counts, and on the group
     ids of the chosen subset: a candidate x only refines those groups, by
     the key ``ids * radix + code`` of x, with the radixes read from the
-    codes once per search (``_key_radixes``), so no key wraps.
+    codes once per search (``_key_radixes``), so no key wraps.  Every key
+    of a round lies below the previous round's group count times the
+    largest live radix; where that bound is at most 2^16 the round builds
+    its keys in ``uint16``, which ``_score`` sorts by radix (``uint16``
+    arithmetic is exact modulo 2^16, and each key lies below it), and
+    otherwise in ``int64``.  The code columns are held as ``uint16`` when
+    every radix is at most 2^16.
     The rows are packed into words once per search (``_pack_codes``),
     and the set low bits of ``packed.low`` mark the live columns: the
     pseudo-decisions every candidate is scored on, and the candidates.
@@ -380,9 +394,11 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     codes, weights = distinct_rows(table)
     codes, radixes = _key_radixes(codes)
     packed = _pack_codes(codes)
-    columns, radixes = codes.T.copy(), np.array(radixes)[:, None]
+    radixes = np.array(radixes)[:, None]
+    columns = codes.T.astype(np.uint16 if radixes.max() <= _NARROW else np.int64)
     target = table.n_objects * table.n_attrs
     ids = np.zeros(len(weights), dtype=np.int64)
+    n_groups = 1        # every id lies below it
     settled = 0
     chosen: list[int] = []
     rounds: list[tuple[int, int, int]] = []
@@ -390,9 +406,15 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
         live = np.flatnonzero(packed.columns(packed.low))
         width = max(1, _SCORE_CELLS // packed.words.size)
         best_total, needed = -1, len(live)
+        # every key of the round lies below n_groups * its largest live radix
+        key_type = np.uint16 if n_groups * int(radixes[live].max()) <= _NARROW else np.int64
+        round_ids, round_radixes = ids.astype(key_type, copy=False), radixes.astype(key_type)
         for lo in range(0, len(live), width):
             batch = live[lo:lo + width]
-            totals, groups = _score(ids * radixes[batch] + columns[batch], weights, packed)
+            keys = round_ids * round_radixes[batch]
+            # a uint16 round's codes lie below 2^16, so the cast is exact
+            np.add(keys, columns[batch], out=keys, casting="unsafe")
+            totals, groups = _score(keys, weights, packed)
             totals += settled
             i = int(np.argmax(totals))      # the first of a batch's ties
             if totals[i] > best_total:      # a later batch must beat it
@@ -412,7 +434,8 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
         order, starts, impure = order[best_row], starts[lo:hi] - best_row * n, impure[lo:hi]
         # dense ids ranked like the keys, so row g of the flags is group g
         ids = np.empty_like(ids)
-        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+        n_groups = len(starts)
+        ids[order] = np.repeat(np.arange(n_groups), np.diff(starts, append=n))
         keep = impure.any(axis=1)[ids]
         settled += len(live) * int(weights[~keep].sum())
         ids, columns, weights = ids[keep], columns[:, keep], weights[keep]

@@ -105,6 +105,17 @@ def test_fold_plan_indices_split_the_rows():
     assert hash(plan) == hash(make_fold_plan(labels, 4, seed=2))
 
 
+def test_fold_plan_builds_each_folds_test_rows_once_read_only():
+    plan = make_fold_plan(["A", "B", "B"] * 7, 4, seed=2)
+    for f in range(4):
+        assert plan.fold_indices(f) is plan.fold_indices(f)
+        assert not plan.fold_indices(f).flags.writeable
+    for fold in (-1, 4):
+        for indices in (plan.fold_indices, plan.train_indices):
+            with pytest.raises(ValueError, match=rf"^fold must lie in \[0, 4\), got {fold}$"):
+                indices(fold)
+
+
 def test_fold_plan_leave_one_out_allowed():
     labels = ["A", "B", "A", "B"]
     plan = make_fold_plan(labels, 4, 1)

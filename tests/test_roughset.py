@@ -251,6 +251,22 @@ def test_distinct_rows_weighted_score_like_their_copies():
         assert scores(keys, weights, _pack_codes(rows)) == [want * t.n_objects]
 
 
+@pytest.mark.parametrize("shape, codes", [
+    ((60, 4), 3), ((200, 2), 5), ((1, 3), 4), ((25, 3), 1), ((40, 2), 2**20)])
+def test_distinct_rows_are_the_unique_rows_in_key_order_with_their_counts(shape, codes):
+    # random rows with duplicates, a single row, every row identical (one
+    # code per column), and codes past 2**16
+    rng = np.random.default_rng(sum(shape) + codes)
+    pool = rng.integers(0, codes, size=(max(1, shape[0] // 3), shape[1]))
+    t = DiscreteTable(codes=pool[rng.integers(0, len(pool), size=shape[0])],
+                      bins_per_attr=(codes,) * shape[1],
+                      attr_names=tuple(f"a{j}" for j in range(shape[1])))
+    rows, counts = distinct_rows(t)
+    want_rows, want_counts = np.unique(t.codes, axis=0, return_counts=True)
+    assert rows.tolist() == want_rows.tolist()
+    assert counts.tolist() == want_counts.tolist()
+
+
 def pooled_rows(draw, n, tops):
     """n rows drawn from a smaller pool; column j takes 1-3 codes in
     [0, tops[j]], and the first row holds tops[0]."""

@@ -242,8 +242,29 @@ def test_usqr_on_words_spanning_two_words_equals_reference_search(t):
     assert usqr(t).indices == reference_usqr(t)
 
 
+@st.composite
+def wide_code_tables(draw):
+    """A ``discrete_tables()`` table with one or two more columns whose
+    codes reach 2**16 - 1 or pass 2**16: a round with such a column live
+    keys in int64, and a later round, once it is chosen or settled, may
+    key in uint16 again."""
+    t = draw(discrete_tables())
+    codes = st.sampled_from([0, 3, 2**16 - 1, 70_000, 2**20])
+    extra = [draw(st.lists(codes, min_size=t.n_objects, max_size=t.n_objects))
+             for _ in range(draw(st.integers(1, 2)))]
+    bins = t.bins_per_attr + tuple(max(column) + 1 for column in extra)
+    return DiscreteTable(codes=np.column_stack([t.codes, *extra]), bins_per_attr=bins,
+                         attr_names=tuple(f"a{j}" for j in range(len(bins))))
+
+
 @settings(max_examples=200, deadline=None)
-@given(discrete_tables() | wide_tables())
+@given(wide_code_tables())
+def test_usqr_with_codes_past_2_to_16_equals_reference_search(t):
+    assert usqr(t).indices == reference_usqr(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(discrete_tables() | wide_tables() | wide_code_tables())
 def test_usqr_does_not_depend_on_the_batch_width(t):
     # one candidate per batch, a few (ties may fall across a batch
     # boundary), and the default
@@ -421,6 +442,27 @@ def test_usqr_of_a_seeded_table_is_pinned_under_wide_bin_counts_and_codes():
         s = usqr(t)
         assert s.indices == (0, 3, 2, 1)
         assert s.rounds == ((0, 40, 4), (3, 84, 3), (2, 134, 2), (1, 160, 1))
+
+
+def test_usqr_of_a_seeded_table_keys_in_uint16_then_in_int64(count_calls):
+    # round one keys below the radix 300; round two's ~300 groups times 300
+    # pass 2**16, so it keys in int64, and so does round three
+    codes = np.random.default_rng(0).integers(0, 300, size=(400, 3))
+    t = DiscreteTable(codes=codes, bins_per_attr=(300,) * 3, attr_names=("a", "b", "c"))
+    calls = count_calls(roughset._score)
+    s = usqr(t)
+    assert [keys.dtype.name for keys, _, _ in calls] == ["uint16", "int64", "int64"]
+    assert s.indices == (2, 0, 1)
+    assert s.rounds == ((2, 644, 3), (0, 1198, 2), (1, 1200, 1))
+
+
+@pytest.mark.parametrize("name", ["lung", "breast", "diabetes", "heart", "ecoli"])
+def test_usqr_of_the_bundled_tables_sorts_uint16_keys(request, count_calls, name):
+    # every round's groups times its largest radix stays within 2**16, so
+    # every sort is numpy's radix sort of uint16 keys, not an int64 sort
+    calls = count_calls(roughset._score)
+    usqr(discretize(request.getfixturevalue(name), "eqfreq", 3))
+    assert calls and {keys.dtype.name for keys, _, _ in calls} == {"uint16"}
 
 
 # ---------------------------------------------------------------------------
