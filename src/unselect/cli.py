@@ -1,4 +1,4 @@
-"""Command-line front door: select, evaluate, bench and report.
+"""Command-line front door: select, evaluate and bench.
 
 For pca and edr, ``select`` also prints the ranking its subset was cut
 from, which the subset carries (``FeatureSubset.ranking``).  For usqr it
@@ -31,11 +31,9 @@ from .dataset import (
     default_registry,
     label_column_from_text,
     load_table,
-    read_text,
 )
 from .eval import (
     CLASSIFIER_IDS,
-    EvalReport,
     check_cv_settings,
     check_ids,
     config_fingerprint,
@@ -184,15 +182,6 @@ def cmd_bench(args):
     return EXIT_BENCH_PARTIAL if report.errors else EXIT_OK
 
 
-def cmd_report(args):
-    try:    # read_text's faults are DatasetErrors already
-        report = EvalReport.from_json(read_text(args.input))
-    except ValueError as exc:
-        raise DatasetError(f"cannot read report {args.input!r}: {exc}") from None
-    _emit(_render(report, args.format), args.out)
-    return EXIT_OK
-
-
 def build_parser():
     one_dataset = argparse.ArgumentParser(add_help=False)
     one_dataset.add_argument("--data", required=True, help="dataset path or registry name")
@@ -251,12 +240,6 @@ def build_parser():
     p.add_argument("--format", choices=["table", "csv", "json"], default="table",
                    help="output format (default: table)")
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("report", help="re-render a JSON benchmark report")
-    p.add_argument("--input", required=True, help="report JSON path")
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
 
     return parser
 

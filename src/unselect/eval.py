@@ -668,23 +668,12 @@ def cross_validate(table: DataTable, subset: FeatureSubset, classifier: str,
 # ---------------------------------------------------------------------------
 # Benchmark runner
 
-# The fields of each report row and error that the renderers read.
-_ENTRY_FIELDS = {
-    "rows": {"dataset": str, "method": str, "classifier": str, "accuracy": (int, float)},
-    "errors": {"dataset": str, "error": str},
-}
-
-
-def _check_fields(where: str, entry, fields: dict) -> None:
-    for key, kind in fields.items():
-        if not (isinstance(entry, dict) and isinstance(entry.get(key), kind)):
-            raise ValueError(f"{where} lacks a valid {key!r}")
-
-
 @dataclass
 class EvalReport:
     """All accuracy rows of one benchmark run plus any errors, each of one
-    dataset or of one (dataset, method)."""
+    dataset or of one (dataset, method).  ``to_json`` is its saved form
+    (``bench --format json``), deterministic for the same data and
+    settings; nothing in the package reads it back."""
 
     rows: list[dict] = field(default_factory=list)
     errors: list[dict] = field(default_factory=list)
@@ -693,43 +682,6 @@ class EvalReport:
     def to_json(self) -> str:
         payload = {"config": self.config, "errors": self.errors, "rows": self.rows}
         return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        """The report of ``to_json`` text.  Its config must name the
-        datasets, methods and classifiers the run covered, as ``check_ids``
-        takes them, and each row and error must hold the fields the
-        renderers show and name a dataset the config lists.  A row's
-        accuracy is a finite number in [0, 100], its method and classifier
-        are listed in the config, and no two rows share a (dataset, method,
-        classifier) cell.  An error of a (dataset, method) names a method
-        the config lists.  A ``ValueError`` names the first entry that
-        breaks a rule."""
-        d = json.loads(text)
-        _check_fields("report", d, {"config": dict, "rows": list, "errors": list})
-        _check_fields("report config", d["config"],
-                      {"datasets": list, "methods": list, "classifiers": list})
-        check_ids(d["config"]["datasets"])
-        check_ids(d["config"]["methods"], METHOD_IDS)
-        check_ids(d["config"]["classifiers"], CLASSIFIER_IDS)
-        for name, fields in _ENTRY_FIELDS.items():
-            for i, entry in enumerate(d[name]):
-                _check_fields(f"report {name}[{i}]", entry, fields)
-                if entry["dataset"] not in d["config"]["datasets"]:
-                    raise ValueError(f"report {name}[{i}] has a dataset its config lacks")
-        cells = {}
-        for i, row in enumerate(d["rows"]):
-            cell = (row["dataset"], row["method"], row["classifier"])
-            if isinstance(row["accuracy"], bool) or not 0 <= row["accuracy"] <= 100:
-                raise ValueError(f"report rows[{i}] lacks a valid 'accuracy' in [0, 100]")
-            if cell[1] not in d["config"]["methods"] or cell[2] not in d["config"]["classifiers"]:
-                raise ValueError(f"report rows[{i}] has a method or classifier its config lacks")
-            if cells.setdefault(cell, i) != i:
-                raise ValueError(f"report rows[{i}] repeats the cell of rows[{cells[cell]}]")
-        for i, err in enumerate(d["errors"]):
-            if "method" in err and err["method"] not in d["config"]["methods"]:
-                raise ValueError(f"report errors[{i}] has a method its config lacks")
-        return cls(rows=d["rows"], errors=d["errors"], config=d["config"])
 
     def datasets(self):
         return sorted({r["dataset"] for r in self.rows})

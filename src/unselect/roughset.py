@@ -351,11 +351,11 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
     ids of the chosen subset: a candidate x only refines those groups, by
     the key ``ids * radix + code`` of x, with the radixes read from the
     codes once per search (``_key_radixes``), so no key wraps.  Every key
-    of a round lies below the previous round's group count times the
-    largest live radix; where that bound is at most 2^16 the round builds
-    its keys in ``uint16``, which ``_score`` sorts by radix (``uint16``
-    arithmetic is exact modulo 2^16, and each key lies below it), and
-    otherwise in ``int64``.  The code columns are held as ``uint16`` when
+    of a round lies below the number of groups the previous round kept
+    times the largest live radix; where that bound is at most 2^16 the
+    round builds its keys in ``uint16``, which ``_score`` sorts by radix
+    (``uint16`` arithmetic is exact modulo 2^16, and each key lies below
+    it), and otherwise in ``int64``.  The code columns are held as ``uint16`` when
     every radix is at most 2^16.
     The rows are packed into words once per search (``_pack_codes``),
     and the set low bits of ``packed.low`` mark the live columns: the
@@ -372,9 +372,11 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
 
     - a group with no such column settles its rows, with ``len(live)``
       times their weight, and they leave the ids, code columns, weights and
-      packed words.  It holds exactly one row (the positive-approximation
-      accelerator): rows are distinct, and rows of one group already agree
-      on every chosen and settled column;
+      packed words, and the groups left are renumbered densely, in order,
+      so the next round's key bound counts only them.  It holds exactly
+      one row (the positive-approximation accelerator): rows are distinct,
+      and rows of one group already agree on every chosen and settled
+      column;
     - a column no group disagrees on settles on the rows left: the OR of
       every group's flags, the new ``packed.low``, drops its bit.
 
@@ -434,10 +436,13 @@ def usqr(table: DiscreteTable) -> FeatureSubset:
         order, starts, impure = order[best_row], starts[lo:hi] - best_row * n, impure[lo:hi]
         # dense ids ranked like the keys, so row g of the flags is group g
         ids = np.empty_like(ids)
-        n_groups = len(starts)
-        ids[order] = np.repeat(np.arange(n_groups), np.diff(starts, append=n))
-        keep = impure.any(axis=1)[ids]
+        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+        kept = impure.any(axis=1)
+        keep = kept[ids]
         settled += len(live) * int(weights[~keep].sum())
-        ids, columns, weights = ids[keep], columns[:, keep], weights[keep]
+        # the kept groups renumbered densely, in the same order
+        n_groups = int(np.count_nonzero(kept))
+        ids = (np.cumsum(kept) - 1)[ids[keep]]
+        columns, weights = columns[:, keep], weights[keep]
         packed = replace(packed, words=packed.words[keep], low=np.bitwise_or.reduce(impure))
         settled += (len(live) - int(np.bitwise_count(packed.low).sum())) * int(weights.sum())

@@ -91,24 +91,6 @@ def table_test(cases):
     return pytest.mark.cli_case(test)
 
 
-def _report_payload():
-    return {"config": {"datasets": ["d"], "methods": ["edr", "usqr"], "classifiers": ["nb"]},
-            "rows": [{"dataset": "d", "method": "edr", "classifier": "nb", "accuracy": 50.0}],
-            "errors": [{"dataset": "d", "method": "usqr", "error": "no subset"}]}
-
-
-def _without(part, key):
-    payload = _report_payload()
-    del payload[part][0][key]
-    return payload
-
-
-def _changed(part, key, value):
-    payload = _report_payload()
-    payload[part][0][key] = value
-    return payload
-
-
 ARFF_AB = b"@relation r\n@attribute a real\n@attribute b real\n@data\n"
 SMALL_CSV = b"c,x,cls\n0.1,0,a\n0.1,1,b\n0.1,2,a\n0.1,3,b\n0.1,4,a\n0.1,5,b\n0.1,6,a\n"
 SQUARED_CSV = "x,y,²\n1,2,a\n2,1,b\n3,9,a\n4,4,b\n8,7,a\n6,5,b\n".encode()
@@ -119,8 +101,6 @@ REGISTRY_ARFF_LABEL = {"registry.txt": b"d, d.arff, 3\n",
                        "d.arff": b"@relation d\n@attribute x real\n@attribute y real\n"
                                  b"@attribute cls {a,b}\n@data\n"
                                  + b"1,2,a\n2,1,b\n3,9,a\n4,4,b\n" * 2}
-REPORT_TABLE = ("Classification accuracy for d\nClassifier   EDR      USQR\n"
-                "Naive Bayes  50.0000      \n\nERROR d/usqr: no subset\n")
 LUNG_USQR = ("subset: 31,14,3,6,54,2,10\n"
              "rounds: 31:560:56 14:894:44 3:1363:43 6:1598:40 54:1738:39 2:1768:18 10:1792:1\n"
              "fingerprint: 8ee325f2c1e7\n")
@@ -237,7 +217,7 @@ CLI_CASES = [
          "--bins 4",
          "heart edr dtable subset=2,8,11,1 accuracy=70.7407\nfingerprint: 7fc667365e03\n",
          "heart-edr-dtable-eqwidth-4-bins"))],
-    # bench and report
+    # bench
     Case("test_bench_csv_shows_only_the_method_that_ran",
          "bench --datasets ecoli --methods edr --classifiers nb --format csv",
          out="dataset,classifier,edr\necoli,Naive Bayes,85.1190\n"),
@@ -285,63 +265,9 @@ CLI_CASES = [
     Case("test_a_name_without_a_registry_exits_3_naming_both",
          "select --data no-such-file.csv --method usqr", code=3,
          err=("no-such-file.csv", "{tmp}/registry.txt"), env={"UNSELECT_DATA_DIR": "{tmp}"}),
-    Case("test_report_reads_the_payload_the_malformed_rows_alter", "report --input {tmp}/r.json",
-         files={"r.json": json.dumps(_report_payload()).encode()}, out=REPORT_TABLE),
-    # a report file is read as the loaders read a data file
-    *[Case("test_report_reads_its_file_as_the_loaders_do", "report --input {tmp}/r.json",
-           code=code, out=out, err=err, files=files, id=id)
-      for files, code, out, err, id in (
-          ({"r.json": b"\xef\xbb\xbf" + json.dumps(_report_payload()).encode()}, 0,
-           REPORT_TABLE, "", "byte-order-mark"),
-          ({"r.json": b'{"config": "\xe9"}'}, 3, "",
-           "data error: byte 0xe9 at line 1 of {tmp}/r.json is not UTF-8\n", "not-utf8"),
-          ({}, 3, "", "data error: cannot read {tmp}/r.json: No such file or directory\n",
-           "missing"))],
-    *[Case("test_report_malformed_entries_exit_3", "report --input {tmp}/r.json", code=3,
-           err=(where,), files={"r.json": json.dumps(payload).encode()}, id=id)
-      for payload, where, id in (
-          (_without("rows", "classifier"), "rows[0]", "row-without-classifier"),
-          (_without("errors", "dataset"), "errors[0]", "error-without-dataset"),
-          ([_report_payload()], "report lacks", "top-level-list"),
-          ({**_report_payload(), "rows": [{**_report_payload()["rows"][0], "accuracy": "50"}]},
-           "rows[0]", "string-accuracy"),
-          ({**_report_payload(), "config": {**_report_payload()["config"], "datasets": "d"}},
-           "report config lacks a valid 'datasets'", "config-datasets-not-a-list"))],
-    # an accuracy the renderers would show, a row or config id the table
-    # would drop, or a cell two rows fill: each refused, naming its entry
-    *[Case("test_report_malformed_entries_exit_3", "report --input {tmp}/r.json", code=3,
-           err=f"data error: cannot read report '{{tmp}}/r.json': {message}\n",
-           files={"r.json": text.encode()}, id=id)
-      for text, message, id in (
-          *[(json.dumps(_report_payload()).replace("50.0", token),
-             "report rows[0] lacks a valid 'accuracy' in [0, 100]", id)
-            for token, id in (("true", "bool-accuracy"), ("NaN", "nan-accuracy"),
-                              ("1e400", "overflowing-accuracy"), ("-20", "negative-accuracy"),
-                              ("100.5", "accuracy-over-100"))],
-          *[(json.dumps(_changed("rows", key, value)),
-             "report rows[0] has a method or classifier its config lacks",
-             f"row-{key}-not-in-config")
-            for key, value in (("method", "pca"), ("classifier", "knn"))],
-          *[(json.dumps(_changed("errors", "method", value)),
-             "report errors[0] has a method its config lacks", f"error-method-{id}")
-            for value, id in (("magic", "magic"), (7, "a-number"))],
-          *[(json.dumps(_changed(part, "dataset", "zzz")),
-             f"report {part}[0] has a dataset its config lacks",
-             f"{part[:-1]}-dataset-not-in-config") for part in ("rows", "errors")],
-          *[(json.dumps({**_report_payload(), "config": {**_report_payload()["config"],
-                                                         key: ids}}),
-             message, f"config-{key}-{bad}")
-            for key, ids, bad, message in (
-                ("datasets", ["d", "d"], "d", "duplicate id 'd'"),
-                ("methods", ["edr", "usqr", "magic"], "magic",
-                 "unknown id 'magic'; valid: pca, roughpca, edr, usqr"),
-                ("methods", ["edr", "usqr", "edr"], "edr", "duplicate id 'edr'"),
-                ("classifiers", ["nb", "svm"], "svm", "unknown id 'svm'; valid: nb, knn, dtable"))],
-          (json.dumps({**_report_payload(),
-                       "rows": _report_payload()["rows"] * 2}),
-           "report rows[1] repeats the cell of rows[0]", "two-rows-of-one-cell"))],
-    Case("test_report_bad_input_exits_3", "report --input {tmp}/bad.json", code=3,
-         files={"bad.json": b"{not json"}),
+    # the retired report subcommand is an unknown choice, like any other
+    Case("test_report_is_no_longer_a_subcommand", "report --input {tmp}/r.json", code=2,
+         err=("invalid choice: 'report'",)),
     # settings refused with exit 2
     Case("test_select_unknown_method_exits_2", "select --data data/diabetes.arff --method magic",
          code=2, err=("usqr", "edr")),     # the usage text lists the valid methods
@@ -577,15 +503,14 @@ def no_work(*args, **kwargs):
     ("bench", "--seed", "1"),
     ("select", "--data", "ecoli", "--method", "usqr"),
     ("evaluate", "--data", "ecoli", "--method", "edr", "--k", "2"),
-    ("report", "--input", "r.json"),
-], ids=["bench", "select", "evaluate", "report"])
+], ids=["bench", "select", "evaluate"])
 @pytest.mark.parametrize("out_name", ["missing/r.txt", "file.txt/r.txt", "dir"],
                          ids=["missing", "file.txt", "dir"])
 def test_out_in_a_missing_directory_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
                                                            argv, out_name):
     monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
     for target in ("unselect.cli.run_benchmark", "unselect.cli.load_table",
-                   "unselect.dataset.Registry.load", "unselect.eval.EvalReport.from_json"):
+                   "unselect.dataset.Registry.load"):
         monkeypatch.setattr(target, no_work)
     (tmp_path / "file.txt").write_text("")
     (tmp_path / "dir").mkdir()
@@ -792,65 +717,26 @@ def test_bad_folds_or_seed_exits_2_before_any_load(capsys, monkeypatch, argv, fl
     assert out == "" and message in err
 
 
-def test_report_rerenders_json(capsys, tmp_path, monkeypatch):
+def test_bench_shows_only_the_run_methods_and_classifiers(capsys, monkeypatch):
     monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
-    report_path = tmp_path / "r.json"
-    run(
-        capsys, "bench", "--datasets", "ecoli", "--methods", "edr",
-        "--classifiers", "nb", "--folds", "5", "--format", "json",
-        "--out", str(report_path),
-    )
-    code, out, _ = run(capsys, "report", "--input", str(report_path),
-                       "--format", "csv")
-    assert code == 0
-    assert out.startswith("dataset,classifier,")
-    assert "ecoli" in out
-    code, out, _ = run(capsys, "report", "--input", str(report_path), "--format", "json")
-    assert code == 0
-    assert out == report_path.read_text()
-
-
-def test_bench_and_report_show_only_the_run_methods_and_classifiers(capsys, tmp_path,
-                                                                    monkeypatch):
-    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
-    report_path = tmp_path / "r.json"
-    base = ["--datasets", "ecoli", "--methods", "edr,usqr", "--classifiers", "nb",
+    base = ["bench", "--datasets", "ecoli", "--methods", "edr,usqr", "--classifiers", "nb",
             "--folds", "5"]
-    code, _, _ = run(capsys, "bench", *base, "--format", "json", "--out", str(report_path))
+    code, table, _ = run(capsys, *base, "--format", "table")
     assert code == 0
-    for command in (["bench", *base], ["report", "--input", str(report_path)]):
-        code, table, _ = run(capsys, *command, "--format", "table")
-        assert code == 0
-        assert table.splitlines()[1].split() == ["Classifier", "EDR", "USQR"]
-        assert [line.split("  ")[0] for line in table.splitlines()[2:]] == ["Naive Bayes"]
-        code, csv_text, _ = run(capsys, *command, "--format", "csv")
-        assert code == 0
-        lines = csv_text.splitlines()
-        assert lines[0] == "dataset,classifier,edr,usqr"
-        assert len(lines) == 2 and lines[1].startswith("ecoli,Naive Bayes,")
-        assert "" not in lines[1].split(",")
-
-
-def test_report_without_its_methods_exits_3(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("UNSELECT_DATA_DIR", os.path.abspath(DATA_DIR))
-    report_path = tmp_path / "r.json"
-    run(capsys, "bench", "--datasets", "ecoli", "--methods", "edr", "--classifiers", "nb",
-        "--folds", "5", "--format", "json", "--out", str(report_path))
-    payload = json.loads(report_path.read_text())
-    del payload["config"]["methods"]
-    report_path.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "report", "--input", str(report_path))
-    assert code == 3
-    assert out == "" and "methods" in err
+    assert table.splitlines()[1].split() == ["Classifier", "EDR", "USQR"]
+    assert [line.split("  ")[0] for line in table.splitlines()[2:]] == ["Naive Bayes"]
+    code, csv_text, _ = run(capsys, *base, "--format", "csv")
+    assert code == 0
+    lines = csv_text.splitlines()
+    assert lines[0] == "dataset,classifier,edr,usqr"
+    assert len(lines) == 2 and lines[1].startswith("ecoli,Naive Bayes,")
+    assert "" not in lines[1].split(",")
 
 
 def test_help_lists_flags_with_defaults():
-    parser = build_parser()
-    for command in ("select", "evaluate", "bench", "report"):
-        sub = [
-            a for a in parser._subparsers._group_actions[0].choices.items()
-            if a[0] == command
-        ][0][1]
+    choices = build_parser()._subparsers._group_actions[0].choices
+    assert list(choices) == ["select", "evaluate", "bench"]
+    for command, sub in choices.items():
         text = sub.format_help()
         assert ("--format" in text) == (command != "evaluate")
         if command == "bench":

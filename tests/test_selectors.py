@@ -446,14 +446,15 @@ def test_usqr_of_a_seeded_table_is_pinned_under_wide_bin_counts_and_codes():
 
 def test_usqr_of_a_seeded_table_keys_in_uint16_then_in_int64(count_calls):
     # round one keys below the radix 300; round two's ~300 groups times 300
-    # pass 2**16, so it keys in int64, and so does round three
-    codes = np.random.default_rng(0).integers(0, 300, size=(400, 3))
+    # pass 2**16, so it keys in int64; round two settles all but a few
+    # groups, and round three, bounded by those kept, keys in uint16 again
+    codes = np.random.default_rng(0).integers(0, 300, size=(800, 3))
     t = DiscreteTable(codes=codes, bins_per_attr=(300,) * 3, attr_names=("a", "b", "c"))
     calls = count_calls(roughset._score)
     s = usqr(t)
-    assert [keys.dtype.name for keys, _, _ in calls] == ["uint16", "int64", "int64"]
-    assert s.indices == (2, 0, 1)
-    assert s.rounds == ((2, 644, 3), (0, 1198, 2), (1, 1200, 1))
+    assert [keys.dtype.name for keys, _, _ in calls] == ["uint16", "int64", "uint16"]
+    assert s.indices == reference_usqr(t) == (2, 1, 0)
+    assert s.rounds == ((2, 922, 3), (1, 2394, 2), (0, 2400, 1))
 
 
 @pytest.mark.parametrize("name", ["lung", "breast", "diabetes", "heart", "ecoli"])
